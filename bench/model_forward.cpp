@@ -1,14 +1,11 @@
-// Whole-model planned execution: eager layer-by-layer forward (heap-
-// allocated temporaries, per-layer plan caches) vs ModelPlan (all GEMM
-// plans frozen up front, activations liveness-packed into one arena,
-// zero-allocation warm runs) for a Transformer encoder, a BiLSTM, a
-// 4-deep stacked BiLSTM pyramid and an encoder+BiLSTM+head hybrid —
-// the last two composed with nn::Sequential and compiled through the
-// same generic module walker as the single models. Each model is
-// planned with and without epilogue fusion, so the fused-vs-unfused
-// gap is its own reported dimension; models with residual→LayerNorm
-// seams (encoder, hybrid) add an ln_fused=on|off arm isolating the
-// column-granular LN stage. Run with --json to emit
+// Whole-model planned execution: the ModelPlan forward (all GEMM plans
+// frozen up front with bias / activation / residual / LayerNorm folded
+// into their epilogues, shared activation prep at fan-out seats,
+// activations liveness-packed into one arena, zero-allocation warm
+// runs) for a Transformer encoder, a BiLSTM, a 4-deep stacked BiLSTM
+// pyramid and an encoder+BiLSTM+head hybrid — the last two composed
+// with nn::Sequential and compiled through the same generic module
+// walker as the single models. Run with --json to emit
 // BENCH_model_forward.json for the perf trajectory.
 //
 //   $ ./model_forward [tokens] [layers] [hidden] [--json] [--repeats N]
@@ -37,16 +34,16 @@ std::string arena_cell(const biq::nn::ModelPlan& plan) {
 
 /// 4-deep stacked BiLSTM pyramid: each level's 2h output feeds the next
 /// level, halving the per-direction width (the LAS encoder shape).
-biq::nn::Sequential make_pyramid(std::size_t input, const biq::nn::QuantSpec& spec,
-                                 biq::ExecContext& ctx) {
+biq::nn::Sequential make_pyramid(std::size_t input,
+                                 const biq::nn::QuantSpec& spec) {
   biq::nn::Sequential pyramid;
   std::size_t rows = input;
   std::size_t h = input / 2;
   std::uint64_t seed = 40;
   for (int level = 0; level < 4; ++level) {
     pyramid.add(std::make_unique<biq::nn::BiLstm>(
-        biq::nn::make_lstm_cell(rows, h, seed, spec, &ctx),
-        biq::nn::make_lstm_cell(rows, h, seed + 1, spec, &ctx)));
+        biq::nn::make_lstm_cell(rows, h, seed, spec),
+        biq::nn::make_lstm_cell(rows, h, seed + 1, spec)));
     seed += 2;
     rows = 2 * h;
     h = h > 8 ? h / 2 : h;
@@ -57,128 +54,50 @@ biq::nn::Sequential make_pyramid(std::size_t input, const biq::nn::QuantSpec& sp
 /// Encoder stack -> BiLSTM -> linear head (the hybrid only the generic
 /// walker can compile).
 biq::nn::Sequential make_hybrid(const biq::nn::TransformerConfig& cfg,
-                                const biq::nn::QuantSpec& spec,
-                                biq::ExecContext& ctx) {
+                                const biq::nn::QuantSpec& spec) {
   const std::size_t lstm_hidden = cfg.hidden / 2;
   biq::nn::Sequential hybrid;
   hybrid.add(std::make_unique<biq::nn::TransformerEncoder>(
-      biq::nn::make_encoder(cfg, 2020, spec, &ctx)));
+      biq::nn::make_encoder(cfg, 2020, spec)));
   hybrid.add(std::make_unique<biq::nn::BiLstm>(
-      biq::nn::make_lstm_cell(cfg.hidden, lstm_hidden, 61, spec, &ctx),
-      biq::nn::make_lstm_cell(cfg.hidden, lstm_hidden, 62, spec, &ctx)));
+      biq::nn::make_lstm_cell(cfg.hidden, lstm_hidden, 61, spec),
+      biq::nn::make_lstm_cell(cfg.hidden, lstm_hidden, 62, spec)));
   biq::Rng wrng(9);
   const biq::Matrix head =
       biq::nn::xavier_uniform(cfg.hidden, 2 * lstm_hidden, wrng);
   hybrid.add(biq::nn::make_linear(head, std::vector<float>(cfg.hidden, 0.0f),
-                                  spec.weight_bits, spec.method, spec.kernel,
-                                  &ctx));
+                                  spec.weight_bits, spec.method,
+                                  spec.kernel));
   return hybrid;
 }
 
-/// Times one model — eager, planned fused (share_prep on, the default),
-/// planned unfused, planned fused with share_prep off, and (for models
-/// with LayerNorm seams, `ln_arm`) planned fused with fuse_ln off — and
-/// emits one table row plus one JSON record per plan variant, identical
-/// schema, distinguished by the "fused", "share_prep" and "ln_fused"
-/// fields. `shape_fields` carries the model name and size parameters.
+/// Times one model's planned forward and emits one table row plus one
+/// JSON record. `shape_fields` carries the model name and size
+/// parameters.
 void bench_one(biq::bench::BenchJson& json, biq::TablePrinter& table,
                const char* name, const char* weights,
                const biq::nn::PlannableModule& model, biq::ExecContext& ctx,
                const biq::Matrix& input, std::size_t repeats, unsigned threads,
-               std::vector<biq::bench::JsonField> shape_fields,
-               bool ln_arm = false) {
+               std::vector<biq::bench::JsonField> shape_fields) {
   const std::size_t tokens = input.cols();
   biq::Matrix out(model.out_shape({input.rows(), tokens}).rows, tokens);
+  const biq::nn::ModelPlan plan(model, tokens, ctx);
+  plan.run(input, out);  // warm the arenas before timing
+  const double planned =
+      biq::bench::bench_seconds([&] { plan.run(input, out); }, repeats);
 
-  const double eager =
-      biq::bench::bench_seconds([&] { model.forward(input, out); }, repeats);
+  table.add_row({name, weights, biq::bench::ms(planned), arena_cell(plan)});
 
-  // Both A/B gaps (fused vs unfused, shared vs rebuilt prep) are a few
-  // percent — smaller than the slow drift of back-to-back timed blocks —
-  // so each pair of plans runs interleaved, rep by rep, and each side
-  // reports its own median.
-  const biq::nn::ModelPlan fused(model, tokens, ctx, /*fuse=*/true);
-  const biq::nn::ModelPlan unfused(model, tokens, ctx, /*fuse=*/false);
-  const biq::nn::ModelPlan noshare(model, tokens, ctx, /*fuse=*/true,
-                                   /*share_prep=*/false);
-  fused.run(input, out);  // warm the arenas before timing
-  unfused.run(input, out);
-  noshare.run(input, out);
-  const auto [planned_fused, planned_unfused] =
-      biq::bench::interleaved_ab_seconds([&] { fused.run(input, out); },
-                                         [&] { unfused.run(input, out); },
-                                         repeats);
-  const auto [planned_shared, planned_noshare] =
-      biq::bench::interleaved_ab_seconds([&] { fused.run(input, out); },
-                                         [&] { noshare.run(input, out); },
-                                         repeats);
-
-  // The LN arm (models with residual→LayerNorm seams only): fused with
-  // the column-granular LN stage (the default) vs fused with LN as its
-  // own seam pass, interleaved like the other A/Bs.
-  std::unique_ptr<biq::nn::ModelPlan> lnoff;
-  double planned_lnon = 0.0, planned_lnoff = 0.0;
-  if (ln_arm) {
-    lnoff = std::make_unique<biq::nn::ModelPlan>(
-        model, tokens, ctx, /*fuse=*/true, /*share_prep=*/true,
-        /*fuse_ln=*/false);
-    lnoff->run(input, out);
-    const auto [lnon_s, lnoff_s] =
-        biq::bench::interleaved_ab_seconds([&] { fused.run(input, out); },
-                                           [&] { lnoff->run(input, out); },
-                                           repeats);
-    planned_lnon = lnon_s;
-    planned_lnoff = lnoff_s;
+  std::vector<biq::bench::JsonField> rec = std::move(shape_fields);
+  rec.push_back(biq::bench::jstr("weights", weights));
+  rec.push_back(biq::bench::jnum("planned_ms", planned * 1e3));
+  rec.push_back(biq::bench::jint(
+      "arena_bytes", static_cast<long long>(plan.arena_bytes())));
+  rec.push_back(biq::bench::jint("threads", threads));
+  if (threads <= 1) {
+    rec.push_back(biq::bench::jstr("caveat", "single-core container"));
   }
-
-  table.add_row({name, weights, biq::bench::ms(eager),
-                 biq::bench::ms(planned_fused), biq::bench::ms(planned_unfused),
-                 biq::bench::ms(planned_noshare),
-                 ln_arm ? biq::bench::ms(planned_lnoff) : std::string("-"),
-                 biq::TablePrinter::fmt(eager / planned_fused, 2) + "x",
-                 arena_cell(fused)});
-
-  struct Variant {
-    const char* fused;
-    const char* share;
-    const char* ln;
-    double planned;
-    const biq::nn::ModelPlan* plan;
-  };
-  // The share on/off pair comes from ITS interleave (planned_shared,
-  // not planned_fused), so the two sides saw identical drift — and the
-  // same holds for the LN on/off pair.
-  std::vector<Variant> variants = {
-      Variant{"on", "on", "on", planned_fused, &fused},
-      Variant{"off", "on", "off", planned_unfused, &unfused},
-      Variant{"on", "off", "on", planned_noshare, &noshare}};
-  if (ln_arm) {
-    variants.push_back(Variant{"on", "on", "off", planned_lnoff, lnoff.get()});
-  }
-  for (const Variant& v : variants) {
-    std::vector<biq::bench::JsonField> rec = shape_fields;
-    rec.push_back(biq::bench::jstr("weights", weights));
-    rec.push_back(biq::bench::jstr("fused", v.fused));
-    rec.push_back(biq::bench::jstr("share_prep", v.share));
-    rec.push_back(biq::bench::jstr("ln_fused", v.ln));
-    rec.push_back(biq::bench::jnum("eager_ms", eager * 1e3));
-    rec.push_back(biq::bench::jnum("planned_ms", v.planned * 1e3));
-    if (v.plan == &noshare) {
-      // The shared side of the same interleave, for a drift-free ratio.
-      rec.push_back(biq::bench::jnum("shared_ms", planned_shared * 1e3));
-    }
-    if (ln_arm && v.plan == lnoff.get()) {
-      // The LN-fused side of the same interleave, likewise drift-free.
-      rec.push_back(biq::bench::jnum("ln_fused_ms", planned_lnon * 1e3));
-    }
-    rec.push_back(biq::bench::jint(
-        "arena_bytes", static_cast<long long>(v.plan->arena_bytes())));
-    rec.push_back(biq::bench::jint("threads", threads));
-    if (threads <= 1) {
-      rec.push_back(biq::bench::jstr("caveat", "single-core container"));
-    }
-    json.record(rec);
-  }
+  json.record(rec);
 }
 
 }  // namespace
@@ -193,7 +112,7 @@ int main(int argc, char** argv) {
 
   biq::bench::BenchJson json(argc, argv, "model_forward");
   biq::bench::print_header(
-      "model_forward — eager vs whole-model planned forward",
+      "model_forward — whole-model planned forward",
       "prepare/execute split lifted to the model level (Sec. II-A: "
       "everything derivable before activations is computed once)");
 
@@ -213,9 +132,8 @@ int main(int argc, char** argv) {
       threads > 1 ? std::make_unique<biq::ThreadPool>(threads) : nullptr;
   if (threads > 1) std::printf("threads: %u\n\n", threads);
 
-  biq::TablePrinter table({"model", "weights", "eager ms", "fused ms",
-                           "unfused ms", "share-off ms", "ln-off ms",
-                           "fused speedup", "arena KB (packed/unpacked)"});
+  biq::TablePrinter table(
+      {"model", "weights", "planned ms", "arena KB (packed/unpacked)"});
   constexpr std::uint64_t kSeed = 2020;
   biq::Rng rng(7);
 
@@ -227,23 +145,22 @@ int main(int argc, char** argv) {
     {
       biq::ExecContext ctx(pool.get());
       const biq::nn::TransformerEncoder enc =
-          biq::nn::make_encoder(cfg, kSeed, spec, &ctx);
+          biq::nn::make_encoder(cfg, kSeed, spec);
       const biq::Matrix input =
           biq::Matrix::random_normal(hidden, tokens, rng);
       bench_one(json, table, "encoder", weights, enc, ctx, input, repeats, threads,
                 {biq::bench::jstr("model", "encoder"),
                  biq::bench::jint("tokens", static_cast<long long>(tokens)),
                  biq::bench::jint("layers", layers),
-                 biq::bench::jint("hidden", static_cast<long long>(hidden))},
-                /*ln_arm=*/true);
+                 biq::bench::jint("hidden", static_cast<long long>(hidden))});
     }
 
     {
       const std::size_t lstm_hidden = hidden / 2;
       biq::ExecContext ctx(pool.get());
       const biq::nn::BiLstm model(
-          biq::nn::make_lstm_cell(hidden, lstm_hidden, 31, spec, &ctx),
-          biq::nn::make_lstm_cell(hidden, lstm_hidden, 32, spec, &ctx));
+          biq::nn::make_lstm_cell(hidden, lstm_hidden, 31, spec),
+          biq::nn::make_lstm_cell(hidden, lstm_hidden, 32, spec));
       const biq::Matrix audio =
           biq::Matrix::random_normal(hidden, tokens, rng);
       bench_one(json, table, "bilstm", weights, model, ctx, audio, repeats, threads,
@@ -256,7 +173,7 @@ int main(int argc, char** argv) {
     {
       // 4-deep BiLSTM pyramid through the generic walker.
       biq::ExecContext ctx(pool.get());
-      const biq::nn::Sequential pyramid = make_pyramid(hidden, spec, ctx);
+      const biq::nn::Sequential pyramid = make_pyramid(hidden, spec);
       const biq::Matrix audio =
           biq::Matrix::random_normal(hidden, tokens, rng);
       bench_one(json, table, "bilstm-pyramid-4", weights, pyramid, ctx, audio,
@@ -269,7 +186,7 @@ int main(int argc, char** argv) {
     {
       // Encoder + BiLSTM + head hybrid (Sequential over three blocks).
       biq::ExecContext ctx(pool.get());
-      const biq::nn::Sequential hybrid = make_hybrid(cfg, spec, ctx);
+      const biq::nn::Sequential hybrid = make_hybrid(cfg, spec);
       const biq::Matrix input =
           biq::Matrix::random_normal(hidden, tokens, rng);
       bench_one(json, table, "encoder+bilstm", weights, hybrid, ctx, input,
@@ -277,25 +194,13 @@ int main(int argc, char** argv) {
                 {biq::bench::jstr("model", "encoder_bilstm_hybrid"),
                  biq::bench::jint("tokens", static_cast<long long>(tokens)),
                  biq::bench::jint("layers", layers),
-                 biq::bench::jint("hidden", static_cast<long long>(hidden))},
-                /*ln_arm=*/true);
+                 biq::bench::jint("hidden", static_cast<long long>(hidden))});
     }
   }
 
   std::printf("%s\n", table.to_markdown().c_str());
-  std::printf("Eager re-allocates every intermediate activation per call and\n"
-              "plans per layer; ModelPlan froze all of that at compile time,\n"
-              "so the gap is widest where per-call overhead rivals the math\n"
-              "(small models, GEMV-heavy LSTM steps). \"fused\" folds bias,\n"
-              "activation and residual adds into the GEMM epilogues;\n"
-              "\"unfused\" runs the same plans with separate seam passes.\n"
-              "\"share-off\" rebuilds each input's LUT/quantization per\n"
-              "consumer where the default builds it once per fan-out seat\n"
-              "(QKV, BiLSTM dual scans) — fp32 rows have no prep to share.\n"
-              "\"ln-off\" keeps LayerNorm as its own seam pass where the\n"
-              "default folds it into the producer GEMM's column-granular\n"
-              "epilogue (encoder and hybrid rows only — the BiLSTMs have\n"
-              "no LN seams).\n"
+  std::printf("ModelPlan froze every GEMM plan and activation slot at\n"
+              "compile time; \"planned ms\" is the warm run's median.\n"
               "Timings are single-core (container) — see the JSON caveat.\n");
   return 0;
 }

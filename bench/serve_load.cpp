@@ -43,18 +43,18 @@ using clock_t_ = std::chrono::steady_clock;
 
 /// Column-independent 2-bit quantized MLP (the serving-compatible model
 /// class): Linear -> GELU -> LayerNorm -> Linear, hidden x 4h x hidden.
-biq::nn::Sequential make_mlp(std::size_t hidden, ExecContext& ctx) {
+biq::nn::Sequential make_mlp(std::size_t hidden) {
   const std::size_t ffn = 4 * hidden;
   biq::Rng wrng(2020);
   biq::nn::Sequential mlp;
   mlp.add(biq::nn::make_linear(biq::nn::xavier_uniform(ffn, hidden, wrng),
                                std::vector<float>(ffn, 0.1f), 2,
-                               biq::nn::QuantMethod::kGreedy, {}, &ctx));
+                               biq::nn::QuantMethod::kGreedy));
   mlp.add(std::make_unique<biq::nn::Activation>(ffn, biq::nn::Act::kGelu));
   mlp.add(std::make_unique<biq::nn::LayerNorm>(ffn));
   mlp.add(biq::nn::make_linear(biq::nn::xavier_uniform(hidden, ffn, wrng),
                                std::vector<float>(hidden, 0.0f), 2,
-                               biq::nn::QuantMethod::kGreedy, {}, &ctx));
+                               biq::nn::QuantMethod::kGreedy));
   return mlp;
 }
 
@@ -166,8 +166,7 @@ int main(int argc, char** argv) {
       "build-once-amortize-everywhere at server lifetime (Sec. I: many "
       "small concurrent ASR/MT requests share frozen plans)");
 
-  ExecContext build_ctx;
-  const biq::nn::Sequential mlp = make_mlp(hidden, build_ctx);
+  const biq::nn::Sequential mlp = make_mlp(hidden);
 
   // The trace: mixed request widths 1..4, fixed across all modes.
   biq::Rng rng(7);

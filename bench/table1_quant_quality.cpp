@@ -72,8 +72,8 @@ void end_to_end_study() {
   const biq::nn::TransformerEncoder fp = biq::nn::make_encoder(cfg, kSeed, {});
   biq::Rng rng(2);
   const biq::Matrix input = biq::Matrix::random_normal(cfg.hidden, 18, rng);
-  biq::Matrix x_fp = input;
-  fp.forward(x_fp);
+  biq::Matrix y_fp(cfg.hidden, 18);
+  fp.forward(input, y_fp);
 
   biq::TablePrinter table({"weights", "rel output error", "paper BLEU delta"});
   const char* paper_ref[] = {"-0.3 (4/32)", "-0.5 (3/32)", "-1.9 (2/32)",
@@ -84,12 +84,12 @@ void end_to_end_study() {
     spec.weight_bits = bits;
     spec.method = biq::nn::QuantMethod::kAlternating;
     const biq::nn::TransformerEncoder q = biq::nn::make_encoder(cfg, kSeed, spec);
-    biq::Matrix x_q = input;
-    q.forward(x_q);
+    biq::Matrix y_q(cfg.hidden, 18);
+    q.forward(input, y_q);
     char label[32];
     std::snprintf(label, sizeof(label), "binary %u-bit / fp32 act", bits);
     table.add_row({label,
-                   biq::TablePrinter::fmt(biq::rel_fro_error(x_q, x_fp), 4),
+                   biq::TablePrinter::fmt(biq::rel_fro_error(y_q, y_fp), 4),
                    paper_ref[idx++]});
   }
   std::printf("%s\n", table.to_markdown().c_str());

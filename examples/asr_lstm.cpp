@@ -31,14 +31,14 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kSeedFw = 31, kSeedBw = 32;
   biq::ExecContext fp_ctx, q_ctx;
   const biq::nn::BiLstm fp(
-      biq::nn::make_lstm_cell(input_dim, hidden, kSeedFw, {}, &fp_ctx),
-      biq::nn::make_lstm_cell(input_dim, hidden, kSeedBw, {}, &fp_ctx));
+      biq::nn::make_lstm_cell(input_dim, hidden, kSeedFw, {}),
+      biq::nn::make_lstm_cell(input_dim, hidden, kSeedBw, {}));
 
   biq::nn::QuantSpec spec;
   spec.weight_bits = bits;
   const biq::nn::BiLstm quant(
-      biq::nn::make_lstm_cell(input_dim, hidden, kSeedFw, spec, &q_ctx),
-      biq::nn::make_lstm_cell(input_dim, hidden, kSeedBw, spec, &q_ctx));
+      biq::nn::make_lstm_cell(input_dim, hidden, kSeedFw, spec),
+      biq::nn::make_lstm_cell(input_dim, hidden, kSeedBw, spec));
 
   biq::Rng rng(5);
   const biq::Matrix audio = biq::Matrix::random_normal(input_dim, frames, rng);

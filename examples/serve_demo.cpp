@@ -24,19 +24,18 @@ namespace {
 
 /// Column-independent model class: the serving contract (requests are
 /// concatenated along columns, so no module may mix columns).
-biq::nn::Sequential build_mlp(std::size_t hidden, unsigned bits,
-                              biq::ExecContext& ctx) {
+biq::nn::Sequential build_mlp(std::size_t hidden, unsigned bits) {
   const std::size_t ffn = 2 * hidden;
   biq::Rng wrng(2020);
   biq::nn::Sequential mlp;
   mlp.add(biq::nn::make_linear(biq::nn::xavier_uniform(ffn, hidden, wrng),
                                std::vector<float>(ffn, 0.1f), bits,
-                               biq::nn::QuantMethod::kGreedy, {}, &ctx));
+                               biq::nn::QuantMethod::kGreedy));
   mlp.add(std::make_unique<biq::nn::Activation>(ffn, biq::nn::Act::kGelu));
   mlp.add(std::make_unique<biq::nn::LayerNorm>(ffn));
   mlp.add(biq::nn::make_linear(biq::nn::xavier_uniform(hidden, ffn, wrng),
                                std::vector<float>(hidden, 0.0f), bits,
-                               biq::nn::QuantMethod::kGreedy, {}, &ctx));
+                               biq::nn::QuantMethod::kGreedy));
   return mlp;
 }
 
@@ -59,8 +58,7 @@ int main(int argc, char** argv) {
       argc > 3 ? static_cast<unsigned>(std::strtoul(argv[3], nullptr, 10)) : 2;
   constexpr std::size_t kThreads = 4;
 
-  biq::ExecContext build_ctx;
-  const biq::nn::Sequential mlp = build_mlp(hidden, bits, build_ctx);
+  const biq::nn::Sequential mlp = build_mlp(hidden, bits);
 
   biq::serve::ServeConfig cfg;
   cfg.max_batch = 8;

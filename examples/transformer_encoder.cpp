@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   // zero-allocation whole-model hot path (the serving pattern).
   biq::ExecContext ctx;
   const biq::nn::TransformerEncoder fp =
-      biq::nn::make_encoder(cfg, kSeed, {}, &ctx);
+      biq::nn::make_encoder(cfg, kSeed, {});
   const biq::nn::ModelPlan fp_plan(fp, tokens, ctx);
 
   biq::Rng rng(7);
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     spec.method = biq::nn::QuantMethod::kAlternating;
     biq::ExecContext quant_ctx;
     const biq::nn::TransformerEncoder quant =
-        biq::nn::make_encoder(cfg, kSeed, spec, &quant_ctx);
+        biq::nn::make_encoder(cfg, kSeed, spec);
     const biq::nn::ModelPlan quant_plan(quant, tokens, quant_ctx);
 
     biq::Matrix x_q(hidden, tokens);

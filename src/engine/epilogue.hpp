@@ -11,11 +11,10 @@
 // applied exactly once per output element after that element's
 // accumulation is complete. Because the transform is per-element, an
 // engine may apply it per tile, per panel, per column or over the whole
-// output — the result is bitwise identical to one full pass, which is
-// what keeps the planned-vs-eager bitwise pins meaningful: the eager
-// layers compute the same `act(v + bias) + residual` scalar sequence
-// through the SAME inline functions below (nn/activations.cpp forwards
-// here), so fused and unfused runs agree bit for bit.
+// output — the result is bitwise identical to one full pass over y
+// through the SAME inline functions below (what a standalone
+// nn::Activation step runs), so fused and separate-sweep runs agree
+// bit for bit.
 //
 // The residual operand is a run-time binding: plan-time Epilogue carries
 // only the *intent* (`residual = true`); the actual view arrives with
@@ -48,10 +47,10 @@ enum class EpilogueAct : std::uint8_t { kNone, kRelu, kGelu, kSigmoid, kTanh };
 
 namespace epilogue {
 
-// The single source of truth for activation arithmetic: the eager
-// apply_* passes (nn/activations.cpp) and every engine epilogue call
-// these same inline functions, so fused and separate-pass execution are
-// bitwise identical by construction.
+// The single source of truth for activation arithmetic: the standalone
+// nn::Activation step and every engine epilogue call these same inline
+// functions, so fused and separate-pass execution are bitwise identical
+// by construction.
 
 [[nodiscard]] inline float relu(float v) noexcept {
   return v > 0.0f ? v : 0.0f;
@@ -82,13 +81,14 @@ namespace epilogue {
 }
 
 /// Normalize one column of length d: the single source of truth for
-/// LayerNorm arithmetic. nn::LayerNorm::forward and the col_post
-/// epilogue stage both call this, so eager and fused execution are
-/// bitwise identical by construction. The reduction order is the fixed
-/// sequential i = 0..d-1 sweep (mean, then variance, then the scaled
-/// write), independent of who executes it — that is what makes the
-/// column barrier's "whichever worker finishes last normalizes"
-/// scheduling invisible in the output. src == dst (in-place) is fine.
+/// LayerNorm arithmetic. The standalone nn::LayerNorm step and the
+/// col_post epilogue stage both call this, so standalone and fused
+/// execution are bitwise identical by construction. The reduction order
+/// is the fixed sequential i = 0..d-1 sweep (mean, then variance, then
+/// the scaled write), independent of who executes it — that is what
+/// makes the column barrier's "whichever worker finishes last
+/// normalizes" scheduling invisible in the output. src == dst
+/// (in-place) is fine.
 inline void layernorm_col(const float* src, float* dst, std::size_t d,
                           const float* gamma, const float* beta,
                           float eps) noexcept {

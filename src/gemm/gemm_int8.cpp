@@ -1,11 +1,10 @@
 #include "gemm/gemm_int8.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 #include <stdexcept>
 
 #include "engine/partition.hpp"
+#include "quant/lowbit.hpp"
 #include "util/timer.hpp"
 
 namespace biq {
@@ -46,19 +45,6 @@ Int8Gemm::Int8Gemm(const Matrix& w)
   }
 }
 
-float Int8Gemm::quantize_column(const float* src, std::size_t n,
-                                std::int8_t* dst) noexcept {
-  float max_abs = 0.0f;
-  for (std::size_t k = 0; k < n; ++k) max_abs = std::max(max_abs, std::fabs(src[k]));
-  const float scale = max_abs > 0.0f ? max_abs / 127.0f : 1.0f;
-  const float inv = 1.0f / scale;
-  for (std::size_t k = 0; k < n; ++k) {
-    const int v = static_cast<int>(std::lround(src[k] * inv));
-    dst[k] = static_cast<std::int8_t>(std::clamp(v, -127, 127));
-  }
-  return scale;
-}
-
 void Int8Gemm::quantize_grid(ConstMatrixView x, std::int8_t* xq,
                              float* xscales, ExecContext& ctx,
                              Phases* phases) const {
@@ -72,8 +58,8 @@ void Int8Gemm::quantize_grid(ConstMatrixView x, std::int8_t* xq,
                         [&](unsigned /*worker*/, std::size_t c0,
                             std::size_t c1) {
                           for (std::size_t c = c0; c < c1; ++c) {
-                            xscales[c] =
-                                quantize_column(x.col(c), n_, xq + c * n_);
+                            xscales[c] = quantize_column_int8(
+                                x.col(c), n_, xq + c * n_);
                           }
                         });
   if (phases != nullptr) phases->quantize_seconds += watch.elapsed_seconds();

@@ -72,11 +72,6 @@ class Int8Gemm final : public GemmEngine {
   }
 
  private:
-  /// Quantizes one activation column symmetrically to int8; returns the
-  /// scale (max|x| / 127, or 1 for an all-zero column).
-  static float quantize_column(const float* src, std::size_t n,
-                               std::int8_t* dst) noexcept;
-
   std::size_t m_ = 0;
   std::size_t n_ = 0;
   float wscale_ = 1.0f;

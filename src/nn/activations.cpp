@@ -2,47 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace biq::nn {
-namespace {
-
-template <typename Fn>
-void for_each_element(MatrixView x, Fn&& fn) noexcept {
-  for (std::size_t c = 0; c < x.cols(); ++c) {
-    float* col = x.col(c);
-    for (std::size_t i = 0; i < x.rows(); ++i) col[i] = fn(col[i]);
-  }
-}
-
-}  // namespace
-
-float sigmoid(float v) noexcept { return epilogue::sigmoid(v); }
-
-void apply_relu(MatrixView x) noexcept {
-  for_each_element(x, [](float v) { return epilogue::relu(v); });
-}
-
-void apply_gelu(MatrixView x) noexcept {
-  for_each_element(x, [](float v) { return epilogue::gelu(v); });
-}
-
-void apply_sigmoid(MatrixView x) noexcept {
-  for_each_element(x, [](float v) { return epilogue::sigmoid(v); });
-}
-
-void apply_tanh(MatrixView x) noexcept {
-  for_each_element(x, [](float v) { return epilogue::tanh(v); });
-}
-
-void apply(MatrixView x, Act act) noexcept {
-  switch (act) {
-    case Act::kRelu: apply_relu(x); break;
-    case Act::kGelu: apply_gelu(x); break;
-    case Act::kSigmoid: apply_sigmoid(x); break;
-    case Act::kTanh: apply_tanh(x); break;
-  }
-}
 
 void softmax_columns(MatrixView x) noexcept {
   for (std::size_t c = 0; c < x.cols(); ++c) {
@@ -63,7 +24,8 @@ void softmax_columns(MatrixView x) noexcept {
 
 namespace {
 
-/// The standalone (unfused) activation step: one element-wise pass.
+/// The standalone activation step (no producer to fold into): one
+/// element-wise pass.
 class ActivationStep final : public ModuleStep {
  public:
   explicit ActivationStep(Act act) : act_(act) {}
@@ -94,20 +56,6 @@ Shape Activation::out_shape(Shape in) const {
 std::unique_ptr<ModuleStep> Activation::plan_into(
     ModulePlanContext& /*mpc*/) const {
   return std::make_unique<ActivationStep>(act_);
-}
-
-void Activation::forward(ConstMatrixView x, MatrixView y) const {
-  if (x.rows() != dim_ || y.rows() != x.rows() || y.cols() != x.cols()) {
-    throw std::invalid_argument("Activation: shape mismatch");
-  }
-  const EpilogueAct act = to_epilogue_act(act_);
-  for (std::size_t c = 0; c < x.cols(); ++c) {
-    const float* src = x.col(c);
-    float* dst = y.col(c);
-    for (std::size_t i = 0; i < x.rows(); ++i) {
-      dst[i] = epilogue::activate(src[i], act);
-    }
-  }
 }
 
 }  // namespace biq::nn

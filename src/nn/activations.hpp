@@ -3,12 +3,8 @@
 // quantization costs accuracy and on-the-fly conversion work).
 //
 // The scalar math lives in engine/epilogue.hpp so a non-linearity fused
-// into a GEMM plan's output loop and one applied here as a separate pass
-// are THE SAME arithmetic — bitwise, not approximately.
-//
-// All entry points take strided views, so planner-assigned arena slots
-// and windows of larger buffers transform in place; a whole Matrix
-// converts implicitly.
+// into a GEMM plan's output loop and a standalone Activation step are
+// THE SAME arithmetic — bitwise, not approximately.
 #pragma once
 
 #include "engine/epilogue.hpp"
@@ -31,21 +27,12 @@ enum class Act { kRelu, kGelu, kSigmoid, kTanh };
   return EpilogueAct::kNone;
 }
 
-void apply_relu(MatrixView x) noexcept;
-/// tanh-approximation GELU (as used by BERT-family models).
-void apply_gelu(MatrixView x) noexcept;
-void apply_sigmoid(MatrixView x) noexcept;
-void apply_tanh(MatrixView x) noexcept;
-void apply(MatrixView x, Act act) noexcept;
-
-/// Scalar versions (LSTM gates operate on vectors).
-[[nodiscard]] float sigmoid(float v) noexcept;
-
 /// Numerically-stable softmax over the rows of each column (columns are
 /// independent distributions) — the attention-weight normalization.
 void softmax_columns(MatrixView x) noexcept;
 
-/// Element-wise activation as a module: y(i, c) = act(x(i, c)). Shape
+/// Element-wise activation as a module: y(i, c) = act(x(i, c)), with
+/// GELU in its tanh approximation (as used by BERT-family models). Shape
 /// preserving, no weights, no internal slots. Inside a plan_chain a
 /// Linear -> Activation adjacency is folded into the producer's GEMM
 /// epilogue (the step below never runs); standalone it is a plain
@@ -64,7 +51,6 @@ class Activation final : public PlannableModule {
   [[nodiscard]] bool columns_independent() const noexcept override {
     return true;
   }
-  void forward(ConstMatrixView x, MatrixView y) const override;
 
  private:
   std::size_t dim_;

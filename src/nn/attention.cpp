@@ -5,32 +5,25 @@
 
 #include "nn/activations.hpp"
 #include "nn/layernorm.hpp"
-#include "nn/tensor.hpp"
 
 namespace biq::nn {
 namespace {
 
 /// One attention block's frozen forward: per-projection plans plus the
-/// planner slots for q/k/v, the score matrix and the head context —
-/// the same attend() routine as the eager forward, temporaries served
-/// from the arena.
+/// planner slots for q/k/v, the score matrix and the head context, all
+/// served from the arena.
 class AttentionStep final : public ModuleStep {
  public:
   AttentionStep(const MultiHeadAttention& attn, ModulePlanContext& mpc,
                 const StepFusion& fusion)
-      : attn_(&attn), fuse_(mpc.fuse()),
-        input_residual_(fusion.input_residual) {
+      : attn_(&attn), input_residual_(fusion.input_residual) {
     const std::size_t tokens = mpc.batch();
     sq_ = mpc.acquire(attn.hidden(), tokens);
     sk_ = mpc.acquire(attn.hidden(), tokens);
     sv_ = mpc.acquire(attn.hidden(), tokens);
-    // fuse=off plans every projection as a bare GEMM — the biases run as
-    // separate seam passes in run_step, so the A/B isolates the whole
-    // epilogue mechanism, bias included.
-    const LinearFusion plain{EpilogueAct::kNone, false, nullptr, fuse_};
-    q_ = LinearPlan(attn.wq(), tokens, mpc.exec(), plain);
-    k_ = LinearPlan(attn.wk(), tokens, mpc.exec(), plain);
-    v_ = LinearPlan(attn.wv(), tokens, mpc.exec(), plain);
+    q_ = LinearPlan(attn.wq(), tokens, mpc.exec());
+    k_ = LinearPlan(attn.wk(), tokens, mpc.exec());
+    v_ = LinearPlan(attn.wv(), tokens, mpc.exec());
     // Shared QKV activation prep: the three projections read the SAME
     // x, so when they freeze identical activation artifacts (equal prep
     // keys — same engine family, mu/bits, kernel plane), x's LUT /
@@ -38,8 +31,9 @@ class AttentionStep final : public ModuleStep {
     // slot is acquired here and released BEFORE the score/context
     // slots: its last reader is v_'s consume, which precedes every
     // score write, so the planner may back the score matrix with the
-    // prep's storage.
-    share_ = mpc.share_prep() && shareable_prep({&q_, &k_, &v_});
+    // prep's storage. Prep-less (fp32) engines keep three independent
+    // runs.
+    share_ = shareable_prep({&q_, &k_, &v_});
     if (share_) {
       sprep_ = mpc.acquire(q_.prep_floats(), 1);
       mpc.release(sprep_);
@@ -52,7 +46,7 @@ class AttentionStep final : public ModuleStep {
     // GEMM completes them.
     o_ = LinearPlan(attn.wo(), tokens, mpc.exec(),
                     LinearFusion{fusion.act, fusion.input_residual, nullptr,
-                                 fuse_, fusion.ln});
+                                 fusion.ln});
     for (const ModelSlot* s : {&sscores_, &sq_, &sk_, &sv_, &scontext_}) {
       mpc.release(*s);
     }
@@ -73,28 +67,17 @@ class AttentionStep final : public ModuleStep {
       k_.run(x, k);
       v_.run(x, v);
     }
-    if (!fuse_) {
-      seam_bias(q, attn_->wq());
-      seam_bias(k, attn_->wk());
-      seam_bias(v, attn_->wv());
-    }
     const MatrixView context = scontext_.view(base);
     attn_->attend(q, k, v, sscores_.view(base), context);
     if (input_residual_) {
       o_.run(context, y, x);  // y = wo(context) + bias + x, one pass
     } else {
       o_.run(context, y);
-      if (!fuse_) seam_bias(y, attn_->wo());
     }
   }
 
  private:
-  static void seam_bias(MatrixView y, const LinearLayer& layer) {
-    if (!layer.bias().empty()) add_bias(y, layer.bias());
-  }
-
   const MultiHeadAttention* attn_;
-  bool fuse_;
   bool input_residual_;
   bool share_ = false;
   LinearPlan q_, k_, v_, o_;
@@ -193,26 +176,6 @@ void MultiHeadAttention::attend(ConstMatrixView q, ConstMatrixView k,
       }
     }
   }
-}
-
-void MultiHeadAttention::forward(ConstMatrixView x, MatrixView y) const {
-  if (x.rows() != hidden_ || y.rows() != hidden_ || y.cols() != x.cols()) {
-    throw std::invalid_argument("MultiHeadAttention: shape mismatch");
-  }
-  const std::size_t t = x.cols();
-
-  Matrix q(hidden_, t, /*zero_fill=*/false);
-  Matrix k(hidden_, t, /*zero_fill=*/false);
-  Matrix v(hidden_, t, /*zero_fill=*/false);
-  wq_->forward(x, q);
-  wk_->forward(x, k);
-  wv_->forward(x, v);
-
-  Matrix context(hidden_, t, /*zero_fill=*/false);
-  Matrix scores(t, t, /*zero_fill=*/false);
-  attend(q, k, v, scores, context);
-
-  wo_->forward(context, y);
 }
 
 }  // namespace biq::nn

@@ -19,12 +19,8 @@ class MultiHeadAttention final : public PlannableModule {
                      std::unique_ptr<LinearLayer> wv,
                      std::unique_ptr<LinearLayer> wo, unsigned heads);
 
-  /// Self-attention: x is hidden x T (T tokens), y is hidden x T
-  /// (overwritten). Views — a token window of a longer sequence buffer
-  /// attends in place, zero copies; Matrix arguments convert implicitly.
-  void forward(ConstMatrixView x, MatrixView y) const override;
-
-  /// PlannableModule: the frozen step holds the four projection plans
+  /// PlannableModule (self-attention: x and y are hidden x T for T
+  /// tokens): the frozen step holds the four projection plans
   /// plus slots for q/k/v, the score matrix and the head context (all
   /// internal — acquired and released within plan_into).
   [[nodiscard]] std::size_t in_rows() const noexcept override {
@@ -49,10 +45,8 @@ class MultiHeadAttention final : public PlannableModule {
   /// The fp32 attention math over already-projected activations: per
   /// head h, scores = softmax(Q_h^T K_h / sqrt(d)) column-wise, then
   /// context_h = V_h . scores. q/k/v: hidden x T; scores: T x T scratch
-  /// (overwritten); context: hidden x T (overwritten). Both the eager
-  /// forward and the whole-model planner run THIS routine — caller-
-  /// provided buffers are what lets planner slots replace local
-  /// temporaries while staying bitwise identical to the eager path.
+  /// (overwritten); context: hidden x T (overwritten). The planned step
+  /// runs this routine over arena slots.
   void attend(ConstMatrixView q, ConstMatrixView k, ConstMatrixView v,
               MatrixView scores, MatrixView context) const;
 

@@ -1,19 +1,24 @@
 #include "nn/layernorm.hpp"
 
-#include <stdexcept>
-
 #include "engine/epilogue.hpp"
 
 namespace biq::nn {
 namespace {
 
+/// The standalone LayerNorm step: the same per-column normalize
+/// (engine/epilogue.hpp's layernorm_col) that the fused col_post
+/// epilogue stage runs, src -> dst in one pass.
 class LayerNormStep final : public ModuleStep {
  public:
   explicit LayerNormStep(const LayerNorm& ln) : ln_(&ln) {}
 
   void run_step(float* /*base*/, ConstMatrixView x,
                 MatrixView y) const override {
-    ln_->forward(x, y);
+    for (std::size_t c = 0; c < x.cols(); ++c) {
+      epilogue::layernorm_col(x.col(c), y.col(c), x.rows(),
+                              ln_->gamma().data(), ln_->beta().data(),
+                              ln_->eps());
+    }
   }
 
  private:
@@ -31,29 +36,5 @@ std::unique_ptr<ModuleStep> LayerNorm::plan_into(
     ModulePlanContext& /*mpc*/) const {
   return std::make_unique<LayerNormStep>(*this);
 }
-
-void LayerNorm::forward(ConstMatrixView x, MatrixView y) const {
-  if (x.rows() != gamma_.size()) {
-    throw std::invalid_argument("LayerNorm: dimension mismatch");
-  }
-  if (y.rows() != x.rows() || y.cols() != x.cols()) {
-    throw std::invalid_argument("LayerNorm: output shape mismatch");
-  }
-  // Direct src -> dst through the one shared per-column normalize
-  // (engine/epilogue.hpp's layernorm_col — also what the fused col_post
-  // epilogue stage runs), so eager and fused LayerNorm are bitwise
-  // identical by construction, not by parallel implementations.
-  // mean/variance come entirely from src before any write, and the
-  // final pass writes each dst element exactly once — so y aliasing x
-  // (the in-place overload) is exact, not approximate, and the
-  // out-of-place form is bitwise identical to copy-then-normalize.
-  const std::size_t d = x.rows();
-  for (std::size_t c = 0; c < x.cols(); ++c) {
-    epilogue::layernorm_col(x.col(c), y.col(c), d, gamma_.data(), beta_.data(),
-                            eps_);
-  }
-}
-
-void LayerNorm::forward(MatrixView x) const { forward(x, x); }
 
 }  // namespace biq::nn

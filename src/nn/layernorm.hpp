@@ -29,15 +29,10 @@ class LayerNorm final : public PlannableModule {
   }
   [[nodiscard]] float eps() const noexcept { return eps_; }
 
-  /// Normalizes each column of x in place: per-column mean/variance over
-  /// rows, then scale by gamma and shift by beta. Strided view — arena
-  /// slots and buffer windows normalize in place; a Matrix converts
-  /// implicitly. Delegates to the two-view form with y = x.
-  void forward(MatrixView x) const;
-
   /// PlannableModule: shape-preserving, no GEMMs, no internal slots.
-  /// The two-view form normalizes src directly into dst (no copy pass);
-  /// y may alias x, and both forms are bitwise identical.
+  /// Each column is normalized over rows (per-column mean/variance),
+  /// then scaled by gamma and shifted by beta — standalone, or folded
+  /// into the preceding projection's column-granular epilogue.
   [[nodiscard]] std::size_t in_rows() const noexcept override {
     return dim();
   }
@@ -48,7 +43,6 @@ class LayerNorm final : public PlannableModule {
   [[nodiscard]] Shape out_shape(Shape in) const override;
   [[nodiscard]] std::unique_ptr<ModuleStep> plan_into(
       ModulePlanContext& mpc) const override;
-  void forward(ConstMatrixView x, MatrixView y) const override;
 
  private:
   std::vector<float> gamma_;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "nn/layernorm.hpp"
-#include "nn/tensor.hpp"
 #include "quant/quantize.hpp"
 
 namespace biq::nn {
@@ -20,20 +19,11 @@ void check_bias(const std::vector<float>& bias, std::size_t m,
 /// Any registered engine + bias behind the LinearLayer interface.
 class EngineLinear final : public LinearLayer {
  public:
-  EngineLinear(std::unique_ptr<GemmEngine> engine, std::vector<float> bias,
-               ExecContext* ctx)
-      : ctx_(ctx), engine_(std::move(engine)), bias_(std::move(bias)) {
+  EngineLinear(std::unique_ptr<GemmEngine> engine, std::vector<float> bias)
+      : engine_(std::move(engine)), bias_(std::move(bias)) {
     check_bias(bias_, engine_->rows(), "EngineLinear");
   }
 
-  void forward(ConstMatrixView x, MatrixView y,
-               ExecContext& ctx) const override {
-    plans_.run(*engine_, bias_, x, y, ctx, ctx_);
-  }
-  using LinearLayer::forward;
-  [[nodiscard]] ExecContext* bound_context() const noexcept override {
-    return ctx_;
-  }
   [[nodiscard]] std::size_t in_features() const noexcept override {
     return engine_->cols();
   }
@@ -51,10 +41,8 @@ class EngineLinear final : public LinearLayer {
   }
 
  private:
-  ExecContext* ctx_ = nullptr;
   std::unique_ptr<GemmEngine> engine_;
   std::vector<float> bias_;
-  PlanCache plans_;
 };
 
 /// LinearLayer's frozen module step: the held LinearPlan, no slots. When
@@ -64,13 +52,9 @@ class LinearStep final : public ModuleStep {
  public:
   LinearStep(const LinearLayer& layer, ModulePlanContext& mpc,
              const StepFusion& fusion)
-      : layer_(&layer), fuse_(mpc.fuse()),
-        // fuse=off plans a bare GEMM; the bias runs as a separate seam
-        // pass in run_step (peephole act/residual folds only exist when
-        // the context fuses, so they are already off).
-        plan_(layer, mpc.batch(), mpc.exec(),
+      : plan_(layer, mpc.batch(), mpc.exec(),
               LinearFusion{fusion.act, fusion.input_residual, nullptr,
-                           mpc.fuse(), fusion.ln}),
+                           fusion.ln}),
         input_residual_(fusion.input_residual) {}
 
   void run_step(float* /*base*/, ConstMatrixView x,
@@ -79,13 +63,10 @@ class LinearStep final : public ModuleStep {
       plan_.run(x, y, x);
     } else {
       plan_.run(x, y);
-      if (!fuse_ && !layer_->bias().empty()) add_bias(y, layer_->bias());
     }
   }
 
  private:
-  const LinearLayer* layer_;
-  bool fuse_;
   LinearPlan plan_;
   bool input_residual_;
 };
@@ -123,7 +104,7 @@ LinearPlan::LinearPlan(const LinearLayer& layer, std::size_t batch,
   const std::vector<float>& bias =
       fusion.bias != nullptr ? *fusion.bias : layer.bias();
   Epilogue ep;
-  ep.bias = fusion.fold_bias && !bias.empty() ? bias.data() : nullptr;
+  ep.bias = bias.empty() ? nullptr : bias.data();
   ep.act = fusion.act;
   ep.residual = fusion.residual;
   if (fusion.ln != nullptr) {
@@ -161,21 +142,16 @@ bool shareable_prep(std::initializer_list<const LinearPlan*> plans) {
   return true;
 }
 
-Linear::Linear(const Matrix& w, std::vector<float> bias, ExecContext* ctx)
-    : m_(w.rows()), n_(w.cols()), ctx_(ctx), bias_(std::move(bias)) {
+Linear::Linear(const Matrix& w, std::vector<float> bias)
+    : m_(w.rows()), n_(w.cols()), bias_(std::move(bias)) {
   check_bias(bias_, m_, "Linear");
   engine_ = make_engine("blocked", w);
 }
 
-void Linear::forward(ConstMatrixView x, MatrixView y, ExecContext& ctx) const {
-  plans_.run(*engine_, bias_, x, y, ctx, ctx_);
-}
-
 QuantLinear::QuantLinear(const Matrix& w, std::vector<float> bias,
                          unsigned bits, QuantMethod method,
-                         const BiqGemmOptions& opt, ExecContext* ctx)
-    : m_(w.rows()), n_(w.cols()), bits_(bits), ctx_(ctx),
-      bias_(std::move(bias)) {
+                         const BiqGemmOptions& opt)
+    : m_(w.rows()), n_(w.cols()), bits_(bits), bias_(std::move(bias)) {
   check_bias(bias_, m_, "QuantLinear");
   // Quantize once; the factory packs from these codes and the same
   // codes yield the reconstruction-quality record (Table I proxy).
@@ -187,30 +163,20 @@ QuantLinear::QuantLinear(const Matrix& w, std::vector<float> bias,
   quant_error_ = rel_fro_error(codes.dequantize(), w);
 }
 
-void QuantLinear::forward(ConstMatrixView x, MatrixView y,
-                          ExecContext& ctx) const {
-  plans_.run(*engine_, bias_, x, y, ctx, ctx_);
-}
-
 std::unique_ptr<LinearLayer> make_linear(const Matrix& w,
                                          std::vector<float> bias,
                                          unsigned bits, QuantMethod method,
-                                         const BiqGemmOptions& opt,
-                                         ExecContext* ctx) {
-  if (bits == 0) {
-    return std::make_unique<Linear>(w, std::move(bias), ctx);
-  }
-  return std::make_unique<QuantLinear>(w, std::move(bias), bits, method, opt,
-                                       ctx);
+                                         const BiqGemmOptions& opt) {
+  if (bits == 0) return std::make_unique<Linear>(w, std::move(bias));
+  return std::make_unique<QuantLinear>(w, std::move(bias), bits, method, opt);
 }
 
 std::unique_ptr<LinearLayer> make_linear_engine(std::string_view engine_name,
                                                 const Matrix& w,
                                                 std::vector<float> bias,
-                                                const EngineConfig& cfg,
-                                                ExecContext* ctx) {
+                                                const EngineConfig& cfg) {
   return std::make_unique<EngineLinear>(make_engine(engine_name, w, cfg),
-                                        std::move(bias), ctx);
+                                        std::move(bias));
 }
 
 }  // namespace biq::nn

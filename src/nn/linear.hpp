@@ -7,18 +7,13 @@
 // downstream user adopts; `make_linear_engine` exposes the full registry
 // (any engine name) behind the same LinearLayer surface.
 //
-// Execution: layers can be bound to an ExecContext at construction (one
-// context shared by a whole model = one pool + warm scratch for every
-// projection — dense and quantized layers parallelize identically), or
-// given one per call via the 3-arg forward. Unbound layers fall back to
-// the calling thread's serial default context.
-//
-// Planned execution: a bound-context layer caches its engine's GemmPlan
-// and replans only when the batch width changes, so steady-state traffic
-// (a server answering fixed-shape requests, an LSTM stepping GEMVs) runs
-// the prepared hot path — no per-call planning, no per-call heap work.
-// Activations/outputs are strided views, so a layer can consume or fill
-// a window of a larger buffer with zero copies.
+// Execution: a layer is weights plus bias and nothing else — it holds no
+// execution context and no plan. It runs as a module step of a compiled
+// nn::ModelPlan (one LinearPlan: the engine's GemmPlan frozen for the
+// batch, with the bias folded into its epilogue), under whatever
+// ExecContext that plan was compiled for. Activations/outputs are
+// strided views, so a layer can consume or fill a window of a larger
+// buffer with zero copies.
 #pragma once
 
 #include <initializer_list>
@@ -34,51 +29,9 @@ namespace biq::nn {
 
 using biq::QuantMethod;  // canonical definition lives in quant/quantize.hpp
 
-/// Per-layer GemmPlan cache for bound-context layers. Calls arriving on
-/// the layer's bound context reuse the cached plan (replanning only on a
-/// batch change — the bound context implies exclusive execution state,
-/// which is what makes the mutable cache safe); calls on any other
-/// context plan per call. Either way the layer's bias rides the plan's
-/// fused epilogue, so the engine's output loop is the bias add — there
-/// is no separate pass. `bias` must be the same vector on every call
-/// (it is: the layer's own), and it must outlive the cache.
-class PlanCache {
- public:
-  void run(const GemmEngine& engine, const std::vector<float>& bias,
-           ConstMatrixView x, MatrixView y, ExecContext& ctx,
-           const ExecContext* bound) const {
-    Epilogue ep;
-    ep.bias = bias.empty() ? nullptr : bias.data();
-    if (bound == &ctx) {
-      if (plan_ == nullptr || plan_->batch() != x.cols()) {
-        plan_ = engine.plan(x.cols(), ctx, ep);
-      }
-      plan_->run(x, y);
-      return;
-    }
-    engine.plan(x.cols(), ctx, ep)->run(x, y);
-  }
-
- private:
-  mutable std::unique_ptr<GemmPlan> plan_;
-};
-
+/// y = W.x + bias. x: in x batch, y: out x batch.
 class LinearLayer : public PlannableModule {
  public:
-  /// y = W.x + bias. x: in x batch, y: out x batch (overwritten). Both
-  /// are strided views — slices of larger buffers forward with zero
-  /// copies; whole Matrix objects convert implicitly.
-  virtual void forward(ConstMatrixView x, MatrixView y,
-                       ExecContext& ctx) const = 0;
-
-  /// Context-less form (the PlannableModule eager forward): uses the
-  /// bound context when the layer has one, else the calling thread's
-  /// serial default.
-  void forward(ConstMatrixView x, MatrixView y) const override {
-    ExecContext* bound = bound_context();
-    forward(x, y, bound != nullptr ? *bound : ExecContext::thread_default());
-  }
-
   /// PlannableModule: a linear layer is a pure projection — its frozen
   /// step is one LinearPlan and it owns no internal activation slots.
   [[nodiscard]] std::size_t in_rows() const noexcept override {
@@ -108,11 +61,6 @@ class LinearLayer : public PlannableModule {
   [[nodiscard]] std::unique_ptr<ModuleStep> plan_into_fused(
       ModulePlanContext& mpc, const StepFusion& fusion) const override;
 
-  /// The ExecContext the layer was constructed with (nullptr = none).
-  [[nodiscard]] virtual ExecContext* bound_context() const noexcept {
-    return nullptr;
-  }
-
   [[nodiscard]] virtual std::size_t in_features() const noexcept = 0;
   [[nodiscard]] virtual std::size_t out_features() const noexcept = 0;
 
@@ -132,15 +80,11 @@ class LinearLayer : public PlannableModule {
 /// layer's own bias: a trailing activation, a run-time residual operand,
 /// and optionally a bias OVERRIDE (`bias` non-null replaces the layer's
 /// own — how an LSTM cell's gate bias rides its bias-less recurrent
-/// projection). The override must outlive the plan. `fold_bias = false`
-/// plans a bare GEMM with an empty epilogue — the fuse=off arm of the
-/// fusion A/B, where the caller applies bias (and any activation or
-/// residual) as separate seam passes over y instead.
+/// projection). The override must outlive the plan.
 struct LinearFusion {
   EpilogueAct act = EpilogueAct::kNone;
   bool residual = false;
   const std::vector<float>* bias = nullptr;
-  bool fold_bias = true;
   /// Trailing LayerNorm folded over the plan's output columns (borrowed;
   /// must outlive the plan; nullptr = none). With ln_split_dst the
   /// plan's y becomes a pre-norm staging block and runs take a separate
@@ -153,10 +97,8 @@ struct LinearFusion {
 /// One layer's frozen forward: the engine's GemmPlan for a fixed batch,
 /// with the layer's bias — and any requested LinearFusion — folded into
 /// the plan's epilogue. This is the building block nn::ModelPlan holds
-/// per projection — run() is bitwise identical to LinearLayer::forward
-/// at the planned batch (same engine plan, same bias arithmetic), with
-/// zero per-call planning. Borrows the layer and the context; both must
-/// outlive the plan.
+/// per projection, with zero per-call planning. Borrows the layer and
+/// the context; both must outlive the plan.
 class LinearPlan {
  public:
   LinearPlan() = default;
@@ -225,17 +167,8 @@ class LinearPlan {
 /// fp32 layer; kernel = registry "blocked" (pre-packed blocked GEMM).
 class Linear final : public LinearLayer {
  public:
-  /// `ctx` (not owned, may be nullptr) is the layer's default execution
-  /// context — it must outlive the layer.
-  Linear(const Matrix& w, std::vector<float> bias,
-         ExecContext* ctx = nullptr);
+  Linear(const Matrix& w, std::vector<float> bias);
 
-  void forward(ConstMatrixView x, MatrixView y,
-               ExecContext& ctx) const override;
-  using LinearLayer::forward;
-  [[nodiscard]] ExecContext* bound_context() const noexcept override {
-    return ctx_;
-  }
   [[nodiscard]] std::size_t in_features() const noexcept override { return n_; }
   [[nodiscard]] std::size_t out_features() const noexcept override { return m_; }
   [[nodiscard]] std::size_t weight_bytes() const noexcept override {
@@ -250,10 +183,8 @@ class Linear final : public LinearLayer {
 
  private:
   std::size_t m_, n_;
-  ExecContext* ctx_ = nullptr;
   std::unique_ptr<GemmEngine> engine_;
   std::vector<float> bias_;
-  PlanCache plans_;
 };
 
 /// Quantization policy for every weight matrix of a model build.
@@ -271,14 +202,8 @@ class QuantLinear final : public LinearLayer {
  public:
   QuantLinear(const Matrix& w, std::vector<float> bias, unsigned bits,
               QuantMethod method = QuantMethod::kGreedy,
-              const BiqGemmOptions& opt = {}, ExecContext* ctx = nullptr);
+              const BiqGemmOptions& opt = {});
 
-  void forward(ConstMatrixView x, MatrixView y,
-               ExecContext& ctx) const override;
-  using LinearLayer::forward;
-  [[nodiscard]] ExecContext* bound_context() const noexcept override {
-    return ctx_;
-  }
   [[nodiscard]] std::size_t in_features() const noexcept override { return n_; }
   [[nodiscard]] std::size_t out_features() const noexcept override { return m_; }
   [[nodiscard]] std::size_t weight_bytes() const noexcept override {
@@ -300,28 +225,21 @@ class QuantLinear final : public LinearLayer {
  private:
   std::size_t m_, n_;
   unsigned bits_;
-  ExecContext* ctx_ = nullptr;
   std::unique_ptr<GemmEngine> engine_;
   std::vector<float> bias_;
-  PlanCache plans_;
   double quant_error_ = 0.0;
 };
 
 /// Factory: bits == 0 returns the float layer, otherwise QuantLinear.
-/// `ctx` is threaded to BOTH paths, so dense and quantized models
-/// parallelize identically.
 [[nodiscard]] std::unique_ptr<LinearLayer> make_linear(
     const Matrix& w, std::vector<float> bias, unsigned bits,
-    QuantMethod method = QuantMethod::kGreedy, const BiqGemmOptions& opt = {},
-    ExecContext* ctx = nullptr);
+    QuantMethod method = QuantMethod::kGreedy, const BiqGemmOptions& opt = {});
 
 /// Registry-generic layer: wraps ANY registered engine (by name) plus a
 /// bias behind the LinearLayer interface — how a new backend reaches the
-/// model zoo without new layer classes. Like every layer here, a
-/// ctx-bound instance caches its engine's GemmPlan per layer and replans
-/// only when the batch width changes.
+/// model zoo without new layer classes.
 [[nodiscard]] std::unique_ptr<LinearLayer> make_linear_engine(
     std::string_view engine_name, const Matrix& w, std::vector<float> bias,
-    const EngineConfig& cfg = {}, ExecContext* ctx = nullptr);
+    const EngineConfig& cfg = {});
 
 }  // namespace biq::nn

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/activations.hpp"
+#include "engine/epilogue.hpp"
 #include "nn/tensor.hpp"
 
 namespace biq::nn {
@@ -23,37 +23,13 @@ LstmCell::LstmCell(std::unique_ptr<LinearLayer> input_proj,
   }
 }
 
-void LstmCell::step(const float* x_t, float* h, float* c) const {
-  // Single-column matmuls: the b == 1 (GEMV) path of the engines. The
-  // caller's buffers are viewed in place — no staging copies — and
-  // bound-context projections run their cached single-column plan.
-  const ConstMatrixView xin(x_t, in_, 1, in_);
-  const ConstMatrixView hin(h, hidden_, 1, hidden_);
-
-  Matrix gx(4 * hidden_, 1, /*zero_fill=*/false);
-  Matrix gh(4 * hidden_, 1, /*zero_fill=*/false);
-  wx_->forward(xin, gx);
-  wh_->forward(hin, gh);
-  combine_preactivations(gx.col(0), gh.col(0));
-  apply_gates(gh.col(0), h, c);
-}
-
-void LstmCell::combine_preactivations(const float* px,
-                                      float* ph) const noexcept {
-  // (ph + bias) + px, NOT px + ph + bias: the fused scan's recurrent
-  // GEMV epilogue adds the bias first and the px residual second.
-  for (std::size_t j = 0; j < 4 * hidden_; ++j) {
-    ph[j] = (ph[j] + bias_[j]) + px[j];
-  }
-}
-
 void LstmCell::apply_gates(const float* pre, float* h,
                            float* c) const noexcept {
   for (std::size_t j = 0; j < hidden_; ++j) {
-    const float gi = sigmoid(pre[j]);
-    const float gf = sigmoid(pre[hidden_ + j]);
+    const float gi = epilogue::sigmoid(pre[j]);
+    const float gf = epilogue::sigmoid(pre[hidden_ + j]);
     const float gg = std::tanh(pre[2 * hidden_ + j]);
-    const float go = sigmoid(pre[3 * hidden_ + j]);
+    const float go = epilogue::sigmoid(pre[3 * hidden_ + j]);
     c[j] = gf * c[j] + gi * gg;
     h[j] = go * std::tanh(c[j]);
   }
@@ -62,23 +38,18 @@ void LstmCell::apply_gates(const float* pre, float* h,
 LstmCell::ScanPlan LstmCell::plan_scan(ModulePlanContext& mpc) const {
   ScanPlan p;
   p.cell_ = this;
-  p.fused_ = mpc.fuse();
   p.sgx_ = mpc.acquire(4 * hidden_, 1);
   p.sgh_ = mpc.acquire(4 * hidden_, 1);
   p.sh_ = mpc.acquire(hidden_, 1);
   p.sc_ = mpc.acquire(hidden_, 1);
   p.wx_ = LinearPlan(*wx_, 1, mpc.exec());
-  if (p.fused_) {
-    // The recurrent layer carries no bias of its own, so the cell's
-    // gate bias rides its plan as an override, and gx arrives as the
-    // run-time residual: gh = (Wh.h + bias) + gx in the GEMV's epilogue.
-    LinearFusion fusion;
-    fusion.residual = true;
-    fusion.bias = &bias_;
-    p.wh_ = LinearPlan(*wh_, 1, mpc.exec(), fusion);
-  } else {
-    p.wh_ = LinearPlan(*wh_, 1, mpc.exec());
-  }
+  // The recurrent layer carries no bias of its own, so the cell's gate
+  // bias rides its plan as an override, and gx arrives as the run-time
+  // residual: gh = (Wh.h + bias) + gx in the GEMV's epilogue.
+  LinearFusion fusion;
+  fusion.residual = true;
+  fusion.bias = &bias_;
+  p.wh_ = LinearPlan(*wh_, 1, mpc.exec(), fusion);
   return p;
 }
 
@@ -106,12 +77,7 @@ void LstmCell::ScanPlan::run(float* base, ConstMatrixView x, MatrixView y,
     } else {
       wx_.run(x.col_block(t, 1), gx);
     }
-    if (fused_) {
-      wh_.run(h, gh, gx);  // gh = (Wh.h + bias) + gx, one fused pass
-    } else {
-      wh_.run(h, gh);
-      cell_->combine_preactivations(gx.col(0), gh.col(0));
-    }
+    wh_.run(h, gh, gx);  // gh = (Wh.h + bias) + gx, one fused pass
     cell_->apply_gates(gh.col(0), h.col(0), c.col(0));
     float* out = y.col(t);
     const float* hp = h.col(0);
@@ -196,74 +162,35 @@ Shape BiLstm::out_shape(Shape in) const {
 }
 
 std::unique_ptr<ModuleStep> BiLstm::plan_into(ModulePlanContext& mpc) const {
-  if (mpc.share_prep()) {
-    // Both directions read every frame of the same x, so when their
-    // input projections freeze identical activation artifacts (equal
-    // prep keys), each frame's LUT/quantization builds once and both
-    // scans consume it — the build cost halves. Probing requires both
-    // scans' plans up front, so their slots coexist (a few 4h/h
-    // vectors — noise next to the per-frame prep slab) and the prep
-    // slot spans the whole step: its last reader is the backward scan's
-    // final frame.
-    LstmCell::ScanPlan fw = fw_.cell().plan_scan(mpc);
-    LstmCell::ScanPlan bw = bw_.cell().plan_scan(mpc);
-    const bool share = shareable_prep({&fw.wx_plan(), &bw.wx_plan()});
-    ModelSlot sprep;
-    if (share) {
-      // One column per frame, stride rounded so every frame's artifact
-      // keeps the arena base's 64-byte alignment.
-      constexpr std::size_t kAlignFloats = 16;
-      const std::size_t stride =
-          (fw.wx_plan().prep_floats() + kAlignFloats - 1) / kAlignFloats *
-          kAlignFloats;
-      sprep = mpc.acquire(stride, mpc.batch());
-    }
-    fw.release(mpc);
-    bw.release(mpc);
-    if (share) {
-      mpc.release(sprep);
-      return std::make_unique<BiLstmStep>(std::move(fw), std::move(bw),
-                                          hidden_size(), sprep, mpc.batch());
-    }
-    return std::make_unique<BiLstmStep>(std::move(fw), std::move(bw),
-                                        hidden_size());
-  }
-  // Unshared: the directions run sequentially, so the backward scan's
-  // slots reuse the forward scan's released storage.
+  // Both directions read every frame of the same x, so when their input
+  // projections freeze identical activation artifacts (equal prep keys),
+  // each frame's LUT/quantization builds once and both scans consume it
+  // — the build cost halves. Probing requires both scans' plans up
+  // front, so their slots coexist (a few 4h/h vectors — noise next to
+  // the per-frame prep slab) and the prep slot spans the whole step:
+  // its last reader is the backward scan's final frame.
   LstmCell::ScanPlan fw = fw_.cell().plan_scan(mpc);
-  fw.release(mpc);
   LstmCell::ScanPlan bw = bw_.cell().plan_scan(mpc);
+  const bool share = shareable_prep({&fw.wx_plan(), &bw.wx_plan()});
+  ModelSlot sprep;
+  if (share) {
+    // One column per frame, stride rounded so every frame's artifact
+    // keeps the arena base's 64-byte alignment.
+    constexpr std::size_t kAlignFloats = 16;
+    const std::size_t stride =
+        (fw.wx_plan().prep_floats() + kAlignFloats - 1) / kAlignFloats *
+        kAlignFloats;
+    sprep = mpc.acquire(stride, mpc.batch());
+  }
+  fw.release(mpc);
   bw.release(mpc);
+  if (share) {
+    mpc.release(sprep);
+    return std::make_unique<BiLstmStep>(std::move(fw), std::move(bw),
+                                        hidden_size(), sprep, mpc.batch());
+  }
   return std::make_unique<BiLstmStep>(std::move(fw), std::move(bw),
                                       hidden_size());
-}
-
-void Lstm::forward(ConstMatrixView x, MatrixView h_out) const {
-  const std::size_t hidden = cell_.hidden_size();
-  if (x.rows() != cell_.input_size() || h_out.rows() != hidden ||
-      h_out.cols() != x.cols()) {
-    throw std::invalid_argument("Lstm::forward: shape mismatch");
-  }
-  std::vector<float> h(hidden, 0.0f), c(hidden, 0.0f);
-  for (std::size_t t = 0; t < x.cols(); ++t) {
-    cell_.step(x.col(t), h.data(), c.data());
-    float* out = h_out.col(t);
-    for (std::size_t i = 0; i < hidden; ++i) out[i] = h[i];
-  }
-}
-
-void Lstm::forward_reverse(ConstMatrixView x, MatrixView h_out) const {
-  const std::size_t hidden = cell_.hidden_size();
-  if (x.rows() != cell_.input_size() || h_out.rows() != hidden ||
-      h_out.cols() != x.cols()) {
-    throw std::invalid_argument("Lstm::forward_reverse: shape mismatch");
-  }
-  std::vector<float> h(hidden, 0.0f), c(hidden, 0.0f);
-  for (std::size_t t = x.cols(); t-- > 0;) {
-    cell_.step(x.col(t), h.data(), c.data());
-    float* out = h_out.col(t);
-    for (std::size_t i = 0; i < hidden; ++i) out[i] = h[i];
-  }
 }
 
 BiLstm::BiLstm(LstmCell forward_cell, LstmCell backward_cell)
@@ -274,27 +201,8 @@ BiLstm::BiLstm(LstmCell forward_cell, LstmCell backward_cell)
   }
 }
 
-void BiLstm::forward(ConstMatrixView x, MatrixView h_out) const {
-  const std::size_t hidden = hidden_size();
-  if (h_out.rows() != 2 * hidden || h_out.cols() != x.cols()) {
-    throw std::invalid_argument("BiLstm::forward: shape mismatch");
-  }
-  Matrix hf(hidden, x.cols(), /*zero_fill=*/false);
-  Matrix hb(hidden, x.cols(), /*zero_fill=*/false);
-  fw_.forward(x, hf);
-  bw_.forward_reverse(x, hb);
-  for (std::size_t t = 0; t < x.cols(); ++t) {
-    float* out = h_out.col(t);
-    const float* f = hf.col(t);
-    const float* b = hb.col(t);
-    for (std::size_t i = 0; i < hidden; ++i) out[i] = f[i];
-    for (std::size_t i = 0; i < hidden; ++i) out[hidden + i] = b[i];
-  }
-}
-
 LstmCell make_lstm_cell(std::size_t input, std::size_t hidden,
-                        std::uint64_t seed, const QuantSpec& spec,
-                        ExecContext* ctx) {
+                        std::uint64_t seed, const QuantSpec& spec) {
   Rng rng(seed);
   Matrix wx = xavier_uniform(4 * hidden, input, rng);
   Matrix wh = xavier_uniform(4 * hidden, hidden, rng);
@@ -304,9 +212,9 @@ LstmCell make_lstm_cell(std::size_t input, std::size_t hidden,
   for (std::size_t j = 0; j < hidden; ++j) bias[hidden + j] = 1.0f;
 
   auto wx_layer = make_linear(wx, std::vector<float>(), spec.weight_bits,
-                              spec.method, spec.kernel, ctx);
+                              spec.method, spec.kernel);
   auto wh_layer = make_linear(wh, std::vector<float>(), spec.weight_bits,
-                              spec.method, spec.kernel, ctx);
+                              spec.method, spec.kernel);
   return LstmCell(std::move(wx_layer), std::move(wh_layer), std::move(bias));
 }
 

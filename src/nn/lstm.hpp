@@ -31,11 +31,11 @@ class LstmCell {
     void release(ModulePlanContext& mpc) const;
 
     /// x: in x T -> y: h x T, through the frozen GEMV plans and the
-    /// same apply_gates() tail as the eager step. When `xpreps` is
-    /// non-null it points at T ready PrepHandles (one per frame, keyed
-    /// like wx_plan()'s prep) and the input projection consumes
-    /// xpreps[t] instead of rebuilding frame t's artifact — how BiLstm
-    /// feeds both directional scans from one prepare per frame.
+    /// cell's apply_gates(). When `xpreps` is non-null it points at T
+    /// ready PrepHandles (one per frame, keyed like wx_plan()'s prep)
+    /// and the input projection consumes xpreps[t] instead of
+    /// rebuilding frame t's artifact — how BiLstm feeds both
+    /// directional scans from one prepare per frame.
     void run(float* base, ConstMatrixView x, MatrixView y, bool reverse,
              const PrepHandle* xpreps = nullptr) const;
 
@@ -46,8 +46,7 @@ class LstmCell {
    private:
     friend class LstmCell;
     const LstmCell* cell_ = nullptr;
-    bool fused_ = false;  // gate bias + gx residual ride wh's epilogue
-    LinearPlan wx_, wh_;
+    LinearPlan wx_, wh_;  // gate bias + gx residual ride wh's epilogue
     ModelSlot sgx_, sgh_;  // 4h x 1 gate pre-activations
     ModelSlot sh_, sc_;    // h x 1 hidden / cell state
   };
@@ -63,20 +62,9 @@ class LstmCell {
     return wx_->weight_bytes() + wh_->weight_bytes();
   }
 
-  /// One time step: consumes x_t (length in), updates h and c (length h)
-  /// in place.
-  void step(const float* x_t, float* h, float* c) const;
-
-  /// Combines the two projections into the gate pre-activations, in
-  /// place on ph: ph[j] = (ph[j] + bias[j]) + px[j] — the exact
-  /// arithmetic order of the fused path, where the gate bias and the px
-  /// residual ride the recurrent GEMV's epilogue, so fused and unfused
-  /// scans are bitwise identical.
-  void combine_preactivations(const float* px, float* ph) const noexcept;
-
   /// The gate non-linearities over the COMBINED pre-activations
   /// pre = (Wh.h + bias) + Wx.x_t (length 4h), updating h and c in
-  /// place — the shared tail of the eager step and both planned scans.
+  /// place — the tail of every scan step.
   void apply_gates(const float* pre, float* h, float* c) const noexcept;
 
   /// Projection layers and bias, for planners freezing the step.
@@ -97,19 +85,12 @@ class LstmCell {
   std::vector<float> bias_;
 };
 
-/// Unidirectional layer: runs the cell over a sequence.
+/// Unidirectional layer: runs the cell over a sequence. x: in x T ->
+/// y: hidden x T, y[:, t] the hidden state after step t; initial h and
+/// c are zero.
 class Lstm final : public PlannableModule {
  public:
   explicit Lstm(LstmCell cell) : cell_(std::move(cell)) {}
-
-  /// x: in x T, h_out: hidden x T (overwritten; h_out[:, t] is the
-  /// hidden state after step t). Initial h, c are zero. Strided views —
-  /// a window of a longer sequence buffer forwards without copies
-  /// (matching LinearLayer); Matrix arguments convert implicitly.
-  void forward(ConstMatrixView x, MatrixView h_out) const override;
-
-  /// Reverse-time variant (scans t = T-1 .. 0).
-  void forward_reverse(ConstMatrixView x, MatrixView h_out) const;
 
   [[nodiscard]] const LstmCell& cell() const noexcept { return cell_; }
 
@@ -126,18 +107,16 @@ class Lstm final : public PlannableModule {
   LstmCell cell_;
 };
 
-/// Bidirectional layer: concatenates forward and backward hidden states
-/// to 2h x T (the LAS encoder building block).
+/// Bidirectional layer: concatenates forward (rows [0, h)) and
+/// backward (rows [h, 2h)) hidden states to 2h x T (the LAS encoder
+/// building block).
 class BiLstm final : public PlannableModule {
  public:
   BiLstm(LstmCell forward_cell, LstmCell backward_cell);
 
-  /// x: in x T, h_out: 2h x T (overwritten). Strided views; Matrix
-  /// arguments convert implicitly.
-  void forward(ConstMatrixView x, MatrixView h_out) const override;
-
-  /// PlannableModule: two cell scans run sequentially, so the backward
-  /// scan's slots reuse the forward scan's released storage.
+  /// PlannableModule: two cell scans run sequentially; when both input
+  /// projections freeze the same activation artifact, each frame's is
+  /// built once and consumed by both scans.
   [[nodiscard]] std::size_t in_rows() const noexcept override {
     return fw_.cell().input_size();
   }
@@ -161,11 +140,9 @@ class BiLstm final : public PlannableModule {
 };
 
 /// Deterministic factory (same convention as make_encoder): identical
-/// fp32 weights for any spec with the same seed. `ctx` (not owned, may
-/// be nullptr) binds both projections' execution context, so the cell's
-/// GEMVs thread and reuse scratch through one shared context.
+/// fp32 weights for any spec with the same seed.
 [[nodiscard]] LstmCell make_lstm_cell(std::size_t input, std::size_t hidden,
-                                      std::uint64_t seed, const QuantSpec& spec,
-                                      ExecContext* ctx = nullptr);
+                                      std::uint64_t seed,
+                                      const QuantSpec& spec);
 
 }  // namespace biq::nn

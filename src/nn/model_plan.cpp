@@ -29,8 +29,7 @@ struct ModelPlan::Impl {
 };
 
 ModelPlan::ModelPlan(const PlannableModule& module, std::size_t batch,
-                     ExecContext& ctx, bool fuse, bool share_prep,
-                     bool fuse_ln) {
+                     ExecContext& ctx) {
   const std::size_t in_rows = module.in_rows();
   const Shape out = module.out_shape({in_rows, batch});
   impl_ = std::make_unique<Impl>(batch, in_rows, out.rows, ctx);
@@ -39,7 +38,7 @@ ModelPlan::ModelPlan(const PlannableModule& module, std::size_t batch,
   // GemmPlans and activation slots; the plan allocates the packed
   // high-water mark once — the only plan-time heap cost of the layout.
   ModelPlanner planner;
-  ModulePlanContext mpc(planner, ctx, batch, fuse, share_prep, fuse_ln);
+  ModulePlanContext mpc(planner, ctx, batch);
   impl_->step = module.plan_into(mpc);
   impl_->arena_floats = planner.peak_floats();
   impl_->unpacked_floats = planner.total_acquired_floats();

@@ -46,23 +46,15 @@ class ModelPlan {
  public:
   /// Compiles the module tree via the generic walker. `batch` is the
   /// token/frame count the plan is bound to: x is module.in_rows() x
-  /// batch, y is module.out_shape(...).rows x batch. `fuse` enables
-  /// epilogue fusion (bias/activation/residual folded into producer
-  /// GEMM plans — the default); fuse = false compiles every seam as a
-  /// separate pass, for A/B comparisons. `share_prep` (default on) lets
-  /// fan-out steps — attention's Q/K/V, BiLstm's two scans — build each
-  /// shared input's activation artifact (LUT / quantized grid /
-  /// bit-planes) once and consume it from every reader; off rebuilds
-  /// per consumer, for the sharing A/B. `fuse_ln` (default on; only
-  /// meaningful while fuse is on) additionally folds LayerNorms into
-  /// the preceding projection's column-granular epilogue — off keeps LN
-  /// as its own seam pass, for the LN-fusion A/B. Outputs are bitwise
-  /// identical across all toggle combinations (the fused arithmetic
-  /// order is the contract, and consume replays it exactly; the LN
-  /// column math is one shared helper on both paths).
+  /// batch, y is module.out_shape(...).rows x batch. There is one
+  /// compiled program per (module, batch): bias, activation, residual
+  /// and LayerNorm seams fold into producer GEMM epilogues wherever the
+  /// producer supports them, and fan-out steps — attention's Q/K/V,
+  /// BiLstm's two scans — build each shared input's activation artifact
+  /// (LUT / quantized grid / bit-planes) once and consume it from every
+  /// reader whenever the readers' prep keys match.
   ModelPlan(const PlannableModule& module, std::size_t batch,
-            ExecContext& ctx, bool fuse = true, bool share_prep = true,
-            bool fuse_ln = true);
+            ExecContext& ctx);
 
   ~ModelPlan();
   ModelPlan(ModelPlan&&) noexcept;
@@ -70,9 +62,9 @@ class ModelPlan {
 
   /// The hot path: the whole model's forward through the frozen recipe.
   /// x must be input_rows() x batch(), y output_rows() x batch()
-  /// (overwritten); both may be strided windows of larger buffers.
-  /// Bitwise identical to the module's eager forward. Throws
-  /// std::invalid_argument naming the offending dims on any mismatch.
+  /// (overwritten); both may be strided windows of larger buffers, and
+  /// must not overlap. Throws std::invalid_argument naming the
+  /// offending dims on any mismatch.
   void run(ConstMatrixView x, MatrixView y) const;
 
   /// Batch width (tokens / frames) the plan was compiled for.
@@ -94,16 +86,15 @@ class ModelPlan {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Batch-adaptive wrapper (the PlanCache pattern one level up): serves
-/// run() from compiled ModelPlans held per batch width, so traffic that
-/// alternates between a few widths (a server answering bucket-padded
-/// requests) replans NOTHING once every width has been seen. The cache
-/// is LRU-bounded: at most `capacity` plans are live at once — each
-/// holds an activation arena block on the context, so an unbounded
-/// cache would grow the context's footprint with every distinct batch
-/// width ever requested. The default capacity keeps all power-of-two
-/// buckets up to 128 resident, which is exactly the working set of the
-/// serve PlanPool built on top. A model or context change clears the
+/// Batch-adaptive wrapper: serves run() from compiled ModelPlans held
+/// per batch width, so traffic that alternates between a few widths (a
+/// server answering bucket-padded requests) replans NOTHING once every
+/// width has been seen. The cache is LRU-bounded: at most `capacity`
+/// plans are live at once — each holds an activation arena block on the
+/// context, so an unbounded cache would grow the context's footprint
+/// with every distinct batch width ever requested. The default capacity
+/// keeps all power-of-two buckets up to 128 resident, which is exactly
+/// the working set of the serve PlanPool built on top. A model or context change clears the
 /// cache (plans are only valid for the pair they were compiled for).
 /// The model must outlive the cache. Model may be any PlannableModule
 /// type. Like plan compilation itself this is control-path state: one

@@ -5,9 +5,9 @@
 #include <string>
 #include <utility>
 
-#include "matrix/matrix.hpp"
 #include "nn/activations.hpp"
 #include "nn/layernorm.hpp"
+#include "nn/model_plan.hpp"
 #include "nn/tensor.hpp"
 #include "util/aligned_buffer.hpp"
 
@@ -94,6 +94,11 @@ void PlannableModule::check_in_rows(Shape in, const char* who) const {
   }
 }
 
+void PlannableModule::forward(ConstMatrixView x, MatrixView y,
+                              ExecContext& ctx) const {
+  ModelPlan(*this, x.cols(), ctx).run(x, y);
+}
+
 std::unique_ptr<ModuleStep> PlannableModule::plan_into_fused(
     ModulePlanContext& mpc, const StepFusion& fusion) const {
   if (fusion.empty()) return plan_into(mpc);
@@ -149,9 +154,9 @@ class ChainStep final : public ModuleStep {
 std::unique_ptr<ModuleStep> plan_chain(const PlannableModule* const* modules,
                                        std::size_t count,
                                        ModulePlanContext& mpc) {
-  // Zero modules = the identity map (a 0-layer encoder is a copy, both
-  // eagerly and planned). Note Sequential still rejects compiling an
-  // empty pipeline in out_shape(), where the output rows are unknowable.
+  // Zero modules = the identity map (a 0-layer encoder is a copy). Note
+  // Sequential still rejects compiling an empty pipeline in out_shape(),
+  // where the output rows are unknowable.
   if (count == 0) return std::make_unique<IdentityStep>();
   std::vector<ChainStep::Stage> stages;
   stages.reserve(count);
@@ -168,7 +173,7 @@ std::unique_ptr<ModuleStep> plan_chain(const PlannableModule* const* modules,
     // and the intermediate between them never exists.
     std::size_t consumed = 1;
     StepFusion fusion;
-    if (mpc.fuse() && i + 1 < count) {
+    if (i + 1 < count) {
       const auto* act = dynamic_cast<const Activation*>(modules[i + 1]);
       if (act != nullptr) {
         const StepFusion probe{to_epilogue_act(act->activation()), false};
@@ -185,7 +190,7 @@ std::unique_ptr<ModuleStep> plan_chain(const PlannableModule* const* modules,
     // Linear→Act→LN become one step, and the slot between them never
     // exists. LN is shape-preserving, so the output slot's shape is
     // the same either way.
-    if (mpc.fuse_ln() && i + consumed < count) {
+    if (i + consumed < count) {
       const auto* ln = dynamic_cast<const LayerNorm*>(modules[i + consumed]);
       if (ln != nullptr) {
         StepFusion probe = fusion;
@@ -300,7 +305,7 @@ Shape Residual::out_shape(Shape in) const {
 
 std::unique_ptr<ModuleStep> Residual::plan_into(ModulePlanContext& mpc) const {
   const StepFusion fusion{EpilogueAct::kNone, /*input_residual=*/true};
-  if (mpc.fuse() && inner_->supports_fusion(fusion)) {
+  if (inner_->supports_fusion(fusion)) {
     return inner_->plan_into_fused(mpc, fusion);
   }
   return std::make_unique<ResidualStep>(*inner_, mpc);
@@ -324,42 +329,6 @@ std::unique_ptr<ModuleStep> Residual::plan_into_fused(
         "supports_fusion first)");
   }
   return inner_->plan_into_fused(mpc, inner);
-}
-
-void Residual::forward(ConstMatrixView x, MatrixView y) const {
-  const Shape out = out_shape({x.rows(), x.cols()});
-  if (y.rows() != out.rows || y.cols() != out.cols) {
-    throw std::invalid_argument("Residual::forward: output shape mismatch");
-  }
-  Matrix tmp(out.rows, out.cols, /*zero_fill=*/false);
-  inner_->forward(x, tmp);
-  add_into(tmp, x, y);
-}
-
-// -------------------------------------------------------------- Sequential
-
-void Sequential::forward(ConstMatrixView x, MatrixView y) const {
-  const Shape out = out_shape({x.rows(), x.cols()});
-  if (y.rows() != out.rows || y.cols() != out.cols) {
-    throw std::invalid_argument("Sequential::forward: output shape mismatch");
-  }
-  // Ping-pong between two owned intermediates so the stage being written
-  // is never the one being read.
-  Matrix ping, pong;
-  ConstMatrixView cur = x;
-  Shape shape{x.rows(), x.cols()};
-  for (std::size_t i = 0; i < modules_.size(); ++i) {
-    const PlannableModule& module = *modules_[i];
-    shape = module.out_shape(shape);
-    if (i + 1 == modules_.size()) {
-      module.forward(cur, y);
-      break;
-    }
-    Matrix& dst = (i % 2 == 0) ? ping : pong;
-    dst = Matrix(shape.rows, shape.cols, /*zero_fill=*/false);
-    module.forward(cur, dst);
-    cur = dst;
-  }
 }
 
 }  // namespace biq::nn

@@ -10,9 +10,9 @@
 //   * plan_into(mpc)     — the compile step: freeze every GemmPlan for
 //     the bound batch and acquire/release activation Slots for internal
 //     temporaries against the shared ModelPlanner; returns the frozen
-//     ModuleStep,
-//   * forward(x, y)      — the eager reference path; a planned run must
-//     be bitwise identical to it.
+//     ModuleStep.
+// The compiled ModelPlan (nn/model_plan.hpp) is the only way a module
+// executes; forward(x, y) is a one-shot convenience over it.
 //
 // Slot discipline (what makes composition liveness-correct): plan_into
 // acquires AND releases every internal slot before returning, while the
@@ -28,11 +28,8 @@
 #include <vector>
 
 #include "engine/epilogue.hpp"
+#include "engine/exec_context.hpp"
 #include "matrix/view.hpp"
-
-namespace biq {
-class ExecContext;
-}  // namespace biq
 
 namespace biq::nn {
 
@@ -114,8 +111,8 @@ using ModelSlot = ModelPlanner::Slot;
 /// loop (the GEMM epilogue): a trailing element-wise activation and/or
 /// the add of the producer's OWN input (y = module(x) + x — the residual
 /// shape every seam in this codebase has). Fusion changes where the
-/// arithmetic runs, never what it computes: a fused step is bitwise
-/// identical to the unfused step followed by the separate passes.
+/// arithmetic runs, never what it computes: the engine-level epilogue
+/// is bitwise identical to the same stages as separate sweeps.
 struct StepFusion {
   EpilogueAct act = EpilogueAct::kNone;
   bool input_residual = false;
@@ -135,33 +132,22 @@ struct StepFusion {
 };
 
 /// The compile-time context handed to every plan_into: the shared
-/// planner, the ExecContext the frozen GemmPlans bind to, the batch
-/// width (tokens / frames) the whole model is compiled for, and whether
-/// the walk may fold epilogues into producer plans (`fuse`, default on —
-/// off compiles the unfused program, for parity tests and benches).
-/// `share_prep` (default on) lets step builders with structural fan-out
-/// — several projections reading the SAME activation — build that
-/// input's LUT/quantization artifact once and consume it from every
-/// reader (the GemmPlan prepare/consume contract); off compiles every
-/// projection's fused build-and-multiply path, for the sharing A/B.
-/// `fuse_ln` (default on; only meaningful while `fuse` is on) lets the
-/// walk additionally fold LayerNorms into the preceding projection's
-/// column-granular epilogue; off keeps LN as its own pass, for the
-/// fused-vs-separate-LN A/B.
+/// planner, the ExecContext the frozen GemmPlans bind to, and the batch
+/// width (tokens / frames) the whole model is compiled for. The walk
+/// always folds epilogues (bias, activation, residual, LayerNorm) into
+/// producer plans where the producer supports it, and step builders
+/// with structural fan-out — several projections reading the SAME
+/// activation — build that input's LUT/quantization artifact once and
+/// consume it from every reader whenever the plans' prep keys match.
 class ModulePlanContext {
  public:
   ModulePlanContext(ModelPlanner& planner, ExecContext& ctx,
-                    std::size_t batch, bool fuse = true,
-                    bool share_prep = true, bool fuse_ln = true) noexcept
-      : planner_(&planner), ctx_(&ctx), batch_(batch), fuse_(fuse),
-        share_prep_(share_prep), fuse_ln_(fuse_ln) {}
+                    std::size_t batch) noexcept
+      : planner_(&planner), ctx_(&ctx), batch_(batch) {}
 
   [[nodiscard]] ModelPlanner& planner() noexcept { return *planner_; }
   [[nodiscard]] ExecContext& exec() const noexcept { return *ctx_; }
   [[nodiscard]] std::size_t batch() const noexcept { return batch_; }
-  [[nodiscard]] bool fuse() const noexcept { return fuse_; }
-  [[nodiscard]] bool share_prep() const noexcept { return share_prep_; }
-  [[nodiscard]] bool fuse_ln() const noexcept { return fuse_ && fuse_ln_; }
 
   [[nodiscard]] ModelSlot acquire(std::size_t rows, std::size_t cols) {
     return planner_->acquire(rows, cols);
@@ -172,9 +158,6 @@ class ModulePlanContext {
   ModelPlanner* planner_;
   ExecContext* ctx_;
   std::size_t batch_;
-  bool fuse_;
-  bool share_prep_;
-  bool fuse_ln_;
 };
 
 /// One module's frozen forward: held GemmPlans plus arena slots, replayed
@@ -247,12 +230,13 @@ class PlannableModule {
   [[nodiscard]] virtual std::unique_ptr<ModuleStep> plan_into_fused(
       ModulePlanContext& mpc, const StepFusion& fusion) const;
 
-  /// Eager forward: x is in_rows() x b, y is out_shape's rows x b
-  /// (overwritten). The reference semantics planned execution must match
-  /// bitwise. x and y must be distinct buffers unless the module
-  /// documents otherwise: modules that read their input more than once
-  /// (BiLstm's two directional scans) corrupt aliased output.
-  virtual void forward(ConstMatrixView x, MatrixView y) const = 0;
+  /// One-shot forward: compiles ModelPlan(*this, x.cols(), ctx) and runs
+  /// it. x is in_rows() x b, y is out_shape's rows x b (overwritten);
+  /// they must be distinct buffers. Nothing is cached — callers on a hot
+  /// path hold a ModelPlan or a ModelPlanCache instead. Concurrent calls
+  /// are safe on distinct contexts (the default is per thread).
+  void forward(ConstMatrixView x, MatrixView y,
+               ExecContext& ctx = ExecContext::thread_default()) const;
 
  protected:
   /// Shared out_shape() guard: throws std::invalid_argument naming `who`
@@ -268,18 +252,18 @@ class PlannableModule {
 /// through it. An empty chain compiles to the identity copy (a 0-layer
 /// encoder is a copy); a row mismatch at any seam throws.
 ///
-/// Peephole (when mpc.fuse()): a producer followed by an Activation it
-/// supports_fusion() for is folded into ONE fused step — the activation
-/// runs inside the producer's GEMM epilogue, the Activation's step and
-/// the intermediate slot between them are never materialized. With
-/// mpc.fuse_ln() the same fold extends to a trailing LayerNorm (after
-/// any Activation fold): Linear→LN and Linear→Act→LN compile to one
-/// step whose GEMM normalizes each output column as it completes.
+/// Peephole: a producer followed by an Activation it supports_fusion()
+/// for is folded into ONE fused step — the activation runs inside the
+/// producer's GEMM epilogue, the Activation's step and the intermediate
+/// slot between them are never materialized. The same fold extends to a
+/// trailing LayerNorm (after any Activation fold): Linear→LN and
+/// Linear→Act→LN compile to one step whose GEMM normalizes each output
+/// column as it completes.
 ///
-/// Activation-prep sharing (mpc.share_prep()) does NOT act at this
-/// level: a chain seam has exactly one consumer per activation, so there
-/// is nothing to amortize. The sharing seats are the step builders with
-/// structural fan-out — MultiHeadAttention (Q/K/V read one x) and
+/// Activation-prep sharing does NOT act at this level: a chain seam has
+/// exactly one consumer per activation, so there is nothing to
+/// amortize. The sharing seats are the step builders with structural
+/// fan-out — MultiHeadAttention (Q/K/V read one x) and
 /// BiLstm (two directional scans read each frame) — which detect
 /// matching prep keys themselves.
 [[nodiscard]] std::unique_ptr<ModuleStep> plan_chain(
@@ -287,8 +271,8 @@ class PlannableModule {
     ModulePlanContext& mpc);
 
 /// Owning module composition: Sequential{encoder, bilstm, linear head}
-/// is itself a PlannableModule, so hybrids nest, compile through
-/// plan_chain, and run eagerly or planned like any single layer.
+/// is itself a PlannableModule, so hybrids nest and compile through
+/// plan_chain like any single layer.
 class Sequential final : public PlannableModule {
  public:
   Sequential() = default;
@@ -315,9 +299,6 @@ class Sequential final : public PlannableModule {
     }
     return true;
   }
-  /// Eager composition: heap-allocated ping-pong intermediates per
-  /// boundary (the planned path packs these into the arena instead).
-  void forward(ConstMatrixView x, MatrixView y) const override;
 
  private:
   std::vector<std::unique_ptr<PlannableModule>> modules_;
@@ -326,11 +307,9 @@ class Sequential final : public PlannableModule {
 
 /// Residual wrapper: y = inner(x) + x. The inner module must be shape
 /// preserving (out rows == in rows; checked at construction). When the
-/// plan is compiled with fusion and the inner module supports it, the
-/// add runs inside the inner module's final GEMM epilogue — no extra
-/// slot, no separate add pass; otherwise (and on the eager path) the
-/// inner output lands in a temporary and one add pass follows, in the
-/// same operand order (inner(x) + x), so both paths agree bitwise.
+/// inner module supports it, the add runs inside the inner module's
+/// final GEMM epilogue — no extra slot, no separate add pass; otherwise
+/// the inner output lands in a temporary and one add pass follows.
 class Residual final : public PlannableModule {
  public:
   explicit Residual(std::unique_ptr<PlannableModule> inner);
@@ -359,7 +338,6 @@ class Residual final : public PlannableModule {
       const StepFusion& fusion) const noexcept override;
   [[nodiscard]] std::unique_ptr<ModuleStep> plan_into_fused(
       ModulePlanContext& mpc, const StepFusion& fusion) const override;
-  void forward(ConstMatrixView x, MatrixView y) const override;
 
  private:
   std::unique_ptr<PlannableModule> inner_;

@@ -5,16 +5,6 @@
 
 namespace biq::nn {
 
-void add_bias(MatrixView y, const std::vector<float>& bias) {
-  if (bias.size() != y.rows()) {
-    throw std::invalid_argument("add_bias: bias size mismatch");
-  }
-  for (std::size_t c = 0; c < y.cols(); ++c) {
-    float* col = y.col(c);
-    for (std::size_t i = 0; i < y.rows(); ++i) col[i] += bias[i];
-  }
-}
-
 void copy_into(ConstMatrixView src, MatrixView dst) {
   if (src.rows() != dst.rows() || src.cols() != dst.cols()) {
     throw std::invalid_argument("copy_into: shape mismatch");

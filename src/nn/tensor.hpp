@@ -11,10 +11,6 @@
 
 namespace biq::nn {
 
-/// y(i, c) += bias[i] for every column c. bias.size() must equal y.rows().
-/// Takes a (possibly strided) view; a Matrix converts implicitly.
-void add_bias(MatrixView y, const std::vector<float>& bias);
-
 /// Column-wise copy of src into dst (shapes must match). Views — arena
 /// slots and buffer windows copy without staging.
 void copy_into(ConstMatrixView src, MatrixView dst);

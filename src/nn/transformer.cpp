@@ -1,6 +1,7 @@
 #include "nn/transformer.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "nn/tensor.hpp"
 
@@ -15,45 +16,29 @@ FeedForward::FeedForward(std::unique_ptr<LinearLayer> up,
   }
 }
 
-void FeedForward::forward_through(ConstMatrixView x, MatrixView mid,
-                                  MatrixView y) const {
-  up_->forward(x, mid);
-  apply(mid, act_);
-  down_->forward(mid, y);
-}
-
-void FeedForward::forward(ConstMatrixView x, MatrixView y) const {
-  Matrix mid(up_->out_features(), x.cols(), /*zero_fill=*/false);
-  forward_through(x, mid, y);
-}
-
 EncoderLayer::EncoderLayer(MultiHeadAttention attention, FeedForward ffn,
                            std::size_t hidden)
     : attention_(std::move(attention)), ffn_(std::move(ffn)), ln1_(hidden),
-      ln2_(hidden) {}
-
-void EncoderLayer::forward_into(ConstMatrixView x, MatrixView y) const {
-  // Residual operand order is sublayer-output + input — the order the
-  // fused GEMM epilogue produces — so eager stays bitwise identical to
-  // the planned fused path. y may alias x: every write is element-wise
-  // after its reads, and the final LayerNorm reads only `sub`.
-  Matrix sub(x.rows(), x.cols(), /*zero_fill=*/false);
-  attention_.forward(x, sub);
-  add_into(sub, x, y);
-  ln1_.forward(y);
-
-  ffn_.forward(y, sub);
-  add_into(sub, y, sub);
-  ln2_.forward(sub, y);
+      ln2_(hidden) {
+  if (attention_.hidden() != hidden || ffn_.in_rows() != hidden) {
+    throw std::invalid_argument(
+        "EncoderLayer: attention is " + std::to_string(attention_.hidden()) +
+        " wide and the FFN " + std::to_string(ffn_.in_rows()) +
+        ", but hidden is " + std::to_string(hidden));
+  }
 }
 
-void EncoderLayer::forward(MatrixView x) const { forward_into(x, x); }
-
-void EncoderLayer::forward(ConstMatrixView x, MatrixView y) const {
-  if (y.rows() != x.rows() || y.cols() != x.cols()) {
-    throw std::invalid_argument("EncoderLayer::forward: shape mismatch");
+TransformerEncoder::TransformerEncoder(TransformerConfig config,
+                                       std::vector<EncoderLayer> layers)
+    : config_(config), layers_(std::move(layers)) {
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    if (layers_[l].in_rows() != config_.hidden) {
+      throw std::invalid_argument(
+          "TransformerEncoder: layer " + std::to_string(l) + " is " +
+          std::to_string(layers_[l].in_rows()) + " wide, config.hidden is " +
+          std::to_string(config_.hidden));
+    }
   }
-  forward_into(x, y);
 }
 
 namespace {
@@ -62,19 +47,13 @@ class FeedForwardStep final : public ModuleStep {
  public:
   FeedForwardStep(const FeedForward& ffn, ModulePlanContext& mpc,
                   const StepFusion& fusion)
-      : ffn_(&ffn), fuse_(mpc.fuse()),
-        input_residual_(fusion.input_residual),
+      : input_residual_(fusion.input_residual),
         ln_split_(fusion.ln != nullptr && fusion.ln_split_dst),
         smid_(mpc.acquire(ffn.up().out_features(), mpc.batch())),
-        // fuse=off plans both projections as bare GEMMs; bias and
-        // activation run as separate seam passes in run_step, so the
-        // A/B isolates the whole epilogue mechanism.
         up_(ffn.up(), mpc.batch(), mpc.exec(),
-            LinearFusion{fuse_ ? to_epilogue_act(ffn.activation())
-                               : EpilogueAct::kNone,
-                         false, nullptr, fuse_}),
+            LinearFusion{to_epilogue_act(ffn.activation())}),
         down_(ffn.down(), mpc.batch(), mpc.exec(),
-              LinearFusion{fusion.act, fusion.input_residual, nullptr, fuse_,
+              LinearFusion{fusion.act, fusion.input_residual, nullptr,
                            fusion.ln, fusion.ln_split_dst}) {
     // Split-destination LN: the down projection accumulates
     // down(mid) + bias + residual into a staging slot and normalizes
@@ -90,105 +69,46 @@ class FeedForwardStep final : public ModuleStep {
 
   void run_step(float* base, ConstMatrixView x, MatrixView y) const override {
     const MatrixView mid = smid_.view(base);
-    up_.run(x, mid);  // bias + activation ride the up plan's epilogue (fused)
-    if (!fuse_) {
-      if (!ffn_->up().bias().empty()) add_bias(mid, ffn_->up().bias());
-      apply(mid, ffn_->activation());
-    }
+    up_.run(x, mid);  // bias + activation ride the up plan's epilogue
     if (ln_split_) {
       down_.run(mid, sstage_.view(base), x, y);  // y = LN(down(mid)+bias+x)
     } else if (input_residual_) {
       down_.run(mid, y, x);  // y = down(mid) + bias + x, one pass
     } else {
       down_.run(mid, y);
-      if (!fuse_ && !ffn_->down().bias().empty()) {
-        add_bias(y, ffn_->down().bias());
-      }
     }
   }
 
  private:
-  const FeedForward* ffn_;
-  bool fuse_;
   bool input_residual_;
   bool ln_split_;
   ModelSlot smid_, sstage_;
   LinearPlan up_, down_;
 };
 
+/// Both residual→LN seams ride the sub-blocks' output projections: the
+/// attention step computes y = LN1(attn(x) + x) in place (column-
+/// granular epilogue) and the FFN step stages ffn(y) + bias + y in its
+/// own slot, normalizing each completed column back into y (split
+/// destination — the residual y aliases the final output). The
+/// EncoderLayer constructor's width check guarantees both sub-blocks
+/// accept these fusions.
 class EncoderLayerStep final : public ModuleStep {
  public:
   EncoderLayerStep(const EncoderLayer& layer, ModulePlanContext& mpc)
-      : layer_(&layer) {
-    // With LN fusion both residual→LN seams ride the sub-blocks'
-    // output projections: the attention step computes
-    // y = LN1(attn(x) + x) in place (column-granular epilogue) and the
-    // FFN step stages ffn(y) + bias + y in its own slot, normalizing
-    // each completed column back into y (split destination — the
-    // residual y aliases the final output). The layer-wide residual
-    // slot ssub_ is never acquired, so the planner arena shrinks by
-    // one hidden x T block relative to the unfused program.
-    const StepFusion attn_f{EpilogueAct::kNone, /*input_residual=*/true,
-                            &layer.ln1(), /*ln_split_dst=*/false};
-    const StepFusion ffn_f{EpilogueAct::kNone, /*input_residual=*/true,
-                           &layer.ln2(), /*ln_split_dst=*/true};
-    ln_fused_ = mpc.fuse_ln() && layer.attention().supports_fusion(attn_f) &&
-                layer.ffn().supports_fusion(ffn_f);
-    if (ln_fused_) {
-      attn_ = layer.attention().plan_into_fused(mpc, attn_f);
-      ffn_ = layer.ffn().plan_into_fused(mpc, ffn_f);
-      return;
-    }
-    // Without LN fusion, both residual adds still ride the sub-blocks'
-    // output-projection epilogues when the context allows fusion and
-    // the sub-blocks can take it; otherwise plan the plain steps plus
-    // separate add passes. Either way LN1/LN2 run as seam passes.
-    ssub_ = mpc.acquire(layer.in_rows(), mpc.batch());
-    const StepFusion residual{EpilogueAct::kNone, /*input_residual=*/true};
-    fused_ = mpc.fuse() && layer.attention().supports_fusion(residual) &&
-             layer.ffn().supports_fusion(residual);
-    // ssub_ (the residual branch) is live across both sub-steps; the
-    // attention scratch is released inside its plan_into, so the FFN
-    // intermediate that follows reuses it.
-    if (fused_) {
-      attn_ = layer.attention().plan_into_fused(mpc, residual);
-      ffn_ = layer.ffn().plan_into_fused(mpc, residual);
-    } else {
-      attn_ = layer.attention().plan_into(mpc);
-      ffn_ = layer.ffn().plan_into(mpc);
-    }
-    mpc.release(ssub_);
-  }
+      : attn_(layer.attention().plan_into_fused(
+            mpc, StepFusion{EpilogueAct::kNone, /*input_residual=*/true,
+                            &layer.ln1(), /*ln_split_dst=*/false})),
+        ffn_(layer.ffn().plan_into_fused(
+            mpc, StepFusion{EpilogueAct::kNone, /*input_residual=*/true,
+                            &layer.ln2(), /*ln_split_dst=*/true})) {}
 
   void run_step(float* base, ConstMatrixView x, MatrixView y) const override {
-    if (ln_fused_) {
-      attn_->run_step(base, x, y);  // y = LN1(attn(x) + x), one pass
-      ffn_->run_step(base, y, y);   // y = LN2(ffn(y) + y), staged split-dst
-      return;
-    }
-    const MatrixView sub = ssub_.view(base);
-    if (fused_) {
-      attn_->run_step(base, x, y);  // y = attn(x) + x, fused epilogue
-    } else {
-      attn_->run_step(base, x, sub);
-      add_into(sub, x, y);
-    }
-    layer_->ln1().forward(y);
-
-    if (fused_) {
-      ffn_->run_step(base, y, sub);  // sub = ffn(y) + y, fused epilogue
-    } else {
-      ffn_->run_step(base, y, sub);
-      add_into(sub, y, sub);
-    }
-    layer_->ln2().forward(sub, y);
+    attn_->run_step(base, x, y);  // y = LN1(attn(x) + x), one pass
+    ffn_->run_step(base, y, y);   // y = LN2(ffn(y) + y), staged split-dst
   }
 
  private:
-  const EncoderLayer* layer_;
-  bool fused_ = false;
-  bool ln_fused_ = false;
-  ModelSlot ssub_;
   std::unique_ptr<ModuleStep> attn_, ffn_;
 };
 
@@ -243,20 +163,14 @@ std::unique_ptr<ModuleStep> TransformerEncoder::plan_into(
   return plan_chain(chain.data(), chain.size(), mpc);
 }
 
-void TransformerEncoder::forward(ConstMatrixView x, MatrixView y) const {
-  copy_into(x, y);
-  forward(y);
-}
-
 TransformerEncoder make_encoder(const TransformerConfig& config,
-                                std::uint64_t seed, const QuantSpec& spec,
-                                ExecContext* ctx) {
+                                std::uint64_t seed, const QuantSpec& spec) {
   Rng rng(seed);
   auto project = [&](std::size_t out, std::size_t in) {
     Matrix w = xavier_uniform(out, in, rng);
     std::vector<float> bias(out, 0.0f);
     return make_linear(w, std::move(bias), spec.weight_bits, spec.method,
-                       spec.kernel, ctx);
+                       spec.kernel);
   };
 
   std::vector<EncoderLayer> layers;

@@ -31,12 +31,9 @@ class FeedForward final : public PlannableModule {
   FeedForward(std::unique_ptr<LinearLayer> up, std::unique_ptr<LinearLayer> down,
               Act act = Act::kGelu);
 
-  /// x, y: hidden x T (y overwritten). Strided views; Matrix arguments
-  /// convert implicitly.
-  void forward(ConstMatrixView x, MatrixView y) const override;
-
-  /// PlannableModule: the frozen step holds the up/down plans plus one
-  /// internal slot for the ffn x T intermediate.
+  /// PlannableModule (x, y: hidden x T): the frozen step holds the
+  /// up/down plans plus one internal slot for the ffn x T intermediate;
+  /// the activation between them rides the up projection's epilogue.
   [[nodiscard]] std::size_t in_rows() const noexcept override {
     return up_->in_features();
   }
@@ -65,12 +62,6 @@ class FeedForward final : public PlannableModule {
   [[nodiscard]] std::unique_ptr<ModuleStep> plan_into_fused(
       ModulePlanContext& mpc, const StepFusion& fusion) const override;
 
-  /// The shared body over a caller-provided intermediate (ffn x T,
-  /// overwritten): up-projection into mid, activation, down-projection
-  /// into y. The whole-model planner routes its arena slot through this
-  /// — the same code path as the eager forward.
-  void forward_through(ConstMatrixView x, MatrixView mid, MatrixView y) const;
-
   [[nodiscard]] std::size_t weight_bytes() const noexcept {
     return up_->weight_bytes() + down_->weight_bytes();
   }
@@ -84,36 +75,26 @@ class FeedForward final : public PlannableModule {
   Act act_;
 };
 
+/// Post-LN residual block (original Transformer):
+/// y = LN1(Attn(x) + x); y <- LN2(FFN(y) + y).
 class EncoderLayer final : public PlannableModule {
  public:
+  /// Throws std::invalid_argument unless the attention block and the
+  /// FFN are both `hidden` wide.
   EncoderLayer(MultiHeadAttention attention, FeedForward ffn,
                std::size_t hidden);
 
-  /// Post-LN residual block (original Transformer):
-  /// x <- LN(Attn(x) + x); x <- LN(FFN(x) + x). In place on a strided
-  /// view — a token window of a longer sequence buffer transforms with
-  /// zero copies; a Matrix converts implicitly. The residual operand
-  /// order (sublayer output first, then the input) matches the fused
-  /// GEMM epilogue, keeping eager and planned paths bitwise identical.
-  void forward(MatrixView x) const;
-
-  /// PlannableModule: with LN fusion (mpc.fuse_ln(), the default) both
-  /// residual→LN seams ride the sub-blocks' output projections — the
-  /// attention step writes LN1(attn(x) + x) straight into y and the FFN
-  /// step stages its pre-norm output in a planner slot and normalizes
-  /// into y — so the layer-wide residual-branch slot of the unfused
-  /// program is never acquired and the planner arena shrinks. Without
-  /// it, composes the attention and FFN sub-steps around that one
-  /// internal residual-branch slot; either way the FFN intermediate
-  /// reuses the attention scratch (released first) — the big liveness
-  /// win.
+  /// PlannableModule: both residual→LN seams ride the sub-blocks'
+  /// output projections — the attention step writes LN1(attn(x) + x)
+  /// straight into y and the FFN step stages its pre-norm output in a
+  /// planner slot and normalizes into y. The FFN intermediate reuses
+  /// the attention scratch (released first) — the big liveness win.
   [[nodiscard]] std::size_t in_rows() const noexcept override {
     return ln1_.dim();
   }
   [[nodiscard]] Shape out_shape(Shape in) const override;
   [[nodiscard]] std::unique_ptr<ModuleStep> plan_into(
       ModulePlanContext& mpc) const override;
-  void forward(ConstMatrixView x, MatrixView y) const override;
 
   [[nodiscard]] std::size_t weight_bytes() const noexcept {
     return attention_.weight_bytes() + ffn_.weight_bytes();
@@ -128,9 +109,6 @@ class EncoderLayer final : public PlannableModule {
   [[nodiscard]] const LayerNorm& ln2() const noexcept { return ln2_; }
 
  private:
-  /// The one body both public forwards run: y may alias x.
-  void forward_into(ConstMatrixView x, MatrixView y) const;
-
   MultiHeadAttention attention_;
   FeedForward ffn_;
   LayerNorm ln1_, ln2_;
@@ -138,24 +116,20 @@ class EncoderLayer final : public PlannableModule {
 
 class TransformerEncoder final : public PlannableModule {
  public:
-  TransformerEncoder(TransformerConfig config, std::vector<EncoderLayer> layers)
-      : config_(config), layers_(std::move(layers)) {}
+  /// Throws std::invalid_argument unless every layer is config.hidden
+  /// wide.
+  TransformerEncoder(TransformerConfig config,
+                     std::vector<EncoderLayer> layers);
 
-  /// x: hidden x T, transformed in place through all layers. Strided
-  /// view; a Matrix converts implicitly.
-  void forward(MatrixView x) const {
-    for (const EncoderLayer& layer : layers_) layer.forward(x);
-  }
-
-  /// PlannableModule: a chain of EncoderLayer modules through the
-  /// generic plan_chain walker — no encoder-specific compile path.
+  /// PlannableModule (x, y: hidden x T): a chain of EncoderLayer
+  /// modules through the generic plan_chain walker — no
+  /// encoder-specific compile path.
   [[nodiscard]] std::size_t in_rows() const noexcept override {
     return config_.hidden;
   }
   [[nodiscard]] Shape out_shape(Shape in) const override;
   [[nodiscard]] std::unique_ptr<ModuleStep> plan_into(
       ModulePlanContext& mpc) const override;
-  void forward(ConstMatrixView x, MatrixView y) const override;
 
   [[nodiscard]] const TransformerConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t layer_count() const noexcept { return layers_.size(); }
@@ -178,12 +152,8 @@ class TransformerEncoder final : public PlannableModule {
 /// `seed`. Two calls with the same (config, seed) and different specs
 /// produce models with IDENTICAL underlying fp32 weights — one float,
 /// one quantized — enabling apples-to-apples accuracy/latency studies.
-/// `ctx` (not owned, may be nullptr) binds every projection's execution
-/// context: one pool + one set of warm scratch arenas for the whole
-/// stack.
 [[nodiscard]] TransformerEncoder make_encoder(const TransformerConfig& config,
                                               std::uint64_t seed,
-                                              const QuantSpec& spec,
-                                              ExecContext* ctx = nullptr);
+                                              const QuantSpec& spec);
 
 }  // namespace biq::nn

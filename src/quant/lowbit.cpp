@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace biq {
@@ -53,8 +54,15 @@ LowBitQuantized quantize_lowbit(const Matrix& w, unsigned bits) {
 float quantize_column_int8(const float* src, std::size_t n,
                            std::int8_t* dst) noexcept {
   float max_abs = 0.0f;
+  bool finite = true;
   for (std::size_t k = 0; k < n; ++k) {
-    max_abs = std::max(max_abs, std::fabs(src[k]));
+    const float a = std::fabs(src[k]);
+    max_abs = std::max(max_abs, a);
+    finite &= a <= std::numeric_limits<float>::max();  // false for NaN/Inf
+  }
+  if (!finite) {
+    std::fill_n(dst, n, std::int8_t{0});
+    return std::numeric_limits<float>::quiet_NaN();
   }
   const float scale = max_abs > 0.0f ? max_abs / 127.0f : 1.0f;
   const float inv = 1.0f / scale;

@@ -47,8 +47,10 @@ struct LowBitQuantized {
 [[nodiscard]] LowBitQuantized quantize_lowbit(const Matrix& w, unsigned bits);
 
 /// Symmetric int8 quantization of one activation column; returns the
-/// scale (max|x| / 127, or 1 for an all-zero column). Shared by the
-/// int8-activation engines so their activation grids agree.
+/// scale (max|x| / 127, or 1 for an all-zero column). A column holding
+/// any NaN or Inf gets a NaN scale and all-zero codes, so every output
+/// the column feeds is NaN. The one activation quantizer of the
+/// int8-activation engines (int8, tmac-lut), so their grids agree.
 float quantize_column_int8(const float* src, std::size_t n,
                            std::int8_t* dst) noexcept;
 

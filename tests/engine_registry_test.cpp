@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -208,6 +210,47 @@ TEST(EngineRegistry, EveryEngineIsBitwiseDeterministicAcrossThreadCounts) {
         engine->run(x, y_n, ctx);
         EXPECT_EQ(max_abs_diff(y_one, y_n), 0.0f)
             << name << " b=" << b << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(EngineRegistry, NonFiniteInputPoisonsOnlyItsOwnColumn) {
+  // One NaN or Inf in an activation column makes that column's whole
+  // output non-finite in every engine — quantized activation grids
+  // included, which must not silently drop the bad entry — and leaves
+  // every other column bitwise what it would be without the bad entry.
+  EngineConfig cfg;
+  cfg.weight_bits = 2;
+  cfg.activation_bits = 2;
+  Rng rng(43);
+  const Matrix w = Matrix::random_normal(16, 32, rng, 0.0f, 0.5f);
+  const float bad_values[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity()};
+
+  for (const std::string& name : EngineRegistry::instance().names()) {
+    const std::unique_ptr<GemmEngine> engine = make_engine(name, w, cfg);
+    for (const float bad : bad_values) {
+      for (const std::size_t b : {std::size_t{1}, std::size_t{2}}) {
+        const Matrix clean = Matrix::random_normal(32, b, rng);
+        Matrix x = clean;
+        x(5, 0) = bad;
+        ExecContext ctx;
+        const std::unique_ptr<GemmPlan> plan = engine->plan(b, ctx);
+        Matrix y(16, b), y_clean(16, b);
+        plan->run(x, y);
+        plan->run(clean, y_clean);
+        for (std::size_t i = 0; i < 16; ++i) {
+          EXPECT_FALSE(std::isfinite(y(i, 0)))
+              << name << " bad=" << bad << " b=" << b << " row " << i;
+        }
+        for (std::size_t c = 1; c < b; ++c) {
+          for (std::size_t i = 0; i < 16; ++i) {
+            EXPECT_EQ(std::memcmp(&y(i, c), &y_clean(i, c), sizeof(float)), 0)
+                << name << " bad=" << bad << " b=" << b << " (" << i << ","
+                << c << ")";
+          }
+        }
       }
     }
   }

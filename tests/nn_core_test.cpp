@@ -19,9 +19,22 @@ Matrix filled(std::initializer_list<float> vals, std::size_t rows,
   return m;
 }
 
+/// The Activation module's output (a compiled one-step plan).
+Matrix activated(const Matrix& x, Act act) {
+  Matrix y(x.rows(), x.cols());
+  Activation(x.rows(), act).forward(x, y);
+  return y;
+}
+
+Matrix normalized(const LayerNorm& ln, const Matrix& x) {
+  Matrix y(x.rows(), x.cols());
+  ln.forward(x, y);
+  return y;
+}
+
 TEST(Activations, ReluClampsNegatives) {
   Matrix x = filled({-1.0f, 0.0f, 2.5f}, 3, 1);
-  apply_relu(x);
+  x = activated(x, Act::kRelu);
   EXPECT_EQ(x(0, 0), 0.0f);
   EXPECT_EQ(x(1, 0), 0.0f);
   EXPECT_EQ(x(2, 0), 2.5f);
@@ -29,32 +42,33 @@ TEST(Activations, ReluClampsNegatives) {
 
 TEST(Activations, SigmoidKnownValues) {
   Matrix x = filled({0.0f}, 1, 1);
-  apply_sigmoid(x);
+  x = activated(x, Act::kSigmoid);
   EXPECT_FLOAT_EQ(x(0, 0), 0.5f);
-  EXPECT_FLOAT_EQ(sigmoid(0.0f), 0.5f);
-  EXPECT_NEAR(sigmoid(100.0f), 1.0f, 1e-6f);
-  EXPECT_NEAR(sigmoid(-100.0f), 0.0f, 1e-6f);
+  EXPECT_FLOAT_EQ(epilogue::sigmoid(0.0f), 0.5f);
+  EXPECT_NEAR(epilogue::sigmoid(100.0f), 1.0f, 1e-6f);
+  EXPECT_NEAR(epilogue::sigmoid(-100.0f), 0.0f, 1e-6f);
 }
 
 TEST(Activations, TanhMatchesStd) {
   Matrix x = filled({0.7f, -1.3f}, 2, 1);
-  apply_tanh(x);
+  x = activated(x, Act::kTanh);
   EXPECT_FLOAT_EQ(x(0, 0), std::tanh(0.7f));
   EXPECT_FLOAT_EQ(x(1, 0), std::tanh(-1.3f));
 }
 
 TEST(Activations, GeluProperties) {
   Matrix x = filled({0.0f, 3.0f, -3.0f}, 3, 1);
-  apply_gelu(x);
+  x = activated(x, Act::kGelu);
   EXPECT_FLOAT_EQ(x(0, 0), 0.0f);
   EXPECT_NEAR(x(1, 0), 3.0f, 0.02f);   // ~identity for large positive
   EXPECT_NEAR(x(2, 0), 0.0f, 0.01f);   // ~zero for large negative
 }
 
-TEST(Activations, DispatchEnum) {
-  Matrix x = filled({-2.0f}, 1, 1);
-  apply(x, Act::kRelu);
-  EXPECT_EQ(x(0, 0), 0.0f);
+TEST(Activations, EveryActMapsToItsEpilogueTag) {
+  EXPECT_EQ(to_epilogue_act(Act::kRelu), EpilogueAct::kRelu);
+  EXPECT_EQ(to_epilogue_act(Act::kGelu), EpilogueAct::kGelu);
+  EXPECT_EQ(to_epilogue_act(Act::kSigmoid), EpilogueAct::kSigmoid);
+  EXPECT_EQ(to_epilogue_act(Act::kTanh), EpilogueAct::kTanh);
 }
 
 TEST(Activations, GeluNumericalEdges) {
@@ -62,7 +76,7 @@ TEST(Activations, GeluNumericalEdges) {
   // back finite — identity for large positive, exactly 0 for large
   // negative — with no NaN from the x^3 term's growth.
   Matrix x = filled({1e4f, -1e4f, 30.0f, -30.0f, 0.0f, -0.0f}, 6, 1);
-  apply_gelu(x);
+  x = activated(x, Act::kGelu);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_TRUE(std::isfinite(x(i, 0))) << "row " << i;
   }
@@ -80,7 +94,7 @@ TEST(Activations, SigmoidNumericalEdges) {
   // exp(-(-1e4)) overflows to +inf; 1/(1+inf) must still give exactly 0,
   // and the large-positive side exactly 1 — saturation, never NaN.
   Matrix x = filled({1e4f, -1e4f, 88.0f, -88.0f, 0.0f, -0.0f}, 6, 1);
-  apply_sigmoid(x);
+  x = activated(x, Act::kSigmoid);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_TRUE(std::isfinite(x(i, 0))) << "row " << i;
   }
@@ -154,8 +168,8 @@ TEST(Softmax, ExtremeLogitsProduceNoNaN) {
 TEST(LayerNorm, NormalizesToZeroMeanUnitVar) {
   Rng rng(2);
   Matrix x = Matrix::random_normal(64, 3, rng, 5.0f, 3.0f);
-  LayerNorm ln(64);
-  ln.forward(x);
+  const LayerNorm ln(64);
+  x = normalized(ln, x);
   for (std::size_t c = 0; c < 3; ++c) {
     double mean = 0.0, var = 0.0;
     for (std::size_t i = 0; i < 64; ++i) mean += x(i, c);
@@ -172,26 +186,16 @@ TEST(LayerNorm, GammaBetaApplied) {
   LayerNorm ln(2);
   ln.gamma() = {2.0f, 2.0f};
   ln.beta() = {10.0f, 10.0f};
-  ln.forward(x);
+  x = normalized(ln, x);
   // normalized values are -1, +1 -> scaled to 8, 12.
   EXPECT_NEAR(x(0, 0), 8.0f, 1e-2f);
   EXPECT_NEAR(x(1, 0), 12.0f, 1e-2f);
 }
 
 TEST(LayerNorm, RejectsWrongDim) {
-  Matrix x(3, 1);
-  LayerNorm ln(4);
-  EXPECT_THROW(ln.forward(x), std::invalid_argument);
-}
-
-TEST(TensorHelpers, AddBias) {
-  Matrix y = filled({1.0f, 2.0f, 3.0f, 4.0f}, 2, 2);
-  add_bias(y, {10.0f, 20.0f});
-  EXPECT_EQ(y(0, 0), 11.0f);
-  EXPECT_EQ(y(1, 0), 22.0f);
-  EXPECT_EQ(y(0, 1), 13.0f);
-  EXPECT_EQ(y(1, 1), 24.0f);
-  EXPECT_THROW(add_bias(y, {1.0f}), std::invalid_argument);
+  const Matrix x(3, 1);
+  const LayerNorm ln(4);
+  EXPECT_THROW((void)normalized(ln, x), std::invalid_argument);
 }
 
 TEST(TensorHelpers, AddIntoAndCopyInto) {

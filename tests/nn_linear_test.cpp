@@ -2,12 +2,19 @@
 
 #include "gemm/gemm_ref.hpp"
 #include "nn/linear.hpp"
+#include "nn/model_plan.hpp"
 #include "nn/tensor.hpp"
 #include "quant/alternating.hpp"
 #include "quant/greedy.hpp"
 
 namespace biq::nn {
 namespace {
+
+void add_bias(Matrix& y, const std::vector<float>& bias) {
+  for (std::size_t c = 0; c < y.cols(); ++c) {
+    for (std::size_t i = 0; i < y.rows(); ++i) y(i, c) += bias[i];
+  }
+}
 
 TEST(Linear, MatchesReferenceWithBias) {
   Rng rng(1);
@@ -150,49 +157,44 @@ TEST(MakeLinear, DispatchesOnBits) {
   EXPECT_NE(dynamic_cast<QuantLinear*>(quant.get()), nullptr);
 }
 
-TEST(MakeLinear, ContextReachesBothDenseAndQuantizedPaths) {
-  // Regression: the pre-ExecContext factory dropped its pool argument on
-  // the quantized branch, so quantized layers silently ran serial while
-  // dense ones threaded. Both branches must now bind the caller's
-  // context AND actually execute through it.
+TEST(MakeLinear, PooledForwardMatchesSerialBitwise) {
+  // Dense and quantized layers both execute through the context they
+  // are run on: the pooled forward matches the serial one bitwise (the
+  // partitioner guarantee) and actually used the pooled context —
+  // biqgemm serves its scratch from the context's arenas, so a run that
+  // used `ctx` leaves allocations behind.
   Rng rng(11);
   Matrix w = Matrix::random_normal(64, 96, rng);
   Matrix x = Matrix::random_normal(96, 32, rng);
 
   ThreadPool pool(4);
-  ExecContext ctx(&pool);
-  const auto fp = make_linear(w, {}, 0, QuantMethod::kGreedy, {}, &ctx);
-  const auto quant = make_linear(w, {}, 2, QuantMethod::kGreedy, {}, &ctx);
-  EXPECT_EQ(fp->bound_context(), &ctx);
-  EXPECT_EQ(quant->bound_context(), &ctx);
-
-  // The quantized forward must match its serial result bitwise (the
-  // partitioner guarantee) ...
-  Matrix serial(64, 32), threaded(64, 32);
-  const auto quant_serial = make_linear(w, {}, 2);
-  quant_serial->forward(x, serial);
-  quant->forward(x, threaded);
-  EXPECT_EQ(max_abs_diff(serial, threaded), 0.0f);
-
-  // ... and must have run through the bound context: biqgemm serves its
-  // scratch from the context's arenas, so a forward that actually used
-  // `ctx` leaves allocations behind. A context-dropping factory would
-  // fall back to the thread-default context and leave ctx untouched.
-  EXPECT_GT(ctx.scratch_heap_allocations(), 0u);
+  for (const unsigned bits : {0u, 2u}) {
+    const auto layer = make_linear(w, {}, bits);
+    ExecContext serial_ctx, ctx(&pool);
+    Matrix serial(64, 32), threaded(64, 32);
+    layer->forward(x, serial, serial_ctx);
+    layer->forward(x, threaded, ctx);
+    EXPECT_EQ(max_abs_diff(serial, threaded), 0.0f) << "bits=" << bits;
+    if (bits != 0) {
+      EXPECT_GT(ctx.scratch_heap_allocations(), 0u);
+    }
+  }
 }
 
-TEST(LinearLayer, ViewOverloadForwardsSlicesWithoutCopies) {
-  // A layer consumes/fills windows of larger buffers directly: the
-  // strided forward must match the dense forward bitwise and leave the
-  // rest of the output buffer untouched.
+TEST(LinearLayer, PlannedStepReadsAndWritesStridedWindows) {
+  // A compiled step consumes/fills windows of larger buffers directly:
+  // the strided run must match the dense run bitwise and leave the rest
+  // of the output buffer untouched.
   Rng rng(12);
   Matrix w = Matrix::random_normal(24, 32, rng);
   std::vector<float> bias(24, 0.5f);
   Matrix x = Matrix::random_normal(32, 6, rng);
 
   const QuantLinear layer(w, bias, 2);
+  ExecContext ctx;
+  const ModelPlan plan(layer, 6, ctx);
   Matrix dense(24, 6);
-  layer.forward(x, dense);
+  plan.run(x, dense);
 
   Matrix x_big(40, 9, /*zero_fill=*/false);
   x_big.fill(123.0f);
@@ -201,7 +203,7 @@ TEST(LinearLayer, ViewOverloadForwardsSlicesWithoutCopies) {
   }
   Matrix y_big(30, 8, /*zero_fill=*/false);
   y_big.fill(-9.0f);
-  layer.forward(x_big.block(4, 32, 2, 6), y_big.block(3, 24, 1, 6));
+  plan.run(x_big.block(4, 32, 2, 6), y_big.block(3, 24, 1, 6));
 
   for (std::size_t c = 0; c < y_big.cols(); ++c) {
     for (std::size_t i = 0; i < y_big.rows(); ++i) {
@@ -212,46 +214,14 @@ TEST(LinearLayer, ViewOverloadForwardsSlicesWithoutCopies) {
   }
 }
 
-TEST(LinearLayer, BoundContextLayerCachesPlanAndReplansOnBatchChange) {
-  // A ctx-bound layer serves repeated fixed-shape traffic from one
-  // cached GemmPlan and must stay correct across batch changes (each
-  // change replans) and when called with a foreign context (planned per
-  // call, cache untouched).
-  Rng rng(13);
-  Matrix w = Matrix::random_normal(32, 48, rng);
-  Matrix x4 = Matrix::random_normal(48, 4, rng);
-  Matrix x7 = Matrix::random_normal(48, 7, rng);
-
-  ExecContext bound_ctx;
-  const auto bound = make_linear(w, {}, 2, QuantMethod::kGreedy, {},
-                                 &bound_ctx);
-  const auto unbound = make_linear(w, {}, 2);
-
-  const auto check = [&](const Matrix& x) {
-    Matrix expected(32, x.cols()), actual(32, x.cols());
-    unbound->forward(x, expected);
-    bound->forward(x, actual);  // bound path: cached plan
-    EXPECT_EQ(max_abs_diff(actual, expected), 0.0f) << "b=" << x.cols();
-    ExecContext other;
-    Matrix foreign(32, x.cols());
-    bound->forward(x, foreign, other);  // foreign ctx: plan-per-call
-    EXPECT_EQ(max_abs_diff(foreign, expected), 0.0f) << "b=" << x.cols();
-  };
-  check(x4);
-  check(x4);  // steady state reuses the cached batch-4 plan
-  check(x7);  // batch change forces a replan
-  check(x4);  // and back
-}
-
 TEST(LinearLayer, ModuleInterfaceShapesAndPlannedStep) {
   // Every LinearLayer is a PlannableModule: shape propagation rejects a
   // row mismatch, and the frozen module step is bitwise identical to
-  // the eager forward.
+  // the one-shot forward.
   Rng rng(11);
   Matrix w = Matrix::random_normal(12, 20, rng);
   ExecContext ctx;
-  const auto layer = make_linear(w, std::vector<float>(12, 0.25f), 2,
-                                 QuantMethod::kGreedy, {}, &ctx);
+  const auto layer = make_linear(w, std::vector<float>(12, 0.25f), 2);
   const PlannableModule& module = *layer;
   EXPECT_EQ(module.in_rows(), 20u);
   const Shape out = module.out_shape({20, 5});
@@ -260,8 +230,8 @@ TEST(LinearLayer, ModuleInterfaceShapesAndPlannedStep) {
   EXPECT_THROW((void)module.out_shape({19, 5}), std::invalid_argument);
 
   const Matrix x = Matrix::random_normal(20, 5, rng);
-  Matrix eager(12, 5);
-  layer->forward(x, eager);
+  Matrix once(12, 5);
+  layer->forward(x, once, ctx);
 
   ModelPlanner planner;
   ModulePlanContext mpc(planner, ctx, 5);
@@ -269,7 +239,7 @@ TEST(LinearLayer, ModuleInterfaceShapesAndPlannedStep) {
   EXPECT_EQ(planner.peak_floats(), 0u);  // a projection owns no slots
   Matrix planned(12, 5);
   step->run_step(nullptr, x, planned);
-  EXPECT_EQ(max_abs_diff(planned, eager), 0.0f);
+  EXPECT_EQ(max_abs_diff(planned, once), 0.0f);
 }
 
 }  // namespace

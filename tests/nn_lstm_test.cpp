@@ -3,12 +3,14 @@
 #include <cmath>
 #include <vector>
 
-#include "nn/activations.hpp"
 #include "nn/lstm.hpp"
+#include "nn/model_plan.hpp"
 #include "nn/tensor.hpp"
 
 namespace biq::nn {
 namespace {
+
+float sigmoid(float v) { return 1.0f / (1.0f + std::exp(-v)); }
 
 /// Hand-rolled LSTM step used as the oracle.
 void reference_step(const Matrix& wx, const Matrix& wh,
@@ -33,28 +35,26 @@ void reference_step(const Matrix& wx, const Matrix& wh,
   }
 }
 
-TEST(LstmCell, StepMatchesReference) {
-  const std::size_t in = 6, hidden = 5;
+TEST(Lstm, ScanMatchesHandRolledSteps) {
+  const std::size_t in = 6, hidden = 5, frames = 4;
   Rng rng(1);
   Matrix wx = Matrix::random_normal(4 * hidden, in, rng, 0.0f, 0.5f);
   Matrix wh = Matrix::random_normal(4 * hidden, hidden, rng, 0.0f, 0.5f);
   std::vector<float> bias(4 * hidden);
   fill_normal(rng, bias.data(), bias.size(), 0.0f, 0.1f);
 
-  LstmCell cell(std::make_unique<Linear>(wx, std::vector<float>()),
-                std::make_unique<Linear>(wh, std::vector<float>()),
-                bias);
+  const Lstm lstm(LstmCell(std::make_unique<Linear>(wx, std::vector<float>()),
+                           std::make_unique<Linear>(wh, std::vector<float>()),
+                           bias));
+  const Matrix x = Matrix::random_normal(in, frames, rng);
+  Matrix h_out(hidden, frames);
+  lstm.forward(x, h_out);
 
-  std::vector<float> h(hidden, 0.0f), c(hidden, 0.0f);
   std::vector<float> h_ref(hidden, 0.0f), c_ref(hidden, 0.0f);
-  std::vector<float> x(in);
-  for (int t = 0; t < 4; ++t) {
-    fill_normal(rng, x.data(), in);
-    cell.step(x.data(), h.data(), c.data());
-    reference_step(wx, wh, bias, x.data(), h_ref, c_ref);
+  for (std::size_t t = 0; t < frames; ++t) {
+    reference_step(wx, wh, bias, x.col(t), h_ref, c_ref);
     for (std::size_t j = 0; j < hidden; ++j) {
-      EXPECT_NEAR(h[j], h_ref[j], 1e-4f) << "t=" << t << " j=" << j;
-      EXPECT_NEAR(c[j], c_ref[j], 1e-4f);
+      EXPECT_NEAR(h_out(j, t), h_ref[j], 1e-4f) << "t=" << t << " j=" << j;
     }
   }
 }
@@ -94,14 +94,15 @@ TEST(Lstm, ReverseEqualsForwardOnReversedInput) {
   for (std::size_t c = 0; c < t; ++c) {
     for (std::size_t i = 0; i < in; ++i) x_rev(i, c) = x(i, t - 1 - c);
   }
-  LstmCell cell_a = make_lstm_cell(in, hidden, 5, {});
-  LstmCell cell_b = make_lstm_cell(in, hidden, 5, {});
-  const Lstm fwd(std::move(cell_a));
-  const Lstm rev(std::move(cell_b));
+  // The backward half of a BiLstm whose two cells share one seed.
+  const Lstm fwd(make_lstm_cell(in, hidden, 5, {}));
+  const BiLstm bi(make_lstm_cell(in, hidden, 5, {}),
+                  make_lstm_cell(in, hidden, 5, {}));
 
-  Matrix hf(hidden, t), hr(hidden, t);
+  Matrix hf(hidden, t), h_bi(2 * hidden, t);
   fwd.forward(x_rev, hf);
-  rev.forward_reverse(x, hr);
+  bi.forward(x, h_bi);
+  const ConstMatrixView hr = h_bi.block(hidden, hidden, 0, t);
   for (std::size_t c = 0; c < t; ++c) {
     for (std::size_t i = 0; i < hidden; ++i) {
       EXPECT_NEAR(hr(i, c), hf(i, t - 1 - c), 1e-5f);
@@ -119,13 +120,16 @@ TEST(BiLstm, ConcatenatesDirections) {
 
   const Lstm fwd(make_lstm_cell(in, hidden, 21, {}));
   const Lstm bwd(make_lstm_cell(in, hidden, 22, {}));
-  Matrix hf(hidden, t), hb(hidden, t);
+  Matrix hf(hidden, t), x_rev(in, t), hb_rev(hidden, t);
   fwd.forward(x, hf);
-  bwd.forward_reverse(x, hb);
+  for (std::size_t c = 0; c < t; ++c) {
+    for (std::size_t i = 0; i < in; ++i) x_rev(i, c) = x(i, t - 1 - c);
+  }
+  bwd.forward(x_rev, hb_rev);
   for (std::size_t c = 0; c < t; ++c) {
     for (std::size_t i = 0; i < hidden; ++i) {
       EXPECT_EQ(h(i, c), hf(i, c));
-      EXPECT_EQ(h(hidden + i, c), hb(i, c));
+      EXPECT_EQ(h(hidden + i, c), hb_rev(i, t - 1 - c));
     }
   }
 }
@@ -155,11 +159,14 @@ TEST(Lstm, QuantizedWeightsCompress) {
 
 TEST(Lstm, ForgetGateBiasInitializedToOne) {
   const LstmCell cell = make_lstm_cell(4, 3, 1, {});
-  // Behavioural check: with zero input and a pre-set cell state, the
-  // forget bias of 1 keeps most of the state (sigmoid(1) ~ 0.73).
+  // Behavioural check: with zero input and zero hidden state the gate
+  // pre-activations are the bias alone, and the forget bias of 1 keeps
+  // most of a pre-set cell state (sigmoid(1) ~ 0.73).
+  for (std::size_t j = 0; j < 3; ++j) {
+    EXPECT_EQ(cell.gate_bias()[3 + j], 1.0f);
+  }
   std::vector<float> h(3, 0.0f), c{1.0f, 1.0f, 1.0f};
-  std::vector<float> x(4, 0.0f);
-  cell.step(x.data(), h.data(), c.data());
+  cell.apply_gates(cell.gate_bias().data(), h.data(), c.data());
   for (float v : c) EXPECT_GT(v, 0.5f);
 }
 
@@ -176,14 +183,19 @@ TEST(Lstm, ModuleInterfaceShapes) {
   EXPECT_THROW((void)bi.out_shape({12, 7}), std::invalid_argument);
 }
 
-TEST(Lstm, ScanPlanReplaysTheEagerScan) {
-  // The cell's frozen scan (the piece Lstm/BiLstm module steps replay)
-  // is bitwise identical to the eager sequence walk, both directions.
+TEST(Lstm, ScanPlanRunsBothDirections) {
+  // The cell's frozen scan (the piece Lstm/BiLstm module steps replay):
+  // the forward scan is the Lstm module's output, and the reverse scan
+  // is the forward scan of the time-reversed input, reversed.
   const std::size_t in = 10, hidden = 6, frames = 5;
   ExecContext ctx;
-  const Lstm lstm(make_lstm_cell(in, hidden, 9, {}, &ctx));
+  const Lstm lstm(make_lstm_cell(in, hidden, 9, {}));
   Rng rng(5);
   const Matrix x = Matrix::random_normal(in, frames, rng);
+  Matrix x_rev(in, frames);
+  for (std::size_t c = 0; c < frames; ++c) {
+    for (std::size_t i = 0; i < in; ++i) x_rev(i, c) = x(i, frames - 1 - c);
+  }
 
   ModelPlanner planner;
   ModulePlanContext mpc(planner, ctx, frames);
@@ -191,14 +203,18 @@ TEST(Lstm, ScanPlanReplaysTheEagerScan) {
   scan.release(mpc);
   std::vector<float> arena(planner.peak_floats(), 0.0f);
 
-  Matrix eager(hidden, frames), planned(hidden, frames);
-  lstm.forward(x, eager);
+  Matrix module_out(hidden, frames), planned(hidden, frames);
+  lstm.forward(x, module_out, ctx);
   scan.run(arena.data(), x, planned, /*reverse=*/false);
-  EXPECT_EQ(max_abs_diff(planned, eager), 0.0f);
+  EXPECT_EQ(max_abs_diff(planned, module_out), 0.0f);
 
-  lstm.forward_reverse(x, eager);
+  lstm.forward(x_rev, module_out, ctx);
   scan.run(arena.data(), x, planned, /*reverse=*/true);
-  EXPECT_EQ(max_abs_diff(planned, eager), 0.0f);
+  for (std::size_t c = 0; c < frames; ++c) {
+    for (std::size_t i = 0; i < hidden; ++i) {
+      EXPECT_EQ(planned(i, c), module_out(i, frames - 1 - c));
+    }
+  }
 }
 
 }  // namespace

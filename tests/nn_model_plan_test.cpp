@@ -1,6 +1,7 @@
-// ModelPlan tests: the liveness planner's aliasing discipline, bitwise
-// eager-vs-planned equivalence for every supported model class,
-// replan-on-batch-change through ModelPlanCache, arena-packing savings,
+// ModelPlan tests: the liveness planner's aliasing discipline, planned
+// output vs the reference composition (nn_reference.hpp) for every
+// supported model class, 1-vs-N-thread bitwise equality,
+// replan-on-batch-change through ModelPlanCache, arena-packing pins,
 // and the zero-allocation warm whole-model forward.
 #include <gtest/gtest.h>
 
@@ -9,11 +10,13 @@
 #include <cstdlib>
 #include <new>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "nn/model_plan.hpp"
 #include "nn/tensor.hpp"
+#include "nn_reference.hpp"
 
 // Binary-wide instrumented operator new (same harness as
 // exec_context_test): counts every scalar/array heap allocation so the
@@ -159,196 +162,154 @@ TEST(ModelPlanner, FuzzedAcquireReleaseKeepsLiveSlotsDisjoint) {
   }
 }
 
-// ------------------------------------------- planned vs eager (bitwise)
+// ------------------------------------------- planned vs reference
 
-TEST(ModelPlan, EncoderPlannedMatchesEagerBitwise) {
-  Rng rng(3);
-  const Matrix input = Matrix::random_normal(32, 6, rng);
-  for (const bool quantized : {false, true}) {
-    ExecContext ctx;
-    const TransformerEncoder enc =
-        make_encoder(tiny(), 42, quantized ? quant2() : QuantSpec{}, &ctx);
-
-    Matrix eager = input;
-    enc.forward(eager);
-
-    const ModelPlan plan(enc, input.cols(), ctx);
-    EXPECT_EQ(plan.batch(), 6u);
-    EXPECT_EQ(plan.input_rows(), 32u);
-    EXPECT_EQ(plan.output_rows(), 32u);
-    Matrix planned(32, 6);
-    plan.run(input, planned);
-    EXPECT_EQ(max_abs_diff(planned, eager), 0.0f)
-        << (quantized ? "quantized" : "fp32");
-  }
-}
-
-TEST(ModelPlan, BiLstmPlannedMatchesEagerBitwise) {
-  const std::size_t in = 12, hidden = 8, frames = 7;
-  Rng rng(4);
-  const Matrix audio = Matrix::random_normal(in, frames, rng);
-  for (const bool quantized : {false, true}) {
-    ExecContext ctx;
-    const QuantSpec spec = quantized ? quant2() : QuantSpec{};
-    const BiLstm model(make_lstm_cell(in, hidden, 31, spec, &ctx),
-                       make_lstm_cell(in, hidden, 32, spec, &ctx));
-
-    Matrix eager(2 * hidden, frames);
-    model.forward(audio, eager);
-
-    const ModelPlan plan(model, frames, ctx);
-    EXPECT_EQ(plan.output_rows(), 2 * hidden);
-    Matrix planned(2 * hidden, frames);
-    plan.run(audio, planned);
-    EXPECT_EQ(max_abs_diff(planned, eager), 0.0f)
-        << (quantized ? "quantized" : "fp32");
-  }
-}
-
-TEST(ModelPlan, LstmPlannedMatchesEagerBitwise) {
-  const std::size_t in = 10, hidden = 6, frames = 5;
-  ExecContext ctx;
-  const Lstm model(make_lstm_cell(in, hidden, 9, quant2(), &ctx));
-  Rng rng(5);
-  const Matrix x = Matrix::random_normal(in, frames, rng);
-
-  Matrix eager(hidden, frames);
-  model.forward(x, eager);
-
-  const ModelPlan plan(model, frames, ctx);
-  Matrix planned(hidden, frames);
-  plan.run(x, planned);
-  EXPECT_EQ(max_abs_diff(planned, eager), 0.0f);
-}
-
-TEST(ModelPlan, AttentionPlannedMatchesEagerBitwise) {
-  ExecContext ctx;
-  const TransformerEncoder enc = make_encoder(tiny(), 17, quant2(), &ctx);
-  const MultiHeadAttention& attn = enc.layers().front().attention();
-  Rng rng(6);
-  const Matrix x = Matrix::random_normal(32, 5, rng);
-
-  Matrix eager(32, 5);
-  attn.forward(x, eager);
-
-  const ModelPlan plan(attn, 5, ctx);
-  Matrix planned(32, 5);
-  plan.run(x, planned);
-  EXPECT_EQ(max_abs_diff(planned, eager), 0.0f);
-}
-
-// ------------------------------------------- fused vs unfused parity
-
-TEST(ModelPlan, FusedAndUnfusedEncoderMatchEagerBitwise) {
-  // The fused arithmetic order IS the contract: eager, the fused plan
-  // (default) and the unfused plan (separate seam passes) must agree
-  // bitwise, for fp32 and quantized weights alike.
-  Rng rng(31);
-  const Matrix input = Matrix::random_normal(32, 6, rng);
-  for (const bool quantized : {false, true}) {
-    ExecContext ctx;
-    const TransformerEncoder enc =
-        make_encoder(tiny(), 42, quantized ? quant2() : QuantSpec{}, &ctx);
-    Matrix eager = input;
-    enc.forward(eager);
-
-    const ModelPlan fused(enc, input.cols(), ctx, /*fuse=*/true);
-    const ModelPlan unfused(enc, input.cols(), ctx, /*fuse=*/false);
-    Matrix yf(32, 6), yu(32, 6);
-    fused.run(input, yf);
-    unfused.run(input, yu);
-    EXPECT_EQ(max_abs_diff(yf, eager), 0.0f)
-        << "fused " << (quantized ? "quantized" : "fp32");
-    EXPECT_EQ(max_abs_diff(yu, eager), 0.0f)
-        << "unfused " << (quantized ? "quantized" : "fp32");
-  }
-}
-
-TEST(ModelPlan, FusedAndUnfusedBiLstmMatchEagerBitwise) {
-  const std::size_t in = 12, hidden = 8, frames = 7;
-  Rng rng(32);
-  const Matrix audio = Matrix::random_normal(in, frames, rng);
-  for (const bool quantized : {false, true}) {
-    ExecContext ctx;
-    const QuantSpec spec = quantized ? quant2() : QuantSpec{};
-    const BiLstm model(make_lstm_cell(in, hidden, 31, spec, &ctx),
-                       make_lstm_cell(in, hidden, 32, spec, &ctx));
-    Matrix eager(2 * hidden, frames);
-    model.forward(audio, eager);
-
-    const ModelPlan fused(model, frames, ctx, /*fuse=*/true);
-    const ModelPlan unfused(model, frames, ctx, /*fuse=*/false);
-    Matrix yf(2 * hidden, frames), yu(2 * hidden, frames);
-    fused.run(audio, yf);
-    unfused.run(audio, yu);
-    EXPECT_EQ(max_abs_diff(yf, eager), 0.0f)
-        << "fused " << (quantized ? "quantized" : "fp32");
-    EXPECT_EQ(max_abs_diff(yu, eager), 0.0f)
-        << "unfused " << (quantized ? "quantized" : "fp32");
-  }
-}
-
-TEST(ModelPlan, EncoderBitwiseAcrossFuseShareAndLnToggles) {
-  // The full toggle matrix: eager must equal the planned forward for
-  // every fuse x share_prep x fuse_ln combination, fp32 and quantized,
-  // serial and pooled — the LN column math is one shared helper on
-  // every path, so equality is bitwise, not approximate.
-  Rng rng(41);
-  const Matrix input = Matrix::random_normal(32, 6, rng);
+/// Compiles `build(spec)` at fp32 and 2-bit weights, batch 1 and
+/// `batch`, on a serial context and on a 3-thread pool. Every planned
+/// output must match the reference composition (nn_reference.hpp)
+/// within tolerance, and the pooled run must equal the serial run
+/// bitwise.
+template <typename Build>
+void check_against_reference(const Build& build, std::size_t batch,
+                             const char* name) {
   ThreadPool pool(3);
   for (const bool quantized : {false, true}) {
-    for (const bool pooled : {false, true}) {
-      ExecContext ctx(pooled ? &pool : nullptr);
-      const TransformerEncoder enc =
-          make_encoder(tiny(), 42, quantized ? quant2() : QuantSpec{}, &ctx);
-      Matrix eager = input;
-      enc.forward(eager);
-      for (const bool fuse : {false, true}) {
-        for (const bool share : {false, true}) {
-          for (const bool fuse_ln : {false, true}) {
-            const ModelPlan plan(enc, input.cols(), ctx, fuse, share, fuse_ln);
-            Matrix y(32, 6);
-            plan.run(input, y);
-            EXPECT_EQ(max_abs_diff(y, eager), 0.0f)
-                << (quantized ? "quantized" : "fp32")
-                << (pooled ? " pooled" : " serial") << " fuse=" << fuse
-                << " share_prep=" << share << " fuse_ln=" << fuse_ln;
-          }
-        }
-      }
+    const auto model = build(quantized ? quant2() : QuantSpec{});
+    for (const std::size_t b : {std::size_t{1}, batch}) {
+      Rng rng(1000 + b);
+      const Matrix x = Matrix::random_normal(model->in_rows(), b, rng);
+      const Matrix ref = reference::forward(*model, x);
+      const std::size_t out_rows = model->out_shape({x.rows(), b}).rows;
+      Matrix serial(out_rows, b), pooled(out_rows, b);
+      ExecContext serial_ctx, pooled_ctx(&pool);
+      ModelPlan(*model, b, serial_ctx).run(x, serial);
+      ModelPlan(*model, b, pooled_ctx).run(x, pooled);
+      const std::string what = std::string(name) +
+                               (quantized ? " 2-bit" : " fp32") +
+                               " b=" + std::to_string(b);
+      reference::expect_matches_reference(serial, ref, what.c_str());
+      EXPECT_EQ(max_abs_diff(pooled, serial), 0.0f) << what << " pooled";
     }
   }
 }
 
-TEST(ModelPlan, LnFusionShrinksTheEncoderArena) {
-  // With both residual→LN seams folded into the sub-blocks' output
-  // projections, the layer-wide residual-branch slot is never acquired:
-  // the LN-fused program's packed arena must be strictly smaller than
-  // the fused-but-LN-separate program's.
-  ExecContext ctx;
-  const TransformerEncoder enc = make_encoder(tiny(), 42, quant2(), &ctx);
-  const ModelPlan ln_fused(enc, 8, ctx, /*fuse=*/true, /*share_prep=*/true,
-                           /*fuse_ln=*/true);
-  const ModelPlan ln_separate(enc, 8, ctx, /*fuse=*/true, /*share_prep=*/true,
-                              /*fuse_ln=*/false);
-  EXPECT_LT(ln_fused.arena_floats(), ln_separate.arena_floats());
+TEST(ModelPlan, EncoderMatchesReference) {
+  check_against_reference(
+      [](const QuantSpec& spec) {
+        return std::make_unique<TransformerEncoder>(
+            make_encoder(tiny(), 42, spec));
+      },
+      6, "encoder");
 }
 
-TEST(ModelPlan, FusionNeverGrowsTheArena) {
-  // Fusion only removes seam passes and (in chains) intermediate slots
-  // — it must never cost activation memory.
+TEST(ModelPlan, BiLstmMatchesReference) {
+  check_against_reference(
+      [](const QuantSpec& spec) {
+        return std::make_unique<BiLstm>(make_lstm_cell(12, 8, 31, spec),
+                                        make_lstm_cell(12, 8, 32, spec));
+      },
+      7, "bilstm");
+}
+
+TEST(ModelPlan, LstmMatchesReference) {
+  check_against_reference(
+      [](const QuantSpec& spec) {
+        return std::make_unique<Lstm>(make_lstm_cell(10, 6, 9, spec));
+      },
+      5, "lstm");
+}
+
+TEST(ModelPlan, AttentionMatchesReference) {
+  check_against_reference(
+      [](const QuantSpec& spec) {
+        // Biased projections: the bias must ride every plan's epilogue.
+        Rng wrng(17);
+        auto proj = [&] {
+          return make_linear(xavier_uniform(32, 32, wrng),
+                             std::vector<float>(32, 0.1f), spec.weight_bits);
+        };
+        return std::make_unique<MultiHeadAttention>(proj(), proj(), proj(),
+                                                    proj(), 4);
+      },
+      5, "attention");
+}
+
+std::unique_ptr<FeedForward> make_ffn(const QuantSpec& spec,
+                                      std::uint64_t seed) {
+  Rng wrng(seed);
+  return std::make_unique<FeedForward>(
+      make_linear(xavier_uniform(64, 32, wrng), std::vector<float>(64, 0.2f),
+                  spec.weight_bits),
+      make_linear(xavier_uniform(32, 64, wrng), std::vector<float>(32, -0.1f),
+                  spec.weight_bits),
+      Act::kGelu);
+}
+
+TEST(ModelPlan, FeedForwardMatchesReference) {
+  check_against_reference(
+      [](const QuantSpec& spec) { return make_ffn(spec, 18); }, 6, "ffn");
+}
+
+TEST(ModelPlan, ResidualMatchesReferenceFusedAndUnfused) {
+  // Residual(FFN) folds the add into the down projection's epilogue;
+  // Residual(Sequential) cannot (a Sequential takes no fusion), so it
+  // compiles the separate-add fallback step.
+  check_against_reference(
+      [](const QuantSpec& spec) {
+        return std::make_unique<Residual>(make_ffn(spec, 19));
+      },
+      6, "residual(ffn)");
+  check_against_reference(
+      [](const QuantSpec& spec) {
+        Rng wrng(20);
+        auto seq = std::make_unique<Sequential>();
+        seq->add(make_linear(xavier_uniform(24, 32, wrng),
+                             std::vector<float>(24, 0.3f), spec.weight_bits));
+        seq->add(std::make_unique<Activation>(24, Act::kTanh));
+        seq->add(make_linear(xavier_uniform(32, 24, wrng), {},
+                             spec.weight_bits));
+        return std::make_unique<Residual>(std::move(seq));
+      },
+      6, "residual(sequential)");
+}
+
+TEST(ModelPlan, StandaloneActivationAndLayerNormMatchReference) {
+  // Behind a BiLstm (which takes no fusion) the Activation and the
+  // LayerNorm compile to their own element-wise / per-column steps.
+  check_against_reference(
+      [](const QuantSpec& spec) {
+        auto seq = std::make_unique<Sequential>();
+        seq->add(std::make_unique<BiLstm>(make_lstm_cell(12, 8, 33, spec),
+                                          make_lstm_cell(12, 8, 34, spec)));
+        seq->add(std::make_unique<Activation>(16, Act::kRelu));
+        auto ln = std::make_unique<LayerNorm>(16);
+        for (std::size_t i = 0; i < 16; ++i) {
+          ln->gamma()[i] = 0.5f + 0.1f * static_cast<float>(i);
+          ln->beta()[i] = 0.05f * static_cast<float>(i);
+        }
+        seq->add(std::move(ln));
+        return seq;
+      },
+      5, "bilstm->act->ln");
+}
+
+TEST(ModelPlan, EncoderArenaIsPinned) {
+  // The tiny encoder's packed arena at batch 8, in bytes: both
+  // residual→LN seams ride the sub-blocks' output projections (no
+  // layer-wide residual slot), and the 2-bit build adds the shared QKV
+  // prep slab.
   ExecContext ctx;
-  const TransformerEncoder enc = make_encoder(tiny(), 42, quant2(), &ctx);
-  const ModelPlan fused(enc, 8, ctx, /*fuse=*/true);
-  const ModelPlan unfused(enc, 8, ctx, /*fuse=*/false);
-  EXPECT_LE(fused.arena_floats(), unfused.arena_floats());
+  const TransformerEncoder fp = make_encoder(tiny(), 42, {});
+  const TransformerEncoder q = make_encoder(tiny(), 42, quant2());
+  EXPECT_EQ(ModelPlan(fp, 8, ctx).arena_bytes(), 5376u);
+  EXPECT_EQ(ModelPlan(q, 8, ctx).arena_bytes(), 36864u);
 }
 
 TEST(ModelPlan, ChainFoldsLinearActivationAndDropsTheSlot) {
   // Sequential{Linear, Activation, Linear}: the peephole folds the
   // Activation into the first Linear's GEMM epilogue, so the
-  // intermediate between them never exists — one fewer chain slot —
-  // and the output still matches eager bitwise.
+  // intermediate between them never exists — the only slot left is the
+  // 24 x 5 seam between the two projections (rounded up to 512 bytes).
   const std::size_t in = 20, mid = 24, out = 16, batch = 5;
   Rng rng(33), wrng(34);
   const Matrix x = Matrix::random_normal(in, batch, rng);
@@ -357,37 +318,46 @@ TEST(ModelPlan, ChainFoldsLinearActivationAndDropsTheSlot) {
     const QuantSpec spec = quantized ? quant2() : QuantSpec{};
     Sequential seq;
     seq.add(make_linear(xavier_uniform(mid, in, wrng),
-                        std::vector<float>(mid, 0.25f), spec.weight_bits,
-                        spec.method, spec.kernel, &ctx));
+                        std::vector<float>(mid, 0.25f), spec.weight_bits));
     seq.add(std::make_unique<Activation>(mid, Act::kGelu));
     seq.add(make_linear(xavier_uniform(out, mid, wrng),
-                        std::vector<float>(out, -0.5f), spec.weight_bits,
-                        spec.method, spec.kernel, &ctx));
+                        std::vector<float>(out, -0.5f), spec.weight_bits));
 
-    Matrix eager(out, batch);
-    seq.forward(x, eager);
-
-    const ModelPlan fused(seq, batch, ctx, /*fuse=*/true);
-    const ModelPlan unfused(seq, batch, ctx, /*fuse=*/false);
-    Matrix yf(out, batch), yu(out, batch);
-    fused.run(x, yf);
-    unfused.run(x, yu);
-    EXPECT_EQ(max_abs_diff(yf, eager), 0.0f)
-        << "fused " << (quantized ? "quantized" : "fp32");
-    EXPECT_EQ(max_abs_diff(yu, eager), 0.0f)
-        << "unfused " << (quantized ? "quantized" : "fp32");
-    // Unfused: two chain slots (post-Linear and post-Activation).
-    // Fused: the pair is one stage, so exactly one slot remains.
-    EXPECT_LT(fused.arena_floats(), unfused.arena_floats());
-    EXPECT_LT(fused.unpacked_floats(), unfused.unpacked_floats());
+    const ModelPlan plan(seq, batch, ctx);
+    Matrix y(out, batch);
+    plan.run(x, y);
+    reference::expect_matches_reference(y, reference::forward(seq, x),
+                                        quantized ? "2-bit" : "fp32");
+    EXPECT_EQ(plan.arena_bytes(), 512u);
+    EXPECT_EQ(plan.unpacked_floats(), 128u);
   }
+}
+
+TEST(PlannableModule, ForwardRunsAOneShotPlanAndCachesNothing) {
+  // forward(x, y, ctx) is ModelPlan(*this, b, ctx).run(x, y) — the same
+  // bits — and holds no plan afterwards: the context's model blocks are
+  // all returned.
+  ExecContext ctx;
+  const TransformerEncoder enc = make_encoder(tiny(), 42, quant2());
+  Rng rng(35);
+  const Matrix x = Matrix::random_normal(32, 6, rng);
+  Matrix y(32, 6), planned(32, 6);
+  enc.forward(x, y, ctx);
+  EXPECT_EQ(ctx.model_block_bytes(), 0u);
+  ModelPlan(enc, 6, ctx).run(x, planned);
+  EXPECT_EQ(max_abs_diff(y, planned), 0.0f);
+  Matrix y_default(32, 6);
+  enc.forward(x, y_default);  // the calling thread's default context
+  EXPECT_EQ(max_abs_diff(y_default, planned), 0.0f);
+  Matrix wrong(32, 5);
+  EXPECT_THROW(enc.forward(x, wrong, ctx), std::invalid_argument);
 }
 
 // --------------------------------------------------- shapes and replan
 
 TEST(ModelPlan, RejectsMismatchedShapes) {
   ExecContext ctx;
-  const TransformerEncoder enc = make_encoder(tiny(), 1, {}, &ctx);
+  const TransformerEncoder enc = make_encoder(tiny(), 1, {});
   const ModelPlan plan(enc, 4, ctx);
   Matrix x(32, 4), y(32, 4);
   Matrix wrong_batch(32, 5), wrong_rows(16, 4);
@@ -399,19 +369,19 @@ TEST(ModelPlan, RejectsMismatchedShapes) {
 
 TEST(ModelPlanCache, ReplansOnBatchChangeOnly) {
   ExecContext ctx;
-  const TransformerEncoder enc = make_encoder(tiny(), 23, quant2(), &ctx);
+  const TransformerEncoder enc = make_encoder(tiny(), 23, quant2());
   ModelPlanCache<TransformerEncoder> cache;
 
   Rng rng(7);
   for (const std::size_t tokens : {4u, 4u, 9u, 4u}) {
     const Matrix x = Matrix::random_normal(32, tokens, rng);
-    Matrix eager = x;
-    enc.forward(eager);
-    Matrix planned(32, tokens);
-    cache.run(enc, x, planned, ctx);
+    Matrix fresh(32, tokens);
+    ModelPlan(enc, tokens, ctx).run(x, fresh);
+    Matrix cached(32, tokens);
+    cache.run(enc, x, cached, ctx);
     ASSERT_NE(cache.plan(), nullptr);
     EXPECT_EQ(cache.plan()->batch(), tokens);
-    EXPECT_EQ(max_abs_diff(planned, eager), 0.0f) << "tokens=" << tokens;
+    EXPECT_EQ(max_abs_diff(cached, fresh), 0.0f) << "tokens=" << tokens;
   }
 }
 
@@ -419,8 +389,8 @@ TEST(ModelPlanCache, ReplansWhenTheModelChanges) {
   // Two models with the same shapes and batch: the cache must key on
   // the model identity, not just (batch, context).
   ExecContext ctx;
-  const TransformerEncoder a = make_encoder(tiny(), 7, {}, &ctx);
-  const TransformerEncoder b = make_encoder(tiny(), 8, {}, &ctx);
+  const TransformerEncoder a = make_encoder(tiny(), 7, {});
+  const TransformerEncoder b = make_encoder(tiny(), 8, {});
   ModelPlanCache<TransformerEncoder> cache;
 
   Rng rng(14);
@@ -429,16 +399,16 @@ TEST(ModelPlanCache, ReplansWhenTheModelChanges) {
   cache.run(a, x, ya, ctx);
   cache.run(b, x, yb, ctx);
 
-  Matrix eager_b = x;
-  b.forward(eager_b);
-  EXPECT_EQ(max_abs_diff(yb, eager_b), 0.0f)
+  Matrix fresh_b(32, 4);
+  ModelPlan(b, 4, ctx).run(x, fresh_b);
+  EXPECT_EQ(max_abs_diff(yb, fresh_b), 0.0f)
       << "cache served model a's stale plan for model b";
   EXPECT_GT(max_abs_diff(ya, yb), 1e-3f);
 }
 
 TEST(ModelPlanCache, SamePlanServesRepeatedBatches) {
   ExecContext ctx;
-  const TransformerEncoder enc = make_encoder(tiny(), 23, {}, &ctx);
+  const TransformerEncoder enc = make_encoder(tiny(), 23, {});
   ModelPlanCache<TransformerEncoder> cache;
   Rng rng(8);
   const Matrix x = Matrix::random_normal(32, 3, rng);
@@ -453,7 +423,7 @@ TEST(ModelPlanCache, SamePlanServesRepeatedBatches) {
 
 TEST(ModelPlan, LivenessPackingBeatsUnpackedLayout) {
   ExecContext ctx;
-  const TransformerEncoder enc = make_encoder(tiny(), 51, {}, &ctx);
+  const TransformerEncoder enc = make_encoder(tiny(), 51, {});
   const ModelPlan plan(enc, 8, ctx);
   // Two layers' tensors fold into one layer's working set (plus: within
   // a layer the FFN intermediate reuses the attention scratch).
@@ -466,7 +436,7 @@ TEST(ModelPlan, CoexistingPlansUseDisjointArenaBlocks) {
   // Two plans compiled on one context must not alias each other's
   // activation slots (one model block per plan).
   ExecContext ctx;
-  const TransformerEncoder enc = make_encoder(tiny(), 77, quant2(), &ctx);
+  const TransformerEncoder enc = make_encoder(tiny(), 77, quant2());
   const ModelPlan plan_a(enc, 4, ctx);
   const ModelPlan plan_b(enc, 4, ctx);
   Rng rng(9);
@@ -484,7 +454,7 @@ TEST(ModelPlan, DestroyedPlansReturnTheirArenaBlocks) {
   // Block lifetime equals plan lifetime: replanning on shape changes
   // must not grow the context's model-block footprint unboundedly.
   ExecContext ctx;
-  const TransformerEncoder enc = make_encoder(tiny(), 5, {}, &ctx);
+  const TransformerEncoder enc = make_encoder(tiny(), 5, {});
   EXPECT_EQ(ctx.model_block_bytes(), 0u);
   {
     const ModelPlan plan_a(enc, 4, ctx);
@@ -514,7 +484,7 @@ TEST(ModelPlanCache, KeepsAPlanPerBatchWidthUpToCapacity) {
   // stop replanning once each width's plan exists, and the context's
   // footprint is the sum of the cached plans — bounded by capacity.
   ExecContext ctx;
-  const TransformerEncoder enc = make_encoder(tiny(), 5, {}, &ctx);
+  const TransformerEncoder enc = make_encoder(tiny(), 5, {});
   ModelPlanCache<TransformerEncoder> cache;
   Rng rng(16);
   for (const std::size_t tokens : {4u, 9u, 4u, 9u, 4u}) {
@@ -536,7 +506,7 @@ TEST(ModelPlanCache, KeepsAPlanPerBatchWidthUpToCapacity) {
 
 TEST(ModelPlanCache, EvictsTheLeastRecentlyUsedPlanAtCapacity) {
   ExecContext ctx;
-  const TransformerEncoder enc = make_encoder(tiny(), 5, {}, &ctx);
+  const TransformerEncoder enc = make_encoder(tiny(), 5, {});
   ModelPlanCache<TransformerEncoder> cache(2);
   EXPECT_EQ(cache.capacity(), 2u);
 
@@ -559,7 +529,7 @@ TEST(ModelPlanCache, EvictsTheLeastRecentlyUsedPlanAtCapacity) {
 
 TEST(ModelPlan, WarmEncoderForwardPerformsZeroHeapAllocations) {
   ExecContext ctx;
-  const TransformerEncoder enc = make_encoder(tiny(), 42, quant2(), &ctx);
+  const TransformerEncoder enc = make_encoder(tiny(), 42, quant2());
   Rng rng(10);
   const Matrix x = Matrix::random_normal(32, 6, rng);
   Matrix y(32, 6);
@@ -583,13 +553,12 @@ TEST(ModelPlan, WarmLnFusedColumnBarrierPathPerformsZeroHeapAllocations) {
   // serial or tile-parallel.
   ThreadPool pool(3);
   ExecContext ctx(&pool);
-  const TransformerEncoder enc = make_encoder(tiny(), 42, quant2(), &ctx);
+  const TransformerEncoder enc = make_encoder(tiny(), 42, quant2());
   Rng rng(43);
   const Matrix x = Matrix::random_normal(32, 48, rng);
   Matrix y(32, 48);
 
-  const ModelPlan plan(enc, 48, ctx, /*fuse=*/true, /*share_prep=*/true,
-                       /*fuse_ln=*/true);
+  const ModelPlan plan(enc, 48, ctx);
   plan.run(x, y);  // first run grows the engines' scratch arenas
   plan.run(x, y);  // second consolidates overflow blocks
   const std::size_t arena_warm = ctx.scratch_heap_allocations();
@@ -604,8 +573,8 @@ TEST(ModelPlan, WarmLnFusedColumnBarrierPathPerformsZeroHeapAllocations) {
 TEST(ModelPlan, WarmBiLstmForwardPerformsZeroHeapAllocations) {
   const std::size_t in = 24, hidden = 16, frames = 6;
   ExecContext ctx;
-  const BiLstm model(make_lstm_cell(in, hidden, 61, quant2(), &ctx),
-                     make_lstm_cell(in, hidden, 62, quant2(), &ctx));
+  const BiLstm model(make_lstm_cell(in, hidden, 61, quant2()),
+                     make_lstm_cell(in, hidden, 62, quant2()));
   Rng rng(11);
   const Matrix x = Matrix::random_normal(in, frames, rng);
   Matrix y(2 * hidden, frames);
@@ -626,51 +595,38 @@ TEST(ModelPlan, WarmBiLstmForwardPerformsZeroHeapAllocations) {
 
 /// Encoder stack -> BiLSTM -> Linear head: the 3-level hybrid that only
 /// the generic module walker can compile (no per-model walkers remain).
-Sequential make_hybrid(const QuantSpec& spec, ExecContext& ctx,
-                       std::size_t classes) {
+Sequential make_hybrid(const QuantSpec& spec, std::size_t classes) {
   const std::size_t hidden = tiny().hidden, lstm_hidden = 8;
   Sequential hybrid;
   hybrid.add(std::make_unique<TransformerEncoder>(
-      make_encoder(tiny(), 42, spec, &ctx)));
+      make_encoder(tiny(), 42, spec)));
   hybrid.add(std::make_unique<BiLstm>(
-      make_lstm_cell(hidden, lstm_hidden, 31, spec, &ctx),
-      make_lstm_cell(hidden, lstm_hidden, 32, spec, &ctx)));
+      make_lstm_cell(hidden, lstm_hidden, 31, spec),
+      make_lstm_cell(hidden, lstm_hidden, 32, spec)));
   Rng wrng(13);
   const Matrix head_w = xavier_uniform(classes, 2 * lstm_hidden, wrng);
   hybrid.add(make_linear(head_w, std::vector<float>(classes, 0.1f),
-                         spec.weight_bits, spec.method, spec.kernel, &ctx));
+                         spec.weight_bits, spec.method, spec.kernel));
   return hybrid;
 }
 
-TEST(ModelPlan, SequentialHybridPlannedMatchesEagerBitwise) {
-  const std::size_t tokens = 6, classes = 10;
-  Rng rng(21);
-  const Matrix x = Matrix::random_normal(tiny().hidden, tokens, rng);
-  for (const bool quantized : {false, true}) {
-    ExecContext ctx;
-    const Sequential hybrid =
-        make_hybrid(quantized ? quant2() : QuantSpec{}, ctx, classes);
-    EXPECT_EQ(hybrid.size(), 3u);
-    EXPECT_EQ(hybrid.in_rows(), tiny().hidden);
-    EXPECT_EQ(hybrid.out_shape({tiny().hidden, tokens}).rows, classes);
-
-    Matrix eager(classes, tokens);
-    hybrid.forward(x, eager);
-
-    const ModelPlan plan(hybrid, tokens, ctx);
-    EXPECT_EQ(plan.input_rows(), tiny().hidden);
-    EXPECT_EQ(plan.output_rows(), classes);
-    Matrix planned(classes, tokens);
-    plan.run(x, planned);
-    EXPECT_EQ(max_abs_diff(planned, eager), 0.0f)
-        << (quantized ? "quantized" : "fp32");
-  }
+TEST(ModelPlan, SequentialHybridMatchesReference) {
+  const std::size_t classes = 10;
+  const Sequential shape_probe = make_hybrid({}, classes);
+  EXPECT_EQ(shape_probe.size(), 3u);
+  EXPECT_EQ(shape_probe.in_rows(), tiny().hidden);
+  EXPECT_EQ(shape_probe.out_shape({tiny().hidden, 6}).rows, classes);
+  check_against_reference(
+      [&](const QuantSpec& spec) {
+        return std::make_unique<Sequential>(make_hybrid(spec, classes));
+      },
+      6, "encoder->bilstm->head");
 }
 
 TEST(ModelPlan, WarmSequentialHybridForwardPerformsZeroHeapAllocations) {
   const std::size_t tokens = 6, classes = 10;
   ExecContext ctx;
-  const Sequential hybrid = make_hybrid(quant2(), ctx, classes);
+  const Sequential hybrid = make_hybrid(quant2(), classes);
   Rng rng(22);
   const Matrix x = Matrix::random_normal(tiny().hidden, tokens, rng);
   Matrix y(classes, tokens);
@@ -690,63 +646,51 @@ TEST(ModelPlan, WarmSequentialHybridForwardPerformsZeroHeapAllocations) {
 TEST(ModelPlan, BiLstmPyramidCompilesThroughTheGenericWalker) {
   // 4-deep stacked BiLSTM pyramid (the LAS encoder shape): each level's
   // 2h output feeds the next level's input through chain slots.
-  const std::size_t in = 12, frames = 7;
-  const std::size_t widths[] = {8, 6, 4, 3};
-  Rng rng(23);
-  const Matrix audio = Matrix::random_normal(in, frames, rng);
-  for (const bool quantized : {false, true}) {
-    ExecContext ctx;
-    const QuantSpec spec = quantized ? quant2() : QuantSpec{};
-    Sequential pyramid;
-    std::size_t rows = in;
+  const auto build = [](const QuantSpec& spec) {
+    auto pyramid = std::make_unique<Sequential>();
+    std::size_t rows = 12;
     std::uint64_t seed = 100;
-    for (const std::size_t h : widths) {
-      pyramid.add(std::make_unique<BiLstm>(
-          make_lstm_cell(rows, h, seed, spec, &ctx),
-          make_lstm_cell(rows, h, seed + 1, spec, &ctx)));
+    for (const std::size_t h : {8, 6, 4, 3}) {
+      pyramid->add(std::make_unique<BiLstm>(
+          make_lstm_cell(rows, h, seed, spec),
+          make_lstm_cell(rows, h, seed + 1, spec)));
       seed += 2;
       rows = 2 * h;
     }
-    EXPECT_EQ(pyramid.out_shape({in, frames}).rows, rows);
-
-    Matrix eager(rows, frames);
-    pyramid.forward(audio, eager);
-
-    const ModelPlan plan(pyramid, frames, ctx);
-    Matrix planned(rows, frames);
-    plan.run(audio, planned);
-    EXPECT_EQ(max_abs_diff(planned, eager), 0.0f)
-        << (quantized ? "quantized" : "fp32");
-    // Chain slots and scan state reuse storage across the levels.
-    EXPECT_LT(plan.arena_floats(), plan.unpacked_floats());
-  }
+    return pyramid;
+  };
+  check_against_reference(build, 7, "bilstm pyramid");
+  ExecContext ctx;
+  const auto pyramid = build(quant2());
+  EXPECT_EQ(pyramid->out_shape({12, 7}).rows, 6u);
+  // Chain slots and scan state reuse storage across the levels.
+  const ModelPlan plan(*pyramid, 7, ctx);
+  EXPECT_LT(plan.arena_floats(), plan.unpacked_floats());
 }
 
 TEST(ModelPlan, ZeroLayerEncoderCompilesToTheIdentityCopy) {
-  // An empty chain is the identity map, planned and eager alike.
+  // An empty chain is the identity map.
   TransformerConfig cfg = tiny();
   cfg.layers = 0;
   ExecContext ctx;
-  const TransformerEncoder enc = make_encoder(cfg, 1, {}, &ctx);
+  const TransformerEncoder enc = make_encoder(cfg, 1, {});
   Rng rng(24);
   const Matrix x = Matrix::random_normal(32, 4, rng);
-  Matrix eager(32, 4), planned(32, 4);
-  enc.forward(x, eager);
+  Matrix planned(32, 4);
   const ModelPlan plan(enc, 4, ctx);
   plan.run(x, planned);
-  EXPECT_EQ(max_abs_diff(planned, eager), 0.0f);
   EXPECT_EQ(max_abs_diff(planned, x), 0.0f);
 }
 
 TEST(Sequential, RejectsMismatchedSeams) {
   ExecContext ctx;
   Sequential seq;
-  seq.add(std::make_unique<BiLstm>(make_lstm_cell(12, 8, 1, {}, &ctx),
-                                   make_lstm_cell(12, 8, 2, {}, &ctx)));
+  seq.add(std::make_unique<BiLstm>(make_lstm_cell(12, 8, 1, {}),
+                                   make_lstm_cell(12, 8, 2, {})));
   // Tail produces 16 rows; a 12-row consumer must be rejected at add().
   EXPECT_THROW(
-      seq.add(std::make_unique<BiLstm>(make_lstm_cell(12, 8, 3, {}, &ctx),
-                                       make_lstm_cell(12, 8, 4, {}, &ctx))),
+      seq.add(std::make_unique<BiLstm>(make_lstm_cell(12, 8, 3, {}),
+                                       make_lstm_cell(12, 8, 4, {}))),
       std::invalid_argument);
   // And an empty pipeline cannot be compiled.
   Sequential empty;
@@ -761,7 +705,7 @@ TEST(ModelPlan, WarmTileParallelEncoderForwardPerformsZeroHeapAllocations) {
   // inside the whole-model plan too.
   ThreadPool pool(3);
   ExecContext ctx(&pool);
-  const TransformerEncoder enc = make_encoder(tiny(), 42, quant2(), &ctx);
+  const TransformerEncoder enc = make_encoder(tiny(), 42, quant2());
   Rng rng(12);
   const Matrix x = Matrix::random_normal(32, 48, rng);
   Matrix y(32, 48);

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
+#include "nn/tensor.hpp"
 #include "nn/transformer.hpp"
 
 namespace biq::nn {
@@ -29,13 +31,12 @@ TEST(Transformer, ConfigPresets) {
 TEST(Transformer, ForwardPreservesShapeAndIsFinite) {
   const TransformerEncoder enc = make_encoder(tiny(), 42, {});
   Rng rng(1);
-  Matrix x = Matrix::random_normal(32, 6, rng);
-  enc.forward(x);
-  EXPECT_EQ(x.rows(), 32u);
-  EXPECT_EQ(x.cols(), 6u);
+  const Matrix x = Matrix::random_normal(32, 6, rng);
+  Matrix y(32, 6);
+  enc.forward(x, y);
   for (std::size_t c = 0; c < 6; ++c) {
     for (std::size_t i = 0; i < 32; ++i) {
-      EXPECT_TRUE(std::isfinite(x(i, c)));
+      EXPECT_TRUE(std::isfinite(y(i, c)));
     }
   }
 }
@@ -44,39 +45,39 @@ TEST(Transformer, SameSeedSameOutput) {
   const TransformerEncoder a = make_encoder(tiny(), 7, {});
   const TransformerEncoder b = make_encoder(tiny(), 7, {});
   Rng rng(2);
-  Matrix xa = Matrix::random_normal(32, 4, rng);
-  Matrix xb = xa;
-  a.forward(xa);
-  b.forward(xb);
-  EXPECT_EQ(max_abs_diff(xa, xb), 0.0f);
+  const Matrix x = Matrix::random_normal(32, 4, rng);
+  Matrix ya(32, 4), yb(32, 4);
+  a.forward(x, ya);
+  b.forward(x, yb);
+  EXPECT_EQ(max_abs_diff(ya, yb), 0.0f);
 }
 
 TEST(Transformer, DifferentSeedDifferentModel) {
   const TransformerEncoder a = make_encoder(tiny(), 7, {});
   const TransformerEncoder b = make_encoder(tiny(), 8, {});
   Rng rng(3);
-  Matrix xa = Matrix::random_normal(32, 4, rng);
-  Matrix xb = xa;
-  a.forward(xa);
-  b.forward(xb);
-  EXPECT_GT(max_abs_diff(xa, xb), 1e-3f);
+  const Matrix x = Matrix::random_normal(32, 4, rng);
+  Matrix ya(32, 4), yb(32, 4);
+  a.forward(x, ya);
+  b.forward(x, yb);
+  EXPECT_GT(max_abs_diff(ya, yb), 1e-3f);
 }
 
 TEST(Transformer, QuantizedTracksFloatAndImprovesWithBits) {
   const TransformerEncoder fp = make_encoder(tiny(), 11, {});
   Rng rng(4);
-  Matrix x_ref = Matrix::random_normal(32, 5, rng);
+  const Matrix x = Matrix::random_normal(32, 5, rng);
+  Matrix y_fp(32, 5);
+  fp.forward(x, y_fp);
 
   double prev_err = 1e18;
   for (unsigned bits : {1u, 2u, 3u}) {
     QuantSpec spec;
     spec.weight_bits = bits;
     const TransformerEncoder q = make_encoder(tiny(), 11, spec);
-    Matrix x_fp = x_ref;
-    Matrix x_q = x_ref;
-    fp.forward(x_fp);
-    q.forward(x_q);
-    const double err = rel_fro_error(x_q, x_fp);
+    Matrix y_q(32, 5);
+    q.forward(x, y_q);
+    const double err = rel_fro_error(y_q, y_fp);
     EXPECT_LT(err, prev_err * 1.05) << "bits=" << bits;  // allow fp noise
     prev_err = err;
   }
@@ -139,24 +140,43 @@ TEST(Transformer, ModuleInterfaceShapes) {
   EXPECT_THROW((void)ffn.out_shape({64, 6}), std::invalid_argument);
 }
 
-TEST(Transformer, TwoArgForwardMatchesInPlaceForward) {
-  // The PlannableModule eager form (x -> y) must match the historical
-  // in-place form bitwise, for the stack and for a single layer.
-  const TransformerEncoder enc = make_encoder(tiny(), 42, {});
-  Rng rng(2);
-  const Matrix x = Matrix::random_normal(32, 6, rng);
+std::unique_ptr<LinearLayer> square(std::size_t n, Rng& rng) {
+  return std::make_unique<Linear>(xavier_uniform(n, n, rng),
+                                  std::vector<float>());
+}
 
-  Matrix in_place = x;
-  enc.forward(in_place);
-  Matrix out(32, 6);
-  enc.forward(x, out);
-  EXPECT_EQ(max_abs_diff(out, in_place), 0.0f);
+MultiHeadAttention attention(std::size_t n, Rng& rng) {
+  return MultiHeadAttention(square(n, rng), square(n, rng), square(n, rng),
+                            square(n, rng), 4);
+}
 
-  Matrix layer_in_place = x;
-  enc.layers().front().forward(layer_in_place);
-  Matrix layer_out(32, 6);
-  enc.layers().front().forward(x, layer_out);
-  EXPECT_EQ(max_abs_diff(layer_out, layer_in_place), 0.0f);
+FeedForward ffn(std::size_t n, Rng& rng) {
+  return FeedForward(
+      std::make_unique<Linear>(xavier_uniform(2 * n, n, rng),
+                               std::vector<float>()),
+      std::make_unique<Linear>(xavier_uniform(n, 2 * n, rng),
+                               std::vector<float>()));
+}
+
+TEST(EncoderLayer, RejectsSubBlocksOfAnotherWidth) {
+  Rng rng(6);
+  EXPECT_THROW(EncoderLayer(attention(32, rng), ffn(32, rng), 16),
+               std::invalid_argument);
+  EXPECT_THROW(EncoderLayer(attention(32, rng), ffn(16, rng), 32),
+               std::invalid_argument);
+  EXPECT_THROW(EncoderLayer(attention(16, rng), ffn(32, rng), 32),
+               std::invalid_argument);
+  EXPECT_NO_THROW(EncoderLayer(attention(32, rng), ffn(32, rng), 32));
+}
+
+TEST(TransformerEncoder, RejectsLayersOfAnotherWidth) {
+  Rng rng(7);
+  std::vector<EncoderLayer> layers;
+  layers.emplace_back(attention(32, rng), ffn(32, rng), 32);
+  TransformerConfig cfg = tiny();
+  cfg.hidden = 64;
+  EXPECT_THROW(TransformerEncoder(cfg, std::move(layers)),
+               std::invalid_argument);
 }
 
 }  // namespace

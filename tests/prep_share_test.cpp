@@ -14,10 +14,10 @@
 //     operator new),
 //   * the error surface: prep-less plans, not-ready handles, undersized
 //     storage, cross-family and cross-parameter key mismatches,
-// plus the nn-level seats: MHA and BiLstm ModelPlans are bitwise
-// identical across the fuse x share_prep toggle square, and the MHA
-// prep slot's producer->last-consumer lifetime lets the score/context
-// slots reclaim its storage (exact arena arithmetic).
+// plus the nn-level seats: MHA and BiLstm ModelPlans with sharing
+// engaged match the unshared reference composition, and the MHA prep
+// slot's producer->last-consumer lifetime lets the score/context slots
+// reclaim its storage (exact arena arithmetic).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -34,6 +34,7 @@
 #include "nn/tensor.hpp"
 #include "threading/thread_pool.hpp"
 #include "util/aligned_buffer.hpp"
+#include "nn_reference.hpp"
 
 // Binary-wide instrumented operator new (same pattern as tmac_test /
 // exec_context_test): counts every heap allocation so the warm
@@ -365,14 +366,17 @@ TEST(PrepErrors, MismatchedKeysAreRejected) {
   biq_plan->prepare(x, prep);
 
   // Cross-family: an int8 grid consumer must reject a biq-lut artifact.
-  const auto int8_plan = make_engine("int8", w)->plan(b, ctx);
+  // (A plan borrows its engine, so every engine outlives its plans.)
+  const auto int8_engine = make_engine("int8", w);
+  const auto int8_plan = int8_engine->plan(b, ctx);
   EXPECT_THROW(int8_plan->run(prep, y), std::invalid_argument);
 
   // Same family, different parameters: another mu freezes an
   // incompatible table layout.
   EngineConfig other_mu = biq_cfg;
   other_mu.kernel.mu = biq_plan->prep_key().p0 == 4 ? 6 : 4;
-  const auto mu_plan = make_engine("biqgemm", w, other_mu)->plan(b, ctx);
+  const auto mu_engine = make_engine("biqgemm", w, other_mu);
+  const auto mu_plan = mu_engine->plan(b, ctx);
   ASSERT_NE(mu_plan->prep_key(), biq_plan->prep_key());
   EXPECT_THROW(mu_plan->run(prep, y), std::invalid_argument);
 
@@ -390,8 +394,6 @@ TEST(PrepErrors, MismatchedKeysAreRejected) {
 namespace biq::nn {
 namespace {
 
-using biq::expect_bitwise;
-
 std::unique_ptr<LinearLayer> quant_layer(const Matrix& w) {
   return std::make_unique<QuantLinear>(w, std::vector<float>(), 2);
 }
@@ -406,59 +408,44 @@ MultiHeadAttention make_quant_mha(std::size_t hidden, unsigned heads,
                             heads);
 }
 
-// The ModelPlan toggle square: fuse x share_prep in all four
-// combinations plus the eager forward must agree bitwise — sharing
-// changes where the build runs, never a single output bit.
-TEST(NnPrepShare, MhaToggleSquareIsBitwiseIdentical) {
+// Sharing changes where the build runs, never what the consumers
+// compute: with the prep shared across Q/K/V (and across BiLstm's two
+// scans), the planned output matches the reference composition, in
+// which every projection builds its own artifact.
+TEST(NnPrepShare, SharedMhaMatchesTheUnsharedReference) {
   const std::size_t hidden = 32, tokens = 6;
   const MultiHeadAttention mha = make_quant_mha(hidden, 4, 53);
   Rng rng(54);
   const Matrix x = Matrix::random_normal(hidden, tokens, rng);
-  Matrix eager(hidden, tokens);
-  mha.forward(x, eager);
-
   ExecContext ctx;
-  for (const bool fuse : {true, false}) {
-    for (const bool share : {true, false}) {
-      const ModelPlan plan(mha, tokens, ctx, fuse, share);
-      Matrix y(hidden, tokens);
-      plan.run(x, y);
-      expect_bitwise(y, eager,
-                     (std::string("mha fuse=") + (fuse ? "on" : "off") +
-                      " share=" + (share ? "on" : "off"))
-                         .c_str());
-    }
-  }
+  const ModelPlan plan(mha, tokens, ctx);
+  Matrix y(hidden, tokens);
+  plan.run(x, y);
+  reference::expect_matches_reference(y, reference::forward(mha, x), "mha");
 }
 
-TEST(NnPrepShare, BiLstmToggleIsBitwiseIdentical) {
+TEST(NnPrepShare, SharedBiLstmMatchesTheUnsharedReference) {
   const std::size_t in = 20, hidden = 12, frames = 5;
   QuantSpec spec;
   spec.weight_bits = 2;
-  ExecContext ctx;
-  const BiLstm bilstm(make_lstm_cell(in, hidden, 61, spec, &ctx),
-                      make_lstm_cell(in, hidden, 62, spec, &ctx));
+  const BiLstm bilstm(make_lstm_cell(in, hidden, 61, spec),
+                      make_lstm_cell(in, hidden, 62, spec));
   Rng rng(63);
   const Matrix x = Matrix::random_normal(in, frames, rng);
-  Matrix eager(2 * hidden, frames);
-  bilstm.forward(x, eager);
-
-  for (const bool share : {true, false}) {
-    const ModelPlan plan(bilstm, frames, ctx, /*fuse=*/true, share);
-    Matrix y(2 * hidden, frames);
-    plan.run(x, y);
-    expect_bitwise(y, eager, share ? "bilstm share=on" : "bilstm share=off");
-  }
+  ExecContext ctx;
+  const ModelPlan plan(bilstm, frames, ctx);
+  Matrix y(2 * hidden, frames);
+  plan.run(x, y);
+  reference::expect_matches_reference(y, reference::forward(bilstm, x),
+                                      "bilstm");
 }
 
 // The planner lifetime pin, by exact arena arithmetic. Slot program of
-// an MHA step (hidden h, tokens T, extents rounded to 16 floats):
-//   share off:  q, k, v, scores, context live together
-//               -> peak = 3*E(h*T) + E(T*T) + E(h*T)
-//   share on:   q, k, v, then the prep slot is acquired AND released
-//               (its last reader precedes every score write), then
-//               scores + context — whose combined extent fits inside
-//               the freed prep interval -> peak = 3*E(h*T) + E(P).
+// a shared-prep MHA step (hidden h, tokens T, extents rounded to 16
+// floats): q, k, v, then the prep slot is acquired AND released (its
+// last reader precedes every score write), then scores + context —
+// whose combined extent fits inside the freed prep interval
+// -> peak = 3*E(h*T) + E(P).
 // Equality with those closed forms pins BOTH ends of the lifetime: the
 // prep slab spans producer to last consumer (it is in the arena at
 // all), and it is reclaimed after (scores/context pack into its hole
@@ -477,7 +464,8 @@ TEST(NnPrepShare, MhaPrepSlotIsReclaimedByScoreAndContextSlots) {
   ExecContext ctx;
   EngineConfig cfg;
   cfg.weight_bits = 2;
-  const auto probe = make_engine("biqgemm", wq, cfg)->plan(tokens, ctx);
+  const auto probe_engine = make_engine("biqgemm", wq, cfg);
+  const auto probe = probe_engine->plan(tokens, ctx);
   ASSERT_TRUE(probe->has_prep());
   const auto align16 = [](std::size_t floats) {
     return (floats + 15) / std::size_t{16} * 16;
@@ -489,14 +477,14 @@ TEST(NnPrepShare, MhaPrepSlotIsReclaimedByScoreAndContextSlots) {
   ASSERT_GE(prep, scores + context)
       << "shapes must make the prep hole big enough to test reclamation";
 
-  const ModelPlan off(mha, tokens, ctx, /*fuse=*/true, /*share_prep=*/false);
-  const ModelPlan on(mha, tokens, ctx, /*fuse=*/true, /*share_prep=*/true);
-  EXPECT_EQ(off.arena_floats(), qkv + scores + context);
-  EXPECT_EQ(on.arena_floats(), qkv + prep);
+  const ModelPlan plan(mha, tokens, ctx);
+  EXPECT_EQ(plan.arena_floats(), qkv + prep);
 }
 
-// fp32 projections carry no prep: sharing must disengage silently —
-// identical arena layout and identical outputs either way.
+// fp32 projections carry no prep: sharing disengages silently — no prep
+// slot, so q, k, v, scores and context all live together
+// (peak = 4*E(h*T) + E(T*T)) — and the output still matches the
+// reference.
 TEST(NnPrepShare, PreplessProjectionsDisengageSharing) {
   const std::size_t hidden = 24, tokens = 5;
   Rng rng(67);
@@ -509,13 +497,16 @@ TEST(NnPrepShare, PreplessProjectionsDisengageSharing) {
   const Matrix x = Matrix::random_normal(hidden, tokens, xrng);
 
   ExecContext ctx;
-  const ModelPlan on(mha, tokens, ctx, true, true);
-  const ModelPlan off(mha, tokens, ctx, true, false);
-  EXPECT_EQ(on.arena_floats(), off.arena_floats());
-  Matrix y_on(hidden, tokens), y_off(hidden, tokens);
-  on.run(x, y_on);
-  off.run(x, y_off);
-  expect_bitwise(y_on, y_off, "fp32 mha share toggle");
+  const ModelPlan plan(mha, tokens, ctx);
+  const auto align16 = [](std::size_t floats) {
+    return (floats + 15) / std::size_t{16} * 16;
+  };
+  EXPECT_EQ(plan.arena_floats(),
+            4 * align16(hidden * tokens) + align16(tokens * tokens));
+  Matrix y(hidden, tokens);
+  plan.run(x, y);
+  reference::expect_matches_reference(y, reference::forward(mha, x),
+                                      "fp32 mha");
 }
 
 TEST(NnPrepShare, ShareablePrepPredicate) {
@@ -551,7 +542,7 @@ TEST(NnPrepShare, WarmSharedModelRunsPerformZeroHeapAllocations) {
   Matrix y(hidden, tokens);
 
   ExecContext ctx;
-  const ModelPlan plan(mha, tokens, ctx, /*fuse=*/true, /*share_prep=*/true);
+  const ModelPlan plan(mha, tokens, ctx);
   for (int i = 0; i < 2; ++i) plan.run(x, y);  // settle the arenas
   const std::size_t arena_warm = ctx.scratch_heap_allocations();
   const std::size_t new_warm = g_new_calls.load();

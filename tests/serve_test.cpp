@@ -60,18 +60,17 @@ constexpr std::size_t kOut = 16;
 /// Column-independent 2-layer MLP (Linear -> GELU -> LayerNorm ->
 /// Linear); bits == 0 builds the fp32 reference, > 0 the binary-coded
 /// quantized layers.
-Sequential make_mlp(unsigned bits, ExecContext& ctx,
-                    std::uint64_t seed = 40) {
+Sequential make_mlp(unsigned bits, std::uint64_t seed = 40) {
   Rng wrng(seed);
   Sequential mlp;
   mlp.add(make_linear(xavier_uniform(kHid, kIn, wrng),
                       std::vector<float>(kHid, 0.1f), bits,
-                      QuantMethod::kGreedy, {}, &ctx));
+                      QuantMethod::kGreedy));
   mlp.add(std::make_unique<Activation>(kHid, Act::kGelu));
   mlp.add(std::make_unique<LayerNorm>(kHid));
   mlp.add(make_linear(xavier_uniform(kOut, kHid, wrng),
                       std::vector<float>(kOut, -0.05f), bits,
-                      QuantMethod::kGreedy, {}, &ctx));
+                      QuantMethod::kGreedy));
   return mlp;
 }
 
@@ -94,7 +93,7 @@ TEST(ExecContextDeathTest, AbortsWhenDestroyedWithLiveModelBlocks) {
   EXPECT_DEATH(
       {
         auto ctx = std::make_unique<ExecContext>();
-        const Sequential mlp = make_mlp(2, *ctx);
+        const Sequential mlp = make_mlp(2);
         auto plan = std::make_unique<ModelPlan>(mlp, 4, *ctx);
         if (plan->arena_bytes() == 0) std::abort();  // must hold a block
         ctx.reset();  // live model block -> abort with the message below
@@ -119,23 +118,21 @@ TEST(InferenceServer, RejectsColumnMixingModules) {
   // Dynamic batching concatenates requests along the column axis; a
   // module whose columns interact (attention mixes tokens) must be
   // rejected at construction, not silently produce garbage.
-  ExecContext ctx;
   nn::TransformerConfig cfg;
   cfg.hidden = 32;
   cfg.ffn = 64;
   cfg.heads = 4;
   cfg.layers = 1;
-  const nn::TransformerEncoder enc = nn::make_encoder(cfg, 3, {}, &ctx);
+  const nn::TransformerEncoder enc = nn::make_encoder(cfg, 3, {});
   EXPECT_FALSE(enc.columns_independent());
   EXPECT_THROW(InferenceServer(enc, {}), std::invalid_argument);
 
-  const Sequential mlp = make_mlp(2, ctx);
+  const Sequential mlp = make_mlp(2);
   EXPECT_TRUE(mlp.columns_independent());
 }
 
 TEST(InferenceServer, SubmitRejectsBadShapes) {
-  ExecContext ctx;
-  const Sequential mlp = make_mlp(2, ctx);
+  const Sequential mlp = make_mlp(2);
   ServeConfig cfg;
   cfg.max_batch = 8;
   cfg.prewarm = false;  // shape validation does not need warm plans
@@ -163,8 +160,7 @@ TEST(InferenceServer, PaddedBucketsMatchSameWidthSerialPlansBitwise) {
   // VALUES must not matter (column independence at fixed width). This
   // is the exactness contract of bucket padding, checked for quantized
   // weights where accumulation order is least forgiving.
-  ExecContext build_ctx;
-  const Sequential mlp = make_mlp(2, build_ctx);
+  const Sequential mlp = make_mlp(2);
 
   ServeConfig cfg;
   cfg.max_batch = 8;
@@ -191,49 +187,14 @@ TEST(InferenceServer, PaddedBucketsMatchSameWidthSerialPlansBitwise) {
   EXPECT_EQ(server.stats().requests, 7u);
 }
 
-TEST(InferenceServer, ServedResultsMatchShareOffPlansBitwise) {
-  // The PlanPool compiles its bucket plans with activation-prep sharing
-  // on (the ModelPlan default); every served result must nonetheless be
-  // bitwise identical to a share_prep=off serial plan at the served
-  // bucket width — sharing moves the artifact build, never a bit of
-  // output, so it is invisible to serving clients.
-  ExecContext build_ctx;
-  const Sequential mlp = make_mlp(2, build_ctx);
-
-  ServeConfig cfg;
-  cfg.max_batch = 8;
-  cfg.workers = 2;
-  cfg.max_wait = std::chrono::microseconds(0);  // dispatch immediately
-  InferenceServer server(mlp, cfg);
-
-  ExecContext ref_ctx;
-  Rng rng(77);
-  for (const std::size_t w : {1u, 2u, 3u, 5u, 8u}) {
-    const Matrix x = Matrix::random_normal(kIn, w, rng);
-    Matrix y(kOut, w);
-    server.infer(x.view(), y.view());  // alone -> bucket_for(w), cols [0, w)
-
-    const std::size_t bucket = bucket_for(w);
-    Matrix xref(kIn, bucket);
-    nn::copy_into(x.view(), xref.col_block(0, w));
-    Matrix yref(kOut, bucket);
-    const ModelPlan plan(mlp, bucket, ref_ctx, /*fuse=*/true,
-                         /*share_prep=*/false);
-    plan.run(xref, yref);
-    EXPECT_TRUE(bitwise_equal(y.view(), yref.col_block(0, w)))
-        << "width " << w << " in bucket " << bucket;
-  }
-}
-
-TEST(InferenceServer, ConcurrentSubmittersMatchEagerBitwise) {
+TEST(InferenceServer, ConcurrentSubmittersMatchSerialForwardBitwise) {
   // Several submitter threads flood a coalescing 2-worker server: every
-  // request's output must be bitwise identical to the eager forward of
-  // its own columns. Pinned on the fp32 build, whose kernels are
-  // width-invariant, so the reference is exact whatever bucket and
-  // column offset the racing batcher assigned. Under TSan this is the
+  // request's output must be bitwise identical to the serial forward of
+  // its own columns at their own width. Pinned on the fp32 build, whose
+  // kernels are width-invariant, so the reference is exact whatever
+  // bucket and column offset the racing batcher assigned. Under TSan this is the
   // submit/batch/complete race stress.
-  ExecContext build_ctx;
-  const Sequential mlp = make_mlp(0, build_ctx);
+  const Sequential mlp = make_mlp(0);
 
   ServeConfig cfg;
   cfg.max_batch = 8;
@@ -241,19 +202,18 @@ TEST(InferenceServer, ConcurrentSubmittersMatchEagerBitwise) {
   cfg.max_wait = std::chrono::microseconds(100);
   InferenceServer server(mlp, cfg);
 
-  // Eager forwards share the module's build context (mutable scratch),
-  // so references are computed serially up front; the threads touch
-  // only the server.
+  // References are computed serially up front; the threads touch only
+  // the server.
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 32;
   Rng rng(100);
-  std::vector<std::vector<Matrix>> xs(kThreads), eager(kThreads);
+  std::vector<std::vector<Matrix>> xs(kThreads), serial(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
     for (std::size_t i = 0; i < kPerThread; ++i) {
       const std::size_t w = 1 + rng.next_below(4);
       xs[t].push_back(Matrix::random_normal(kIn, w, rng));
-      eager[t].emplace_back(kOut, w);
-      mlp.forward(xs[t].back().view(), eager[t].back().view());
+      serial[t].emplace_back(kOut, w);
+      mlp.forward(xs[t].back().view(), serial[t].back().view());
     }
   }
 
@@ -264,7 +224,7 @@ TEST(InferenceServer, ConcurrentSubmittersMatchEagerBitwise) {
       for (std::size_t i = 0; i < kPerThread; ++i) {
         Matrix y(kOut, xs[t][i].cols());
         server.infer(xs[t][i].view(), y.view());
-        if (!bitwise_equal(y.view(), eager[t][i].view())) ++mismatches;
+        if (!bitwise_equal(y.view(), serial[t][i].view())) ++mismatches;
       }
     });
   }
@@ -285,8 +245,7 @@ TEST(InferenceServer, CoalescedQuantizedRequestsMatchServedBucketSerialBitwise) 
   // result must be a pure function of (input columns, bucket width):
   // co-batched neighbors, pad values, column offset and worker identity
   // must all be invisible.
-  ExecContext build_ctx;
-  const Sequential mlp = make_mlp(2, build_ctx);
+  const Sequential mlp = make_mlp(2);
 
   ServeConfig cfg;
   cfg.max_batch = 8;
@@ -341,8 +300,7 @@ TEST(InferenceServer, BatcherCoalescesQueuedRequests) {
   // One worker, generous deadline: requests submitted back-to-back must
   // coalesce into far fewer dispatches than requests (this is what the
   // max_wait knob buys), and the stats must account for every column.
-  ExecContext build_ctx;
-  const Sequential mlp = make_mlp(2, build_ctx);
+  const Sequential mlp = make_mlp(2);
 
   ServeConfig cfg;
   cfg.max_batch = 8;
@@ -378,8 +336,7 @@ TEST(InferenceServer, ConcurrentPlansOnDistinctContextsMatchSerialBitwise) {
   // output must be bitwise identical to the serial single-context
   // reference — engines are immutable after construction, all mutable
   // run state lives in the context. TSan owns the race half of this.
-  ExecContext build_ctx;
-  const Sequential mlp = make_mlp(2, build_ctx);
+  const Sequential mlp = make_mlp(2);
   const std::size_t batch = 6;
 
   Rng rng(91);
@@ -423,8 +380,7 @@ TEST(InferenceServer, WarmRequestPathPerformsZeroHeapAllocations) {
   // activation-prep sharing on (the ModelPlan default), so this also
   // pins that prep-bearing plans keep the warm path allocation-free
   // across mixed bucket widths.
-  ExecContext build_ctx;
-  const Sequential mlp = make_mlp(2, build_ctx);
+  const Sequential mlp = make_mlp(2);
 
   ServeConfig cfg;
   cfg.max_batch = 8;
@@ -463,8 +419,7 @@ TEST(InferenceServer, WarmRequestPathPerformsZeroHeapAllocations) {
 TEST(InferenceServer, DestructorDrainsInFlightRequests) {
   // Destroying the server with requests in flight must complete every
   // accepted ticket with its real result — drain, not abort.
-  ExecContext build_ctx;
-  const Sequential mlp = make_mlp(0, build_ctx);
+  const Sequential mlp = make_mlp(0);
 
   constexpr std::size_t kReqs = 32;
   Rng rng(111);
@@ -492,9 +447,9 @@ TEST(InferenceServer, DestructorDrainsInFlightRequests) {
   for (std::size_t i = 0; i < kReqs; ++i) {
     EXPECT_TRUE(tickets[i]->ready()) << "request " << i << " was dropped";
     tickets[i]->wait();  // must not throw
-    Matrix eager(kOut, xs[i].cols());
-    mlp.forward(xs[i].view(), eager.view());
-    EXPECT_TRUE(bitwise_equal(ys[i].view(), eager.view()))
+    Matrix serial(kOut, xs[i].cols());
+    mlp.forward(xs[i].view(), serial.view());
+    EXPECT_TRUE(bitwise_equal(ys[i].view(), serial.view()))
         << "request " << i;
   }
 }
