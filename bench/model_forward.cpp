@@ -1,11 +1,10 @@
 // Whole-model planned execution: the ModelPlan forward (all GEMM plans
 // frozen up front with bias / activation / residual / LayerNorm folded
-// into their epilogues, shared activation prep at fan-out seats,
-// activations liveness-packed into one arena, zero-allocation warm
-// runs) for a Transformer encoder, a BiLSTM, a 4-deep stacked BiLSTM
-// pyramid and an encoder+BiLSTM+head hybrid — the last two composed
-// with nn::Sequential and compiled through the same generic module
-// walker as the single models. Run with --json to emit
+// into their epilogues, activations liveness-packed into one arena,
+// zero-allocation warm runs) for a Transformer encoder, a BiLSTM, a
+// 4-deep stacked BiLSTM pyramid and an encoder+BiLSTM+head hybrid — the
+// last two composed with nn::Sequential and compiled through the same
+// generic module walker as the single models. Run with --json to emit
 // BENCH_model_forward.json for the perf trajectory.
 //
 //   $ ./model_forward [tokens] [layers] [hidden] [--json] [--repeats N]

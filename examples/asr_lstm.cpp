@@ -1,6 +1,6 @@
 // LAS-style ASR encoder workload (paper Sec. II-C): bi-directional LSTM
-// layers whose per-step projections are large GEMVs — the b == 1 regime
-// where BiQGEMM shines. Runs a scaled LAS encoder stack fp32 vs
+// layers whose per-step recurrent projections are large GEMVs — the
+// b == 1 regime where BiQGEMM shines. Runs a scaled LAS encoder stack fp32 vs
 // quantized and reports hidden-state deviation, memory and latency.
 //
 //   $ ./asr_lstm [frames] [input_dim] [hidden] [bits]
@@ -24,10 +24,11 @@ int main(int argc, char** argv) {
               "path, scaled to laptop size)\n\n",
               frames, input_dim, hidden);
 
-  // One context + one whole-model plan per model: the per-step GEMV
-  // plans of both directions are frozen once and every step temporary
-  // (gate pre-activations, h/c state) lives in one liveness-packed
-  // arena, so the timed utterances run the warm zero-allocation path.
+  // One context + one whole-model plan per model: the projection plans
+  // of both directions are frozen once and every temporary (all frames'
+  // input projections, gate pre-activations, h/c state) lives in one
+  // liveness-packed arena, so the timed utterances run the warm
+  // zero-allocation path.
   constexpr std::uint64_t kSeedFw = 31, kSeedBw = 32;
   biq::ExecContext fp_ctx, q_ctx;
   const biq::nn::BiLstm fp(
@@ -69,8 +70,9 @@ int main(int argc, char** argv) {
                  biq::TablePrinter::fmt(t_q.median * 1e3, 2),
                  biq::TablePrinter::fmt(t_q.median * 1e3 / frames, 3)});
   std::printf("%s\n", table.to_markdown().c_str());
-  std::printf("Every LSTM step issues two batch-1 BiQGEMM calls (input and\n"
-              "recurrent projections) — the memory-bound GEMV regime of the\n"
-              "paper's Table IV, where the LUT kernel wins most.\n");
+  std::printf("Each direction runs its input projection once over all\n"
+              "frames, then one batch-1 BiQGEMM call per step (the recurrent\n"
+              "projection) — the memory-bound GEMV regime of the paper's\n"
+              "Table IV, where the LUT kernel wins most.\n");
   return 0;
 }

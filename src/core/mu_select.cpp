@@ -4,21 +4,19 @@
 
 namespace biq {
 
-double biqgemm_cost_factor(std::size_t m, unsigned mu,
-                           std::size_t fanout) noexcept {
+double biqgemm_cost_factor(std::size_t m, unsigned mu) noexcept {
   if (m == 0 || mu == 0) return 1.0;
-  const double k = fanout == 0 ? 1.0 : static_cast<double>(fanout);
   const double pow2 = std::ldexp(1.0, static_cast<int>(mu));
-  return (pow2 / k + static_cast<double>(m)) /
+  return (pow2 + static_cast<double>(m)) /
          (static_cast<double>(m) * static_cast<double>(mu));
 }
 
-unsigned select_mu(std::size_t m, unsigned max_mu, std::size_t fanout) noexcept {
+unsigned select_mu(std::size_t m, unsigned max_mu) noexcept {
   if (max_mu == 0) return 1;
   unsigned best = 1;
-  double best_cost = biqgemm_cost_factor(m, 1, fanout);
+  double best_cost = biqgemm_cost_factor(m, 1);
   for (unsigned mu = 2; mu <= max_mu; ++mu) {
-    const double cost = biqgemm_cost_factor(m, mu, fanout);
+    const double cost = biqgemm_cost_factor(m, mu);
     if (cost < best_cost) {
       best_cost = cost;
       best = mu;
@@ -49,10 +47,8 @@ double lut_query_ops(std::size_t m, std::size_t n, std::size_t b, unsigned mu,
 }
 
 double biqgemm_total_ops(std::size_t m, std::size_t n, std::size_t b,
-                         unsigned mu, unsigned bits,
-                         std::size_t fanout) noexcept {
-  const double k = fanout == 0 ? 1.0 : static_cast<double>(fanout);
-  return lut_build_ops(n, b, mu) / k + lut_query_ops(m, n, b, mu, bits);
+                         unsigned mu, unsigned bits) noexcept {
+  return lut_build_ops(n, b, mu) + lut_query_ops(m, n, b, mu, bits);
 }
 
 double gemm_total_ops(std::size_t m, std::size_t n, std::size_t b,

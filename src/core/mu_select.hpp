@@ -2,30 +2,17 @@
 // rule derived from it: for output size m, pick mu minimizing
 // (2^mu + m) / (m * mu) — the factor by which BiQGEMM's operation count
 // relates to GEMM's (Eq. 9).
-//
-// Shared activation prep extends the model with a fan-out term: when k
-// consumers (attention's Q/K/V, BiLstm's two scans) read one prepared
-// input, the 2^mu build cost divides by k while the m query cost is
-// paid per consumer — per-consumer factor (2^mu / k + m) / (m * mu).
-// A cheaper build tolerates a larger mu, so the optimal mu grows with
-// fan-out (the crossover the mu_select tests pin).
 #pragma once
 
 #include <cstddef>
 
 namespace biq {
 
-/// Eq. 9 relative-cost factor; lower is better (GEMM == 1.0). `fanout`
-/// is the number of consumers amortizing one shared build (>= 1; 1 =
-/// the unshared model).
-[[nodiscard]] double biqgemm_cost_factor(std::size_t m, unsigned mu,
-                                         std::size_t fanout = 1) noexcept;
+/// Eq. 9 relative-cost factor; lower is better (GEMM == 1.0).
+[[nodiscard]] double biqgemm_cost_factor(std::size_t m, unsigned mu) noexcept;
 
-/// argmin over mu in [1, max_mu] of the Eq. 9 factor at `fanout`
-/// consumers per build. Monotone in fanout: a shared build never
-/// prefers a smaller mu than the unshared one.
-[[nodiscard]] unsigned select_mu(std::size_t m, unsigned max_mu = 16,
-                                 std::size_t fanout = 1) noexcept;
+/// argmin over mu in [1, max_mu] of the Eq. 9 factor.
+[[nodiscard]] unsigned select_mu(std::size_t m, unsigned max_mu = 16) noexcept;
 
 /// Eq. 6: LUT-construction operation count, Tc,dp ~ 2^mu * (n/mu) * b.
 [[nodiscard]] double lut_build_ops(std::size_t n, std::size_t b,
@@ -39,13 +26,10 @@ namespace biq {
 [[nodiscard]] double lut_query_ops(std::size_t m, std::size_t n, std::size_t b,
                                    unsigned mu, unsigned bits = 1) noexcept;
 
-/// Eq. 8: total model, build + query. `fanout` amortizes the build over
-/// k consumers: per-consumer total = Tc / k + Tr (the shared-prep
-/// accounting; 1 = the paper's single-consumer model).
+/// Eq. 8: total model, build + query.
 [[nodiscard]] double biqgemm_total_ops(std::size_t m, std::size_t n,
                                        std::size_t b, unsigned mu,
-                                       unsigned bits = 1,
-                                       std::size_t fanout = 1) noexcept;
+                                       unsigned bits = 1) noexcept;
 
 /// Dense-GEMM operation count for the same product (bits-scaled).
 [[nodiscard]] double gemm_total_ops(std::size_t m, std::size_t n, std::size_t b,

@@ -24,20 +24,6 @@ class AttentionStep final : public ModuleStep {
     q_ = LinearPlan(attn.wq(), tokens, mpc.exec());
     k_ = LinearPlan(attn.wk(), tokens, mpc.exec());
     v_ = LinearPlan(attn.wv(), tokens, mpc.exec());
-    // Shared QKV activation prep: the three projections read the SAME
-    // x, so when they freeze identical activation artifacts (equal prep
-    // keys — same engine family, mu/bits, kernel plane), x's LUT /
-    // quantization is built once and consumed three times. The prep
-    // slot is acquired here and released BEFORE the score/context
-    // slots: its last reader is v_'s consume, which precedes every
-    // score write, so the planner may back the score matrix with the
-    // prep's storage. Prep-less (fp32) engines keep three independent
-    // runs.
-    share_ = shareable_prep({&q_, &k_, &v_});
-    if (share_) {
-      sprep_ = mpc.acquire(q_.prep_floats(), 1);
-      mpc.release(sprep_);
-    }
     sscores_ = mpc.acquire(tokens, tokens);
     scontext_ = mpc.acquire(attn.hidden(), tokens);
     // The requested fusion rides the output projection's epilogue: the
@@ -56,17 +42,9 @@ class AttentionStep final : public ModuleStep {
     const MatrixView q = sq_.view(base);
     const MatrixView k = sk_.view(base);
     const MatrixView v = sv_.view(base);
-    if (share_) {
-      xprep_.bind(base + sprep_.offset(), sprep_.extent());
-      q_.prepare(x, xprep_);
-      q_.run(xprep_, q);
-      k_.run(xprep_, k);
-      v_.run(xprep_, v);
-    } else {
-      q_.run(x, q);
-      k_.run(x, k);
-      v_.run(x, v);
-    }
+    q_.run(x, q);
+    k_.run(x, k);
+    v_.run(x, v);
     const MatrixView context = scontext_.view(base);
     attn_->attend(q, k, v, sscores_.view(base), context);
     if (input_residual_) {
@@ -79,12 +57,8 @@ class AttentionStep final : public ModuleStep {
  private:
   const MultiHeadAttention* attn_;
   bool input_residual_;
-  bool share_ = false;
   LinearPlan q_, k_, v_, o_;
-  ModelSlot sq_, sk_, sv_, sprep_, sscores_, scontext_;
-  // Rebound to sprep_'s arena window each run_step (one caller at a
-  // time owns a running plan, so the mutable handle is private state).
-  mutable PrepHandle xprep_;
+  ModelSlot sq_, sk_, sv_, sscores_, scontext_;
 };
 
 }  // namespace

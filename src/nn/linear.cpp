@@ -131,17 +131,6 @@ void LinearPlan::run(ConstMatrixView x, MatrixView y, ConstMatrixView residual,
   plan_->run(x, y, residual, ln_out);
 }
 
-bool shareable_prep(std::initializer_list<const LinearPlan*> plans) {
-  if (plans.size() < 2) return false;
-  auto it = plans.begin();
-  if (!(*it)->has_prep()) return false;
-  const PrepKey key = (*it)->prep_key();
-  for (++it; it != plans.end(); ++it) {
-    if (!(*it)->has_prep() || (*it)->prep_key() != key) return false;
-  }
-  return true;
-}
-
 Linear::Linear(const Matrix& w, std::vector<float> bias)
     : m_(w.rows()), n_(w.cols()), bias_(std::move(bias)) {
   check_bias(bias_, m_, "Linear");

@@ -16,7 +16,6 @@
 // buffer with zero copies.
 #pragma once
 
-#include <initializer_list>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -122,33 +121,6 @@ class LinearPlan {
   void run(ConstMatrixView x, MatrixView y, ConstMatrixView residual,
            MatrixView ln_out) const;
 
-  /// Shared-activation-prep passthrough (the GemmPlan prepare/consume
-  /// contract, see engine/gemm_engine.hpp): when several LinearPlans
-  /// report equal prep_key()s, one prepare(x, handle) feeds every
-  /// run(handle, y) — how an attention step builds the QKV input's
-  /// LUT/quantization once for all three projections.
-  [[nodiscard]] bool has_prep() const noexcept {
-    return plan_ != nullptr && plan_->has_prep();
-  }
-  [[nodiscard]] PrepKey prep_key() const noexcept {
-    return plan_ != nullptr ? plan_->prep_key() : PrepKey{};
-  }
-  [[nodiscard]] std::size_t prep_floats() const noexcept {
-    return plan_ != nullptr ? plan_->prep_floats() : 0;
-  }
-  void prepare(ConstMatrixView x, PrepHandle& prep) const {
-    plan_->prepare(x, prep);
-  }
-  void run(const PrepHandle& prep, MatrixView y) const { plan_->run(prep, y); }
-  void run(const PrepHandle& prep, MatrixView y,
-           ConstMatrixView residual) const {
-    plan_->run(prep, y, residual);
-  }
-  void run(const PrepHandle& prep, MatrixView y, ConstMatrixView residual,
-           MatrixView ln_out) const {
-    plan_->run(prep, y, residual, ln_out);
-  }
-
   [[nodiscard]] std::size_t batch() const noexcept {
     return plan_ != nullptr ? plan_->batch() : 0;
   }
@@ -156,13 +128,6 @@ class LinearPlan {
  private:
   std::unique_ptr<GemmPlan> plan_;
 };
-
-/// True when every listed plan carries an activation artifact AND all
-/// their prep_key()s compare equal — i.e. one prepare() can feed every
-/// plan in the list. False for fewer than two plans (nothing to share)
-/// and whenever any plan is prep-less (the dense engines).
-[[nodiscard]] bool shareable_prep(
-    std::initializer_list<const LinearPlan*> plans);
 
 /// fp32 layer; kernel = registry "blocked" (pre-packed blocked GEMM).
 class Linear final : public LinearLayer {

@@ -1,8 +1,9 @@
 // LSTM with pluggable projection engines — the ASR workload of the
 // paper's Sec. II-C (LAS-style bi-directional encoders with (2.5K x 5K)
-// weight matrices). The two big GEMVs per step (input and recurrent
-// projections of all four gates) run through LinearLayer, i.e. as
-// BiQGEMM when quantized; gate non-linearities stay fp32.
+// weight matrices). The input projection of all four gates runs once
+// over every frame as a batch-T GEMM, the recurrent projection as one
+// GEMV per step, both through LinearLayer, i.e. as BiQGEMM when
+// quantized; gate non-linearities stay fp32.
 #pragma once
 
 #include <memory>
@@ -18,37 +19,28 @@ namespace biq::nn {
 /// forget f, candidate g, output o (rows [0,h), [h,2h), [2h,3h), [3h,4h)).
 class LstmCell {
  public:
-  /// One direction's frozen scan over a sequence: the two GEMV plans of
-  /// the cell plus planner slots for the gate pre-activations and the
-  /// h/c state. Built by plan_scan(); the Lstm/BiLstm module steps
-  /// replay it (reverse scans run t = T-1 .. 0).
+  /// One direction's frozen scan over a sequence: the input projection
+  /// planned over all T frames, the recurrent GEMV plan, and planner
+  /// slots for the gate pre-activations and the h/c state. Built by
+  /// plan_scan(); the Lstm/BiLstm module steps replay it (reverse scans
+  /// run t = T-1 .. 0).
   class ScanPlan {
    public:
     ScanPlan() = default;
 
-    /// Returns the scan's slots to the planner (they are live only
-    /// while the owning module's step runs).
-    void release(ModulePlanContext& mpc) const;
-
-    /// x: in x T -> y: h x T, through the frozen GEMV plans and the
-    /// cell's apply_gates(). When `xpreps` is non-null it points at T
-    /// ready PrepHandles (one per frame, keyed like wx_plan()'s prep)
-    /// and the input projection consumes xpreps[t] instead of
-    /// rebuilding frame t's artifact — how BiLstm feeds both
-    /// directional scans from one prepare per frame.
-    void run(float* base, ConstMatrixView x, MatrixView y, bool reverse,
-             const PrepHandle* xpreps = nullptr) const;
-
-    /// The frozen input-projection plan (batch 1), exposed so owning
-    /// steps can probe prep compatibility and drive the shared prepare.
-    [[nodiscard]] const LinearPlan& wx_plan() const noexcept { return wx_; }
+    /// x: in x T -> y: h x T. One batch-T GEMM projects every frame
+    /// (gx = Wx.x), then each step runs the recurrent GEMV with gx's
+    /// column t as its residual and the cell's apply_gates().
+    void run(float* base, ConstMatrixView x, MatrixView y,
+             bool reverse) const;
 
    private:
     friend class LstmCell;
     const LstmCell* cell_ = nullptr;
     LinearPlan wx_, wh_;  // gate bias + gx residual ride wh's epilogue
-    ModelSlot sgx_, sgh_;  // 4h x 1 gate pre-activations
-    ModelSlot sh_, sc_;    // h x 1 hidden / cell state
+    ModelSlot sgx_;       // 4h x T input projections of every frame
+    ModelSlot sgh_;       // 4h x 1 combined gate pre-activations
+    ModelSlot sh_, sc_;   // h x 1 hidden / cell state
   };
 
   /// input_proj: (4h x in), recurrent_proj: (4h x h), bias length 4h.
@@ -74,9 +66,9 @@ class LstmCell {
     return bias_;
   }
 
-  /// Freezes one direction's scan: acquires the gate/state slots and
-  /// both GEMV plans (batch 1). The slots are left LIVE — the caller
-  /// releases via ScanPlan::release() once dependent layouts are done.
+  /// Freezes one direction's scan at mpc.batch() frames: Wx planned at
+  /// batch T, Wh at batch 1. The gate/state slots are acquired and
+  /// released here — they live only while the scan runs.
   [[nodiscard]] ScanPlan plan_scan(ModulePlanContext& mpc) const;
 
  private:
@@ -95,7 +87,8 @@ class Lstm final : public PlannableModule {
   [[nodiscard]] const LstmCell& cell() const noexcept { return cell_; }
 
   /// PlannableModule: the frozen step is one cell scan (internal slots:
-  /// gate pre-activations + h/c state, reused across all T steps).
+  /// every frame's input projection, plus the gate pre-activations and
+  /// h/c state reused across all T steps).
   [[nodiscard]] std::size_t in_rows() const noexcept override {
     return cell_.input_size();
   }
@@ -114,9 +107,8 @@ class BiLstm final : public PlannableModule {
  public:
   BiLstm(LstmCell forward_cell, LstmCell backward_cell);
 
-  /// PlannableModule: two cell scans run sequentially; when both input
-  /// projections freeze the same activation artifact, each frame's is
-  /// built once and consumed by both scans.
+  /// PlannableModule: two cell scans run sequentially, so the backward
+  /// scan's slots reuse the forward scan's storage.
   [[nodiscard]] std::size_t in_rows() const noexcept override {
     return fw_.cell().input_size();
   }

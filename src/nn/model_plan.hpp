@@ -49,10 +49,8 @@ class ModelPlan {
   /// batch, y is module.out_shape(...).rows x batch. There is one
   /// compiled program per (module, batch): bias, activation, residual
   /// and LayerNorm seams fold into producer GEMM epilogues wherever the
-  /// producer supports them, and fan-out steps — attention's Q/K/V,
-  /// BiLstm's two scans — build each shared input's activation artifact
-  /// (LUT / quantized grid / bit-planes) once and consume it from every
-  /// reader whenever the readers' prep keys match.
+  /// producer supports them. Every projection runs its own fused GEMM,
+  /// which builds each batch tile's LUTs right before querying them.
   ModelPlan(const PlannableModule& module, std::size_t batch,
             ExecContext& ctx);
 

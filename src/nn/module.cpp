@@ -1,6 +1,7 @@
 #include "nn/module.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -19,18 +20,35 @@ namespace {
 
 constexpr std::size_t kSlotAlignFloats = kDefaultAlignment / sizeof(float);
 
+// The largest arena, in floats, whose byte size still fits a size_t.
+// A multiple of the slot alignment, so rounding a size at or below it
+// up never passes it.
+constexpr std::size_t kMaxArenaFloats =
+    std::numeric_limits<std::size_t>::max() / sizeof(float) /
+    kSlotAlignFloats * kSlotAlignFloats;
+
 constexpr std::size_t round_up_floats(std::size_t v) noexcept {
   return (v + kSlotAlignFloats - 1) / kSlotAlignFloats * kSlotAlignFloats;
+}
+
+[[noreturn]] void throw_too_large(std::size_t rows, std::size_t cols) {
+  throw std::length_error("ModelPlanner::acquire: a " + std::to_string(rows) +
+                          " x " + std::to_string(cols) +
+                          " slot does not fit a size_t arena");
 }
 
 }  // namespace
 
 ModelPlanner::Slot ModelPlanner::acquire(std::size_t rows, std::size_t cols) {
+  if (cols != 0 && rows > kMaxArenaFloats / cols) throw_too_large(rows, cols);
   Slot slot;
   slot.rows_ = rows;
   slot.cols_ = cols;
   slot.extent_ = round_up_floats(rows * cols);
   if (slot.extent_ == 0) return slot;
+  // The high-water mark never passes the unpacked total, so bounding
+  // the total also bounds every offset + extent below.
+  if (slot.extent_ > kMaxArenaFloats - total_) throw_too_large(rows, cols);
   total_ += slot.extent_;
 
   // Best fit over the free intervals: the smallest hole that holds the

@@ -77,6 +77,8 @@ class ModelPlanner {
   };
 
   /// Declares a rows x cols fp32 tensor live from now until release().
+  /// Throws std::length_error naming the shape when the slot, or the
+  /// arena grown by it, has a byte size a size_t cannot hold.
   [[nodiscard]] Slot acquire(std::size_t rows, std::size_t cols);
 
   /// Ends the tensor's lifetime: its interval returns to the free list
@@ -135,10 +137,7 @@ struct StepFusion {
 /// planner, the ExecContext the frozen GemmPlans bind to, and the batch
 /// width (tokens / frames) the whole model is compiled for. The walk
 /// always folds epilogues (bias, activation, residual, LayerNorm) into
-/// producer plans where the producer supports it, and step builders
-/// with structural fan-out — several projections reading the SAME
-/// activation — build that input's LUT/quantization artifact once and
-/// consume it from every reader whenever the plans' prep keys match.
+/// producer plans where the producer supports it.
 class ModulePlanContext {
  public:
   ModulePlanContext(ModelPlanner& planner, ExecContext& ctx,
@@ -259,13 +258,6 @@ class PlannableModule {
 /// trailing LayerNorm (after any Activation fold): Linear→LN and
 /// Linear→Act→LN compile to one step whose GEMM normalizes each output
 /// column as it completes.
-///
-/// Activation-prep sharing does NOT act at this level: a chain seam has
-/// exactly one consumer per activation, so there is nothing to
-/// amortize. The sharing seats are the step builders with structural
-/// fan-out — MultiHeadAttention (Q/K/V read one x) and
-/// BiLstm (two directional scans read each frame) — which detect
-/// matching prep keys themselves.
 [[nodiscard]] std::unique_ptr<ModuleStep> plan_chain(
     const PlannableModule* const* modules, std::size_t count,
     ModulePlanContext& mpc);

@@ -78,42 +78,6 @@ TEST(CostModel, BiqgemmModelBeatsGemmModelAtPaperShapes) {
   }
 }
 
-TEST(MuSelect, FanoutShiftsCrossoverTowardLargerMu) {
-  // Shared prep divides the 2^mu build term by the consumer count, so
-  // a larger table (bigger mu) amortizes where it could not before.
-  // Per-consumer factor: (2^mu / k + m) / (m * mu).
-  EXPECT_DOUBLE_EQ(biqgemm_cost_factor(1024, 8, 3),
-                   (256.0 / 3.0 + 1024.0) / (1024.0 * 8.0));
-  // fanout = 1 (and the degenerate 0) is exactly the unshared model.
-  EXPECT_DOUBLE_EQ(biqgemm_cost_factor(1024, 8, 1),
-                   biqgemm_cost_factor(1024, 8));
-  EXPECT_DOUBLE_EQ(biqgemm_cost_factor(1024, 8, 0),
-                   biqgemm_cost_factor(1024, 8));
-
-  // The optimum never shrinks with fan-out, and at some output size it
-  // strictly grows: near the unshared crossover, dividing the build by
-  // 3 (QKV) tips the argmin to the next mu.
-  bool strictly_grew = false;
-  for (std::size_t m = 16; m <= (std::size_t{1} << 20); m *= 2) {
-    const unsigned solo = select_mu(m, 16, 1);
-    const unsigned qkv = select_mu(m, 16, 3);
-    EXPECT_GE(qkv, solo) << "m=" << m;
-    if (qkv > solo) strictly_grew = true;
-  }
-  EXPECT_TRUE(strictly_grew);
-}
-
-TEST(CostModel, TotalOpsAmortizeBuildOverFanout) {
-  // Per-consumer total = Tc / k + Tr: three consumers of one prepared
-  // input each account a third of the build.
-  const double build = lut_build_ops(1024, 4, 8);
-  const double query = lut_query_ops(2048, 1024, 4, 8, 2);
-  EXPECT_DOUBLE_EQ(biqgemm_total_ops(2048, 1024, 4, 8, 2, 3),
-                   build / 3.0 + query);
-  EXPECT_DOUBLE_EQ(biqgemm_total_ops(2048, 1024, 4, 8, 2, 1),
-                   biqgemm_total_ops(2048, 1024, 4, 8, 2));
-}
-
 TEST(CostModel, DegenerateInputs) {
   EXPECT_DOUBLE_EQ(biqgemm_cost_factor(0, 8), 1.0);
   EXPECT_DOUBLE_EQ(lut_build_ops(0, 4, 8), 0.0);

@@ -200,7 +200,6 @@ TEST(Lstm, ScanPlanRunsBothDirections) {
   ModelPlanner planner;
   ModulePlanContext mpc(planner, ctx, frames);
   const LstmCell::ScanPlan scan = lstm.cell().plan_scan(mpc);
-  scan.release(mpc);
   std::vector<float> arena(planner.peak_floats(), 0.0f);
 
   Matrix module_out(hidden, frames), planned(hidden, frames);

@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -109,6 +111,31 @@ TEST(ModelPlanner, BestFitPrefersSmallestHole) {
   EXPECT_EQ(fit.offset(), small.offset());
   (void)keep1;
   (void)keep2;
+}
+
+TEST(ModelPlanner, RejectsSlotsWhoseArenaSizeOverflows) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  ModelPlanner planner;
+  // rows * cols wraps to 0; the message names the shape.
+  try {
+    (void)planner.acquire(std::size_t{1} << 33, std::size_t{1} << 31);
+    ADD_FAILURE() << "a wrapping rows * cols was accepted";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("8589934592 x 2147483648"),
+              std::string::npos)
+        << e.what();
+  }
+  // The float count fits a size_t, its byte count does not.
+  EXPECT_THROW((void)planner.acquire(kMax / 2, 1), std::length_error);
+  // Rounding up to the slot alignment would wrap.
+  EXPECT_THROW((void)planner.acquire(kMax - 3, 1), std::length_error);
+  // Each slot fits on its own; the arena grown by both does not.
+  const ModelSlot half = planner.acquire(std::size_t{1} << 61, 1);
+  EXPECT_THROW((void)planner.acquire(std::size_t{1} << 61, 1),
+               std::length_error);
+  // A rejected acquire leaves the layout as it was.
+  EXPECT_EQ(planner.peak_floats(), half.extent());
+  EXPECT_EQ(planner.total_acquired_floats(), half.extent());
 }
 
 TEST(ModelPlanner, FuzzedAcquireReleaseKeepsLiveSlotsDisjoint) {
@@ -296,13 +323,68 @@ TEST(ModelPlan, StandaloneActivationAndLayerNormMatchReference) {
 TEST(ModelPlan, EncoderArenaIsPinned) {
   // The tiny encoder's packed arena at batch 8, in bytes: both
   // residual→LN seams ride the sub-blocks' output projections (no
-  // layer-wide residual slot), and the 2-bit build adds the shared QKV
-  // prep slab.
+  // layer-wide residual slot). No step asks its engine for anything, so
+  // the 2-bit build plans exactly the fp32 slots.
   ExecContext ctx;
   const TransformerEncoder fp = make_encoder(tiny(), 42, {});
   const TransformerEncoder q = make_encoder(tiny(), 42, quant2());
   EXPECT_EQ(ModelPlan(fp, 8, ctx).arena_bytes(), 5376u);
-  EXPECT_EQ(ModelPlan(q, 8, ctx).arena_bytes(), 36864u);
+  EXPECT_EQ(ModelPlan(q, 8, ctx).arena_bytes(), 5376u);
+}
+
+std::size_t align16(std::size_t floats) {
+  return (floats + 15) / std::size_t{16} * 16;
+}
+
+TEST(ModelPlan, AttentionArenaIsTheClosedForm) {
+  // AttentionStep's slot program (hidden h, tokens T, extents E(.)
+  // rounded up to 16 floats): q, k, v, scores and context are acquired
+  // in that order and all live until the step's end, so the peak is
+  // their sum: 4·E(h·T) + E(T·T). x and y belong to the caller.
+  const std::size_t hidden = 24, tokens = 5;
+  for (const QuantSpec& spec : {QuantSpec{}, quant2()}) {
+    Rng wrng(57);
+    auto proj = [&] {
+      return make_linear(xavier_uniform(hidden, hidden, wrng), {},
+                         spec.weight_bits);
+    };
+    const MultiHeadAttention mha(proj(), proj(), proj(), proj(), 4);
+    ExecContext ctx;
+    EXPECT_EQ(ModelPlan(mha, tokens, ctx).arena_floats(),
+              4 * align16(hidden * tokens) + align16(tokens * tokens))
+        << spec.weight_bits << "-bit";
+  }
+}
+
+TEST(ModelPlan, BiLstmArenaIsTheClosedForm) {
+  // plan_scan acquires gx (4h x T: every frame's input projection), gh
+  // (4h x 1), h and c (h x 1 each), then releases all four; the freed
+  // intervals coalesce into one hole at offset 0. The backward scan's
+  // acquires best-fit into that hole in the same order, so the two
+  // directions share storage and the peak is one scan's:
+  // E(4h·T) + E(4h) + 2·E(h).
+  const std::size_t in = 10, hidden = 6, frames = 7;
+  for (const QuantSpec& spec : {QuantSpec{}, quant2()}) {
+    const BiLstm bilstm(make_lstm_cell(in, hidden, 71, spec),
+                        make_lstm_cell(in, hidden, 72, spec));
+    ExecContext ctx;
+    EXPECT_EQ(ModelPlan(bilstm, frames, ctx).arena_floats(),
+              align16(4 * hidden * frames) + align16(4 * hidden) +
+                  2 * align16(hidden))
+        << spec.weight_bits << "-bit";
+  }
+}
+
+TEST(ModelPlan, RejectsBatchesWhoseArenaSizeOverflows) {
+  // The 16 x 2^60 seam between the two projections has 2^64 floats,
+  // which wraps a size_t; compiling must fail rather than plan an empty
+  // arena.
+  Rng wrng(58);
+  Sequential seq;
+  seq.add(make_linear(xavier_uniform(16, 16, wrng), {}, 0));
+  seq.add(make_linear(xavier_uniform(16, 16, wrng), {}, 0));
+  ExecContext ctx;
+  EXPECT_THROW(ModelPlan(seq, std::size_t{1} << 60, ctx), std::length_error);
 }
 
 TEST(ModelPlan, ChainFoldsLinearActivationAndDropsTheSlot) {
@@ -621,6 +703,14 @@ TEST(ModelPlan, SequentialHybridMatchesReference) {
         return std::make_unique<Sequential>(make_hybrid(spec, classes));
       },
       6, "encoder->bilstm->head");
+}
+
+TEST(ModelPlan, SequentialHybridArenaMatchesItsFp32Twin) {
+  ExecContext ctx;
+  const Sequential fp = make_hybrid({}, 10);
+  const Sequential q = make_hybrid(quant2(), 10);
+  EXPECT_EQ(ModelPlan(q, 6, ctx).arena_bytes(),
+            ModelPlan(fp, 6, ctx).arena_bytes());
 }
 
 TEST(ModelPlan, WarmSequentialHybridForwardPerformsZeroHeapAllocations) {

@@ -13,11 +13,9 @@
 //   * warm prepare+consume performs zero heap allocations (instrumented
 //     operator new),
 //   * the error surface: prep-less plans, not-ready handles, undersized
-//     storage, cross-family and cross-parameter key mismatches,
-// plus the nn-level seats: MHA and BiLstm ModelPlans with sharing
-// engaged match the unshared reference composition, and the MHA prep
-// slot's producer->last-consumer lifetime lets the score/context slots
-// reclaim its storage (exact arena arithmetic).
+//     storage, cross-family and cross-parameter key mismatches.
+// The nn layer does not share prep: each projection runs its own fused
+// plan (see nn_model_plan_test for the planned models).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,13 +26,10 @@
 #include <vector>
 
 #include "engine/registry.hpp"
-#include "nn/attention.hpp"
-#include "nn/lstm.hpp"
-#include "nn/model_plan.hpp"
-#include "nn/tensor.hpp"
+#include "matrix/matrix.hpp"
 #include "threading/thread_pool.hpp"
 #include "util/aligned_buffer.hpp"
-#include "nn_reference.hpp"
+#include "util/rng.hpp"
 
 // Binary-wide instrumented operator new (same pattern as tmac_test /
 // exec_context_test): counts every heap allocation so the warm
@@ -388,168 +383,3 @@ TEST(PrepErrors, MismatchedKeysAreRejected) {
 
 }  // namespace
 }  // namespace biq
-
-// ------------------------------------------------- nn sharing seats
-
-namespace biq::nn {
-namespace {
-
-std::unique_ptr<LinearLayer> quant_layer(const Matrix& w) {
-  return std::make_unique<QuantLinear>(w, std::vector<float>(), 2);
-}
-
-MultiHeadAttention make_quant_mha(std::size_t hidden, unsigned heads,
-                                  std::uint64_t seed) {
-  Rng rng(seed);
-  return MultiHeadAttention(quant_layer(xavier_uniform(hidden, hidden, rng)),
-                            quant_layer(xavier_uniform(hidden, hidden, rng)),
-                            quant_layer(xavier_uniform(hidden, hidden, rng)),
-                            quant_layer(xavier_uniform(hidden, hidden, rng)),
-                            heads);
-}
-
-// Sharing changes where the build runs, never what the consumers
-// compute: with the prep shared across Q/K/V (and across BiLstm's two
-// scans), the planned output matches the reference composition, in
-// which every projection builds its own artifact.
-TEST(NnPrepShare, SharedMhaMatchesTheUnsharedReference) {
-  const std::size_t hidden = 32, tokens = 6;
-  const MultiHeadAttention mha = make_quant_mha(hidden, 4, 53);
-  Rng rng(54);
-  const Matrix x = Matrix::random_normal(hidden, tokens, rng);
-  ExecContext ctx;
-  const ModelPlan plan(mha, tokens, ctx);
-  Matrix y(hidden, tokens);
-  plan.run(x, y);
-  reference::expect_matches_reference(y, reference::forward(mha, x), "mha");
-}
-
-TEST(NnPrepShare, SharedBiLstmMatchesTheUnsharedReference) {
-  const std::size_t in = 20, hidden = 12, frames = 5;
-  QuantSpec spec;
-  spec.weight_bits = 2;
-  const BiLstm bilstm(make_lstm_cell(in, hidden, 61, spec),
-                      make_lstm_cell(in, hidden, 62, spec));
-  Rng rng(63);
-  const Matrix x = Matrix::random_normal(in, frames, rng);
-  ExecContext ctx;
-  const ModelPlan plan(bilstm, frames, ctx);
-  Matrix y(2 * hidden, frames);
-  plan.run(x, y);
-  reference::expect_matches_reference(y, reference::forward(bilstm, x),
-                                      "bilstm");
-}
-
-// The planner lifetime pin, by exact arena arithmetic. Slot program of
-// a shared-prep MHA step (hidden h, tokens T, extents rounded to 16
-// floats): q, k, v, then the prep slot is acquired AND released (its
-// last reader precedes every score write), then scores + context —
-// whose combined extent fits inside the freed prep interval
-// -> peak = 3*E(h*T) + E(P).
-// Equality with those closed forms pins BOTH ends of the lifetime: the
-// prep slab spans producer to last consumer (it is in the arena at
-// all), and it is reclaimed after (scores/context pack into its hole
-// instead of growing the peak).
-TEST(NnPrepShare, MhaPrepSlotIsReclaimedByScoreAndContextSlots) {
-  const std::size_t hidden = 32, tokens = 8;
-  Rng rng(59);
-  const Matrix wq = xavier_uniform(hidden, hidden, rng);
-  const MultiHeadAttention mha(
-      quant_layer(wq), quant_layer(xavier_uniform(hidden, hidden, rng)),
-      quant_layer(xavier_uniform(hidden, hidden, rng)),
-      quant_layer(xavier_uniform(hidden, hidden, rng)), 4);
-
-  // The projections' prep size, probed through an identical engine
-  // build (same weights, bits, default kernel options as QuantLinear).
-  ExecContext ctx;
-  EngineConfig cfg;
-  cfg.weight_bits = 2;
-  const auto probe_engine = make_engine("biqgemm", wq, cfg);
-  const auto probe = probe_engine->plan(tokens, ctx);
-  ASSERT_TRUE(probe->has_prep());
-  const auto align16 = [](std::size_t floats) {
-    return (floats + 15) / std::size_t{16} * 16;
-  };
-  const std::size_t qkv = 3 * align16(hidden * tokens);
-  const std::size_t scores = align16(tokens * tokens);
-  const std::size_t context = align16(hidden * tokens);
-  const std::size_t prep = align16(probe->prep_floats());
-  ASSERT_GE(prep, scores + context)
-      << "shapes must make the prep hole big enough to test reclamation";
-
-  const ModelPlan plan(mha, tokens, ctx);
-  EXPECT_EQ(plan.arena_floats(), qkv + prep);
-}
-
-// fp32 projections carry no prep: sharing disengages silently — no prep
-// slot, so q, k, v, scores and context all live together
-// (peak = 4*E(h*T) + E(T*T)) — and the output still matches the
-// reference.
-TEST(NnPrepShare, PreplessProjectionsDisengageSharing) {
-  const std::size_t hidden = 24, tokens = 5;
-  Rng rng(67);
-  auto fp = [&] {
-    return std::make_unique<Linear>(xavier_uniform(hidden, hidden, rng),
-                                    std::vector<float>());
-  };
-  const MultiHeadAttention mha(fp(), fp(), fp(), fp(), 4);
-  Rng xrng(68);
-  const Matrix x = Matrix::random_normal(hidden, tokens, xrng);
-
-  ExecContext ctx;
-  const ModelPlan plan(mha, tokens, ctx);
-  const auto align16 = [](std::size_t floats) {
-    return (floats + 15) / std::size_t{16} * 16;
-  };
-  EXPECT_EQ(plan.arena_floats(),
-            4 * align16(hidden * tokens) + align16(tokens * tokens));
-  Matrix y(hidden, tokens);
-  plan.run(x, y);
-  reference::expect_matches_reference(y, reference::forward(mha, x),
-                                      "fp32 mha");
-}
-
-TEST(NnPrepShare, ShareablePrepPredicate) {
-  const std::size_t m = 16, n = 16, b = 2;
-  Rng rng(71);
-  const Matrix w1 = xavier_uniform(m, n, rng);
-  const Matrix w2 = xavier_uniform(m, n, rng);
-  ExecContext ctx;
-  const QuantLinear q1(w1, {}, 2), q2(w2, {}, 2);
-  const Linear dense(w1, {});
-  const LinearPlan p1(q1, b, ctx), p2(q2, b, ctx), pd(dense, b, ctx);
-
-  EXPECT_TRUE(shareable_prep({&p1, &p2}));
-  EXPECT_FALSE(shareable_prep({&p1}));        // nothing to share
-  EXPECT_FALSE(shareable_prep({&p1, &pd}));   // dense consumer
-  EXPECT_FALSE(shareable_prep({&pd, &p1}));   // prep-less producer
-  EXPECT_FALSE(shareable_prep({}));
-
-  // Different quantization depth freezes a different artifact.
-  const QuantLinear q3(w2, {}, 3);
-  const LinearPlan p3(q3, b, ctx);
-  EXPECT_EQ(shareable_prep({&p1, &p3}),
-            p1.prep_key() == p3.prep_key());
-}
-
-// Whole-model warm runs with sharing engaged must stay zero-allocation
-// — the prep slab lives in the plan's arena, never on the heap.
-TEST(NnPrepShare, WarmSharedModelRunsPerformZeroHeapAllocations) {
-  const std::size_t hidden = 32, tokens = 8;
-  const MultiHeadAttention mha = make_quant_mha(hidden, 4, 73);
-  Rng rng(74);
-  const Matrix x = Matrix::random_normal(hidden, tokens, rng);
-  Matrix y(hidden, tokens);
-
-  ExecContext ctx;
-  const ModelPlan plan(mha, tokens, ctx);
-  for (int i = 0; i < 2; ++i) plan.run(x, y);  // settle the arenas
-  const std::size_t arena_warm = ctx.scratch_heap_allocations();
-  const std::size_t new_warm = g_new_calls.load();
-  for (int rep = 0; rep < 3; ++rep) plan.run(x, y);
-  EXPECT_EQ(ctx.scratch_heap_allocations(), arena_warm);
-  EXPECT_EQ(g_new_calls.load(), new_warm);
-}
-
-}  // namespace
-}  // namespace biq::nn

@@ -376,10 +376,7 @@ TEST(InferenceServer, WarmRequestPathPerformsZeroHeapAllocations) {
   // allocate NOTHING anywhere in the process — submit, queue, batcher,
   // scatter, plan run, gather, ticket completion included — and must
   // never replan (stable plan-cache hits are implied by the alloc pin:
-  // a replan would allocate). The PlanPool's plans are compiled with
-  // activation-prep sharing on (the ModelPlan default), so this also
-  // pins that prep-bearing plans keep the warm path allocation-free
-  // across mixed bucket widths.
+  // a replan would allocate) across mixed bucket widths.
   const Sequential mlp = make_mlp(2);
 
   ServeConfig cfg;
