@@ -13,7 +13,6 @@
 
 #include "bench_common.hpp"
 #include "core/biqgemm.hpp"
-#include "core/biqgemm_grouped.hpp"
 #include "gemm/gemm_ref.hpp"
 #include "quant/greedy.hpp"
 #include "quant/grouped.hpp"
@@ -56,7 +55,7 @@ void study(const char* profile, const biq::Matrix& w, const biq::Matrix& x) {
                      biq::bench::us(t, 1)});
     }
     for (std::size_t group : {256u, 64u, 16u}) {
-      const biq::BiqGemmGrouped kernel(
+      const biq::BiqGemm kernel(
           biq::quantize_greedy_grouped(w, bits, group), {});
       kernel.run(x, y);
       const double t = biq::bench::median_seconds([&] { kernel.run(x, y); });

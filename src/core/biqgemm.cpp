@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "core/biqgemv.hpp"
 #include "core/lut_builder.hpp"
 #include "engine/dispatch.hpp"
 #include "engine/partition.hpp"
 #include "engine/plan_driver.hpp"
-#include "util/timer.hpp"
 
 namespace biq {
 namespace {
@@ -17,7 +17,7 @@ namespace {
 /// Per-worker scratch for one batch tile, carved from the worker's
 /// ExecContext arena — pointers are valid until that arena's next
 /// reset(), and a warm arena serves them without touching the heap.
-/// `build` false (the shared-prep consume path) skips the stage/build
+/// `build` false (the prepared-LUT consume path) skips the stage/build
 /// buffers: the LUTs arrive prebuilt, only the ytile accumulator is
 /// needed.
 struct Scratch {
@@ -59,6 +59,10 @@ void stage_x_tile(ConstMatrixView x, std::size_t c0, std::size_t lanes,
 struct KernelArgs {
   const std::vector<KeyMatrix>* keys;
   const std::vector<std::vector<float>>* alphas;
+  /// Scale columns per row and inputs per scale column: the tile whose
+  /// first table is t0 reads alphas[q][i * num_groups + t0 * mu /
+  /// group_size] (column 0 for per-row scales, where group_size = n).
+  std::size_t num_groups, group_size;
   ConstMatrixView x;
   MatrixView y;
   std::size_t m, n, b, ntables;
@@ -66,9 +70,8 @@ struct KernelArgs {
   bool use_dp;
   TilePlan plan;
   const engine::BiqKernels* kernels;  // ISA plane resolved at construction
-  BiqGemmProfile* profile;  // non-null only in single-thread runs
-  const EpilogueOp* ep;     // fused output transform (may be empty)
-  /// Non-null = shared-prep consume: the full LUT artifact, batch tile t
+  const EpilogueOp* ep;               // fused output transform (may be empty)
+  /// Non-null = prepared-LUT consume: the full LUT artifact, batch tile t
   /// at prep + t * ntables * 2^mu * plan.lanes, table g of a chunk at
   /// chunk_base + g * 2^mu * lanes (the layout build_tile emits). x is
   /// then unused and the stage/build phases are skipped.
@@ -95,17 +98,13 @@ template <typename KeyT>
 void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t lanes,
                         Scratch& scratch, ExecContext* row_ctx) {
   float* ytile = scratch.ytile;
-
-  {
-    Stopwatch w;
-    std::fill(ytile, ytile + a.m * lanes, 0.0f);
-    if (a.profile) a.profile->replace_seconds += w.elapsed_seconds();
-  }
+  std::fill(ytile, ytile + a.m * lanes, 0.0f);
 
   engine::QueryTileArgs q;
   q.keys = a.keys->data();
   q.num_planes = a.keys->size();
   q.alphas = a.alphas->empty() ? nullptr : a.alphas->data();
+  q.alpha_stride = a.num_groups;
   q.mu = a.mu;
   q.lut = scratch.lut;
   q.ytile = ytile;
@@ -123,62 +122,47 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t lanes,
     const std::size_t tcount = std::min(a.plan.tables_per_tile, a.ntables - t0);
 
     if (a.prep == nullptr) {
-      {
-        Stopwatch w;
-        stage_x_tile(a.x, c0, lanes, t0, tcount, a.mu, scratch.xt);
-        if (a.profile) a.profile->replace_seconds += w.elapsed_seconds();
-      }
-      {
-        Stopwatch w;
-        build_tile(*a.kernels, scratch.xt, scratch.lut, tcount, a.mu, lanes,
-                   a.use_dp);
-        if (a.profile) a.profile->build_seconds += w.elapsed_seconds();
-      }
+      stage_x_tile(a.x, c0, lanes, t0, tcount, a.mu, scratch.xt);
+      build_tile(*a.kernels, scratch.xt, scratch.lut, tcount, a.mu, lanes,
+                 a.use_dp);
     } else {
       // Prebuilt chunk: same table layout build_tile would have written,
       // so the query kernel is untouched and the accumulation replays
       // the fused path bit for bit.
       q.lut = prep_block + t0 * entries * lanes;
     }
-    {
-      Stopwatch w;
-      q.t0 = t0;
-      q.tcount = tcount;
-      if (row_ctx != nullptr && row_ctx->worker_count() > 1) {
-        engine::for_each_tile(*row_ctx, a.m, a.plan.row_block,
-                              [&](unsigned /*worker*/, std::size_t lo,
-                                  std::size_t hi) {
-                                engine::QueryTileArgs part = q;
-                                part.i0 = lo;
-                                part.i1 = hi;
-                                query_fn(part);
-                              });
-      } else {
-        q.i0 = 0;
-        q.i1 = a.m;
-        query_fn(q);
-      }
-      if (a.profile) a.profile->query_seconds += w.elapsed_seconds();
+    q.t0 = t0;
+    q.tcount = tcount;
+    q.alpha_offset = t0 * a.mu / a.group_size;
+    if (row_ctx != nullptr && row_ctx->worker_count() > 1) {
+      engine::for_each_tile(*row_ctx, a.m, a.plan.row_block,
+                            [&](unsigned /*worker*/, std::size_t lo,
+                                std::size_t hi) {
+                              engine::QueryTileArgs part = q;
+                              part.i0 = lo;
+                              part.i1 = hi;
+                              query_fn(part);
+                            });
+    } else {
+      q.i0 = 0;
+      q.i1 = a.m;
+      query_fn(q);
     }
   }
 
-  {
-    Stopwatch w;
-    // Write-back from the interleaved tile into y columns — the moment
-    // the tile is complete and still hot. The fused epilogue merges into
-    // the de-interleave itself (the bias add — and, for activation-free
-    // epilogues, the residual add — ride the copy's store), so fusion
-    // costs no extra pass over y; an unfused plan pays those terms as
-    // separate re-streaming passes afterwards.
-    if (a.ep->empty()) {
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        float* ycol = a.y.col(c0 + lane);
-        for (std::size_t i = 0; i < a.m; ++i) ycol[i] = ytile[i * lanes + lane];
-      }
-    } else {
-      a.ep->apply_interleaved(a.y, ytile, a.m, lanes, c0);
+  // Write-back from the interleaved tile into y columns — the moment
+  // the tile is complete and still hot. The fused epilogue merges into
+  // the de-interleave itself (the bias add — and, for activation-free
+  // epilogues, the residual add — ride the copy's store), so fusion
+  // costs no extra pass over y; an unfused plan pays those terms as
+  // separate re-streaming passes afterwards.
+  if (a.ep->empty()) {
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      float* ycol = a.y.col(c0 + lane);
+      for (std::size_t i = 0; i < a.m; ++i) ycol[i] = ytile[i * lanes + lane];
     }
-    if (a.profile) a.profile->replace_seconds += w.elapsed_seconds();
+  } else {
+    a.ep->apply_interleaved(a.y, ytile, a.m, lanes, c0);
   }
 }
 
@@ -241,7 +225,9 @@ void run_prepare_kernel(ConstMatrixView x, float* prep, std::size_t ntables,
 /// The frozen (shape, options, context) recipe behind BiqGemm::plan.
 /// Everything derivable before the activations arrive is resolved here,
 /// once: the kernel plane (construction default or ctx override), the
-/// tile geometry, and — batch > 1 — the KernelArgs skeleton.
+/// tile geometry, and — batch > 1 — the KernelArgs skeleton. With more
+/// than one scale group, a LUT tile is exactly one group, so each
+/// tile's hits share one alpha per (plane, row).
 class BiqGemmPlan final : public GemmPlan {
  public:
   BiqGemmPlan(const BiqGemm& engine, const std::vector<KeyMatrix>& keys,
@@ -251,15 +237,19 @@ class BiqGemmPlan final : public GemmPlan {
       : GemmPlan(engine.name(), engine.rows(), engine.cols(), batch, ctx,
                  epilogue),
         keys_(&keys), alphas_(&alphas), opt_(&opt), kernels_(&kernels),
+        num_groups_(engine.num_groups()), group_size_(engine.group_size()),
         tile_plan_(plan_tiles(engine.rows(), batch, opt, kernels.query_lanes)),
-        ntables_(table_count(engine.cols(), opt.mu)) {}
+        ntables_(table_count(engine.cols(), opt.mu)),
+        gemv_(batch == 1 && num_groups_ <= 1) {
+    if (num_groups_ > 1) tile_plan_.tables_per_tile = group_size_ / opt.mu;
+  }
 
  private:
   void execute(ConstMatrixView x, MatrixView y,
                const EpilogueOp& ep) const override {
-    if (batch() == 1) {
+    if (gemv_) {
       biqgemv_packed(*keys_, *alphas_, x.col(0), y.col(0), rows(), cols(),
-                     *opt_, context(), kernels_);
+                     *opt_, context(), *kernels_);
       // The GEMV kernel row-splits internally and writes y directly;
       // its accumulation is complete here, so the epilogue is one pass
       // over the single output column.
@@ -270,12 +260,14 @@ class BiqGemmPlan final : public GemmPlan {
   }
 
   [[nodiscard]] PrepKey do_prep_key() const noexcept override {
+    // Tables depend only on x, never on the scale layout, so per-row and
+    // grouped plans with equal parameters share artifacts.
     PrepKey key;
     key.kind = "biq-lut";
     key.cols = cols();
     key.batch = batch();
     key.p0 = opt_->mu;
-    if (batch() == 1) {
+    if (gemv_) {
       // GEMV builds flat tables with the scalar builders — layout equals
       // the interleaved one at a single lane, but the builder code path
       // differs, so the key does too.
@@ -298,7 +290,7 @@ class BiqGemmPlan final : public GemmPlan {
   }
 
   void do_prepare(ConstMatrixView x, float* prep) const override {
-    if (batch() == 1) {
+    if (gemv_) {
       biqgemv_prepare_packed(x.col(0), cols(), *opt_, prep);
       return;
     }
@@ -308,9 +300,9 @@ class BiqGemmPlan final : public GemmPlan {
 
   void do_consume(const float* prep, MatrixView y,
                   const EpilogueOp& ep) const override {
-    if (batch() == 1) {
+    if (gemv_) {
       biqgemv_consume_packed(*keys_, *alphas_, prep, y.col(0), rows(), cols(),
-                             *opt_, context(), kernels_);
+                             *opt_, context(), *kernels_);
       if (!ep.empty()) ep.apply(y, 0, rows(), 0, 1);
       return;
     }
@@ -322,6 +314,8 @@ class BiqGemmPlan final : public GemmPlan {
     KernelArgs args;
     args.keys = keys_;
     args.alphas = alphas_;
+    args.num_groups = num_groups_;
+    args.group_size = group_size_;
     args.x = x;
     args.y = y;
     args.m = rows();
@@ -332,7 +326,6 @@ class BiqGemmPlan final : public GemmPlan {
     args.use_dp = opt_->use_dp_builder;
     args.plan = tile_plan_;
     args.kernels = kernels_;
-    args.profile = context().worker_count() == 1 ? opt_->profile : nullptr;
     args.ep = &ep;
     args.prep = prep;
     if (opt_->mu > 8) {
@@ -346,35 +339,80 @@ class BiqGemmPlan final : public GemmPlan {
   const std::vector<std::vector<float>>* alphas_;
   const BiqGemmOptions* opt_;
   const engine::BiqKernels* kernels_;
+  std::size_t num_groups_;
+  std::size_t group_size_;
   TilePlan tile_plan_;
   std::size_t ntables_;
+  bool gemv_;  // batch 1 with per-row scales: the flat-LUT GEMV path
 };
 
 }  // namespace
 
-BiqGemm::BiqGemm(const BinaryCodes& codes, const BiqGemmOptions& opt)
-    : m_(codes.rows), n_(codes.cols), bits_(codes.bits), opt_(opt),
-      kernels_(&engine::select_kernels(opt.isa)), alphas_(codes.alphas) {
-  if (bits_ == 0 || codes.planes.size() != bits_) {
-    throw std::invalid_argument("BiqGemm: malformed BinaryCodes");
+BiqGemm::BiqGemm(std::string_view name, std::size_t rows, std::size_t cols,
+                 unsigned bits, std::span<const BinaryMatrix> planes,
+                 const std::vector<std::vector<float>>& alphas,
+                 std::size_t num_groups, std::size_t group_size,
+                 const BiqGemmOptions& opt)
+    : name_(name), m_(rows), n_(cols), bits_(bits), num_groups_(num_groups),
+      group_size_(group_size), opt_(opt),
+      kernels_(&engine::select_kernels(opt.isa)), alphas_(alphas) {
+  const std::string who(name_);
+  if (bits_ == 0 || planes.size() != bits_) {
+    throw std::invalid_argument(who + ": malformed codes (" +
+                                std::to_string(planes.size()) +
+                                " planes for " + std::to_string(bits_) +
+                                " bits)");
+  }
+  for (const BinaryMatrix& plane : planes) {
+    if (plane.rows() != m_ || plane.cols() != n_) {
+      throw std::invalid_argument(
+          who + ": plane is " + std::to_string(plane.rows()) + "x" +
+          std::to_string(plane.cols()) + ", codes are " + std::to_string(m_) +
+          "x" + std::to_string(n_));
+    }
+  }
+  if (!alphas_.empty() && alphas_.size() != bits_) {
+    throw std::invalid_argument(who + ": " + std::to_string(alphas_.size()) +
+                                " alpha vectors for " +
+                                std::to_string(bits_) + " planes");
+  }
+  for (const std::vector<float>& a : alphas_) {
+    if (a.size() != m_ * num_groups_) {
+      throw std::invalid_argument(
+          who + ": alpha vector holds " + std::to_string(a.size()) +
+          " floats, expected " + std::to_string(m_ * num_groups_));
+    }
   }
   if (opt_.mu == 0 || opt_.mu > kMaxLutUnit) {
-    throw std::invalid_argument("BiqGemm: mu must be in [1, 16]");
+    throw std::invalid_argument(who + ": mu must be in [1, 16]");
+  }
+  if (num_groups_ > 1 && group_size_ % opt_.mu != 0) {
+    throw std::invalid_argument(who + ": group_size must be a multiple of mu");
   }
   keys_.reserve(bits_);
-  for (unsigned q = 0; q < bits_; ++q) {
-    keys_.emplace_back(codes.planes[q], opt_.mu);
+  for (const BinaryMatrix& plane : planes) keys_.emplace_back(plane, opt_.mu);
+}
+
+BiqGemm::BiqGemm(const BinaryCodes& codes, const BiqGemmOptions& opt)
+    : BiqGemm("biqgemm", codes.rows, codes.cols, codes.bits, codes.planes,
+              codes.alphas, /*num_groups=*/1, /*group_size=*/codes.cols, opt) {}
+
+BiqGemm::BiqGemm(const GroupedBinaryCodes& codes, const BiqGemmOptions& opt)
+    : BiqGemm("biqgemm-grouped", codes.rows, codes.cols, codes.bits,
+              codes.planes, codes.alphas, codes.num_groups, codes.group_size,
+              opt) {
+  if (codes.group_size == 0 ||
+      num_groups_ != (n_ + codes.group_size - 1) / codes.group_size) {
+    throw std::invalid_argument(
+        "biqgemm-grouped: num_groups " + std::to_string(num_groups_) +
+        " does not cover " + std::to_string(n_) + " columns in groups of " +
+        std::to_string(codes.group_size));
   }
 }
 
 BiqGemm::BiqGemm(const BinaryMatrix& plane, const BiqGemmOptions& opt)
-    : m_(plane.rows()), n_(plane.cols()), bits_(1), opt_(opt),
-      kernels_(&engine::select_kernels(opt.isa)) {
-  if (opt_.mu == 0 || opt_.mu > kMaxLutUnit) {
-    throw std::invalid_argument("BiqGemm: mu must be in [1, 16]");
-  }
-  keys_.emplace_back(plane, opt_.mu);
-}
+    : BiqGemm("biqgemm", plane.rows(), plane.cols(), 1, {&plane, 1}, {},
+              /*num_groups=*/1, /*group_size=*/plane.cols(), opt) {}
 
 std::string_view BiqGemm::isa() const noexcept { return kernels_->isa; }
 

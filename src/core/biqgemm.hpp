@@ -8,10 +8,14 @@
 //              (Fig. 6) so queries are full vector loads
 //     query:   per output row, per plane: acc += LUT_g[key[i][g]] over
 //              the tile's tables; y_i += alpha_q[i] * acc (Algorithm 2)
+// Group-wise scales (quant/grouped.hpp) change only which alpha a tile
+// reads: with more than one scale group, one LUT tile is one group and
+// its hits are scaled by alpha_q[i][group].
 // Work: O(2^mu * n/mu * b) build + O(m * n/mu * b * bits) query — the
 // mu-fold reduction of Eq. 10 when 2^mu << m.
 #pragma once
 
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "engine/gemm_engine.hpp"
 #include "matrix/matrix.hpp"
 #include "quant/binary_codes.hpp"
+#include "quant/grouped.hpp"
 
 namespace biq {
 
@@ -30,16 +35,26 @@ struct BiqKernels;
 class BiqGemm final : public GemmEngine {
  public:
   /// Packs all planes of a quantized weight matrix. The BinaryCodes can
-  /// be discarded afterwards; inference needs only this object.
+  /// be discarded afterwards; inference needs only this object. Throws
+  /// std::invalid_argument unless every plane is rows x cols and alphas
+  /// is empty (unit scales) or holds `bits` vectors of `rows` floats.
   explicit BiqGemm(const BinaryCodes& codes, const BiqGemmOptions& opt = {});
+
+  /// Group-wise scales, registered as "biqgemm-grouped". Same checks,
+  /// with rows * num_groups floats per alpha vector; with more than one
+  /// group, opt.mu must divide group_size so no table straddles a group.
+  /// One group is exactly the per-row case above.
+  explicit BiqGemm(const GroupedBinaryCodes& codes,
+                   const BiqGemmOptions& opt = {});
 
   /// Single unscaled plane (pure {-1,+1} weights, alpha == 1): the form
   /// used by the kernel-comparison benches.
   explicit BiqGemm(const BinaryMatrix& plane, const BiqGemmOptions& opt = {});
 
   /// Freezes kernel plane (honouring ctx's ISA override), tile geometry
-  /// and scratch layout for `batch` columns. plan->run: batch == 1 takes
-  /// the GEMV fast path; otherwise batch tiles (or query rows, for small
+  /// and scratch layout for `batch` columns. plan->run: batch == 1 with
+  /// per-row scales takes the GEMV fast path; otherwise batch tiles (or
+  /// query rows, for small
   /// batches) are partitioned across ctx's pool, and all scratch is
   /// served from ctx's per-worker arenas — repeated runs on a warm
   /// context never touch the heap. The epilogue is applied on the tile
@@ -54,14 +69,18 @@ class BiqGemm final : public GemmEngine {
   [[nodiscard]] std::size_t weight_bytes() const noexcept override {
     return packed_weight_bytes();
   }
+  /// "biqgemm", or "biqgemm-grouped" when built from grouped codes.
   [[nodiscard]] std::string_view name() const noexcept override {
-    return "biqgemm";
+    return name_;
   }
   /// Kernel plane this instance dispatched to ("scalar" / "avx2") —
   /// resolved once, at construction, from cpu_features().
   [[nodiscard]] std::string_view isa() const noexcept;
   [[nodiscard]] unsigned bits() const noexcept { return bits_; }
   [[nodiscard]] unsigned mu() const noexcept { return opt_.mu; }
+  /// Inputs per scale group (cols() for per-row scales).
+  [[nodiscard]] std::size_t group_size() const noexcept { return group_size_; }
+  [[nodiscard]] std::size_t num_groups() const noexcept { return num_groups_; }
   [[nodiscard]] const BiqGemmOptions& options() const noexcept { return opt_; }
   [[nodiscard]] const KeyMatrix& keys(unsigned plane) const {
     return keys_.at(plane);
@@ -71,13 +90,24 @@ class BiqGemm final : public GemmEngine {
   [[nodiscard]] std::size_t packed_weight_bytes() const noexcept;
 
  private:
+  /// The constructor the public ones delegate to: validates and packs.
+  BiqGemm(std::string_view name, std::size_t rows, std::size_t cols,
+          unsigned bits, std::span<const BinaryMatrix> planes,
+          const std::vector<std::vector<float>>& alphas,
+          std::size_t num_groups, std::size_t group_size,
+          const BiqGemmOptions& opt);
+
+  std::string_view name_;
   std::size_t m_ = 0;
   std::size_t n_ = 0;
   unsigned bits_ = 0;
+  std::size_t num_groups_ = 1;
+  std::size_t group_size_ = 0;
   BiqGemmOptions opt_;
   const engine::BiqKernels* kernels_ = nullptr;  // selected at construction
   std::vector<KeyMatrix> keys_;
-  std::vector<std::vector<float>> alphas_;  // empty => unit scales
+  /// alphas_[q][row * num_groups_ + group]; empty => unit scales.
+  std::vector<std::vector<float>> alphas_;
 };
 
 /// One-shot convenience wrapper (packs keys, runs, discards).

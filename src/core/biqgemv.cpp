@@ -6,7 +6,6 @@
 #include "core/lut_builder.hpp"
 #include "engine/dispatch.hpp"
 #include "engine/partition.hpp"
-#include "util/timer.hpp"
 
 namespace biq {
 namespace {
@@ -40,9 +39,6 @@ void run(const std::vector<KeyMatrix>& keys,
           : std::max<std::size_t>(
                 1, opt.lut_tile_bytes / (entries * sizeof(float)));
 
-  const bool serial = ctx.worker_count() == 1;
-  BiqGemmProfile* profile = serial ? opt.profile : nullptr;
-
   const auto row_fn = [&kernels] {
     if constexpr (sizeof(KeyT) == 1) {
       return kernels.gemv_row_u8;
@@ -60,18 +56,13 @@ void run(const std::vector<KeyMatrix>& keys,
     arena.reset();
     lut = arena.alloc<float>(tile_tables * entries);
   }
-  {
-    Stopwatch w;
-    std::fill(y, y + m, 0.0f);
-    if (profile) profile->replace_seconds += w.elapsed_seconds();
-  }
+  std::fill(y, y + m, 0.0f);
 
   const bool scaled = !alphas.empty();
   for (std::size_t t0 = 0; t0 < ntables; t0 += tile_tables) {
     const std::size_t tcount = std::min(tile_tables, ntables - t0);
     const float* tile_lut;
     if (prep == nullptr) {
-      Stopwatch w;
       for (std::size_t g = 0; g < tcount; ++g) {
         const std::size_t base = (t0 + g) * mu;
         const std::size_t len = std::min<std::size_t>(mu, n - base);
@@ -81,28 +72,23 @@ void run(const std::vector<KeyMatrix>& keys,
           build_lut_mm(x + base, len, mu, lut + (g << mu));
         }
       }
-      if (profile) profile->build_seconds += w.elapsed_seconds();
       tile_lut = lut;
     } else {
       tile_lut = prep + (static_cast<std::size_t>(t0) << mu);
     }
-    {
-      Stopwatch w;
-      engine::for_each_tile(
-          ctx, m, opt.row_block,
-          [&](unsigned /*worker*/, std::size_t i0, std::size_t i1) {
-            for (std::size_t i = i0; i < i1; ++i) {
-              float total = 0.0f;
-              for (std::size_t q = 0; q < keys.size(); ++q) {
-                const float acc = row_fn(key_row<KeyT>(keys[q], i) + t0,
-                                         tcount, mu, tile_lut);
-                total += scaled ? alphas[q][i] * acc : acc;
-              }
-              y[i] += total;
+    engine::for_each_tile(
+        ctx, m, opt.row_block,
+        [&](unsigned /*worker*/, std::size_t i0, std::size_t i1) {
+          for (std::size_t i = i0; i < i1; ++i) {
+            float total = 0.0f;
+            for (std::size_t q = 0; q < keys.size(); ++q) {
+              const float acc = row_fn(key_row<KeyT>(keys[q], i) + t0,
+                                       tcount, mu, tile_lut);
+              total += scaled ? alphas[q][i] * acc : acc;
             }
-          });
-      if (profile) profile->query_seconds += w.elapsed_seconds();
-    }
+            y[i] += total;
+          }
+        });
   }
 }
 
@@ -112,30 +98,13 @@ void biqgemv_packed(const std::vector<KeyMatrix>& keys,
                     const std::vector<std::vector<float>>& alphas,
                     const float* x, float* y, std::size_t m, std::size_t n,
                     const BiqGemmOptions& opt, ExecContext& ctx,
-                    const engine::BiqKernels* kernels) {
+                    const engine::BiqKernels& kernels) {
   if (keys.empty()) return;
-  // A caller-supplied plane is trusted verbatim (BiqGemm::run already
-  // applied the ctx-override precedence); only plane-less callers
-  // resolve here, keeping the ctx.isa > opt.isa rule in one spot per
-  // entry point.
-  const engine::BiqKernels& k =
-      kernels != nullptr
-          ? *kernels
-          : engine::select_kernels(
-                ctx.isa() != KernelIsa::kAuto ? ctx.isa() : opt.isa);
   if (opt.mu > 8) {
-    run<std::uint16_t>(keys, alphas, x, y, m, n, opt, ctx, k, nullptr);
+    run<std::uint16_t>(keys, alphas, x, y, m, n, opt, ctx, kernels, nullptr);
   } else {
-    run<std::uint8_t>(keys, alphas, x, y, m, n, opt, ctx, k, nullptr);
+    run<std::uint8_t>(keys, alphas, x, y, m, n, opt, ctx, kernels, nullptr);
   }
-}
-
-void biqgemv_packed(const std::vector<KeyMatrix>& keys,
-                    const std::vector<std::vector<float>>& alphas,
-                    const float* x, float* y, std::size_t m, std::size_t n,
-                    const BiqGemmOptions& opt) {
-  biqgemv_packed(keys, alphas, x, y, m, n, opt,
-                 ExecContext::thread_default());
 }
 
 void biqgemv_prepare_packed(const float* x, std::size_t n,
@@ -162,17 +131,12 @@ void biqgemv_consume_packed(const std::vector<KeyMatrix>& keys,
                             const float* lut, float* y, std::size_t m,
                             std::size_t n, const BiqGemmOptions& opt,
                             ExecContext& ctx,
-                            const engine::BiqKernels* kernels) {
+                            const engine::BiqKernels& kernels) {
   if (keys.empty()) return;
-  const engine::BiqKernels& k =
-      kernels != nullptr
-          ? *kernels
-          : engine::select_kernels(
-                ctx.isa() != KernelIsa::kAuto ? ctx.isa() : opt.isa);
   if (opt.mu > 8) {
-    run<std::uint16_t>(keys, alphas, nullptr, y, m, n, opt, ctx, k, lut);
+    run<std::uint16_t>(keys, alphas, nullptr, y, m, n, opt, ctx, kernels, lut);
   } else {
-    run<std::uint8_t>(keys, alphas, nullptr, y, m, n, opt, ctx, k, lut);
+    run<std::uint8_t>(keys, alphas, nullptr, y, m, n, opt, ctx, kernels, lut);
   }
 }
 

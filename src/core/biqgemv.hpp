@@ -24,22 +24,15 @@ struct BiqKernels;
 /// x has length n, y length m (overwritten). `alphas` empty = unit scale.
 /// All KeyMatrix planes must share mu == opt.mu and shape m x ceil(n/mu).
 /// The LUT tile lives in ctx's worker-0 arena and the query rows are
-/// partitioned across ctx's pool. A non-null `kernels` is used verbatim
-/// (the caller already resolved any ctx override); nullptr resolves
-/// ctx.isa() when set, else opt.isa.
+/// partitioned across ctx's pool. `kernels` is the caller's resolved
+/// plane (BiqGemm's plan already applied any ctx override).
 void biqgemv_packed(const std::vector<KeyMatrix>& keys,
                     const std::vector<std::vector<float>>& alphas,
                     const float* x, float* y, std::size_t m, std::size_t n,
                     const BiqGemmOptions& opt, ExecContext& ctx,
-                    const engine::BiqKernels* kernels = nullptr);
+                    const engine::BiqKernels& kernels);
 
-/// Serial convenience overload (per-thread default context).
-void biqgemv_packed(const std::vector<KeyMatrix>& keys,
-                    const std::vector<std::vector<float>>& alphas,
-                    const float* x, float* y, std::size_t m, std::size_t n,
-                    const BiqGemmOptions& opt);
-
-/// Shared-prep split of biqgemv_packed. prepare builds the FULL flat
+/// Prepare/consume split of biqgemv_packed. prepare builds the FULL flat
 /// LUT from x (table_count(n, opt.mu) << opt.mu floats, table t at
 /// t << mu) with the same scalar builders the fused path uses per
 /// chunk; consume replays biqgemv_packed's chunked query loop against
@@ -53,6 +46,6 @@ void biqgemv_consume_packed(const std::vector<KeyMatrix>& keys,
                             const float* lut, float* y, std::size_t m,
                             std::size_t n, const BiqGemmOptions& opt,
                             ExecContext& ctx,
-                            const engine::BiqKernels* kernels = nullptr);
+                            const engine::BiqKernels& kernels);
 
 }  // namespace biq

@@ -1,5 +1,5 @@
-// Execution options, phase profiling and tile planning for the BiQGEMM
-// kernel (paper Sec. III-B tiling, Fig. 7; Sec. IV-B phase breakdown).
+// Execution options and tile planning for the BiQGEMM kernel (paper
+// Sec. III-B tiling, Fig. 7).
 #pragma once
 
 #include <cstddef>
@@ -12,21 +12,6 @@ namespace biq {
 /// explicit plane throws at construction when it is not available in
 /// this binary / on this host. See engine/dispatch.hpp.
 enum class KernelIsa { kAuto, kScalar, kAvx2, kAvx512 };
-
-/// Wall-time attribution of a kernel invocation to the three operation
-/// classes of the paper's Fig. 8. Filled only for single-threaded runs
-/// (profiling a fork-join region per phase would perturb the hot loop).
-struct BiqGemmProfile {
-  double build_seconds = 0.0;    // LUT construction (Algorithm 1)
-  double query_seconds = 0.0;    // key-indexed retrieval + accumulate
-  double replace_seconds = 0.0;  // tile staging: transposes, zeroing, writeback
-
-  void clear() noexcept { build_seconds = query_seconds = replace_seconds = 0.0; }
-
-  [[nodiscard]] double total_seconds() const noexcept {
-    return build_seconds + query_seconds + replace_seconds;
-  }
-};
 
 struct BiqGemmOptions {
   /// LUT-unit (Definition 1). 8 matches the paper's empirically optimal
@@ -50,8 +35,6 @@ struct BiqGemmOptions {
   /// Kernel plane for the build/query hot loops. Resolved to a function
   /// table once, at engine construction (see engine/dispatch.hpp).
   KernelIsa isa = KernelIsa::kAuto;
-  /// Optional phase instrumentation (see BiqGemmProfile).
-  BiqGemmProfile* profile = nullptr;
 };
 
 /// Resolved tiling geometry for one (shape, options) pair.

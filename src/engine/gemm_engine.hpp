@@ -48,8 +48,8 @@ namespace biq {
 /// input X). Weights never enter the artifact, so two plans over
 /// DIFFERENT weight matrices share one prepared X whenever their keys
 /// compare equal: equal keys promise the same artifact layout AND the
-/// same build arithmetic, bit for bit. That is what lets MHA's Q/K/V
-/// projections or BiLSTM's two scans consume a single prepare.
+/// same build arithmetic, bit for bit, so a consume against another
+/// plan's prepare is as exact as one against its own.
 struct PrepKey {
   /// Static artifact-family tag ("biq-lut", "int8-grid", "tmac-lut",
   /// "xnor-planes"); nullptr = the plan carries no activation prep.
@@ -207,10 +207,11 @@ class GemmPlan {
   // bit-planes) expose it through prepare/consume: prepare(x, handle)
   // materializes the artifact once into caller storage, and run(handle,
   // y) multiplies against it. When several plans report equal
-  // prep_key()s, one prepare feeds them all — the fan-out amortization
-  // behind shared QKV / dual-scan prep. run(x, y) remains the fused
-  // single-consumer path; both paths produce bitwise-identical outputs
-  // (consume replays execute's accumulation structure exactly).
+  // prep_key()s, one prepare can feed them all. The split is the
+  // build-vs-query seam perfbench and the benches time; `nn` runs the
+  // fused run(x, y), which builds each LUT tile next to its query. Both
+  // paths produce bitwise-identical outputs (consume replays execute's
+  // accumulation structure exactly).
 
   /// True when this plan carries an activation-side artifact at all.
   [[nodiscard]] bool has_prep() const noexcept { return prep_key().valid(); }

@@ -1,6 +1,5 @@
-// The one batch-tile execution driver the LUT engines share. BiQGEMM and
-// its group-scaled variant both orchestrate the same way — and used to
-// carry private copies of this logic (the drift risk ROADMAP flagged):
+// The batch-tile execution driver behind BiQGEMM's fused, prepare and
+// consume paths:
 //
 //   wide batch (ntiles >= workers): batch tiles write disjoint output
 //     columns, so they run embarrassingly parallel off a dynamic tile

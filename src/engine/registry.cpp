@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/biqgemm.hpp"
-#include "core/biqgemm_grouped.hpp"
 #include "gemm/gemm_blocked.hpp"
 #include "gemm/gemm_int8.hpp"
 #include "gemm/gemm_ref.hpp"
@@ -39,7 +38,7 @@ EngineRegistry::EngineRegistry() {
              cfg.group_size != 0
                  ? cfg.group_size
                  : static_cast<std::size_t>(4) * cfg.kernel.mu;
-         return std::make_unique<BiqGemmGrouped>(
+         return std::make_unique<BiqGemm>(
              quantize_greedy_grouped(w, cfg.weight_bits, group), cfg.kernel);
        }});
   add({"blocked",

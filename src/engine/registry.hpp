@@ -31,8 +31,10 @@ struct EngineConfig {
   /// at inference, so quantization is an offline step a caller may have
   /// already done — e.g. once for a whole mu sweep). When set, those
   /// factories use it verbatim (w, weight_bits and method are ignored);
-  /// it must describe the same weight matrix. Not owned; must outlive
-  /// the make() call only (engines pack their own copies).
+  /// it must describe the same weight matrix (biqgemm throws
+  /// std::invalid_argument when its planes or scales disagree with its
+  /// rows x cols). Not owned; must outlive the make() call only
+  /// (engines pack their own copies).
   const BinaryCodes* codes = nullptr;
   /// Kernel options: mu / tiling for the LUT engines, kernel.isa the
   /// construction-time ISA plane for every dispatched engine. Threading

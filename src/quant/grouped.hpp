@@ -5,7 +5,7 @@
 // at very low bit-widths. Smaller groups = lower reconstruction error =
 // more scale storage; BiQGEMM supports it natively because lookups
 // already happen per mu-sized table and scales can be applied per table
-// group (see core/biqgemm_grouped.hpp).
+// group (BiqGemm's GroupedBinaryCodes constructor, core/biqgemm.hpp).
 #pragma once
 
 #include <vector>

@@ -1,9 +1,8 @@
-// Wall-clock measurement helpers for the benchmark harness and the
-// instrumented kernel (Fig. 8 phase profiling).
+// Wall-clock stopwatch for the benchmarks and the int8 engine's
+// multiply-vs-dequantize split (Int8Gemm::run_profiled).
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace biq {
 
@@ -29,43 +28,6 @@ class Stopwatch {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Accumulates time spent in repeatedly-entered code regions; used by the
-/// instrumented BiQGEMM kernel to attribute runtime to build/query/replace
-/// phases without perturbing the hot loop (one clock read per region).
-class PhaseAccumulator {
- public:
-  void add_seconds(double s) noexcept {
-    total_ += s;
-    ++count_;
-  }
-
-  [[nodiscard]] double total_seconds() const noexcept { return total_; }
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-
-  void clear() noexcept {
-    total_ = 0.0;
-    count_ = 0;
-  }
-
- private:
-  double total_ = 0.0;
-  std::uint64_t count_ = 0;
-};
-
-/// RAII region timer feeding a PhaseAccumulator.
-class ScopedPhase {
- public:
-  explicit ScopedPhase(PhaseAccumulator& acc) noexcept : acc_(acc) {}
-  ~ScopedPhase() { acc_.add_seconds(watch_.elapsed_seconds()); }
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseAccumulator& acc_;
-  Stopwatch watch_;
 };
 
 }  // namespace biq

@@ -112,25 +112,6 @@ TEST(BiqGemm, TinyLutTileForcesManyTilePasses) {
   expect_matches_reference(c, opt);
 }
 
-TEST(BiqGemm, ProfileAccountsAllPhases) {
-  Rng rng(107);
-  Matrix w = Matrix::random_normal(256, 256, rng);
-  const BinaryCodes codes = quantize_greedy(w, 1);
-  Matrix x = Matrix::random_normal(256, 16, rng);
-  Matrix y(256, 16);
-
-  BiqGemmProfile profile;
-  BiqGemmOptions opt;
-  opt.profile = &profile;
-  biqgemm(codes, x, y, opt);
-  EXPECT_GT(profile.build_seconds, 0.0);
-  EXPECT_GT(profile.query_seconds, 0.0);
-  EXPECT_GT(profile.replace_seconds, 0.0);
-  EXPECT_GT(profile.total_seconds(), 0.0);
-  profile.clear();
-  EXPECT_EQ(profile.total_seconds(), 0.0);
-}
-
 TEST(BiqGemm, PackedWeightBytesMatchesKeyStorage) {
   Rng rng(109);
   Matrix w = Matrix::random_normal(64, 256, rng);
@@ -149,6 +130,40 @@ TEST(BiqGemm, RejectsShapeMismatch) {
   EXPECT_THROW(kernel.run(x, y), std::invalid_argument);
   Matrix x2(16, 2), y2(7, 2);
   EXPECT_THROW(kernel.run(x2, y2), std::invalid_argument);
+}
+
+// Caller codes reach the engine verbatim (EngineConfig::codes), so the
+// constructor is the only place a malformed shape can be caught before
+// the query loop indexes past a plane or a scale vector.
+TEST(BiqGemm, RejectsPlaneShapeMismatch) {
+  Rng rng(139);
+  const BinaryCodes good = quantize_greedy(Matrix::random_normal(8, 16, rng), 2);
+  BinaryCodes taller = good;
+  taller.rows = 9;  // planes stay 8 x 16
+  taller.alphas.assign(2, std::vector<float>(9, 1.0f));
+  EXPECT_THROW(BiqGemm(taller, {}), std::invalid_argument);
+  BinaryCodes wider = good;
+  wider.cols = 24;
+  EXPECT_THROW(BiqGemm(wider, {}), std::invalid_argument);
+  BinaryCodes mixed = good;
+  mixed.planes[1] = BinaryMatrix(8, 15);
+  EXPECT_THROW(BiqGemm(mixed, {}), std::invalid_argument);
+}
+
+TEST(BiqGemm, RejectsWrongAlphaVectorCount) {
+  Rng rng(149);
+  BinaryCodes codes = quantize_greedy(Matrix::random_normal(8, 16, rng), 2);
+  codes.alphas.pop_back();
+  EXPECT_THROW(BiqGemm(codes, {}), std::invalid_argument);
+  codes.alphas.clear();  // empty = unit scales, still valid
+  EXPECT_NO_THROW(BiqGemm(codes, {}));
+}
+
+TEST(BiqGemm, RejectsShortAlphaVector) {
+  Rng rng(151);
+  BinaryCodes codes = quantize_greedy(Matrix::random_normal(8, 16, rng), 2);
+  codes.alphas[1].resize(7);
+  EXPECT_THROW(BiqGemm(codes, {}), std::invalid_argument);
 }
 
 TEST(BiqGemm, RejectsInvalidMu) {

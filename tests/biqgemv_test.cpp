@@ -100,20 +100,6 @@ TEST(BiqGemv, SmallLutTileStillCorrect) {
   EXPECT_TRUE(allclose(actual, expected, 2e-3f, 2e-3f));
 }
 
-TEST(BiqGemv, ProfileCoversPhases) {
-  Rng rng(83);
-  Matrix w = Matrix::random_normal(512, 512, rng);
-  const BinaryCodes codes = quantize_greedy(w, 1);
-  Matrix x = Matrix::random_normal(512, 1, rng);
-  Matrix y(512, 1);
-  BiqGemmProfile profile;
-  BiqGemmOptions opt;
-  opt.profile = &profile;
-  BiqGemm(codes, opt).run(x, y);
-  EXPECT_GT(profile.build_seconds, 0.0);
-  EXPECT_GT(profile.query_seconds, 0.0);
-}
-
 TEST(BiqGemv, MmBuilderMatchesDp) {
   Rng rng(89);
   Matrix w = Matrix::random_normal(40, 128, rng);

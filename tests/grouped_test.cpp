@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 
-#include "core/biqgemm_grouped.hpp"
+#include "core/biqgemm.hpp"
 #include "gemm/gemm_ref.hpp"
 #include "quant/error.hpp"
 #include "quant/greedy.hpp"
@@ -93,7 +94,7 @@ TEST_P(GroupedKernelSweep, MatchesDequantizedReference) {
 
   BiqGemmOptions opt;
   opt.mu = 8;
-  const BiqGemmGrouped kernel(codes, opt);
+  const BiqGemm kernel(codes, opt);
   kernel.run(x, actual);
   EXPECT_TRUE(allclose(actual, expected, 2e-3f, 2e-3f))
       << "m=" << m << " n=" << n << " b=" << b << " group=" << group
@@ -115,7 +116,55 @@ TEST(GroupedKernel, RequiresMuDividingGroup) {
   const GroupedBinaryCodes codes = quantize_greedy_grouped(w, 1, 12);
   BiqGemmOptions opt;
   opt.mu = 8;  // 12 % 8 != 0
-  EXPECT_THROW(BiqGemmGrouped(codes, opt), std::invalid_argument);
+  EXPECT_THROW(BiqGemm(codes, opt), std::invalid_argument);
+}
+
+TEST(GroupedKernel, RejectsMalformedGroupScales) {
+  Rng rng(19);
+  const GroupedBinaryCodes good =
+      quantize_greedy_grouped(Matrix::random_normal(8, 64, rng), 2, 16);
+  GroupedBinaryCodes per_row = good;  // rows floats, not rows * num_groups
+  per_row.alphas.assign(2, std::vector<float>(8, 1.0f));
+  EXPECT_THROW(BiqGemm(per_row, {}), std::invalid_argument);
+  GroupedBinaryCodes miscounted = good;  // 64 / 16 needs 4 groups
+  miscounted.num_groups = 2;
+  miscounted.alphas.assign(2, std::vector<float>(16, 1.0f));
+  EXPECT_THROW(BiqGemm(miscounted, {}), std::invalid_argument);
+  GroupedBinaryCodes bad_plane = good;
+  bad_plane.planes[0] = BinaryMatrix(8, 48);
+  EXPECT_THROW(BiqGemm(bad_plane, {}), std::invalid_argument);
+}
+
+// One scale group is the per-row case: same planes, same alphas, so the
+// grouped engine must take the plain path bit for bit, including the
+// batch-1 GEMV. n = 512 gives 64 tables at mu 8, more than the default
+// LUT tile holds on any plane, so the plain path chunks the tables.
+TEST(GroupedKernel, OneGroupMatchesPlainBitwise) {
+  const std::size_t m = 96, n = 512;
+  Rng rng(23);
+  const Matrix w = Matrix::random_normal(m, n, rng);
+  const GroupedBinaryCodes grouped = quantize_greedy_grouped(w, 2, n);
+  ASSERT_EQ(grouped.num_groups, 1u);
+  BinaryCodes plain;
+  plain.rows = m;
+  plain.cols = n;
+  plain.bits = grouped.bits;
+  plain.planes = grouped.planes;
+  plain.alphas = grouped.alphas;
+
+  const BiqGemm one_group(grouped, {});
+  const BiqGemm per_row(plain, {});
+  EXPECT_EQ(one_group.name(), "biqgemm-grouped");
+  EXPECT_EQ(per_row.name(), "biqgemm");
+  for (const std::size_t b : {std::size_t{1}, std::size_t{8}, std::size_t{17}}) {
+    const Matrix x = Matrix::random_normal(n, b, rng);
+    Matrix y_group(m, b), y_row(m, b);
+    one_group.run(x, y_group);
+    per_row.run(x, y_row);
+    EXPECT_EQ(std::memcmp(y_group.data(), y_row.data(), m * b * sizeof(float)),
+              0)
+        << "b=" << b;
+  }
 }
 
 TEST(GroupedKernel, FinerGroupsImproveOutputAccuracy) {
@@ -127,7 +176,7 @@ TEST(GroupedKernel, FinerGroupsImproveOutputAccuracy) {
 
   auto output_error = [&](std::size_t group) {
     const GroupedBinaryCodes codes = quantize_greedy_grouped(w, 2, group);
-    const BiqGemmGrouped kernel(codes, {});
+    const BiqGemm kernel(codes, {});
     Matrix y(64, 8);
     kernel.run(x, y);
     return rel_fro_error(y, exact);
@@ -138,8 +187,8 @@ TEST(GroupedKernel, FinerGroupsImproveOutputAccuracy) {
 TEST(GroupedKernel, PackedBytesReflectGroupScaleOverhead) {
   Rng rng(17);
   Matrix w = Matrix::random_normal(32, 256, rng);
-  const BiqGemmGrouped coarse(quantize_greedy_grouped(w, 1, 256), {});
-  const BiqGemmGrouped fine(quantize_greedy_grouped(w, 1, 16), {});
+  const BiqGemm coarse(quantize_greedy_grouped(w, 1, 256), {});
+  const BiqGemm fine(quantize_greedy_grouped(w, 1, 16), {});
   EXPECT_GT(fine.packed_weight_bytes(), coarse.packed_weight_bytes());
   EXPECT_EQ(fine.group_size(), 16u);
   EXPECT_EQ(coarse.bits(), 1u);
