@@ -90,7 +90,9 @@ int main(int argc, char** argv) {
               float* yc = y.col(c);
               const float* rc = res.col(c);
               for (std::size_t i = 0; i < m; ++i) {
-                yc[i] = biq::epilogue::gelu(yc[i] + bias[i]) + rc[i];
+                yc[i] = biq::epilogue::activate(yc[i] + bias[i],
+                                                biq::EpilogueAct::kGelu) +
+                        rc[i];
               }
             }
           },

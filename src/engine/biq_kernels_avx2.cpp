@@ -1,5 +1,6 @@
 // AVX2+FMA plane of the compiled kernel hot loops (BiQGEMM
-// build/query/GEMV + the blocked dense microkernel). This file is
+// build/query/GEMV, the blocked dense microkernel, the grouped-LUT
+// kernel and the fp32 math plane). This file is
 // compiled with -mavx2 -mfma (see CMakeLists.txt) while the rest of the
 // library stays on the portable baseline; dispatch only hands out this
 // plane when the running CPU reports AVX2, so the binary as a whole
@@ -15,3 +16,4 @@
 #include "engine/biq_kernels_impl.hpp"
 #include "engine/blocked_kernels_impl.hpp"
 #include "engine/tmac_kernels_impl.hpp"
+#include "engine/math_kernels_impl.hpp"

@@ -1,5 +1,6 @@
 // Portable-baseline plane of the compiled kernel hot loops (BiQGEMM
-// build/query/GEMV + the blocked dense microkernel). Compiled WITHOUT
+// build/query/GEMV, the blocked dense microkernel, the grouped-LUT
+// kernel and the fp32 math plane). Compiled WITHOUT
 // vector flags (whatever the toolchain's baseline is), so this plane
 // runs on every host the library builds for; dispatch falls back to it
 // when cpu_features() reports no AVX2/AVX-512 or when BIQ_ISA=scalar.
@@ -11,3 +12,4 @@
 #include "engine/biq_kernels_impl.hpp"
 #include "engine/blocked_kernels_impl.hpp"
 #include "engine/tmac_kernels_impl.hpp"
+#include "engine/math_kernels_impl.hpp"

@@ -58,6 +58,22 @@ const TmacKernels* avx512_tmac_plane() noexcept {
 #endif
 }
 
+const MathKernels* avx2_math_plane() noexcept {
+#if BIQ_HAVE_AVX2_TU
+  return &kern_avx2::math_kernels();
+#else
+  return nullptr;
+#endif
+}
+
+const MathKernels* avx512_math_plane() noexcept {
+#if BIQ_HAVE_AVX512_TU
+  return &kern_avx512::math_kernels();
+#else
+  return nullptr;
+#endif
+}
+
 /// BIQ_ISA override, parsed once (empty = no override).
 KernelIsa env_override() {
   static const KernelIsa cached = [] {
@@ -145,6 +161,21 @@ const TmacKernels& select_tmac_kernels(KernelIsa isa) {
     case KernelIsa::kAvx2: return *avx2_tmac_plane();
     default: return kern_scalar::tmac_kernels();
   }
+}
+
+const MathKernels& select_math_kernels(KernelIsa isa) {
+  if (isa == KernelIsa::kAuto) return select_math_kernels(resolve_auto());
+  if (!isa_available(isa)) throw_unavailable(isa);
+  switch (isa) {
+    case KernelIsa::kAvx512: return *avx512_math_plane();
+    case KernelIsa::kAvx2: return *avx2_math_plane();
+    default: return kern_scalar::math_kernels();
+  }
+}
+
+const MathKernels& math_plane() {
+  static const MathKernels& plane = select_math_kernels(KernelIsa::kAuto);
+  return plane;
 }
 
 }  // namespace biq::engine

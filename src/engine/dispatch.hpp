@@ -7,18 +7,26 @@
 //                            toolchain supports the flag)
 //   biq_kernels_avx512.cpp — same source again with -mavx512f, widening
 //                            the batched query to 16 lanes
-// Every TU includes biq_kernels_impl.hpp (the BiQGEMM build/query/GEMV
-// loops) followed by blocked_kernels_impl.hpp (the dense packed-panel
-// microkernel), so all planes execute the *same* arithmetic in the same
-// order — LUT keys and table layouts are bitwise identical across
-// planes, and outputs agree to rounding (FMA contraction differs).
+// Every TU includes the same impl headers, one per plane below:
+//   biq_kernels_impl.hpp     — BiqKernels: BiQGEMM build/query/GEMV loops
+//   blocked_kernels_impl.hpp — BlockedKernels: dense packed-panel
+//                              microkernel
+//   tmac_kernels_impl.hpp    — TmacKernels: grouped-LUT lookup-accumulate
+//   math_kernels_impl.hpp    — MathKernels: fp32 exp, GELU / sigmoid /
+//                              tanh sweeps, column softmax and the
+//                              attention-head kernel
+// so all planes execute the *same* arithmetic in the same order — LUT
+// keys and table layouts are bitwise identical across planes, and
+// outputs agree to rounding (FMA contraction differs).
 //
-// Selection happens once, at engine construction, by probing
-// cpu_features() — never with preprocessor guards — so one binary serves
-// scalar CI runners, AVX2 hosts and AVX-512 hosts. The BIQ_ISA
+// Selection happens by probing cpu_features() — never with preprocessor
+// guards — so one binary serves scalar CI runners, AVX2 hosts and
+// AVX-512 hosts. The GEMM planes are resolved at engine construction;
+// the math plane once per process (math_plane()). The BIQ_ISA
 // environment variable ("scalar" / "avx2" / "avx512") overrides
-// auto-selection, which is how CI exercises fallback planes; an
-// ExecContext ISA override re-routes a single call the same way.
+// auto-selection for all of them, which is how CI exercises fallback
+// planes; an ExecContext ISA override re-routes a single GEMM call the
+// same way.
 #pragma once
 
 #include <cstddef>
@@ -130,6 +138,32 @@ struct TmacKernels {
   void (*accumulate_tile)(const TmacTileArgs&) = nullptr;
 };
 
+/// Per-ISA plane of the fp32 math outside the GEMMs. Every sweep maps
+/// dst[i] = f(src[i]) over [0, n) (src == dst allowed) and gives each
+/// element the same bits wherever it falls in the sweep: tails run the
+/// vector body masked, never a separate scalar formula.
+struct MathKernels {
+  const char* isa = "";
+  /// e^x: within 2 ulp of std::exp on normal results; +Inf past ~88.72,
+  /// +0 below -104, NaN in gives NaN out (so do the sweeps below).
+  void (*exp)(const float* src, float* dst, std::size_t n) = nullptr;
+  /// tanh-approximation GELU (BERT-family), evaluated as
+  /// x / (1 + e^(-2u)), u = sqrt(2/pi) (x + 0.044715 x^3).
+  void (*gelu)(const float* src, float* dst, std::size_t n) = nullptr;
+  void (*sigmoid)(const float* src, float* dst, std::size_t n) = nullptr;
+  void (*tanh)(const float* src, float* dst, std::size_t n) = nullptr;
+  /// Numerically-stable softmax of one contiguous column of n values,
+  /// in place.
+  void (*softmax)(float* col, std::size_t n) = nullptr;
+  /// One attention head over head_dim x t strided views:
+  /// scores(:, j) = softmax(scale * K^T q_j) for every query column j,
+  /// then context(:, j) = V . scores(:, j). scores (t x t) and context
+  /// are overwritten; q, k and v are read in place.
+  void (*attend_head)(ConstMatrixView q, ConstMatrixView k,
+                      ConstMatrixView v, float scale, MatrixView scores,
+                      MatrixView context) = nullptr;
+};
+
 /// True when the plane is linked into this binary.
 [[nodiscard]] bool isa_compiled(KernelIsa isa) noexcept;
 
@@ -147,17 +181,27 @@ struct TmacKernels {
 /// Same resolution rules for the grouped-LUT lookup-accumulate plane.
 [[nodiscard]] const TmacKernels& select_tmac_kernels(KernelIsa isa);
 
+/// Same resolution rules for the math plane.
+[[nodiscard]] const MathKernels& select_math_kernels(KernelIsa isa);
+
+/// The math plane every caller outside the GEMM engines uses: resolved
+/// once per process by select_math_kernels(KernelIsa::kAuto), so it
+/// honours BIQ_ISA but not a per-call ExecContext override.
+[[nodiscard]] const MathKernels& math_plane();
+
 // Per-TU entry points (used by dispatch.cpp and the dispatch tests).
 namespace kern_scalar {
 [[nodiscard]] const BiqKernels& kernels() noexcept;
 [[nodiscard]] const BlockedKernels& blocked_kernels() noexcept;
 [[nodiscard]] const TmacKernels& tmac_kernels() noexcept;
+[[nodiscard]] const MathKernels& math_kernels() noexcept;
 }
 #if BIQ_HAVE_AVX2_TU
 namespace kern_avx2 {
 [[nodiscard]] const BiqKernels& kernels() noexcept;
 [[nodiscard]] const BlockedKernels& blocked_kernels() noexcept;
 [[nodiscard]] const TmacKernels& tmac_kernels() noexcept;
+[[nodiscard]] const MathKernels& math_kernels() noexcept;
 }
 #endif
 #if BIQ_HAVE_AVX512_TU
@@ -165,6 +209,7 @@ namespace kern_avx512 {
 [[nodiscard]] const BiqKernels& kernels() noexcept;
 [[nodiscard]] const BlockedKernels& blocked_kernels() noexcept;
 [[nodiscard]] const TmacKernels& tmac_kernels() noexcept;
+[[nodiscard]] const MathKernels& math_kernels() noexcept;
 }
 #endif
 

@@ -12,9 +12,12 @@
 // accumulation is complete. Because the transform is per-element, an
 // engine may apply it per tile, per panel, per column or over the whole
 // output — the result is bitwise identical to one full pass over y
-// through the SAME inline functions below (what a standalone
+// through the SAME activate_sweep() below (what a standalone
 // nn::Activation step runs), so fused and separate-sweep runs agree
-// bit for bit.
+// bit for bit. The transcendentals run on the per-ISA math plane
+// (engine/dispatch.hpp), whose sweeps give an element the same bits
+// wherever it falls in a sweep — so a row tile, a whole column and a
+// single element all agree.
 //
 // The residual operand is a run-time binding: plan-time Epilogue carries
 // only the *intent* (`residual = true`); the actual view arrives with
@@ -37,6 +40,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "engine/dispatch.hpp"
 #include "matrix/view.hpp"
 
 namespace biq {
@@ -47,36 +51,33 @@ enum class EpilogueAct : std::uint8_t { kNone, kRelu, kGelu, kSigmoid, kTanh };
 
 namespace epilogue {
 
-// The single source of truth for activation arithmetic: the standalone
-// nn::Activation step and every engine epilogue call these same inline
-// functions, so fused and separate-pass execution are bitwise identical
-// by construction.
-
-[[nodiscard]] inline float relu(float v) noexcept {
-  return v > 0.0f ? v : 0.0f;
-}
-
-/// tanh-approximation GELU (as used by BERT-family models).
-[[nodiscard]] inline float gelu(float v) noexcept {
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-  return 0.5f * v * (1.0f + std::tanh(inner));
-}
-
-[[nodiscard]] inline float sigmoid(float v) noexcept {
-  return 1.0f / (1.0f + std::exp(-v));
-}
-
-[[nodiscard]] inline float tanh(float v) noexcept { return std::tanh(v); }
-
-[[nodiscard]] inline float activate(float v, EpilogueAct act) noexcept {
+/// dst[i] = act(src[i]) over [0, n) (src == dst allowed): the single
+/// source of truth for activation arithmetic. The standalone
+/// nn::Activation step and every engine epilogue run this sweep, so
+/// fused and separate-pass execution are bitwise identical by
+/// construction. GELU, sigmoid and tanh run on the math plane.
+inline void activate_sweep(const float* src, float* dst, std::size_t n,
+                           EpilogueAct act) noexcept {
   switch (act) {
-    case EpilogueAct::kNone: return v;
-    case EpilogueAct::kRelu: return relu(v);
-    case EpilogueAct::kGelu: return gelu(v);
-    case EpilogueAct::kSigmoid: return sigmoid(v);
-    case EpilogueAct::kTanh: return tanh(v);
+    case EpilogueAct::kNone:
+      for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
+      return;
+    case EpilogueAct::kRelu:
+      for (std::size_t i = 0; i < n; ++i) {
+        dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
+      }
+      return;
+    case EpilogueAct::kGelu: engine::math_plane().gelu(src, dst, n); return;
+    case EpilogueAct::kSigmoid:
+      engine::math_plane().sigmoid(src, dst, n);
+      return;
+    case EpilogueAct::kTanh: engine::math_plane().tanh(src, dst, n); return;
   }
+}
+
+/// One element through the same sweep.
+[[nodiscard]] inline float activate(float v, EpilogueAct act) noexcept {
+  activate_sweep(&v, &v, 1, act);
   return v;
 }
 
@@ -141,11 +142,8 @@ struct Epilogue {
 };
 
 /// The per-run epilogue functor engines apply: the plan's frozen
-/// Epilogue bound to this run's residual operand. Engines that
-/// transform values on write-back call operator(); engines that
-/// accumulate directly into y call apply() over the region they just
-/// finished. Both spell the same per-element arithmetic, so the choice
-/// is invisible in the output.
+/// Epilogue bound to this run's residual operand. Engines call apply()
+/// (or apply_interleaved()) over the region they just finished.
 class EpilogueOp {
  public:
   EpilogueOp() = default;
@@ -171,26 +169,13 @@ class EpilogueOp {
            ln_gamma_ == nullptr;
   }
 
-  /// y(row, col) = act(v + bias[row]) + residual(row, col).
-  float operator()(float v, std::size_t row, std::size_t col) const noexcept {
-    if (bias_ != nullptr) v += bias_[row];
-    v = epilogue::activate(v, act_);
-    if (has_residual_) v += residual_(row, col);
-    return v;
-  }
-
   /// In-place transform of y's rows [i0, i1) x cols [c0, c1) — the form
   /// engines that accumulate straight into y use once a region's
   /// accumulation is complete. Each column is staged: bias add, then the
-  /// activation, then the residual add, each its own loop over the
-  /// (cache-hot) range. The adds vectorize; the activation loop is pure
-  /// libm calls with nothing serialized behind them — measurably faster
-  /// than one scalar loop doing all three, because a load+add cannot
-  /// overlap across a tanh/exp call boundary. Staging preserves the
-  /// arithmetic order exactly (store of v+bias, act of the stored value,
-  /// store of the residual sum), so the result stays bitwise identical
-  /// to the single-pass `act(v + bias) + residual` form operator()
-  /// computes.
+  /// activation sweep, then the residual add, each its own loop over the
+  /// (cache-hot) range, so the adds vectorize and the activation runs
+  /// as one math-plane sweep. Staging preserves the per-element order
+  /// `act(v + bias) + residual` exactly.
   void apply(MatrixView y, std::size_t i0, std::size_t i1, std::size_t c0,
              std::size_t c1) const noexcept {
     for (std::size_t c = c0; c < c1; ++c) {
@@ -211,7 +196,7 @@ class EpilogueOp {
       if (bias_ != nullptr) {
         for (std::size_t i = i0; i < i1; ++i) yc[i] += bias_[i];
       }
-      act_sweep(yc, i0, i1);
+      epilogue::activate_sweep(yc + i0, yc + i0, i1 - i0, act_);
       if (rc != nullptr) {
         for (std::size_t i = i0; i < i1; ++i) yc[i] += rc[i];
       }
@@ -252,7 +237,7 @@ class EpilogueOp {
       } else {
         for (std::size_t i = 0; i < m; ++i) yc[i] = src[i * lanes];
       }
-      act_sweep(yc, 0, m);
+      epilogue::activate_sweep(yc, yc, m, act_);
       if (rc != nullptr) {
         for (std::size_t i = 0; i < m; ++i) yc[i] += rc[i];
       }
@@ -283,27 +268,6 @@ class EpilogueOp {
         epilogue::layernorm_col(src, dst, total_rows_, ln_gamma_, ln_beta_,
                                 ln_eps_);
       }
-    }
-  }
-
-  template <typename ActFn>
-  static void act_loop(float* yc, std::size_t i0, std::size_t i1,
-                       ActFn act) noexcept {
-    for (std::size_t i = i0; i < i1; ++i) yc[i] = act(yc[i]);
-  }
-
-  /// The pure activation sweep over one column range (see apply() on why
-  /// it runs as its own loop). kNone is a no-op; callers handle the
-  /// activation-free fast paths themselves.
-  void act_sweep(float* yc, std::size_t i0, std::size_t i1) const noexcept {
-    switch (act_) {
-      case EpilogueAct::kNone: break;
-      case EpilogueAct::kRelu: act_loop(yc, i0, i1, epilogue::relu); break;
-      case EpilogueAct::kGelu: act_loop(yc, i0, i1, epilogue::gelu); break;
-      case EpilogueAct::kSigmoid:
-        act_loop(yc, i0, i1, epilogue::sigmoid);
-        break;
-      case EpilogueAct::kTanh: act_loop(yc, i0, i1, epilogue::tanh); break;
     }
   }
 

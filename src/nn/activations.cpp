@@ -1,23 +1,11 @@
 #include "nn/activations.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace biq::nn {
 
 void softmax_columns(MatrixView x) noexcept {
-  for (std::size_t c = 0; c < x.cols(); ++c) {
-    float* col = x.col(c);
-    float peak = col[0];
-    for (std::size_t i = 1; i < x.rows(); ++i) peak = std::max(peak, col[i]);
-    float sum = 0.0f;
-    for (std::size_t i = 0; i < x.rows(); ++i) {
-      col[i] = std::exp(col[i] - peak);
-      sum += col[i];
-    }
-    const float inv = 1.0f / sum;
-    for (std::size_t i = 0; i < x.rows(); ++i) col[i] *= inv;
-  }
+  if (x.rows() == 0) return;
+  const engine::MathKernels& math = engine::math_plane();
+  for (std::size_t c = 0; c < x.cols(); ++c) math.softmax(x.col(c), x.rows());
 }
 
 // ------------------------------------------------------------- Activation
@@ -34,11 +22,7 @@ class ActivationStep final : public ModuleStep {
                 MatrixView y) const override {
     const EpilogueAct act = to_epilogue_act(act_);
     for (std::size_t c = 0; c < x.cols(); ++c) {
-      const float* src = x.col(c);
-      float* dst = y.col(c);
-      for (std::size_t i = 0; i < x.rows(); ++i) {
-        dst[i] = epilogue::activate(src[i], act);
-      }
+      epilogue::activate_sweep(x.col(c), y.col(c), x.rows(), act);
     }
   }
 

@@ -2,9 +2,11 @@
 // throughout (the paper quantizes weights only; Sec. II argues activation
 // quantization costs accuracy and on-the-fly conversion work).
 //
-// The scalar math lives in engine/epilogue.hpp so a non-linearity fused
-// into a GEMM plan's output loop and a standalone Activation step are
-// THE SAME arithmetic — bitwise, not approximately.
+// The activation sweep lives in engine/epilogue.hpp so a non-linearity
+// fused into a GEMM plan's output loop and a standalone Activation step
+// are THE SAME arithmetic — bitwise, not approximately. Both, and the
+// softmax below, run their transcendentals on the per-ISA math plane
+// (engine/dispatch.hpp), one vectorized exp shared by every caller.
 #pragma once
 
 #include "engine/epilogue.hpp"
@@ -28,7 +30,8 @@ enum class Act { kRelu, kGelu, kSigmoid, kTanh };
 }
 
 /// Numerically-stable softmax over the rows of each column (columns are
-/// independent distributions) — the attention-weight normalization.
+/// independent distributions) — the attention-weight normalization. A
+/// view with no rows is a no-op.
 void softmax_columns(MatrixView x) noexcept;
 
 /// Element-wise activation as a module: y(i, c) = act(x(i, c)), with

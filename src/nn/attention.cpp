@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/activations.hpp"
+#include "engine/dispatch.hpp"
 #include "nn/layernorm.hpp"
 
 namespace biq::nn {
@@ -118,37 +118,14 @@ void MultiHeadAttention::attend(ConstMatrixView q, ConstMatrixView k,
     throw std::invalid_argument("MultiHeadAttention::attend: shape mismatch");
   }
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  context.set_zero();
-
+  const engine::MathKernels& math = engine::math_plane();
   for (unsigned h = 0; h < heads_; ++h) {
     // Each head is a strided row window of the packed projections — it
     // never exists as its own dense buffer.
     const std::size_t r0 = h * head_dim_;
-    const ConstMatrixView qh = q.block(r0, head_dim_, 0, t);
-    const ConstMatrixView kh = k.block(r0, head_dim_, 0, t);
-    const ConstMatrixView vh = v.block(r0, head_dim_, 0, t);
-    const MatrixView ch = context.block(r0, head_dim_, 0, t);
-
-    // scores(key_tok, query_tok) = <Q_h[:, query], K_h[:, key]> / sqrt(d)
-    for (std::size_t qt = 0; qt < t; ++qt) {
-      const float* qcol = qh.col(qt);
-      for (std::size_t kt = 0; kt < t; ++kt) {
-        const float* kcol = kh.col(kt);
-        float dot = 0.0f;
-        for (std::size_t d = 0; d < head_dim_; ++d) dot += qcol[d] * kcol[d];
-        scores(kt, qt) = dot * inv_sqrt_d;
-      }
-    }
-    softmax_columns(scores);
-    // context_h[:, query] = sum_key V_h[:, key] * scores(key, query)
-    for (std::size_t qt = 0; qt < t; ++qt) {
-      float* out = ch.col(qt);
-      for (std::size_t kt = 0; kt < t; ++kt) {
-        const float wgt = scores(kt, qt);
-        const float* vcol = vh.col(kt);
-        for (std::size_t d = 0; d < head_dim_; ++d) out[d] += wgt * vcol[d];
-      }
-    }
+    math.attend_head(q.block(r0, head_dim_, 0, t), k.block(r0, head_dim_, 0, t),
+                     v.block(r0, head_dim_, 0, t), inv_sqrt_d, scores,
+                     context.block(r0, head_dim_, 0, t));
   }
 }
 

@@ -43,10 +43,12 @@ class MultiHeadAttention final : public PlannableModule {
       ModulePlanContext& mpc, const StepFusion& fusion) const override;
 
   /// The fp32 attention math over already-projected activations: per
-  /// head h, scores = softmax(Q_h^T K_h / sqrt(d)) column-wise, then
+  /// head h, scores = softmax(K_h^T Q_h / sqrt(d)) column-wise, then
   /// context_h = V_h . scores. q/k/v: hidden x T; scores: T x T scratch
-  /// (overwritten); context: hidden x T (overwritten). The planned step
-  /// runs this routine over arena slots.
+  /// (overwritten); context: hidden x T (overwritten). Each head runs
+  /// the math plane's attention-head kernel on strided row windows of
+  /// q/k/v (engine/dispatch.hpp). The planned step runs this routine
+  /// over arena slots.
   void attend(ConstMatrixView q, ConstMatrixView k, ConstMatrixView v,
               MatrixView scores, MatrixView context) const;
 

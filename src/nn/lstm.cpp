@@ -1,9 +1,9 @@
 #include "nn/lstm.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 
-#include "engine/epilogue.hpp"
+#include "engine/dispatch.hpp"
 #include "nn/tensor.hpp"
 
 namespace biq::nn {
@@ -25,13 +25,22 @@ LstmCell::LstmCell(std::unique_ptr<LinearLayer> input_proj,
 
 void LstmCell::apply_gates(const float* pre, float* h,
                            float* c) const noexcept {
-  for (std::size_t j = 0; j < hidden_; ++j) {
-    const float gi = epilogue::sigmoid(pre[j]);
-    const float gf = epilogue::sigmoid(pre[hidden_ + j]);
-    const float gg = std::tanh(pre[2 * hidden_ + j]);
-    const float go = epilogue::sigmoid(pre[3 * hidden_ + j]);
-    c[j] = gf * c[j] + gi * gg;
-    h[j] = go * std::tanh(c[j]);
+  // Gate activations run as math-plane sweeps over stack chunks; the
+  // sweeps are position independent, so chunking does not move a bit.
+  constexpr std::size_t kChunk = 64;
+  const engine::MathKernels& math = engine::math_plane();
+  float gi[kChunk] = {}, gf[kChunk] = {}, gg[kChunk] = {}, go[kChunk] = {};
+  for (std::size_t j0 = 0; j0 < hidden_; j0 += kChunk) {
+    const std::size_t n = std::min(kChunk, hidden_ - j0);
+    math.sigmoid(pre + j0, gi, n);
+    math.sigmoid(pre + hidden_ + j0, gf, n);
+    math.tanh(pre + 2 * hidden_ + j0, gg, n);
+    math.sigmoid(pre + 3 * hidden_ + j0, go, n);
+    float* cj = c + j0;
+    float* hj = h + j0;
+    for (std::size_t j = 0; j < n; ++j) cj[j] = gf[j] * cj[j] + gi[j] * gg[j];
+    math.tanh(cj, hj, n);
+    for (std::size_t j = 0; j < n; ++j) hj[j] *= go[j];
   }
 }
 

@@ -44,9 +44,9 @@ TEST(Activations, SigmoidKnownValues) {
   Matrix x = filled({0.0f}, 1, 1);
   x = activated(x, Act::kSigmoid);
   EXPECT_FLOAT_EQ(x(0, 0), 0.5f);
-  EXPECT_FLOAT_EQ(epilogue::sigmoid(0.0f), 0.5f);
-  EXPECT_NEAR(epilogue::sigmoid(100.0f), 1.0f, 1e-6f);
-  EXPECT_NEAR(epilogue::sigmoid(-100.0f), 0.0f, 1e-6f);
+  EXPECT_FLOAT_EQ(epilogue::activate(0.0f, EpilogueAct::kSigmoid), 0.5f);
+  EXPECT_NEAR(epilogue::activate(100.0f, EpilogueAct::kSigmoid), 1.0f, 1e-6f);
+  EXPECT_NEAR(epilogue::activate(-100.0f, EpilogueAct::kSigmoid), 0.0f, 1e-6f);
 }
 
 TEST(Activations, TanhMatchesStd) {
@@ -163,6 +163,15 @@ TEST(Softmax, ExtremeLogitsProduceNoNaN) {
   }
   EXPECT_NEAR(sum, 1.0f, 1e-6f);
   EXPECT_NEAR(x(0, 0), 1.0f, 1e-6f);  // the dominant logit takes all
+}
+
+TEST(Softmax, ZeroRowColumnsAreANoOp) {
+  // Columns with no rows hold no distribution; a 0-row matrix has no
+  // storage, so nothing may be read through its column pointers.
+  Matrix x(0, 3);
+  softmax_columns(x);
+  EXPECT_EQ(x.rows(), 0u);
+  EXPECT_EQ(x.cols(), 3u);
 }
 
 TEST(LayerNorm, NormalizesToZeroMeanUnitVar) {

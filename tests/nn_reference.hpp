@@ -1,9 +1,10 @@
 // Test-only reference composition for the nn modules — the oracle the
 // compiled ModelPlan is checked against. Every projection runs its
 // layer's bare engine plan (empty epilogue); bias, activation, residual,
-// the LSTM gates and the direction concat then run as plain loops, and
-// attention / LayerNorm through their one shared math routine
-// (MultiHeadAttention::attend, epilogue::layernorm_col). Nothing here
+// the attention core (scores, softmax, context), the LSTM gates and the
+// direction concat then run as plain loops over std:: functions, so the
+// oracle shares no code with the math plane under test. LayerNorm runs
+// through its one shared routine (epilogue::layernorm_col). Nothing here
 // folds, shares prep or packs an arena, so it shares no fusion, prep or
 // liveness logic with the planner; it also makes no attempt to follow
 // the fused operand order — compare with expect_matches_reference
@@ -34,11 +35,40 @@ inline Matrix linear(const LinearLayer& layer, ConstMatrixView x,
   return y;
 }
 
+inline float sigmoid(float v) { return 1.0f / (1.0f + std::exp(-v)); }
+
+inline float activate(float v, Act act) {
+  switch (act) {
+    case Act::kRelu: return v > 0.0f ? v : 0.0f;
+    case Act::kGelu: {
+      const float inner = 0.7978845608028654f * (v + 0.044715f * v * v * v);
+      return 0.5f * v * (1.0f + std::tanh(inner));
+    }
+    case Act::kSigmoid: return sigmoid(v);
+    case Act::kTanh: return std::tanh(v);
+  }
+  return v;
+}
+
 inline void activate(Matrix& y, Act act) {
   for (std::size_t c = 0; c < y.cols(); ++c) {
     for (std::size_t i = 0; i < y.rows(); ++i) {
-      y(i, c) = epilogue::activate(y(i, c), to_epilogue_act(act));
+      y(i, c) = activate(y(i, c), act);
     }
+  }
+}
+
+/// Softmax over the rows of each column, max-shifted.
+inline void softmax_columns(Matrix& s) {
+  for (std::size_t c = 0; c < s.cols(); ++c) {
+    float peak = s(0, c);
+    for (std::size_t i = 1; i < s.rows(); ++i) peak = std::max(peak, s(i, c));
+    float sum = 0.0f;
+    for (std::size_t i = 0; i < s.rows(); ++i) {
+      s(i, c) = std::exp(s(i, c) - peak);
+      sum += s(i, c);
+    }
+    for (std::size_t i = 0; i < s.rows(); ++i) s(i, c) /= sum;
   }
 }
 
@@ -63,8 +93,26 @@ inline Matrix attention(const MultiHeadAttention& a, ConstMatrixView x,
   const Matrix q = linear(a.wq(), x, ctx);
   const Matrix k = linear(a.wk(), x, ctx);
   const Matrix v = linear(a.wv(), x, ctx);
-  Matrix scores(x.cols(), x.cols()), context(a.hidden(), x.cols());
-  a.attend(q, k, v, scores, context);
+  const std::size_t t = x.cols(), hd = a.head_dim();
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  Matrix scores(t, t), context(a.hidden(), t);
+  for (std::size_t r0 = 0; r0 < a.hidden(); r0 += hd) {
+    for (std::size_t qt = 0; qt < t; ++qt) {
+      for (std::size_t kt = 0; kt < t; ++kt) {
+        float dot = 0.0f;
+        for (std::size_t i = r0; i < r0 + hd; ++i) dot += q(i, qt) * k(i, kt);
+        scores(kt, qt) = dot * scale;
+      }
+    }
+    softmax_columns(scores);
+    for (std::size_t qt = 0; qt < t; ++qt) {
+      for (std::size_t i = r0; i < r0 + hd; ++i) {
+        float acc = 0.0f;
+        for (std::size_t kt = 0; kt < t; ++kt) acc += v(i, kt) * scores(kt, qt);
+        context(i, qt) = acc;
+      }
+    }
+  }
   return linear(a.wo(), context, ctx);
 }
 
@@ -90,7 +138,6 @@ inline Matrix lstm(const LstmCell& cell, ConstMatrixView x, bool reverse,
                    ExecContext& ctx) {
   const std::size_t hid = cell.hidden_size(), frames = x.cols();
   Matrix y(hid, frames), h(hid, 1), c(hid, 1);
-  const auto sig = [](float v) { return 1.0f / (1.0f + std::exp(-v)); };
   for (std::size_t s = 0; s < frames; ++s) {
     const std::size_t t = reverse ? frames - 1 - s : s;
     Matrix pre = linear(cell.wx(), x.col_block(t, 1), ctx);
@@ -99,9 +146,9 @@ inline Matrix lstm(const LstmCell& cell, ConstMatrixView x, bool reverse,
       pre(j, 0) += cell.gate_bias()[j];
     }
     for (std::size_t j = 0; j < hid; ++j) {
-      c(j, 0) = sig(pre(hid + j, 0)) * c(j, 0) +
-                sig(pre(j, 0)) * std::tanh(pre(2 * hid + j, 0));
-      h(j, 0) = sig(pre(3 * hid + j, 0)) * std::tanh(c(j, 0));
+      c(j, 0) = sigmoid(pre(hid + j, 0)) * c(j, 0) +
+                sigmoid(pre(j, 0)) * std::tanh(pre(2 * hid + j, 0));
+      h(j, 0) = sigmoid(pre(3 * hid + j, 0)) * std::tanh(c(j, 0));
       y(j, t) = h(j, 0);
     }
   }
