@@ -33,7 +33,8 @@ void build_lut_mm(const float* x, std::size_t len, unsigned mu, float* lut);
 /// Interleaved DP builder: xt points at a row-major [mu x lanes] block
 /// (xt[j*lanes + lane] = element j of column `lane`'s sub-vector, already
 /// zero-padded), lut receives 2^mu * lanes floats, entry layout
-/// lut[k*lanes + lane]. Vectorized when lanes == 8.
+/// lut[k*lanes + lane]. Vectorized when lanes equals the kernel plane's
+/// query width (8 lanes, 16 on the AVX-512 plane).
 void build_lut_dp_interleaved(const float* xt, unsigned mu, std::size_t lanes,
                               float* lut);
 

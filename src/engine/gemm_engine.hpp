@@ -43,16 +43,16 @@
 
 namespace biq {
 
-/// Identity of a plan's frozen activation-side artifact (the LUTs,
-/// quantized grids or bit-planes a prepare() call materializes from one
-/// input X). Weights never enter the artifact, so two plans over
-/// DIFFERENT weight matrices share one prepared X whenever their keys
-/// compare equal: equal keys promise the same artifact layout AND the
-/// same build arithmetic, bit for bit, so a consume against another
-/// plan's prepare is as exact as one against its own.
+/// Identity of a plan's frozen activation-side artifact: the BiQGEMM
+/// LUTs a prepare() call builds from one input X. Only the `biqgemm` /
+/// `biqgemm-grouped` plans carry one. Weights never enter the artifact,
+/// so two plans over DIFFERENT weight matrices share one prepared X
+/// whenever their keys compare equal: equal keys promise the same table
+/// layout AND the same build arithmetic, bit for bit, so a consume
+/// against another plan's prepare is as exact as one against its own.
 struct PrepKey {
-  /// Static artifact-family tag ("biq-lut", "int8-grid", "tmac-lut",
-  /// "xnor-planes"); nullptr = the plan carries no activation prep.
+  /// Static artifact-family tag ("biq-lut", the one family); nullptr =
+  /// the plan carries no activation prep.
   const char* kind = nullptr;
   std::size_t cols = 0;   // input features n the artifact covers
   std::size_t batch = 0;  // activation columns it was built for
@@ -60,9 +60,9 @@ struct PrepKey {
   /// planes may interleave tables differently); nullptr for scalar
   /// builders, which are plane-independent.
   const void* plane = nullptr;
-  /// Family parameters (mu / lanes / bits / builder variant). Two keys
-  /// with different parameters freeze incompatible artifacts even when
-  /// the family matches.
+  /// Family parameters (mu / lanes / builder variant). Two keys with
+  /// different parameters freeze incompatible artifacts even when the
+  /// family matches.
   std::uint32_t p0 = 0;
   std::uint32_t p1 = 0;
   std::uint32_t p2 = 0;
@@ -201,22 +201,21 @@ class GemmPlan {
   /// The fused epilogue the plan was frozen with (may be empty).
   [[nodiscard]] const Epilogue& epilogue() const noexcept { return epilogue_; }
 
-  // ------------------------------------------ shared activation prep
-  // Engines whose hot path derives a weight-independent artifact from X
-  // (BiQGEMM LUTs, int8 quantized grids, tmac byte-plane tables, xnor
-  // bit-planes) expose it through prepare/consume: prepare(x, handle)
-  // materializes the artifact once into caller storage, and run(handle,
-  // y) multiplies against it. When several plans report equal
-  // prep_key()s, one prepare can feed them all. The split is the
-  // build-vs-query seam perfbench and the benches time; `nn` runs the
-  // fused run(x, y), which builds each LUT tile next to its query. Both
-  // paths produce bitwise-identical outputs (consume replays execute's
-  // accumulation structure exactly).
+  // ------------------------------------------ LUT build / query split
+  // BiQGEMM plans expose the paper's Fig. 8 seam: prepare(x, handle)
+  // builds every LUT of x once into caller storage (the build alone),
+  // and run(handle, y) queries them and writes back (the query alone).
+  // Plans with equal prep_key()s accept one prepare. perfbench and the
+  // Fig. 8 / LUT-build benches time the two halves; `nn` runs the fused
+  // run(x, y), which builds each LUT tile next to its query. Both paths
+  // produce bitwise-identical outputs (consume replays execute's
+  // accumulation structure exactly). Every other engine reads X directly
+  // and carries no prep.
 
   /// True when this plan carries an activation-side artifact at all.
   [[nodiscard]] bool has_prep() const noexcept { return prep_key().valid(); }
   /// Identity of the artifact this plan builds/consumes (invalid key =
-  /// no prep; e.g. the dense engines, which read X directly).
+  /// no prep: every non-BiQGEMM engine).
   [[nodiscard]] PrepKey prep_key() const noexcept { return do_prep_key(); }
   /// Floats of caller storage one artifact needs (0 when !has_prep()).
   [[nodiscard]] std::size_t prep_floats() const noexcept {
@@ -285,12 +284,11 @@ class GemmPlan {
   virtual void execute(ConstMatrixView x, MatrixView y,
                        const EpilogueOp& ep) const = 0;
 
-  // Prep hooks. The defaults declare "no activation prep" (dense
-  // engines read X directly); prep-bearing engines override all four
-  // together. do_prepare/do_consume receive pre-validated arguments and
-  // must be bitwise consistent with execute: consume replays the exact
-  // accumulation structure (chunking, tile order, float summation
-  // grouping) of execute minus the build.
+  // Prep hooks. The defaults declare "no activation prep"; the BiQGEMM
+  // plan overrides all four together. do_prepare/do_consume receive
+  // pre-validated arguments and must be bitwise consistent with execute:
+  // consume replays the exact accumulation structure (chunking, tile
+  // order, float summation grouping) of execute minus the build.
   [[nodiscard]] virtual PrepKey do_prep_key() const noexcept { return {}; }
   [[nodiscard]] virtual std::size_t do_prep_floats() const noexcept {
     return 0;

@@ -12,7 +12,7 @@ namespace {
 
 /// The run's transient arena frame: quantized activations, per-column
 /// scales, int32 accumulators. ONE definition shared by the hot path
-/// and Int8Plan's plan-time prewarm, so the prewarmed high-water mark
+/// and the plan's plan-time prewarm, so the prewarmed high-water mark
 /// can never desynchronize from what the run actually allocates.
 struct Int8Frame {
   std::int8_t* xq;
@@ -28,6 +28,19 @@ Int8Frame stage_int8_frame(ScratchArena& arena, std::size_t m, std::size_t n,
   f.xscales = arena.alloc<float>(b);
   f.acc = arena.alloc<std::int32_t>(m * b);
   return f;
+}
+
+/// Runs f, adding its wall time to phases->*slot when phases is set;
+/// without phases the clock is never read.
+template <typename F>
+void timed(Int8Gemm::Phases* phases, double Int8Gemm::Phases::*slot, F&& f) {
+  if (phases == nullptr) {
+    f();
+    return;
+  }
+  const Stopwatch watch;
+  f();
+  phases->*slot += watch.elapsed_seconds();
 }
 
 }  // namespace
@@ -50,19 +63,18 @@ void Int8Gemm::quantize_grid(ConstMatrixView x, std::int8_t* xq,
                              Phases* phases) const {
   const std::size_t b = x.cols();
   // Phase 1: dynamic activation quantization (fp32 -> int8 per column).
-  // Column c's grid/scale depend only on x's column c, so the artifact
-  // is identical at any worker count and can be built once and consumed
-  // by every engine sharing this input.
-  Stopwatch watch;
-  engine::for_each_tile(ctx, b, 1,
-                        [&](unsigned /*worker*/, std::size_t c0,
-                            std::size_t c1) {
-                          for (std::size_t c = c0; c < c1; ++c) {
-                            xscales[c] = quantize_column_int8(
-                                x.col(c), n_, xq + c * n_);
-                          }
-                        });
-  if (phases != nullptr) phases->quantize_seconds += watch.elapsed_seconds();
+  // Column c's grid/scale depend only on x's column c, so the grid is
+  // identical at any worker count.
+  timed(phases, &Phases::quantize_seconds, [&] {
+    engine::for_each_tile(ctx, b, 1,
+                          [&](unsigned /*worker*/, std::size_t c0,
+                              std::size_t c1) {
+                            for (std::size_t c = c0; c < c1; ++c) {
+                              xscales[c] = quantize_column_int8(
+                                  x.col(c), n_, xq + c * n_);
+                            }
+                          });
+  });
 }
 
 void Int8Gemm::consume_grid(const std::int8_t* xq, const float* xscales,
@@ -73,8 +85,7 @@ void Int8Gemm::consume_grid(const std::int8_t* xq, const float* xscales,
   // Phase 2: integer GEMM with int32 accumulation, split over output
   // rows so b == 1 (GEMV) parallelizes too; each (row, column) dot
   // product is independent integer arithmetic.
-  {
-    Stopwatch watch;
+  timed(phases, &Phases::multiply_seconds, [&] {
     engine::for_each_tile(
         ctx, m_, 64, [&](unsigned /*worker*/, std::size_t i0, std::size_t i1) {
           for (std::size_t i = i0; i < i1; ++i) {
@@ -89,14 +100,12 @@ void Int8Gemm::consume_grid(const std::int8_t* xq, const float* xscales,
             }
           }
         });
-    if (phases != nullptr) phases->multiply_seconds += watch.elapsed_seconds();
-  }
+  });
 
   // Phase 3: dequantize back to fp32 for the float operators downstream.
   // A fused epilogue rides this pass: each value is transformed while it
   // is produced, instead of in a second sweep over y.
-  {
-    Stopwatch watch;
+  timed(phases, &Phases::dequantize_seconds, [&] {
     const bool fused = ep != nullptr && !ep->empty();
     engine::for_each_tile(
         ctx, b, 1, [&](unsigned /*worker*/, std::size_t c0, std::size_t c1) {
@@ -112,37 +121,30 @@ void Int8Gemm::consume_grid(const std::int8_t* xq, const float* xscales,
             if (fused) ep->apply(y, 0, m_, c, c + 1);
           }
         });
-    if (phases != nullptr) {
-      phases->dequantize_seconds += watch.elapsed_seconds();
-    }
-  }
+  });
 }
 
-void Int8Gemm::run_profiled(ConstMatrixView x, MatrixView y, Phases& phases,
-                            ExecContext& ctx, const EpilogueOp* ep) const {
-  if (x.rows() != n_ || y.rows() != m_ || y.cols() != x.cols()) {
-    throw std::invalid_argument("Int8Gemm: shape mismatch");
-  }
-  const std::size_t b = x.cols();
-
+void Int8Gemm::run_phases(ConstMatrixView x, MatrixView y, ExecContext& ctx,
+                          const EpilogueOp* ep, Phases* phases) const {
   // Transient buffers are shared read-only across the phase workers, so
   // they come out of the calling thread's arena, allocated up front.
-  const Int8Frame frame = stage_int8_frame(ctx.scratch(0), m_, n_, b);
-  quantize_grid(x, frame.xq, frame.xscales, ctx, &phases);
-  consume_grid(frame.xq, frame.xscales, y, frame.acc, ctx, ep, &phases);
+  const Int8Frame frame = stage_int8_frame(ctx.scratch(0), m_, n_, x.cols());
+  quantize_grid(x, frame.xq, frame.xscales, ctx, phases);
+  consume_grid(frame.xq, frame.xscales, y, frame.acc, ctx, ep, phases);
 }
 
 void Int8Gemm::run_profiled(ConstMatrixView x, MatrixView y,
                             Phases& phases) const {
-  run_profiled(x, y, phases, ExecContext::thread_default());
+  if (x.rows() != n_ || y.rows() != m_ || y.cols() != x.cols()) {
+    throw std::invalid_argument("Int8Gemm: shape mismatch");
+  }
+  run_phases(x, y, ExecContext::thread_default(), nullptr, &phases);
 }
 
-namespace {
-
-class Int8Plan final : public GemmPlan {
+class Int8Gemm::Plan final : public GemmPlan {
  public:
-  Int8Plan(const Int8Gemm& engine, std::size_t batch, ExecContext& ctx,
-           const Epilogue& epilogue)
+  Plan(const Int8Gemm& engine, std::size_t batch, ExecContext& ctx,
+       const Epilogue& epilogue)
       : GemmPlan(engine.name(), engine.rows(), engine.cols(), batch, ctx,
                  epilogue),
         engine_(&engine) {
@@ -161,51 +163,15 @@ class Int8Plan final : public GemmPlan {
  private:
   void execute(ConstMatrixView x, MatrixView y,
                const EpilogueOp& ep) const override {
-    Int8Gemm::Phases phases;
-    engine_->run_profiled(x, y, phases, context(), &ep);
-  }
-
-  [[nodiscard]] PrepKey do_prep_key() const noexcept override {
-    // Scalar per-column quantization — no kernel plane in the identity.
-    PrepKey key;
-    key.kind = "int8-grid";
-    key.cols = cols();
-    key.batch = batch();
-    return key;
-  }
-
-  [[nodiscard]] std::size_t do_prep_floats() const noexcept override {
-    // [xscales: b floats][xq: n*b int8, rounded up to whole floats].
-    return batch() + (cols() * batch() + sizeof(float) - 1) / sizeof(float);
-  }
-
-  void do_prepare(ConstMatrixView x, float* prep) const override {
-    float* xscales = prep;
-    auto* xq = reinterpret_cast<std::int8_t*>(prep + batch());
-    engine_->quantize_grid(x, xq, xscales, context());
-  }
-
-  void do_consume(const float* prep, MatrixView y,
-                  const EpilogueOp& ep) const override {
-    const float* xscales = prep;
-    const auto* xq = reinterpret_cast<const std::int8_t*>(prep + batch());
-    // Only the int32 accumulator is transient now — a sub-frame of the
-    // fused path's, so the plan-time prewarm covers it too.
-    ScratchArena& arena = context().scratch(0);
-    arena.reset();
-    std::int32_t* acc = arena.alloc<std::int32_t>(rows() * batch());
-    Int8Gemm::Phases phases;
-    engine_->consume_grid(xq, xscales, y, acc, context(), &ep, &phases);
+    engine_->run_phases(x, y, context(), &ep, /*phases=*/nullptr);
   }
 
   const Int8Gemm* engine_;
 };
 
-}  // namespace
-
 std::unique_ptr<GemmPlan> Int8Gemm::plan(std::size_t batch, ExecContext& ctx,
                                          const Epilogue& epilogue) const {
-  return std::make_unique<Int8Plan>(*this, batch, ctx, epilogue);
+  return std::make_unique<Plan>(*this, batch, ctx, epilogue);
 }
 
 }  // namespace biq

@@ -38,28 +38,14 @@ class Int8Gemm final : public GemmEngine {
   using GemmEngine::plan;
 
   /// The three phases separately, for the conversion-overhead ablation:
-  /// quantize_input -> multiply_integer -> dequantize_output.
+  /// quantize_input -> multiply_integer -> dequantize_output. The same
+  /// bodies as plan->run, timed; outputs are bitwise the plan's.
   struct Phases {
     double quantize_seconds = 0.0;
     double multiply_seconds = 0.0;
     double dequantize_seconds = 0.0;
   };
   void run_profiled(ConstMatrixView x, MatrixView y, Phases& phases) const;
-  void run_profiled(ConstMatrixView x, MatrixView y, Phases& phases,
-                    ExecContext& ctx, const EpilogueOp* ep = nullptr) const;
-
-  /// Phase 1 alone: per-column symmetric quantization of x into caller
-  /// storage (xq: n*b int8, column c at xq + c*n; xscales: b floats) —
-  /// the reusable activation artifact behind the plan's shared prep.
-  void quantize_grid(ConstMatrixView x, std::int8_t* xq, float* xscales,
-                     ExecContext& ctx, Phases* phases = nullptr) const;
-  /// Phases 2+3 against a pre-quantized grid (acc: m*b int32 transient,
-  /// typically arena-backed). run_profiled IS quantize_grid followed by
-  /// consume_grid, so split and fused paths agree bitwise.
-  void consume_grid(const std::int8_t* xq, const float* xscales, MatrixView y,
-                    std::int32_t* acc, ExecContext& ctx,
-                    const EpilogueOp* ep = nullptr,
-                    Phases* phases = nullptr) const;
 
   [[nodiscard]] std::size_t rows() const noexcept override { return m_; }
   [[nodiscard]] std::size_t cols() const noexcept override { return n_; }
@@ -76,6 +62,21 @@ class Int8Gemm final : public GemmEngine {
   std::size_t n_ = 0;
   float wscale_ = 1.0f;
   AlignedBuffer<std::int8_t> weights_;  // row-major m x n
+
+  class Plan;  // the GemmPlan body, defined in gemm_int8.cpp
+
+  // The run's phases over ctx's arena frame. Each reads the clock only
+  // when `phases` is non-null, so the plan's hot path times nothing.
+  void run_phases(ConstMatrixView x, MatrixView y, ExecContext& ctx,
+                  const EpilogueOp* ep, Phases* phases) const;
+  /// Phase 1: per-column symmetric quantization of x (xq: n*b int8,
+  /// column c at xq + c*n; xscales: b floats).
+  void quantize_grid(ConstMatrixView x, std::int8_t* xq, float* xscales,
+                     ExecContext& ctx, Phases* phases) const;
+  /// Phases 2+3 against the quantized grid (acc: m*b int32 transient).
+  void consume_grid(const std::int8_t* xq, const float* xscales, MatrixView y,
+                    std::int32_t* acc, ExecContext& ctx, const EpilogueOp* ep,
+                    Phases* phases) const;
 };
 
 }  // namespace biq

@@ -45,9 +45,8 @@ bool columns_parallel(const ExecContext& ctx, std::size_t b) noexcept {
   return ctx.worker_count() > 1 && b >= ctx.worker_count();
 }
 
-/// One column's lookup-accumulate sweep over row tiles [t0, t1) — the
-/// single body behind both the fused path and the shared-prep consume
-/// path, so the two cannot drift apart arithmetically.
+/// One column's lookup-accumulate sweep over row tiles [t0, t1): the
+/// body both threading regimes of execute_batch run.
 void tmac_run_column(const TmacPacked& packed,
                      const engine::TmacKernels& kernels, MatrixView y,
                      std::size_t c, float xs, const std::uint8_t* lut,
@@ -237,58 +236,6 @@ void TmacLutGemm::execute_batch(ConstMatrixView x, MatrixView y,
   }
 }
 
-void TmacLutGemm::prepare_tables(ConstMatrixView x, float* xscales,
-                                 std::uint8_t* luts, ExecContext& ctx) const {
-  const std::size_t n = packed_.cols;
-  const std::size_t b = x.cols();
-  const std::size_t lut_bytes = packed_.ngroups * 32;
-  // Transient int8 grid only — the artifact itself goes to the caller's
-  // buffers. Quantize + build are per-column independent (and scalar),
-  // so the artifact is identical at any worker count.
-  ScratchArena& arena = ctx.scratch(0);
-  arena.reset();
-  std::int8_t* xq = arena.alloc<std::int8_t>(n * b);
-  engine::for_each_tile(
-      ctx, b, 1, [&](unsigned /*worker*/, std::size_t c0, std::size_t c1) {
-        for (std::size_t c = c0; c < c1; ++c) {
-          xscales[c] = quantize_column_int8(x.col(c), n, xq + c * n);
-          tmac_build_column_lut(xq + c * n, n, packed_.storage_bits,
-                                packed_.ngroups, luts + c * lut_bytes);
-        }
-      });
-}
-
-void TmacLutGemm::consume_tables(const float* xscales,
-                                 const std::uint8_t* luts, MatrixView y,
-                                 ExecContext& ctx,
-                                 const engine::TmacKernels& kernels,
-                                 const EpilogueOp& ep) const {
-  const std::size_t b = y.cols();
-  const std::size_t lut_bytes = packed_.ngroups * 32;
-  // Mirrors execute_batch's phase 2 in both threading regimes, minus
-  // the builds; tmac_run_column is the shared body, so consume output
-  // is bitwise the fused path's.
-  if (columns_parallel(ctx, b)) {
-    engine::for_each_tile(
-        ctx, b, 1, [&](unsigned /*worker*/, std::size_t c0, std::size_t c1) {
-          for (std::size_t c = c0; c < c1; ++c) {
-            tmac_run_column(packed_, kernels, y, c, xscales[c],
-                            luts + c * lut_bytes, 0, packed_.ntiles, ep);
-          }
-        });
-    return;
-  }
-  for (std::size_t c = 0; c < b; ++c) {
-    engine::for_each_tile(ctx, packed_.ntiles, 1,
-                          [&](unsigned /*worker*/, std::size_t t0,
-                              std::size_t t1) {
-                            tmac_run_column(packed_, kernels, y, c,
-                                            xscales[c], luts + c * lut_bytes,
-                                            t0, t1, ep);
-                          });
-  }
-}
-
 namespace {
 
 class TmacPlanImpl final : public GemmPlan {
@@ -302,7 +249,7 @@ class TmacPlanImpl final : public GemmPlan {
         kernels_(ctx.isa() == KernelIsa::kAuto
                      ? &construction_kernels
                      : &engine::select_tmac_kernels(ctx.isa())) {
-    // Plan-time scratch sizing (same trick as Int8Plan): stage the
+    // Plan-time scratch sizing (same trick as the int8 plan): stage the
     // run's arena frame twice so the first pass grows/spills and the
     // second consolidates to the frame's high-water mark — the warm
     // state two real runs would reach, paid off the serving path. The
@@ -329,43 +276,6 @@ class TmacPlanImpl final : public GemmPlan {
   void execute(ConstMatrixView x, MatrixView y,
                const EpilogueOp& ep) const override {
     engine_->execute_batch(x, y, context(), *kernels_, ep);
-  }
-
-  [[nodiscard]] PrepKey do_prep_key() const noexcept override {
-    // Scalar quantize + scalar table build: the artifact is
-    // plane-independent (the ISA plane only affects the consume-side
-    // lookups), so no kernel plane in the identity.
-    PrepKey key;
-    key.kind = "tmac-lut";
-    key.cols = cols();
-    key.batch = batch();
-    key.p0 = engine_->packed().storage_bits;
-    return key;
-  }
-
-  // Artifact layout: [xscales: b floats][pad to 64B][per-column split
-  // byte-plane tables: b * ngroups * 32 bytes, column c at c * lut_bytes].
-  [[nodiscard]] std::size_t lut_offset_floats() const noexcept {
-    constexpr std::size_t kAlignFloats = kDefaultAlignment / sizeof(float);
-    return (batch() + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
-  }
-
-  [[nodiscard]] std::size_t do_prep_floats() const noexcept override {
-    const std::size_t lut_bytes = engine_->packed().ngroups * 32;
-    return lut_offset_floats() +
-           (batch() * lut_bytes + sizeof(float) - 1) / sizeof(float);
-  }
-
-  void do_prepare(ConstMatrixView x, float* prep) const override {
-    auto* luts = reinterpret_cast<std::uint8_t*>(prep + lut_offset_floats());
-    engine_->prepare_tables(x, prep, luts, context());
-  }
-
-  void do_consume(const float* prep, MatrixView y,
-                  const EpilogueOp& ep) const override {
-    const auto* luts =
-        reinterpret_cast<const std::uint8_t*>(prep + lut_offset_floats());
-    engine_->consume_tables(prep, luts, y, context(), *kernels_, ep);
   }
 
   const TmacLutGemm* engine_;

@@ -122,20 +122,6 @@ class TmacLutGemm final : public GemmEngine {
                      const engine::TmacKernels& kernels,
                      const EpilogueOp& ep) const;
 
-  /// Shared-prep split of execute_batch. prepare_tables quantizes every
-  /// activation column to int8 and builds its split byte-plane tables
-  /// into caller storage (xscales: b floats; luts: b * ngroups * 32
-  /// bytes, column c at c * ngroups * 32); consume_tables sweeps the
-  /// packed weight tiles against those tables in execute_batch's exact
-  /// threading regimes, so one prepare feeds any number of consumes
-  /// bitwise identically to the fused path.
-  void prepare_tables(ConstMatrixView x, float* xscales, std::uint8_t* luts,
-                      ExecContext& ctx) const;
-  void consume_tables(const float* xscales, const std::uint8_t* luts,
-                      MatrixView y, ExecContext& ctx,
-                      const engine::TmacKernels& kernels,
-                      const EpilogueOp& ep) const;
-
  private:
   TmacPacked packed_;
   const engine::TmacKernels* kernels_;

@@ -1,6 +1,5 @@
 #include "gemm/xnor_gemm.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -8,69 +7,8 @@
 
 #include "engine/partition.hpp"
 #include "simd/simd.hpp"
-#include "util/aligned_buffer.hpp"
 
 namespace biq {
-namespace {
-
-/// The popcount-accumulate body shared by run_prequantized (workspace
-/// artifact) and run_packed_planes (raw shared-prep artifact): one
-/// (column, row-range) cell accumulates every (weight plane, activation
-/// plane) pair in ascending order, so the per-element accumulation
-/// order is independent of partitioning AND of which artifact form the
-/// activation planes arrive in — both entry points are bitwise
-/// identical at any worker count.
-template <typename XRowFn, typename GammaFn>
-void xnor_cells(const std::vector<PackedBits64>& wplanes,
-                const std::vector<std::vector<float>>& walphas, std::size_t m,
-                std::size_t n, unsigned abits, std::size_t batch, MatrixView y,
-                ExecContext& ctx, const EpilogueOp* ep, XRowFn&& xrow_of,
-                GammaFn&& gamma_of) {
-  const std::size_t words = wplanes[0].words_per_row();
-  const auto n_int = static_cast<long long>(n);
-
-  const auto cell = [&](std::size_t c, std::size_t i0, std::size_t i1) {
-    float* yc = y.col(c);
-    for (std::size_t qw = 0; qw < wplanes.size(); ++qw) {
-      const PackedBits64& wplane = wplanes[qw];
-      for (unsigned qa = 0; qa < abits; ++qa) {
-        const std::uint64_t* xrow = xrow_of(qa, c);
-        const float gamma = gamma_of(qa, c);
-        for (std::size_t i = i0; i < i1; ++i) {
-          const std::uint64_t* wrow = wplane.row(i);
-          long long diff = 0;
-          for (std::size_t wi = 0; wi < words; ++wi) {
-            diff += simd::popcount64(wrow[wi] ^ xrow[wi]);
-          }
-          // Padded tail bits are 0 on both sides, so every mismatch is a
-          // real element: dot = n - 2 * diff.
-          const long long dot = n_int - 2 * diff;
-          yc[i] += walphas[qw][i] * gamma * static_cast<float>(dot);
-        }
-      }
-    }
-    // All plane pairs have accumulated: the cell's values are final, so
-    // the fused epilogue runs now, while they are still in cache.
-    if (ep != nullptr && !ep->empty()) ep->apply(y, i0, i1, c, c + 1);
-  };
-
-  y.set_zero();
-  if (batch > 1) {
-    engine::for_each_tile(ctx, batch, 1,
-                          [&](unsigned /*worker*/, std::size_t c0,
-                              std::size_t c1) {
-                            for (std::size_t c = c0; c < c1; ++c) {
-                              cell(c, 0, m);
-                            }
-                          });
-  } else if (batch == 1) {
-    engine::for_each_tile(ctx, m, 128,
-                          [&](unsigned /*worker*/, std::size_t i0,
-                              std::size_t i1) { cell(0, i0, i1); });
-  }
-}
-
-}  // namespace
 
 QuantizedActivations make_activation_workspace(std::size_t n,
                                                std::size_t batch,
@@ -152,62 +90,51 @@ void XnorGemm::run_prequantized(const QuantizedActivations& qx, MatrixView y,
   if (qx.n != n_ || y.rows() != m_ || y.cols() != qx.batch) {
     throw std::invalid_argument("XnorGemm: shape mismatch");
   }
-  xnor_cells(
-      planes_, alphas_, m_, n_, qx.bits, qx.batch, y, ctx, ep,
-      [&](unsigned qa, std::size_t c) { return qx.planes[qa].row(c); },
-      [&](unsigned qa, std::size_t c) { return qx.gammas[qa][c]; });
-}
+  const std::size_t words = planes_[0].words_per_row();
+  const auto n_int = static_cast<long long>(n_);
 
-void XnorGemm::run_packed_planes(const float* gammas,
-                                 const std::uint64_t* words,
-                                 unsigned activation_bits, std::size_t batch,
-                                 MatrixView y, ExecContext& ctx,
-                                 const EpilogueOp* ep) const {
-  // Raw plane-major artifact: plane q of column c starts at
-  // (q * batch + c) * words_per_row, its scale at gammas[q * batch + c]
-  // — the shared-prep layout. Same words-per-row as the weight planes
-  // (both pack n bits).
-  const std::size_t wpr = planes_[0].words_per_row();
-  xnor_cells(
-      planes_, alphas_, m_, n_, activation_bits, batch, y, ctx, ep,
-      [&](unsigned qa, std::size_t c) {
-        return words + (static_cast<std::size_t>(qa) * batch + c) * wpr;
-      },
-      [&](unsigned qa, std::size_t c) {
-        return gammas[static_cast<std::size_t>(qa) * batch + c];
-      });
-}
-
-void quantize_activations_packed(ConstMatrixView x, unsigned bits,
-                                 float* gammas, std::uint64_t* words,
-                                 float* residual) {
-  // Bitwise the same greedy sign quantization as
-  // quantize_activations_into, writing the raw plane-major layout
-  // run_packed_planes reads instead of a QuantizedActivations.
-  const std::size_t n = x.rows();
-  const std::size_t batch = x.cols();
-  const std::size_t wpr = (n + 63) / 64;
-  std::fill(words, words + static_cast<std::size_t>(bits) * batch * wpr,
-            std::uint64_t{0});
-  for (std::size_t c = 0; c < batch; ++c) {
-    const float* src = x.col(c);
-    for (std::size_t k = 0; k < n; ++k) residual[k] = src[k];
-    for (unsigned q = 0; q < bits; ++q) {
-      double mag = 0.0;
-      for (std::size_t k = 0; k < n; ++k) mag += std::fabs(residual[k]);
-      const float gamma =
-          n == 0 ? 0.0f : static_cast<float>(mag / static_cast<double>(n));
-      gammas[static_cast<std::size_t>(q) * batch + c] = gamma;
-      std::uint64_t* row = words + (static_cast<std::size_t>(q) * batch + c) * wpr;
-      for (std::size_t k = 0; k < n; ++k) {
-        if (residual[k] >= 0.0f) {
-          row[k >> 6] |= std::uint64_t{1} << (k & 63);
-          residual[k] -= gamma;
-        } else {
-          residual[k] += gamma;
+  // One (column, row-range) cell accumulates every (weight plane,
+  // activation plane) pair in ascending order, so the per-element
+  // accumulation order is independent of partitioning: bitwise
+  // identical at any worker count.
+  const auto cell = [&](std::size_t c, std::size_t i0, std::size_t i1) {
+    float* yc = y.col(c);
+    for (std::size_t qw = 0; qw < planes_.size(); ++qw) {
+      const PackedBits64& wplane = planes_[qw];
+      for (unsigned qa = 0; qa < qx.bits; ++qa) {
+        const std::uint64_t* xrow = qx.planes[qa].row(c);
+        const float gamma = qx.gammas[qa][c];
+        for (std::size_t i = i0; i < i1; ++i) {
+          const std::uint64_t* wrow = wplane.row(i);
+          long long diff = 0;
+          for (std::size_t wi = 0; wi < words; ++wi) {
+            diff += simd::popcount64(wrow[wi] ^ xrow[wi]);
+          }
+          // Padded tail bits are 0 on both sides, so every mismatch is a
+          // real element: dot = n - 2 * diff.
+          const long long dot = n_int - 2 * diff;
+          yc[i] += alphas_[qw][i] * gamma * static_cast<float>(dot);
         }
       }
     }
+    // All plane pairs have accumulated: the cell's values are final, so
+    // the fused epilogue runs now, while they are still in cache.
+    if (ep != nullptr && !ep->empty()) ep->apply(y, i0, i1, c, c + 1);
+  };
+
+  y.set_zero();
+  if (qx.batch > 1) {
+    engine::for_each_tile(ctx, qx.batch, 1,
+                          [&](unsigned /*worker*/, std::size_t c0,
+                              std::size_t c1) {
+                            for (std::size_t c = c0; c < c1; ++c) {
+                              cell(c, 0, m_);
+                            }
+                          });
+  } else if (qx.batch == 1) {
+    engine::for_each_tile(ctx, m_, 128,
+                          [&](unsigned /*worker*/, std::size_t i0,
+                              std::size_t i1) { cell(0, i0, i1); });
   }
 }
 
@@ -230,7 +157,7 @@ class XnorPlan final : public GemmPlan {
            ExecContext& ctx, const Epilogue& epilogue)
       : GemmPlan(engine.name(), engine.rows(), engine.cols(), batch, ctx,
                  epilogue),
-        engine_(&engine), abits_(activation_bits),
+        engine_(&engine),
         // Plan-time activation-quantization sizing: the bit-plane
         // workspace and the residual buffer are allocated once here, so
         // the warm execute() reuses their storage and never touches the
@@ -248,48 +175,7 @@ class XnorPlan final : public GemmPlan {
     engine_->run_prequantized(workspace_, y, context(), &ep);
   }
 
-  [[nodiscard]] PrepKey do_prep_key() const noexcept override {
-    PrepKey key;
-    key.kind = "xnor-planes";
-    key.cols = cols();
-    key.batch = batch();
-    key.p0 = abits_;
-    return key;
-  }
-
-  // Artifact layout: [gammas: abits * batch floats, plane-major]
-  // [pad to 64B][words: abits * batch * words_per_row u64, plane q of
-  // column c at (q * batch + c) * words_per_row].
-  [[nodiscard]] std::size_t words_per_row() const noexcept {
-    return (cols() + 63) / 64;
-  }
-  [[nodiscard]] std::size_t words_offset_floats() const noexcept {
-    constexpr std::size_t kAlignFloats = kDefaultAlignment / sizeof(float);
-    const std::size_t gfloats = static_cast<std::size_t>(abits_) * batch();
-    return (gfloats + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
-  }
-
-  [[nodiscard]] std::size_t do_prep_floats() const noexcept override {
-    const std::size_t nwords =
-        static_cast<std::size_t>(abits_) * batch() * words_per_row();
-    return words_offset_floats() + nwords * (sizeof(std::uint64_t) /
-                                             sizeof(float));
-  }
-
-  void do_prepare(ConstMatrixView x, float* prep) const override {
-    auto* words = reinterpret_cast<std::uint64_t*>(prep + words_offset_floats());
-    quantize_activations_packed(x, abits_, prep, words, residual_.data());
-  }
-
-  void do_consume(const float* prep, MatrixView y,
-                  const EpilogueOp& ep) const override {
-    const auto* words =
-        reinterpret_cast<const std::uint64_t*>(prep + words_offset_floats());
-    engine_->run_packed_planes(prep, words, abits_, batch(), y, context(), &ep);
-  }
-
   const XnorGemm* engine_;
-  unsigned abits_;
   mutable QuantizedActivations workspace_;
   mutable std::vector<float> residual_;
 };

@@ -7,7 +7,6 @@
 // computed on 64-bit packed words. Complexity O(bw * ba * m * n/64 * b).
 #pragma once
 
-#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -33,7 +32,7 @@ struct QuantizedActivations {
                                                         unsigned bits);
 
 /// Sizes a reusable quantization workspace for (n rows, batch columns,
-/// bits planes) — the plan-time step of the xnor prepare/execute split.
+/// bits planes) — the plan-time step of the xnor plan/run split.
 [[nodiscard]] QuantizedActivations make_activation_workspace(std::size_t n,
                                                              std::size_t batch,
                                                              unsigned bits);
@@ -44,17 +43,6 @@ struct QuantizedActivations {
 /// std::invalid_argument when the workspace shape does not match x.
 void quantize_activations_into(ConstMatrixView x, QuantizedActivations& qa,
                                float* residual);
-
-/// quantize_activations_into against raw caller storage — the xnor
-/// plan's shared-prep artifact. Layout: gammas holds bits * batch floats
-/// plane-major (plane q, column c at q * batch + c); words holds the
-/// packed planes contiguously, plane q of column c starting at
-/// (q * batch + c) * ((n + 63) / 64) words. Plane/scale values are
-/// bitwise identical to the workspace path. `residual` must hold
-/// x.rows() floats.
-void quantize_activations_packed(ConstMatrixView x, unsigned bits,
-                                 float* gammas, std::uint64_t* words,
-                                 float* residual);
 
 class XnorGemm final : public GemmEngine {
  public:
@@ -84,14 +72,6 @@ class XnorGemm final : public GemmEngine {
   void run_prequantized(const QuantizedActivations& qx, MatrixView y) const;
   void run_prequantized(const QuantizedActivations& qx, MatrixView y,
                         ExecContext& ctx, const EpilogueOp* ep = nullptr) const;
-
-  /// run_prequantized over the quantize_activations_packed raw layout —
-  /// the consume side of the plan's shared prep. Identical accumulation
-  /// order, so outputs match run_prequantized bitwise.
-  void run_packed_planes(const float* gammas, const std::uint64_t* words,
-                         unsigned activation_bits, std::size_t batch,
-                         MatrixView y, ExecContext& ctx,
-                         const EpilogueOp* ep = nullptr) const;
 
   [[nodiscard]] std::size_t rows() const noexcept override { return m_; }
   [[nodiscard]] std::size_t cols() const noexcept override { return n_; }

@@ -1,7 +1,7 @@
-// Shared activation prep (the GemmPlan prepare/consume contract): one
-// input's LUT / quantized grid / byte-plane tables / bit-planes built
-// once and consumed by every plan that reads it. Pins, parameterized
-// over every prep-bearing engine configuration:
+// The LUT build / query split (the GemmPlan prepare/consume contract),
+// which only BiQGEMM plans carry: one input's LUTs built once and
+// consumed by every plan that reads it. Pins, parameterized over the
+// BiQGEMM configurations:
 //   * a three-consumer fan-out (the QKV shape) fed by one prepare() is
 //     bitwise identical to three fused run(x, y) calls, at batch 1
 //     (GEMV builders) and batch > 1 (tiled builders),
@@ -12,8 +12,9 @@
 //   * prepare+consume is 1-vs-N-thread invariant,
 //   * warm prepare+consume performs zero heap allocations (instrumented
 //     operator new),
-//   * the error surface: prep-less plans, not-ready handles, undersized
-//     storage, cross-family and cross-parameter key mismatches.
+//   * the error surface: every other registry engine carries no prep,
+//     not-ready handles, undersized storage, cross-parameter key
+//     mismatches.
 // The nn layer does not share prep: each projection runs its own fused
 // plan (see nn_model_plan_test for the planned models).
 #include <gtest/gtest.h>
@@ -65,35 +66,27 @@ void expect_bitwise(ConstMatrixView a, ConstMatrixView b, const char* what) {
   }
 }
 
-/// One prep-bearing engine configuration. The set below spans every
-/// artifact family and builder variant: biqgemm's scalar GEMV builders
-/// (batch 1) and interleaved tile builders (batch > 1), DP and MM, the
-/// group-scaled variant, both tmac storage widths, the int8 grid and
-/// multi-bit xnor planes.
+/// One BiQGEMM configuration. The set below spans every builder variant:
+/// the scalar GEMV builders (batch 1) and interleaved tile builders
+/// (batch > 1), DP and MM, multi-bit planes and the group-scaled variant.
 struct EngineCase {
   const char* label;
   const char* engine;
   unsigned weight_bits;
   bool use_dp_builder;
-  unsigned activation_bits;
 };
 
 const EngineCase kCases[] = {
-    {"biqgemm_1b_dp", "biqgemm", 1, true, 1},
-    {"biqgemm_2b_dp", "biqgemm", 2, true, 1},
-    {"biqgemm_1b_mm", "biqgemm", 1, false, 1},
-    {"biqgemm_grouped_2b", "biqgemm-grouped", 2, true, 1},
-    {"tmac_2b", "tmac-lut", 2, true, 1},
-    {"tmac_4b", "tmac-lut", 4, true, 1},
-    {"int8", "int8", 1, true, 1},
-    {"xnor_1b_2a", "xnor", 1, true, 2},
+    {"biqgemm_1b_dp", "biqgemm", 1, true},
+    {"biqgemm_2b_dp", "biqgemm", 2, true},
+    {"biqgemm_1b_mm", "biqgemm", 1, false},
+    {"biqgemm_grouped_2b", "biqgemm-grouped", 2, true},
 };
 
 std::unique_ptr<GemmEngine> case_engine(const EngineCase& c, const Matrix& w) {
   EngineConfig cfg;
   cfg.weight_bits = c.weight_bits;
   cfg.kernel.use_dp_builder = c.use_dp_builder;
-  cfg.activation_bits = c.activation_bits;
   return make_engine(c.engine, w, cfg);
 }
 
@@ -296,22 +289,30 @@ INSTANTIATE_TEST_SUITE_P(AllPrepEngines, PrepShare,
 
 // ------------------------------------------------------- error surface
 
+// The seam is BiQGEMM's alone: every other registry engine reads X
+// directly, so its plans report no prep and reject both halves.
 TEST(PrepErrors, DensePlansCarryNoPrep) {
   Rng rng(41);
   const Matrix w = Matrix::random_normal(12, 10, rng);
-  const auto engine = make_engine("blocked", w);
-  ExecContext ctx;
-  const auto plan = engine->plan(2, ctx);
-  EXPECT_FALSE(plan->has_prep());
-  EXPECT_FALSE(plan->prep_key().valid());
-  EXPECT_EQ(plan->prep_floats(), 0u);
-
   const Matrix x = Matrix::random_normal(10, 2, rng);
   AlignedBuffer<float> storage(64);
   PrepHandle prep(storage.data(), storage.size());
   Matrix y(12, 2);
-  EXPECT_THROW(plan->prepare(x, prep), std::invalid_argument);
-  EXPECT_THROW(plan->run(prep, y), std::invalid_argument);
+  std::size_t checked = 0;
+  for (const std::string& name : EngineRegistry::instance().names()) {
+    if (name == "biqgemm" || name == "biqgemm-grouped") continue;
+    SCOPED_TRACE(name);
+    const auto engine = make_engine(name, w);
+    ExecContext ctx;
+    const auto plan = engine->plan(2, ctx);
+    EXPECT_FALSE(plan->has_prep());
+    EXPECT_FALSE(plan->prep_key().valid());
+    EXPECT_EQ(plan->prep_floats(), 0u);
+    EXPECT_THROW(plan->prepare(x, prep), std::invalid_argument);
+    EXPECT_THROW(plan->run(prep, y), std::invalid_argument);
+    ++checked;
+  }
+  EXPECT_GE(checked, 6u);  // blocked, naive, int8, unpack, xnor, tmac-lut
 }
 
 TEST(PrepErrors, NotReadyAndUndersizedHandlesThrow) {
@@ -359,12 +360,6 @@ TEST(PrepErrors, MismatchedKeysAreRejected) {
   AlignedBuffer<float> storage(biq_plan->prep_floats() + 4096);
   PrepHandle prep(storage.data(), storage.size());
   biq_plan->prepare(x, prep);
-
-  // Cross-family: an int8 grid consumer must reject a biq-lut artifact.
-  // (A plan borrows its engine, so every engine outlives its plans.)
-  const auto int8_engine = make_engine("int8", w);
-  const auto int8_plan = int8_engine->plan(b, ctx);
-  EXPECT_THROW(int8_plan->run(prep, y), std::invalid_argument);
 
   // Same family, different parameters: another mu freezes an
   // incompatible table layout.
