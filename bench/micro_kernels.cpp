@@ -13,6 +13,7 @@
 #include "bench_common.hpp"
 #include "core/biqgemm.hpp"
 #include "core/lut_builder.hpp"
+#include "engine/dispatch.hpp"
 #include "engine/registry.hpp"
 #include "quant/greedy.hpp"
 #include "util/aligned_buffer.hpp"
@@ -50,16 +51,23 @@ void BM_LutBuildMm(benchmark::State& state) {
 }
 BENCHMARK(BM_LutBuildMm)->Arg(4)->Arg(8)->Arg(12)->Unit(benchmark::kNanosecond);
 
+/// One batch tile at the auto-selected plane's width (8 lanes, 16 on
+/// AVX-512): the builder every BiQGEMM batch tile runs.
 void BM_LutBuildDpInterleaved(benchmark::State& state) {
   constexpr unsigned mu = 8;
+  const biq::engine::BiqKernels& plane =
+      biq::engine::select_kernels(biq::KernelIsa::kAuto);
   biq::Rng rng(1);
-  biq::AlignedBuffer<float> xt(mu * 8);
+  biq::AlignedBuffer<float> xt(mu * plane.query_lanes);
   biq::fill_normal(rng, xt.data(), xt.size());
-  biq::AlignedBuffer<float> lut((std::size_t{1} << mu) * 8);
+  biq::AlignedBuffer<float> lut((std::size_t{1} << mu) * plane.query_lanes);
   for (auto _ : state) {
-    biq::build_lut_dp_interleaved(xt.data(), mu, 8, lut.data());
+    biq::build_lut_dp_interleaved(xt.data(), mu, lut.data());
     benchmark::DoNotOptimize(lut.data());
+    benchmark::ClobberMemory();
   }
+  state.SetLabel(std::string(plane.isa) + " lanes=" +
+                 std::to_string(plane.query_lanes));
 }
 BENCHMARK(BM_LutBuildDpInterleaved)->Unit(benchmark::kNanosecond);
 

@@ -36,22 +36,23 @@ struct Scratch {
 };
 
 /// Stages x sub-vectors for tables [t0, t0+tcount) x columns
-/// [c0, c0+lanes) into the interleaved layout xt[(g*mu+j)*lanes + lane],
-/// zero-padding rows past n (the tail-group guarantee).
-void stage_x_tile(ConstMatrixView x, std::size_t c0, std::size_t lanes,
-                  std::size_t t0, std::size_t tcount, unsigned mu, float* xt) {
+/// [c0, c0+ncols) into the interleaved layout xt[(g*mu+j)*lanes + lane],
+/// zero-padding rows past n (the tail-group guarantee) and lanes past
+/// ncols (a narrow batch tile runs at the plane's full width; each lane
+/// is independent, so the padding never reaches a real column).
+void stage_x_tile(ConstMatrixView x, std::size_t c0, std::size_t ncols,
+                  std::size_t lanes, std::size_t t0, std::size_t tcount,
+                  unsigned mu, float* xt) {
   const std::size_t n = x.rows();
   for (std::size_t g = 0; g < tcount; ++g) {
     for (unsigned j = 0; j < mu; ++j) {
       const std::size_t row = (t0 + g) * mu + j;
       float* dst = xt + (g * mu + j) * lanes;
-      if (row < n) {
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          dst[lane] = x(row, c0 + lane);
-        }
-      } else {
-        for (std::size_t lane = 0; lane < lanes; ++lane) dst[lane] = 0.0f;
+      const std::size_t real = row < n ? ncols : 0;
+      for (std::size_t lane = 0; lane < real; ++lane) {
+        dst[lane] = x(row, c0 + lane);
       }
+      std::fill(dst + real, dst + lanes, 0.0f);
     }
   }
 }
@@ -73,30 +74,30 @@ struct KernelArgs {
   const EpilogueOp* ep;               // fused output transform (may be empty)
   /// Non-null = prepared-LUT consume: the full LUT artifact, batch tile t
   /// at prep + t * ntables * 2^mu * plan.lanes, table g of a chunk at
-  /// chunk_base + g * 2^mu * lanes (the layout build_tile emits). x is
-  /// then unused and the stage/build phases are skipped.
+  /// chunk_base + g * 2^mu * plan.lanes (the layout build_tile emits).
+  /// x is then unused and the stage/build phases are skipped.
   const float* prep = nullptr;
 };
 
 void build_tile(const engine::BiqKernels& kernels, const float* xt, float* lut,
-                std::size_t tcount, unsigned mu, std::size_t lanes,
-                bool use_dp) {
+                std::size_t tcount, unsigned mu, bool use_dp) {
+  const std::size_t lanes = kernels.query_lanes;
   const std::size_t table_stride = (std::size_t{1} << mu) * lanes;
+  const auto build = use_dp ? kernels.build_dp : kernels.build_mm;
   for (std::size_t g = 0; g < tcount; ++g) {
-    if (use_dp) {
-      kernels.build_dp(xt + g * mu * lanes, mu, lanes, lut + g * table_stride);
-    } else {
-      kernels.build_mm(xt + g * mu * lanes, mu, lanes, lut + g * table_stride);
-    }
+    build(xt + g * mu * lanes, mu, lut + g * table_stride);
   }
 }
 
-/// `row_ctx` non-null parallelizes the query phase over output-row
-/// blocks through the shared partitioner (the small-batch regime);
-/// null keeps the tile on one worker (the tile-parallel regime).
+/// Runs the batch tile of columns [c0, c0+ncols) at the plane's full
+/// width plan.lanes (ncols < lanes only for a narrow batch or the last
+/// tile). `row_ctx` non-null parallelizes the query phase over
+/// output-row blocks through the shared partitioner (the small-batch
+/// regime); null keeps the tile on one worker (the tile-parallel regime).
 template <typename KeyT>
-void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t lanes,
+void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t ncols,
                         Scratch& scratch, ExecContext* row_ctx) {
+  const std::size_t lanes = a.plan.lanes;
   float* ytile = scratch.ytile;
   std::fill(ytile, ytile + a.m * lanes, 0.0f);
 
@@ -108,7 +109,6 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t lanes,
   q.mu = a.mu;
   q.lut = scratch.lut;
   q.ytile = ytile;
-  q.lanes = lanes;
   const auto query_fn = sizeof(KeyT) == 1 ? a.kernels->query_tile_u8
                                           : a.kernels->query_tile_u16;
 
@@ -116,15 +116,14 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t lanes,
   const float* prep_block =
       a.prep == nullptr
           ? nullptr
-          : a.prep + (c0 / a.plan.lanes) * a.ntables * entries * a.plan.lanes;
+          : a.prep + (c0 / lanes) * a.ntables * entries * lanes;
 
   for (std::size_t t0 = 0; t0 < a.ntables; t0 += a.plan.tables_per_tile) {
     const std::size_t tcount = std::min(a.plan.tables_per_tile, a.ntables - t0);
 
     if (a.prep == nullptr) {
-      stage_x_tile(a.x, c0, lanes, t0, tcount, a.mu, scratch.xt);
-      build_tile(*a.kernels, scratch.xt, scratch.lut, tcount, a.mu, lanes,
-                 a.use_dp);
+      stage_x_tile(a.x, c0, ncols, lanes, t0, tcount, a.mu, scratch.xt);
+      build_tile(*a.kernels, scratch.xt, scratch.lut, tcount, a.mu, a.use_dp);
     } else {
       // Prebuilt chunk: same table layout build_tile would have written,
       // so the query kernel is untouched and the accumulation replays
@@ -157,20 +156,20 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t lanes,
   // costs no extra pass over y; an unfused plan pays those terms as
   // separate re-streaming passes afterwards.
   if (a.ep->empty()) {
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
+    for (std::size_t lane = 0; lane < ncols; ++lane) {
       float* ycol = a.y.col(c0 + lane);
       for (std::size_t i = 0; i < a.m; ++i) ycol[i] = ytile[i * lanes + lane];
     }
   } else {
-    a.ep->apply_interleaved(a.y, ytile, a.m, lanes, c0);
+    a.ep->apply_interleaved(a.y, ytile, a.m, lanes, c0, c0 + ncols);
   }
 }
 
 template <typename KeyT>
 void run_kernel(const KernelArgs& args, ExecContext& ctx) {
   const std::size_t b = args.b;
-  const std::size_t lanes_max = args.plan.lanes;
-  const std::size_t ntiles = (b + lanes_max - 1) / lanes_max;
+  const std::size_t lanes = args.plan.lanes;
+  const std::size_t ntiles = (b + lanes - 1) / lanes;
 
   // Orchestration (prewarm -> dynamic batch-tile queue -> row-split
   // fallback) lives in the shared driver; this kernel contributes only
@@ -182,9 +181,9 @@ void run_kernel(const KernelArgs& args, ExecContext& ctx) {
                        /*build=*/args.prep == nullptr);
       },
       [&](Scratch& scratch, std::size_t t, ExecContext* row_ctx) {
-        const std::size_t c0 = t * lanes_max;
-        run_one_batch_tile<KeyT>(args, c0, std::min(lanes_max, b - c0),
-                                 scratch, row_ctx);
+        const std::size_t c0 = t * lanes;
+        run_one_batch_tile<KeyT>(args, c0, std::min(lanes, b - c0), scratch,
+                                 row_ctx);
       });
 }
 
@@ -196,8 +195,8 @@ void run_prepare_kernel(ConstMatrixView x, float* prep, std::size_t ntables,
                         unsigned mu, bool use_dp, const TilePlan& plan,
                         const engine::BiqKernels& kernels, ExecContext& ctx) {
   const std::size_t b = x.cols();
-  const std::size_t lanes_max = plan.lanes;
-  const std::size_t ntiles = (b + lanes_max - 1) / lanes_max;
+  const std::size_t lanes = plan.lanes;
+  const std::size_t ntiles = (b + lanes - 1) / lanes;
   const std::size_t entries = std::size_t{1} << mu;
   struct PrepScratch {
     float* xt;
@@ -209,15 +208,15 @@ void run_prepare_kernel(ConstMatrixView x, float* prep, std::size_t ntables,
             arena.alloc<float>(plan.tables_per_tile * mu * plan.lanes)};
       },
       [&](PrepScratch& s, std::size_t t, ExecContext* /*row_ctx*/) {
-        const std::size_t c0 = t * lanes_max;
-        const std::size_t lanes = std::min(lanes_max, b - c0);
-        float* block = prep + t * ntables * entries * lanes_max;
+        const std::size_t c0 = t * lanes;
+        float* block = prep + t * ntables * entries * lanes;
         for (std::size_t t0 = 0; t0 < ntables; t0 += plan.tables_per_tile) {
           const std::size_t tcount = std::min(plan.tables_per_tile,
                                               ntables - t0);
-          stage_x_tile(x, c0, lanes, t0, tcount, mu, s.xt);
+          stage_x_tile(x, c0, std::min(lanes, b - c0), lanes, t0, tcount, mu,
+                       s.xt);
           build_tile(kernels, s.xt, block + t0 * entries * lanes, tcount, mu,
-                     lanes, use_dp);
+                     use_dp);
         }
       });
 }
@@ -238,7 +237,7 @@ class BiqGemmPlan final : public GemmPlan {
                  epilogue),
         keys_(&keys), alphas_(&alphas), opt_(&opt), kernels_(&kernels),
         num_groups_(engine.num_groups()), group_size_(engine.group_size()),
-        tile_plan_(plan_tiles(engine.rows(), batch, opt, kernels.query_lanes)),
+        tile_plan_(plan_tiles(engine.rows(), opt, kernels.query_lanes)),
         ntables_(table_count(engine.cols(), opt.mu)),
         gemv_(batch == 1 && num_groups_ <= 1) {
     if (num_groups_ > 1) tile_plan_.tables_per_tile = group_size_ / opt.mu;
@@ -282,11 +281,12 @@ class BiqGemmPlan final : public GemmPlan {
   }
 
   [[nodiscard]] std::size_t do_prep_floats() const noexcept override {
-    // Batch tiles of lanes_max columns each store ntables tables of
-    // 2^mu * lanes entries; only the last tile can be partial, so the
-    // total is exactly tables * entries * batch (batch 1: the flat GEMV
-    // LUT, same formula).
-    return ntables_ * (std::size_t{1} << opt_->mu) * batch();
+    // The GEMV stores one flat table per LUT-unit; every batch tile
+    // stores ntables tables of 2^mu * lanes entries, a narrow or last
+    // tile included (its zero-padded lanes are built too).
+    const std::size_t lanes = gemv_ ? 1 : tile_plan_.lanes;
+    const std::size_t ntiles = (batch() + lanes - 1) / lanes;
+    return ntables_ * (std::size_t{1} << opt_->mu) * lanes * ntiles;
   }
 
   void do_prepare(ConstMatrixView x, float* prep) const override {

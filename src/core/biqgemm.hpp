@@ -2,7 +2,9 @@
 //     Y = sum_q alpha_q o (B_q . X)          (Eq. 2)
 // from mu-bit-packed keys and on-the-fly lookup tables instead of
 // arithmetic on unpacked weights:
-//   per batch tile (8 columns) and LUT tile (G tables):
+//   per batch tile (the kernel plane's query width: 8 columns, 16 on
+//   AVX-512; a narrower batch is zero-padded to it) and LUT tile (G
+//   tables):
 //     replace: stage the x sub-vectors into an interleaved tile
 //     build:   Algorithm-1 DP tables, entries interleaved by batch lane
 //              (Fig. 6) so queries are full vector loads

@@ -6,15 +6,14 @@
 
 namespace biq {
 
-TilePlan plan_tiles(std::size_t m, std::size_t b, const BiqGemmOptions& opt,
+TilePlan plan_tiles(std::size_t m, const BiqGemmOptions& opt,
                     std::size_t lanes_hint) {
   TilePlan plan;
   // Lane count comes from the runtime-dispatched kernel plane, not a
   // compile-time SIMD constant: the plane chosen at engine construction
   // decides how many batch columns one query step covers.
-  const std::size_t lanes =
+  plan.lanes =
       lanes_hint != 0 ? lanes_hint : engine::select_kernels(opt.isa).query_lanes;
-  plan.lanes = std::min<std::size_t>(lanes, std::max<std::size_t>(b, 1));
 
   if (opt.tables_per_tile != 0) {
     plan.tables_per_tile = opt.tables_per_tile;

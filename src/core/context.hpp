@@ -45,12 +45,12 @@ struct TilePlan {
 };
 
 /// Derives the plan: lanes = the *runtime-dispatched* vector width of
-/// the selected kernel plane (clamped to b), tile height from the byte
+/// the selected kernel plane, whatever the batch (a narrower batch runs
+/// one tile zero-padded to that width), tile height from the byte
 /// budget (at least 1), row_block clamped to [16, m]. Callers that
 /// already hold their resolved kernel table (BiqGemm) pass its
 /// query_lanes as `lanes_hint`; 0 resolves the plane from opt.isa.
-[[nodiscard]] TilePlan plan_tiles(std::size_t m, std::size_t b,
-                                  const BiqGemmOptions& opt,
+[[nodiscard]] TilePlan plan_tiles(std::size_t m, const BiqGemmOptions& opt,
                                   std::size_t lanes_hint = 0);
 
 }  // namespace biq

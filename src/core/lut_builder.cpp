@@ -48,16 +48,14 @@ void build_lut_mm(const float* x, std::size_t len, unsigned mu, float* lut) {
 // entry points route through the runtime-dispatched table. Callers on
 // the hot path (BiqGemm) hold the table directly; these wrappers keep
 // the documented public contract for tests and ablations.
-void build_lut_dp_interleaved(const float* xt, unsigned mu, std::size_t lanes,
-                              float* lut) {
-  assert(mu >= 1 && mu <= 16 && lanes >= 1);
-  engine::select_kernels(KernelIsa::kAuto).build_dp(xt, mu, lanes, lut);
+void build_lut_dp_interleaved(const float* xt, unsigned mu, float* lut) {
+  assert(mu >= 1 && mu <= 16);
+  engine::select_kernels(KernelIsa::kAuto).build_dp(xt, mu, lut);
 }
 
-void build_lut_mm_interleaved(const float* xt, unsigned mu, std::size_t lanes,
-                              float* lut) {
-  assert(mu >= 1 && mu <= 16 && lanes >= 1);
-  engine::select_kernels(KernelIsa::kAuto).build_mm(xt, mu, lanes, lut);
+void build_lut_mm_interleaved(const float* xt, unsigned mu, float* lut) {
+  assert(mu >= 1 && mu <= 16);
+  engine::select_kernels(KernelIsa::kAuto).build_mm(xt, mu, lut);
 }
 
 }  // namespace biq

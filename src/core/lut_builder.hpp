@@ -14,9 +14,11 @@
 //    comparison point for the Tc,dp vs Tc,mm ablation and as the test
 //    oracle.
 //
-// Interleaved variants build `lanes` tables for `lanes` batch columns at
-// once with entry layout lut[key*lanes + lane] (paper Fig. 6), which the
-// query loop reads with full-width vector loads.
+// Interleaved variants build one table per batch column for a whole
+// batch tile at once, with entry layout lut[key*lanes + lane] (paper
+// Fig. 6), which the query loop reads with full-width vector loads. The
+// tile width `lanes` is the kernel plane's query width (8 lanes, 16 on
+// the AVX-512 plane); narrower batches are zero-padded to it.
 #pragma once
 
 #include <cstddef>
@@ -30,17 +32,15 @@ void build_lut_dp(const float* x, std::size_t len, unsigned mu, float* lut);
 /// Brute-force oracle, identical contract.
 void build_lut_mm(const float* x, std::size_t len, unsigned mu, float* lut);
 
-/// Interleaved DP builder: xt points at a row-major [mu x lanes] block
-/// (xt[j*lanes + lane] = element j of column `lane`'s sub-vector, already
-/// zero-padded), lut receives 2^mu * lanes floats, entry layout
-/// lut[k*lanes + lane]. Vectorized when lanes equals the kernel plane's
-/// query width (8 lanes, 16 on the AVX-512 plane).
-void build_lut_dp_interleaved(const float* xt, unsigned mu, std::size_t lanes,
-                              float* lut);
+/// Interleaved DP builder on the auto-selected kernel plane, whose
+/// query_lanes (engine::select_kernels(KernelIsa::kAuto)) is `lanes`:
+/// xt points at a row-major [mu x lanes] block (xt[j*lanes + lane] =
+/// element j of column `lane`'s sub-vector, already zero-padded), lut
+/// receives 2^mu * lanes floats, entry layout lut[k*lanes + lane].
+void build_lut_dp_interleaved(const float* xt, unsigned mu, float* lut);
 
 /// Interleaved brute-force builder (ablation comparison), same contract.
-void build_lut_mm_interleaved(const float* xt, unsigned mu, std::size_t lanes,
-                              float* lut);
+void build_lut_mm_interleaved(const float* xt, unsigned mu, float* lut);
 
 /// Exact add/negate counts of the DP scheme (Eq. 6 cost model inputs).
 [[nodiscard]] constexpr std::size_t dp_build_adds(unsigned mu) noexcept {

@@ -138,89 +138,48 @@ inline constexpr std::size_t kQueryLanes = 8;
 
 #endif  // __AVX512F__
 
-// Widest batch-tile lane count any plane uses; sizes the generic-lane
-// fallback's accumulator (partial tiles have lanes < kQueryLanes).
-inline constexpr std::size_t kMaxQueryLanes = 16;
-
 // --------------------------------------------------- LUT builders (Fig. 4)
-// Interleaved DP builder (Algorithm 1): entry layout lut[k*lanes + lane].
-void build_dp(const float* xt, unsigned mu, std::size_t lanes, float* lut) {
+// Both builders fill one batch tile of kQueryLanes columns: xt is
+// [mu x kQueryLanes] row-major, entry layout lut[k*kQueryLanes + lane].
+// Narrow batches arrive zero-padded to the full width.
+
+// Interleaved DP builder (Algorithm 1).
+void build_dp(const float* xt, unsigned mu, float* lut) {
+  constexpr std::size_t W = kQueryLanes;
   const std::size_t half = std::size_t{1} << (mu - 1);
   const std::size_t full = half << 1;
 
-  if (lanes == kQueryLanes) {
-    VBatch sum = VBatch::zero();
-    for (unsigned j = 0; j < mu; ++j) {
-      sum = sum + VBatch::loadu(xt + j * lanes);
-    }
-    sum.negate().storeu(lut);
-
-    for (unsigned s = 1; s < mu; ++s) {
-      const std::size_t base = std::size_t{1} << (s - 1);
-      const VBatch twice = VBatch::loadu(xt + (mu - s) * lanes) +
-                           VBatch::loadu(xt + (mu - s) * lanes);
-      for (std::size_t j = 0; j < base; ++j) {
-        (VBatch::loadu(lut + j * lanes) + twice)
-            .storeu(lut + (base + j) * lanes);
-      }
-    }
-    for (std::size_t k = half; k < full; ++k) {
-      VBatch::loadu(lut + (full - 1 - k) * lanes)
-          .negate()
-          .storeu(lut + k * lanes);
-    }
-    return;
+  VBatch sum = VBatch::zero();
+  for (unsigned j = 0; j < mu; ++j) {
+    sum = sum + VBatch::loadu(xt + j * W);
   }
+  sum.negate().storeu(lut);
 
-  // Generic lane count (partial batch tiles).
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    float sum = 0.0f;
-    for (unsigned j = 0; j < mu; ++j) sum += xt[j * lanes + lane];
-    lut[lane] = -sum;
-  }
   for (unsigned s = 1; s < mu; ++s) {
     const std::size_t base = std::size_t{1} << (s - 1);
+    const VBatch twice =
+        VBatch::loadu(xt + (mu - s) * W) + VBatch::loadu(xt + (mu - s) * W);
     for (std::size_t j = 0; j < base; ++j) {
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        lut[(base + j) * lanes + lane] =
-            lut[j * lanes + lane] + 2.0f * xt[(mu - s) * lanes + lane];
-      }
+      (VBatch::loadu(lut + j * W) + twice).storeu(lut + (base + j) * W);
     }
   }
   for (std::size_t k = half; k < full; ++k) {
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      lut[k * lanes + lane] = -lut[(full - 1 - k) * lanes + lane];
-    }
+    VBatch::loadu(lut + (full - 1 - k) * W).negate().storeu(lut + k * W);
   }
 }
 
 /// Interleaved brute-force builder (the Tc,mm ablation comparison).
-void build_mm(const float* xt, unsigned mu, std::size_t lanes, float* lut) {
+void build_mm(const float* xt, unsigned mu, float* lut) {
+  constexpr std::size_t W = kQueryLanes;
   const std::size_t full = std::size_t{1} << mu;
-
-  if (lanes == kQueryLanes) {
-    for (std::size_t k = 0; k < full; ++k) {
-      VBatch acc = VBatch::zero();
-      for (unsigned j = 0; j < mu; ++j) {
-        const VBatch xv = VBatch::loadu(xt + j * lanes);
-        const bool plus = ((k >> (mu - 1 - j)) & 1u) != 0;
-        acc = plus ? acc + xv : acc + xv.negate();
-      }
-      acc.storeu(lut + k * lanes);
-    }
-    return;
-  }
-
   for (std::size_t k = 0; k < full; ++k) {
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      float acc = 0.0f;
-      for (unsigned j = 0; j < mu; ++j) {
-        const bool plus = ((k >> (mu - 1 - j)) & 1u) != 0;
-        const float v = xt[j * lanes + lane];
-        acc += plus ? v : -v;
-      }
-      lut[k * lanes + lane] = acc;
+    VBatch acc = VBatch::zero();
+    for (unsigned j = 0; j < mu; ++j) {
+      const VBatch xv = VBatch::loadu(xt + j * W);
+      const bool plus = ((k >> (mu - 1 - j)) & 1u) != 0;
+      acc = plus ? acc + xv : acc + xv.negate();
     }
+    acc.storeu(lut + k * W);
   }
 }
 
@@ -237,7 +196,7 @@ const KeyT* key_row(const KeyMatrix& k, std::size_t i) noexcept {
 /// Full-width vector query (8 lanes, 16 on AVX-512): LUT entries are
 /// vector-aligned, two independent accumulator chains hide load latency.
 template <typename KeyT>
-void query_tile_vec(const QueryTileArgs& a) {
+void query_tile(const QueryTileArgs& a) {
   constexpr std::size_t W = kQueryLanes;
   const bool scaled = a.alphas != nullptr;
   for (std::size_t i = a.i0; i < a.i1; ++i) {
@@ -265,40 +224,6 @@ void query_tile_vec(const QueryTileArgs& a) {
       }
     }
     yv.store(yrow);
-  }
-}
-
-/// Generic-lane query for partial batch tiles (lanes < kQueryLanes).
-template <typename KeyT>
-void query_tile_any(const QueryTileArgs& a) {
-  const bool scaled = a.alphas != nullptr;
-  float acc[kMaxQueryLanes];
-  for (std::size_t i = a.i0; i < a.i1; ++i) {
-    float* yrow = a.ytile + i * a.lanes;
-    for (std::size_t q = 0; q < a.num_planes; ++q) {
-      const KeyT* krow = key_row<KeyT>(a.keys[q], i) + a.t0;
-      for (std::size_t lane = 0; lane < a.lanes; ++lane) acc[lane] = 0.0f;
-      for (std::size_t g = 0; g < a.tcount; ++g) {
-        const float* entry = a.lut + ((g << a.mu) + krow[g]) * a.lanes;
-        for (std::size_t lane = 0; lane < a.lanes; ++lane) {
-          acc[lane] += entry[lane];
-        }
-      }
-      const float s =
-          scaled ? a.alphas[q][i * a.alpha_stride + a.alpha_offset] : 1.0f;
-      for (std::size_t lane = 0; lane < a.lanes; ++lane) {
-        yrow[lane] += s * acc[lane];
-      }
-    }
-  }
-}
-
-template <typename KeyT>
-void query_tile(const QueryTileArgs& a) {
-  if (a.lanes == kQueryLanes) {
-    query_tile_vec<KeyT>(a);
-  } else {
-    query_tile_any<KeyT>(a);
   }
 }
 

@@ -56,10 +56,9 @@ struct QueryTileArgs {
   std::size_t t0 = 0;      // first table of the tile (key-column offset)
   std::size_t tcount = 0;  // tables in the tile
   unsigned mu = 0;
-  const float* lut = nullptr;  // tile base; entry k of table g at
-                               // lut[((g << mu) + k) * lanes]
-  float* ytile = nullptr;      // rows x lanes accumulator, row-major
-  std::size_t lanes = 0;
+  /// Tile base; entry k of table g at lut[((g << mu) + k) * query_lanes].
+  const float* lut = nullptr;
+  float* ytile = nullptr;  // rows x query_lanes accumulator, row-major
   std::size_t i0 = 0, i1 = 0;  // output-row range [i0, i1)
 };
 
@@ -67,15 +66,14 @@ struct QueryTileArgs {
 /// these at construction and calls through it — no #if in the hot path.
 struct BiqKernels {
   const char* isa = "";
-  /// Batch-tile width the query loop vectorizes over (8 on the scalar
-  /// and AVX2 planes, 16 on AVX-512).
+  /// Batch-tile width the builders and the query vectorize over (8 on
+  /// the scalar and AVX2 planes, 16 on AVX-512). Every batch tile has
+  /// this width; narrower batches are zero-padded to it.
   std::size_t query_lanes = 8;
-  /// Interleaved LUT builders (contract of core/lut_builder.hpp):
-  /// xt is [mu x lanes] row-major, lut receives 2^mu * lanes floats.
-  void (*build_dp)(const float* xt, unsigned mu, std::size_t lanes,
-                   float* lut) = nullptr;
-  void (*build_mm)(const float* xt, unsigned mu, std::size_t lanes,
-                   float* lut) = nullptr;
+  /// Interleaved LUT builders (contract of core/lut_builder.hpp): xt is
+  /// [mu x query_lanes] row-major, lut receives 2^mu * query_lanes floats.
+  void (*build_dp)(const float* xt, unsigned mu, float* lut) = nullptr;
+  void (*build_mm)(const float* xt, unsigned mu, float* lut) = nullptr;
   /// Batched query over one LUT tile, 8-bit / 16-bit key storage.
   void (*query_tile_u8)(const QueryTileArgs&) = nullptr;
   void (*query_tile_u16)(const QueryTileArgs&) = nullptr;

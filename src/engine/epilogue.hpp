@@ -206,15 +206,18 @@ class EpilogueOp {
 
   /// De-interleaving write-back with the epilogue merged into the copy:
   /// `tile` holds a finished accumulator block in lane-interleaved order
-  /// (tile[i * lanes + lane] is raw y(i, c0 + lane)). The bias add — and,
+  /// (tile[i * lanes + lane] is raw y(i, c0 + lane)); columns [c0, c1)
+  /// are written, c1 - c0 <= lanes, so the zero-padded lanes of a narrow
+  /// batch tile are never stored. The bias add — and,
   /// when there is no activation, the residual add too — rides the
   /// de-interleave store itself, so for those terms the epilogue costs
   /// no pass over y at all; activations follow as the same staged sweeps
   /// apply() runs. Same per-element arithmetic order, so the result is
   /// bitwise identical to a plain copy followed by apply().
   void apply_interleaved(MatrixView y, const float* tile, std::size_t m,
-                         std::size_t lanes, std::size_t c0) const noexcept {
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
+                         std::size_t lanes, std::size_t c0,
+                         std::size_t c1) const noexcept {
+    for (std::size_t lane = 0; lane < c1 - c0; ++lane) {
       float* yc = y.col(c0 + lane);
       const float* src = tile + lane;
       const float* rc = has_residual_ ? residual_.col(c0 + lane) : nullptr;
@@ -242,7 +245,7 @@ class EpilogueOp {
         for (std::size_t i = 0; i < m; ++i) yc[i] += rc[i];
       }
     }
-    notify_cols(y, 0, m, c0, c0 + lanes);
+    notify_cols(y, 0, m, c0, c1);
   }
 
  private:

@@ -2,11 +2,15 @@
 // reproduce the reference Eq.-2 result exactly (up to fp reassociation).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
+#include <vector>
 
 #include "core/biqgemm.hpp"
 #include "gemm/gemm_ref.hpp"
 #include "quant/greedy.hpp"
+#include "quant/grouped.hpp"
+#include "util/aligned_buffer.hpp"
 
 namespace biq {
 namespace {
@@ -63,7 +67,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // vector batch path (b >= 8), mu = 8 fast path
         Case{64, 64, 8, 8, 1}, Case{64, 64, 16, 8, 2}, Case{130, 96, 8, 8, 3},
-        // partial batch tiles (b % 8 != 0)
+        // zero-padded narrow and last batch tiles (b % 8 != 0)
         Case{32, 64, 9, 8, 1}, Case{32, 64, 12, 8, 2}, Case{17, 40, 3, 8, 1},
         // ragged input size (n % mu != 0)
         Case{48, 61, 8, 8, 1}, Case{48, 61, 10, 8, 2}, Case{25, 13, 9, 4, 1},
@@ -197,6 +201,72 @@ TEST(BiqGemm, ReusableAcrossManyInputs) {
     gemm_codes_ref(codes, x, expected);
     kernel.run(x, actual);
     EXPECT_TRUE(allclose(actual, expected, 1e-3f, 1e-3f));
+  }
+}
+
+// Batch tiles narrower than the plane's query width are zero-padded to
+// it, and every lane runs the same arithmetic, so in a batch-tile plan
+// (b >= 2) a column's output bits must not depend on the batch width it
+// ran at. Each width 2..47 is checked against the same columns of a
+// b = 48 run: per-row and grouped scales, fused run and prepare +
+// run(prep), with and without a fused bias + GELU + residual epilogue,
+// at 1 and 4 threads.
+TEST(BiqGemm, ColumnBitsDoNotDependOnBatchWidth) {
+  constexpr std::size_t m = 200, n = 300, wide = 48;
+  Rng rng(149);
+  const Matrix w = Matrix::random_normal(m, n, rng);
+  const BiqGemm per_row(quantize_greedy(w, 2), {});
+  const BiqGemm grouped(quantize_greedy_grouped(w, 2, 64), {});
+  const Matrix x = Matrix::random_normal(n, wide, rng);
+  const Matrix res = Matrix::random_normal(m, wide, rng);
+  std::vector<float> bias(m);
+  fill_normal(rng, bias.data(), m);
+
+  ThreadPool pool(4);
+  ExecContext serial;
+  ExecContext threaded(&pool);
+  for (ExecContext* ctx : {&serial, &threaded}) {
+    for (const BiqGemm* engine : {&per_row, &grouped}) {
+      for (const bool with_ep : {false, true}) {
+        Epilogue ep;
+        if (with_ep) {
+          ep.bias = bias.data();
+          ep.act = EpilogueAct::kGelu;
+          ep.residual = true;
+        }
+        const auto run = [&](std::size_t b, bool prepared) {
+          const auto plan = engine->plan(b, *ctx, ep);
+          const ConstMatrixView xb = x.col_block(0, b);
+          const ConstMatrixView rb = res.col_block(0, b);
+          Matrix y(m, b);
+          if (prepared) {
+            AlignedBuffer<float> storage(plan->prep_floats());
+            PrepHandle prep(storage.data(), storage.size());
+            plan->prepare(xb, prep);
+            with_ep ? plan->run(prep, y.view(), rb) : plan->run(prep, y.view());
+          } else {
+            with_ep ? plan->run(xb, y.view(), rb) : plan->run(xb, y.view());
+          }
+          return y;
+        };
+        const Matrix ref = run(wide, /*prepared=*/false);
+        for (const bool prepared : {false, true}) {
+          std::size_t differing = 0, checked = 0;
+          for (std::size_t b = 2; b < wide; ++b) {
+            const Matrix y = run(b, prepared);
+            for (std::size_t c = 0; c < b; ++c, ++checked) {
+              differing += std::memcmp(y.col(c), ref.col(c),
+                                       m * sizeof(float)) != 0;
+            }
+          }
+          EXPECT_EQ(differing, 0u)
+              << engine->name() << (prepared ? " prepared" : " fused")
+              << (with_ep ? " +epilogue" : "") << ", "
+              << ctx->worker_count() << " worker(s): " << differing << " of "
+              << checked << " columns differ from the b = " << wide << " run";
+        }
+      }
+    }
   }
 }
 

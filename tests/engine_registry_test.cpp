@@ -420,11 +420,30 @@ TEST(Dispatch, UnavailablePlaneThrowsInsteadOfCrashing) {
 }
 
 TEST(Dispatch, PlanTilesLanesComeFromDispatchedPlane) {
-  BiqGemmOptions opt;
-  const std::size_t lanes = engine::select_kernels(opt.isa).query_lanes;
-  EXPECT_EQ(plan_tiles(128, 64, opt).lanes, lanes);
-  EXPECT_EQ(plan_tiles(128, 3, opt).lanes, 3u);   // clamped to batch
-  EXPECT_EQ(plan_tiles(128, 1, opt).lanes, 1u);
+  // Every batch tile runs at its plane's full width: a narrower batch
+  // (or the last tile of a wider one) is zero-padded, never clamped, so
+  // the prep artifact holds whole tiles. Batch 1 stays the flat GEMV.
+  Rng rng(7);
+  const BinaryCodes codes = quantize(Matrix::random_normal(16, 40, rng), 2,
+                                     QuantMethod::kGreedy);
+  const std::size_t tables = 5;  // 40 inputs / mu 8
+  for (const KernelIsa isa : {KernelIsa::kAuto, KernelIsa::kScalar,
+                              KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    if (isa != KernelIsa::kAuto && !engine::isa_available(isa)) continue;
+    BiqGemmOptions opt;
+    opt.isa = isa;
+    const std::size_t lanes = engine::select_kernels(isa).query_lanes;
+    EXPECT_EQ(plan_tiles(128, opt).lanes, lanes);
+
+    const BiqGemm engine(codes, opt);
+    ExecContext ctx;
+    const std::size_t table = std::size_t{1} << opt.mu;
+    EXPECT_EQ(engine.plan(1, ctx)->prep_floats(), tables * table);
+    EXPECT_EQ(engine.plan(3, ctx)->prep_floats(), tables * table * lanes);
+    EXPECT_EQ(engine.plan(lanes, ctx)->prep_floats(), tables * table * lanes);
+    EXPECT_EQ(engine.plan(lanes + 1, ctx)->prep_floats(),
+              tables * table * 2 * lanes);
+  }
 }
 
 TEST(Dispatch, ScalarAndAvx2PlanesAreBitwiseConsistent) {
@@ -447,13 +466,13 @@ TEST(Dispatch, ScalarAndAvx2PlanesAreBitwiseConsistent) {
   fill_normal(rng, xt.data(), xt.size());
   std::vector<float> lut_scalar((std::size_t{1} << mu) * lanes);
   std::vector<float> lut_avx2(lut_scalar.size());
-  scalar.build_dp(xt.data(), mu, lanes, lut_scalar.data());
-  avx2.build_dp(xt.data(), mu, lanes, lut_avx2.data());
+  scalar.build_dp(xt.data(), mu, lut_scalar.data());
+  avx2.build_dp(xt.data(), mu, lut_avx2.data());
   EXPECT_EQ(std::memcmp(lut_scalar.data(), lut_avx2.data(),
                         lut_scalar.size() * sizeof(float)),
             0);
-  scalar.build_mm(xt.data(), mu, lanes, lut_scalar.data());
-  avx2.build_mm(xt.data(), mu, lanes, lut_avx2.data());
+  scalar.build_mm(xt.data(), mu, lut_scalar.data());
+  avx2.build_mm(xt.data(), mu, lut_avx2.data());
   EXPECT_EQ(std::memcmp(lut_scalar.data(), lut_avx2.data(),
                         lut_scalar.size() * sizeof(float)),
             0);
@@ -488,7 +507,7 @@ TEST(Dispatch, OneBinaryServesBothPlanesWithConsistentResults) {
   }
 
   // Outputs agree to rounding (the avx2 query fuses multiply-add) on the
-  // batched path, the partial-tile path, and the GEMV path.
+  // batched path, a zero-padded narrow tile, and the GEMV path.
   for (const std::size_t b : {std::size_t{1}, std::size_t{5}, std::size_t{16}}) {
     Matrix x = Matrix::random_normal(72, b, rng);
     Matrix y_scalar(80, b), y_avx2(80, b);
@@ -508,29 +527,52 @@ TEST(Dispatch, ScalarAndAvx512PlanesAreBitwiseConsistent) {
   EXPECT_STREQ(avx512.isa, "avx512");
   EXPECT_EQ(avx512.query_lanes, 16u);
 
-  // At 16 lanes the scalar plane runs its generic per-lane loops and the
-  // AVX-512 plane its V16 fast path; the DP recurrence (adds/negates
-  // only, same per-lane order) must produce bit-for-bit equal tables.
+  // One 16-lane AVX-512 tile holds the same columns as two 8-lane
+  // scalar tiles; the DP recurrence (adds/negates only, same per-lane
+  // order) must produce bit-for-bit equal tables, lane by lane.
   constexpr unsigned mu = 8;
+  constexpr std::size_t entries = std::size_t{1} << mu;
   const std::size_t lanes = avx512.query_lanes;
+  const std::size_t half = scalar.query_lanes;
+  ASSERT_EQ(lanes, 2 * half);
   Rng rng(29);
   std::vector<float> xt(mu * lanes);
   fill_normal(rng, xt.data(), xt.size());
-  std::vector<float> lut_scalar((std::size_t{1} << mu) * lanes);
-  std::vector<float> lut_avx512(lut_scalar.size());
-  scalar.build_dp(xt.data(), mu, lanes, lut_scalar.data());
-  avx512.build_dp(xt.data(), mu, lanes, lut_avx512.data());
-  EXPECT_EQ(std::memcmp(lut_scalar.data(), lut_avx512.data(),
-                        lut_scalar.size() * sizeof(float)),
-            0);
-  scalar.build_mm(xt.data(), mu, lanes, lut_scalar.data());
-  avx512.build_mm(xt.data(), mu, lanes, lut_avx512.data());
-  EXPECT_EQ(std::memcmp(lut_scalar.data(), lut_avx512.data(),
-                        lut_scalar.size() * sizeof(float)),
-            0);
+  std::vector<float> xt_half[2];
+  for (std::size_t h = 0; h < 2; ++h) {
+    xt_half[h].resize(mu * half);
+    for (unsigned j = 0; j < mu; ++j) {
+      std::memcpy(&xt_half[h][j * half], &xt[j * lanes + h * half],
+                  half * sizeof(float));
+    }
+  }
+  std::vector<float> lut_avx512(entries * lanes);
+  std::vector<float> lut_scalar[2] = {std::vector<float>(entries * half),
+                                      std::vector<float>(entries * half)};
+  const auto expect_lanes_equal = [&] {
+    for (std::size_t h = 0; h < 2; ++h) {
+      for (std::size_t k = 0; k < entries; ++k) {
+        EXPECT_EQ(std::memcmp(&lut_scalar[h][k * half],
+                              &lut_avx512[k * lanes + h * half],
+                              half * sizeof(float)),
+                  0)
+            << "half=" << h << " k=" << k;
+      }
+    }
+  };
+  avx512.build_dp(xt.data(), mu, lut_avx512.data());
+  for (std::size_t h = 0; h < 2; ++h) {
+    scalar.build_dp(xt_half[h].data(), mu, lut_scalar[h].data());
+  }
+  expect_lanes_equal();
+  avx512.build_mm(xt.data(), mu, lut_avx512.data());
+  for (std::size_t h = 0; h < 2; ++h) {
+    scalar.build_mm(xt_half[h].data(), mu, lut_scalar[h].data());
+  }
+  expect_lanes_equal();
 
-  // Engine outputs across the 16-lane batched path, a partial tile and
-  // the GEMV path agree with the scalar plane to rounding.
+  // Engine outputs across the 16-lane batched path, a zero-padded last
+  // tile and the GEMV path agree with the scalar plane to rounding.
   const Matrix w = Matrix::random_normal(72, 64, rng);
   const BinaryCodes codes = quantize(w, 2, QuantMethod::kGreedy);
   BiqGemmOptions opt_scalar;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -398,20 +399,22 @@ TEST(EpilogueContract, ResidualMustNotAliasOutput) {
 
 // apply_interleaved is the LUT engines' merged de-interleave write-back:
 // for every bias/act/residual combo it must equal a plain de-interleave
-// copy followed by apply() over the same region — bitwise.
+// copy followed by apply() over the same region — bitwise. The tile is
+// wider than the columns written (a zero-padded narrow batch tile): the
+// padding lanes must never reach y.
 TEST(EpilogueContract, ApplyInterleavedMatchesCopyThenApply) {
-  constexpr std::size_t m = 23, batch = 11, lanes = 4, c0 = 3;
+  constexpr std::size_t m = 23, batch = 11, lanes = 8, c0 = 3, c1 = 7;
   Rng rng(0xA11);
   const Matrix res = Matrix::random_normal(m, batch, rng);
   const Matrix raw = Matrix::random_normal(m, batch, rng);
   std::vector<float> bias(m);
   for (std::size_t i = 0; i < m; ++i) bias[i] = 0.1f * static_cast<float>(i);
 
-  // The interleaved accumulator block for columns [c0, c0 + lanes):
-  // tile[i * lanes + lane] = raw(i, c0 + lane).
-  std::vector<float> tile(m * lanes);
+  // The interleaved accumulator block for columns [c0, c1):
+  // tile[i * lanes + lane] = raw(i, c0 + lane); padding lanes hold NaN.
+  std::vector<float> tile(m * lanes, std::numeric_limits<float>::quiet_NaN());
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
+    for (std::size_t lane = 0; lane < c1 - c0; ++lane) {
       tile[i * lanes + lane] = raw(i, c0 + lane);
     }
   }
@@ -425,14 +428,14 @@ TEST(EpilogueContract, ApplyInterleavedMatchesCopyThenApply) {
     const EpilogueOp op(ep, res.view());
 
     Matrix got(m, batch, /*zero_fill=*/true);
-    op.apply_interleaved(got.view(), tile.data(), m, lanes, c0);
+    op.apply_interleaved(got.view(), tile.data(), m, lanes, c0, c1);
 
     Matrix want(m, batch, /*zero_fill=*/true);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
+    for (std::size_t lane = 0; lane < c1 - c0; ++lane) {
       float* yc = want.view().col(c0 + lane);
       for (std::size_t i = 0; i < m; ++i) yc[i] = tile[i * lanes + lane];
     }
-    op.apply(want.view(), 0, m, c0, c0 + lanes);
+    op.apply(want.view(), 0, m, c0, c1);
 
     expect_bitwise(got, want, combo.name);
   }

@@ -105,7 +105,7 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, GroupedKernelSweep,
     ::testing::Values(GroupedCase{32, 64, 8, 16, 1},   // vector path
                       GroupedCase{32, 64, 8, 8, 2},    // group == mu
-                      GroupedCase{48, 128, 12, 32, 2}, // partial batch tile
+                      GroupedCase{48, 128, 12, 32, 2}, // zero-padded last batch tile
                       GroupedCase{16, 72, 3, 24, 1},   // ragged n, scalar lanes
                       GroupedCase{64, 256, 1, 64, 3},  // single column
                       GroupedCase{7, 40, 9, 8, 2}));   // odd everything

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/lut_builder.hpp"
+#include "engine/dispatch.hpp"
 #include "util/rng.hpp"
 
 namespace biq {
@@ -93,49 +95,61 @@ TEST(LutBuilder, PaperExampleIndexSix) {
   EXPECT_FLOAT_EQ(lut[15], 1111.0f);
 }
 
-class InterleavedLaneSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(InterleavedLaneSweep, DpInterleavedMatchesScalarPerLane) {
-  const auto lanes = static_cast<std::size_t>(GetParam());
-  const unsigned mu = 8;
-  Rng rng(lanes);
-  std::vector<float> xt(mu * lanes);
-  fill_normal(rng, xt.data(), xt.size());
-  std::vector<float> lut((std::size_t{1} << mu) * lanes);
-  build_lut_dp_interleaved(xt.data(), mu, lanes, lut.data());
-
-  std::vector<float> x(mu), ref(std::size_t{1} << mu);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    for (unsigned j = 0; j < mu; ++j) x[j] = xt[j * lanes + lane];
-    build_lut_dp(x.data(), mu, mu, ref.data());
-    for (std::size_t k = 0; k < ref.size(); ++k) {
-      EXPECT_NEAR(lut[k * lanes + lane], ref[k], 1e-4f)
-          << "lane=" << lane << " k=" << k;
+// Each kernel plane the host can run builds one batch tile at its own
+// width (query_lanes); every lane must equal the single-column builder
+// bit for bit (both run the same adds and negates in the same order).
+// kAuto is the public build_lut_{dp,mm}_interleaved entry point.
+class InterleavedPlaneSweep : public ::testing::TestWithParam<KernelIsa> {
+ protected:
+  void SetUp() override {
+    if (GetParam() != KernelIsa::kAuto && !engine::isa_available(GetParam())) {
+      GTEST_SKIP() << "plane not available on this host/build";
     }
   }
-}
 
-TEST_P(InterleavedLaneSweep, MmInterleavedMatchesScalarPerLane) {
-  const auto lanes = static_cast<std::size_t>(GetParam());
-  const unsigned mu = 5;
-  Rng rng(lanes + 50);
-  std::vector<float> xt(mu * lanes);
-  fill_normal(rng, xt.data(), xt.size());
-  std::vector<float> lut((std::size_t{1} << mu) * lanes);
-  build_lut_mm_interleaved(xt.data(), mu, lanes, lut.data());
+  /// Builds the tile on the plane under test and checks every lane
+  /// against `single` run on that lane's column.
+  template <typename Single>
+  void expect_lanes_match(unsigned mu, std::uint64_t seed, Single single,
+                          bool use_dp) {
+    const engine::BiqKernels& plane = engine::select_kernels(GetParam());
+    const std::size_t lanes = plane.query_lanes;
+    Rng rng(seed);
+    std::vector<float> xt(mu * lanes);
+    fill_normal(rng, xt.data(), xt.size());
+    std::vector<float> lut((std::size_t{1} << mu) * lanes);
+    if (GetParam() == KernelIsa::kAuto) {
+      (use_dp ? build_lut_dp_interleaved : build_lut_mm_interleaved)(
+          xt.data(), mu, lut.data());
+    } else {
+      (use_dp ? plane.build_dp : plane.build_mm)(xt.data(), mu, lut.data());
+    }
 
-  std::vector<float> x(mu), ref(std::size_t{1} << mu);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    for (unsigned j = 0; j < mu; ++j) x[j] = xt[j * lanes + lane];
-    build_lut_mm(x.data(), mu, mu, ref.data());
-    for (std::size_t k = 0; k < ref.size(); ++k) {
-      EXPECT_NEAR(lut[k * lanes + lane], ref[k], 1e-4f);
+    std::vector<float> x(mu), ref(std::size_t{1} << mu);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      for (unsigned j = 0; j < mu; ++j) x[j] = xt[j * lanes + lane];
+      single(x.data(), mu, mu, ref.data());
+      for (std::size_t k = 0; k < ref.size(); ++k) {
+        EXPECT_EQ(lut[k * lanes + lane], ref[k])
+            << plane.isa << " lane=" << lane << " k=" << k;
+      }
     }
   }
+};
+
+TEST_P(InterleavedPlaneSweep, DpInterleavedMatchesScalarPerLane) {
+  expect_lanes_match(8, 3, build_lut_dp, /*use_dp=*/true);
 }
 
-INSTANTIATE_TEST_SUITE_P(Lanes, InterleavedLaneSweep,
-                         ::testing::Values(1, 2, 3, 5, 7, 8, 16));
+TEST_P(InterleavedPlaneSweep, MmInterleavedMatchesScalarPerLane) {
+  expect_lanes_match(5, 53, build_lut_mm, /*use_dp=*/false);
+}
+
+INSTANTIATE_TEST_SUITE_P(Planes, InterleavedPlaneSweep,
+                         ::testing::Values(KernelIsa::kAuto,
+                                           KernelIsa::kScalar,
+                                           KernelIsa::kAvx2,
+                                           KernelIsa::kAvx512));
 
 TEST(LutBuilder, CostModelCounts) {
   // mu=4: 3 adds for the seed, 2^3-1=7 stage adds, 8 negations = 18.
