@@ -1,9 +1,9 @@
 // google-benchmark microbenchmarks for the library's primitive kernels:
-// LUT builders, key packing, and one run() benchmark per EngineRegistry
-// entry (registered dynamically from the registry, so a newly added
-// backend shows up here without touching this file). These complement
-// the figure/table binaries with statistically managed per-primitive
-// numbers (and FLOP/byte counters).
+// LUT builders, the batched query, key packing, and one run() benchmark
+// per EngineRegistry entry (registered dynamically from the registry, so
+// a newly added backend shows up here without touching this file). These
+// complement the figure/table binaries with statistically managed
+// per-primitive numbers (and FLOP/byte counters).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -70,6 +70,48 @@ void BM_LutBuildDpInterleaved(benchmark::State& state) {
                  std::to_string(plane.query_lanes));
 }
 BENCHMARK(BM_LutBuildDpInterleaved)->Unit(benchmark::kNanosecond);
+
+/// The batched query (Algorithm 2) on the auto-selected plane: one
+/// 16-table mu-8 LUT chunk queried by 2048 output rows of 2 key planes.
+/// Items are lookups (rows * planes * tables), so items/s is the
+/// per-lookup rate the query loop sustains.
+void BM_QueryTile(benchmark::State& state) {
+  constexpr unsigned mu = 8;
+  constexpr std::size_t rows = 2048, num_planes = 2, tables = 16;
+  const biq::engine::BiqKernels& plane =
+      biq::engine::select_kernels(biq::KernelIsa::kAuto);
+  const std::size_t lanes = plane.query_lanes;
+  biq::Rng rng(2);
+  std::vector<biq::KeyMatrix> keys;
+  for (std::size_t q = 0; q < num_planes; ++q) {
+    keys.emplace_back(biq::BinaryMatrix::random(rows, tables * mu, rng), mu);
+  }
+  std::vector<std::vector<float>> alphas(num_planes,
+                                         std::vector<float>(rows, 0.5f));
+  biq::AlignedBuffer<float> lut(tables * (std::size_t{1} << mu) * lanes);
+  biq::fill_normal(rng, lut.data(), lut.size());
+  biq::AlignedBuffer<float> ytile(rows * lanes, /*zero_fill=*/true);
+
+  biq::engine::QueryTileArgs a;
+  a.keys = keys.data();
+  a.num_planes = num_planes;
+  a.alphas = alphas.data();
+  a.tcount = tables;
+  a.mu = mu;
+  a.lut = lut.data();
+  a.ytile = ytile.data();
+  a.i1 = rows;
+  for (auto _ : state) {
+    plane.query_tile_u8(a);
+    benchmark::DoNotOptimize(ytile.data());
+    benchmark::ClobberMemory();
+  }
+  constexpr std::size_t lookups = rows * num_planes * tables;
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(lookups));
+  state.SetLabel(std::string(plane.isa) + " lanes=" + std::to_string(lanes));
+}
+BENCHMARK(BM_QueryTile)->Unit(benchmark::kMicrosecond);
 
 void BM_KeyPack(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -241,6 +241,11 @@ class BiqGemmPlan final : public GemmPlan {
         ntables_(table_count(engine.cols(), opt.mu)),
         gemv_(batch == 1 && num_groups_ <= 1) {
     if (num_groups_ > 1) tile_plan_.tables_per_tile = group_size_ / opt.mu;
+    // A tile taller than the layer is one chunk either way, so the clamp
+    // keeps the bits; it bounds the scratch sizes (tables_per_tile * mu *
+    // lanes) so a huge user value cannot wrap them.
+    tile_plan_.tables_per_tile = std::clamp<std::size_t>(
+        tile_plan_.tables_per_tile, 1, std::max<std::size_t>(ntables_, 1));
   }
 
  private:

@@ -33,11 +33,14 @@ void run(const std::vector<KeyMatrix>& keys,
   const unsigned mu = opt.mu;
   const std::size_t ntables = table_count(n, mu);
   const std::size_t entries = std::size_t{1} << mu;
-  const std::size_t tile_tables =
+  // Clamped to the layer's table count, as in BiqGemm's plan: a taller
+  // tile is the same single chunk, and the clamp keeps a huge user
+  // tables_per_tile from wrapping the scratch size.
+  const std::size_t tile_tables = std::clamp<std::size_t>(
       opt.tables_per_tile != 0
           ? opt.tables_per_tile
-          : std::max<std::size_t>(
-                1, opt.lut_tile_bytes / (entries * sizeof(float)));
+          : opt.lut_tile_bytes / (entries * sizeof(float)),
+      1, std::max<std::size_t>(ntables, 1));
 
   const auto row_fn = [&kernels] {
     if constexpr (sizeof(KeyT) == 1) {

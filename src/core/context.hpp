@@ -18,12 +18,14 @@ struct BiqGemmOptions {
   /// choice; any value in [1, 16] is supported.
   unsigned mu = 8;
   /// Tables per LUT tile (tile height in Fig. 7); 0 = derive from
-  /// lut_tile_bytes so a tile fits comfortably in L1.
+  /// lut_tile_bytes (the default budget makes an L2-sized tile). A plan
+  /// clamps the height to the layer's table count.
   std::size_t tables_per_tile = 0;
-  /// LUT tile budget used when tables_per_tile == 0. Random-access LUT
-  /// reads tolerate L2 latency well (two independent accumulator
-  /// chains), so the sweet spot is a large-but-L2-resident tile — see
-  /// bench/ablation_tile_threads for the measured curve.
+  /// LUT tile budget used when tables_per_tile == 0. The batched query
+  /// keeps four independent lookup chains in flight, so reading the LUT
+  /// from L2 slows it only moderately, while a taller tile cuts the
+  /// chunk passes over y; the sweet spot is a large-but-L2-resident
+  /// tile — see bench/ablation_tile_threads for the measured curve.
   std::size_t lut_tile_bytes = 256 * 1024;
   /// Row-block size for the query phase when work is split across
   /// threads. (Threading itself is a call-time choice: pass an

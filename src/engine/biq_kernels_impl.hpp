@@ -193,32 +193,87 @@ const KeyT* key_row(const KeyMatrix& k, std::size_t i) noexcept {
   }
 }
 
-/// Full-width vector query (8 lanes, 16 on AVX-512): LUT entries are
-/// vector-aligned, two independent accumulator chains hide load latency.
+/// Full-width vector query (8 lanes, 16 on AVX-512) over rows [i0, i1):
+/// each row adds, per key plane, the sum of its LUT hits over the tile's
+/// tables into its ytile row. The per-row order is fixed — even tables
+/// into chain 0, odd tables into chain 1, an odd-count tail table into
+/// chain 0, then chain 0 + chain 1, then the (scaled) add into y in
+/// plane order — so no output depends on how rows are grouped
+/// (Dispatch.QueryTileMatchesPerRowChainOrderOnEveryPlane pins it).
+///
+/// Two rows go per pass, with a one-row tail, so four independent
+/// chains are in flight. The table pointer advances 2^mu * W floats per
+/// table, so a lookup is a key load, a constant shift and a vector add,
+/// with no shift by the runtime mu. Both loops step the key pointers by
+/// two, and the exact form matters on the portable plane, whose V8 lane
+/// loops GCC vectorizes: equivalent forms (an index shared by both key
+/// rows, or the tail loop written like the pair loop) spilled
+/// accumulators and ran the pair loop up to twice as slow.
 template <typename KeyT>
 void query_tile(const QueryTileArgs& a) {
   constexpr std::size_t W = kQueryLanes;
+  const std::size_t stride = W << a.mu;  // floats per table
+  const std::size_t pairs = a.tcount / 2;
+  const bool tail = (a.tcount & 1u) != 0;
   const bool scaled = a.alphas != nullptr;
-  for (std::size_t i = a.i0; i < a.i1; ++i) {
+  auto alpha = [&](std::size_t q, std::size_t i) {
+    return VBatch::set1(a.alphas[q][i * a.alpha_stride + a.alpha_offset]);
+  };
+
+  std::size_t i = a.i0;
+  for (; i + 2 <= a.i1; i += 2) {
+    float* yrow0 = a.ytile + i * W;
+    float* yrow1 = yrow0 + W;
+    VBatch y0 = VBatch::load(yrow0);
+    VBatch y1 = VBatch::load(yrow1);
+    for (std::size_t q = 0; q < a.num_planes; ++q) {
+      const KeyT* k0 = key_row<KeyT>(a.keys[q], i) + a.t0;
+      const KeyT* k1 = key_row<KeyT>(a.keys[q], i + 1) + a.t0;
+      const float* t = a.lut;
+      VBatch acc00 = VBatch::zero(), acc01 = VBatch::zero();
+      VBatch acc10 = VBatch::zero(), acc11 = VBatch::zero();
+      for (std::size_t p = 0; p < pairs; ++p, k0 += 2, k1 += 2) {
+        acc00 = acc00 + VBatch::load(t + k0[0] * W);
+        acc10 = acc10 + VBatch::load(t + k1[0] * W);
+        t += stride;
+        acc01 = acc01 + VBatch::load(t + k0[1] * W);
+        acc11 = acc11 + VBatch::load(t + k1[1] * W);
+        t += stride;
+      }
+      if (tail) {
+        acc00 = acc00 + VBatch::load(t + k0[0] * W);
+        acc10 = acc10 + VBatch::load(t + k1[0] * W);
+      }
+      acc00 = acc00 + acc01;
+      acc10 = acc10 + acc11;
+      if (scaled) {
+        y0.fma(alpha(q, i), acc00);
+        y1.fma(alpha(q, i + 1), acc10);
+      } else {
+        y0 = y0 + acc00;
+        y1 = y1 + acc10;
+      }
+    }
+    y0.store(yrow0);
+    y1.store(yrow1);
+  }
+
+  if (i < a.i1) {
     float* yrow = a.ytile + i * W;
     VBatch yv = VBatch::load(yrow);
     for (std::size_t q = 0; q < a.num_planes; ++q) {
-      const KeyT* krow = key_row<KeyT>(a.keys[q], i) + a.t0;
-      VBatch acc0 = VBatch::zero();
-      VBatch acc1 = VBatch::zero();
-      std::size_t g = 0;
-      for (; g + 2 <= a.tcount; g += 2) {
-        acc0 = acc0 + VBatch::load(a.lut + (((g) << a.mu) + krow[g]) * W);
-        acc1 =
-            acc1 + VBatch::load(a.lut + (((g + 1) << a.mu) + krow[g + 1]) * W);
+      const KeyT* k0 = key_row<KeyT>(a.keys[q], i) + a.t0;
+      const float* t = a.lut;
+      VBatch acc0 = VBatch::zero(), acc1 = VBatch::zero();
+      for (std::size_t p = 0; p < pairs; ++p, k0 += 2) {
+        acc0 = acc0 + VBatch::load(t + k0[0] * W);
+        acc1 = acc1 + VBatch::load(t + stride + k0[1] * W);
+        t += 2 * stride;
       }
-      if (g < a.tcount) {
-        acc0 = acc0 + VBatch::load(a.lut + ((g << a.mu) + krow[g]) * W);
-      }
+      if (tail) acc0 = acc0 + VBatch::load(t + k0[0] * W);
       acc0 = acc0 + acc1;
       if (scaled) {
-        yv.fma(VBatch::set1(a.alphas[q][i * a.alpha_stride + a.alpha_offset]),
-               acc0);
+        yv.fma(alpha(q, i), acc0);
       } else {
         yv = yv + acc0;
       }

@@ -116,6 +116,51 @@ TEST(BiqGemm, TinyLutTileForcesManyTilePasses) {
   expect_matches_reference(c, opt);
 }
 
+// A LUT tile taller than the layer is one chunk whatever the option
+// asks for, so a huge tables_per_tile (which must not wrap the scratch
+// sizes derived from it) gives the default tiling's bits on a layer
+// narrower than one default tile (3 tables at mu 8): the GEMV and
+// batch-tile widths, fused and prepared.
+TEST(BiqGemm, HugeTablesPerTileMatchesDefaultTilingBitwise) {
+  constexpr std::size_t m = 40, n = 24;
+  Rng rng(157);
+  const BinaryCodes codes =
+      quantize_greedy(Matrix::random_normal(m, n, rng), 2);
+  BiqGemmOptions huge;
+  huge.tables_per_tile = std::size_t{1} << 60;
+  const BiqGemm by_default(codes, {});
+  const BiqGemm by_huge(codes, huge);
+  for (const std::size_t b :
+       {std::size_t{1}, std::size_t{5}, std::size_t{33}}) {
+    const Matrix x = Matrix::random_normal(n, b, rng);
+    for (const bool prepared : {false, true}) {
+      const auto run = [&](const BiqGemm& engine) {
+        ExecContext ctx;  // fresh arenas: scratch sized by this plan alone
+        const auto plan = engine.plan(b, ctx);
+        Matrix y(m, b);
+        if (prepared) {
+          AlignedBuffer<float> storage(plan->prep_floats());
+          PrepHandle prep(storage.data(), storage.size());
+          plan->prepare(x.view(), prep);
+          plan->run(prep, y.view());
+        } else {
+          plan->run(x.view(), y.view());
+        }
+        return y;
+      };
+      const Matrix actual = run(by_huge);
+      const Matrix expected = run(by_default);
+      for (std::size_t c = 0; c < b; ++c) {
+        EXPECT_EQ(std::memcmp(actual.col(c), expected.col(c),
+                              m * sizeof(float)),
+                  0)
+            << "b=" << b << (prepared ? " prepared" : " fused") << " col "
+            << c;
+      }
+    }
+  }
+}
+
 TEST(BiqGemm, PackedWeightBytesMatchesKeyStorage) {
   Rng rng(109);
   Matrix w = Matrix::random_normal(64, 256, rng);
@@ -210,13 +255,18 @@ TEST(BiqGemm, ReusableAcrossManyInputs) {
 // ran at. Each width 2..47 is checked against the same columns of a
 // b = 48 run: per-row and grouped scales, fused run and prepare +
 // run(prep), with and without a fused bias + GELU + residual epilogue,
-// at 1 and 4 threads.
+// at 1 and 4 threads. A per-row engine with row_block = 17 makes the
+// threaded row split start blocks (and so the query's row pairs) at odd
+// rows.
 TEST(BiqGemm, ColumnBitsDoNotDependOnBatchWidth) {
   constexpr std::size_t m = 200, n = 300, wide = 48;
   Rng rng(149);
   const Matrix w = Matrix::random_normal(m, n, rng);
   const BiqGemm per_row(quantize_greedy(w, 2), {});
   const BiqGemm grouped(quantize_greedy_grouped(w, 2, 64), {});
+  BiqGemmOptions odd_blocks;
+  odd_blocks.row_block = 17;
+  const BiqGemm per_row_odd(quantize_greedy(w, 2), odd_blocks);
   const Matrix x = Matrix::random_normal(n, wide, rng);
   const Matrix res = Matrix::random_normal(m, wide, rng);
   std::vector<float> bias(m);
@@ -226,7 +276,7 @@ TEST(BiqGemm, ColumnBitsDoNotDependOnBatchWidth) {
   ExecContext serial;
   ExecContext threaded(&pool);
   for (ExecContext* ctx : {&serial, &threaded}) {
-    for (const BiqGemm* engine : {&per_row, &grouped}) {
+    for (const BiqGemm* engine : {&per_row, &grouped, &per_row_odd}) {
       for (const bool with_ep : {false, true}) {
         Epilogue ep;
         if (with_ep) {
@@ -260,7 +310,9 @@ TEST(BiqGemm, ColumnBitsDoNotDependOnBatchWidth) {
             }
           }
           EXPECT_EQ(differing, 0u)
-              << engine->name() << (prepared ? " prepared" : " fused")
+              << engine->name()
+              << (engine == &per_row_odd ? " row_block 17" : "")
+              << (prepared ? " prepared" : " fused")
               << (with_ep ? " +epilogue" : "") << ", "
               << ctx->worker_count() << " worker(s): " << differing << " of "
               << checked << " columns differ from the b = " << wide << " run";

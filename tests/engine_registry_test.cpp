@@ -13,13 +13,17 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/biqgemm.hpp"
+#include "core/key_matrix.hpp"
 #include "engine/dispatch.hpp"
 #include "engine/registry.hpp"
 #include "gemm/gemm_blocked.hpp"
 #include "gemm/gemm_ref.hpp"
 #include "quant/quantize.hpp"
+#include "util/aligned_buffer.hpp"
 
 namespace biq {
 namespace {
@@ -589,6 +593,108 @@ TEST(Dispatch, ScalarAndAvx512PlanesAreBitwiseConsistent) {
     scalar_engine.run(x, y_scalar);
     avx512_engine.run(x, y_avx512);
     EXPECT_TRUE(allclose(y_scalar, y_avx512, 1e-5f, 1e-5f)) << "b=" << b;
+  }
+}
+
+// The batched query's per-row order, checked on every plane the host
+// runs: a row sums its LUT hits with even tables in chain 0, odd tables
+// in chain 1 and an odd-count tail table in chain 0, adds the chains,
+// then folds each plane's sum into y in plane order. However the kernel
+// groups rows, every output must equal this per-row reference bit for
+// bit — at odd and even row bounds, over a one-row range, with and
+// without a tail table, for u8 and u16 keys and for unit, per-row and
+// grouped scales.
+TEST(Dispatch, QueryTileMatchesPerRowChainOrderOnEveryPlane) {
+  constexpr std::size_t m = 23, num_planes = 2, t0 = 1, max_tcount = 5;
+  constexpr std::size_t groups = 3;  // grouped scales: 3 columns per row
+  struct Scales {
+    bool on;
+    std::size_t stride, offset;
+  };
+  constexpr Scales kScales[] = {{false, 1, 0}, {true, 1, 0}, {true, groups, 2}};
+  constexpr std::pair<std::size_t, std::size_t> kRows[] = {
+      {0, m}, {1, m}, {2, 8}, {3, 10}, {4, 5}, {7, 8}};
+
+  for (const KernelIsa isa :
+       {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    if (!engine::isa_available(isa)) continue;
+    const engine::BiqKernels& k = engine::select_kernels(isa);
+    const std::size_t lanes = k.query_lanes;
+    // The vector planes scale with a fused multiply-add; the scalar plane
+    // multiplies and adds, as this TU's plain expression does.
+    const bool fused = std::string(k.isa) != "scalar";
+    for (const unsigned mu : {8u, 11u}) {
+      Rng rng(41 + mu);
+      std::vector<KeyMatrix> keys;
+      for (std::size_t q = 0; q < num_planes; ++q) {
+        keys.emplace_back(
+            BinaryMatrix::random(m, (t0 + max_tcount + 1) * mu, rng), mu);
+      }
+      const std::size_t entries = std::size_t{1} << mu;
+      AlignedBuffer<float> lut(max_tcount * entries * lanes);
+      fill_normal(rng, lut.data(), lut.size());
+      std::vector<std::vector<float>> alphas(num_planes,
+                                             std::vector<float>(m * groups));
+      for (std::vector<float>& a : alphas) fill_normal(rng, a.data(), a.size());
+      std::vector<float> y_init(m * lanes);
+      fill_normal(rng, y_init.data(), y_init.size());
+
+      for (const std::size_t tcount : {max_tcount - 1, max_tcount}) {
+        for (const Scales& s : kScales) {
+          for (const auto& [i0, i1] : kRows) {
+            std::vector<float> expected = y_init;
+            for (std::size_t i = i0; i < i1; ++i) {
+              for (std::size_t lane = 0; lane < lanes; ++lane) {
+                float& y = expected[i * lanes + lane];
+                for (std::size_t q = 0; q < num_planes; ++q) {
+                  const auto hit = [&](std::size_t g) {
+                    return lut[((g << mu) + keys[q].key(i, t0 + g)) * lanes +
+                               lane];
+                  };
+                  float acc0 = 0.0f, acc1 = 0.0f;
+                  std::size_t g = 0;
+                  for (; g + 2 <= tcount; g += 2) {
+                    acc0 += hit(g);
+                    acc1 += hit(g + 1);
+                  }
+                  if (g < tcount) acc0 += hit(g);
+                  const float acc = acc0 + acc1;
+                  if (!s.on) {
+                    y = y + acc;
+                  } else {
+                    const float alpha = alphas[q][i * s.stride + s.offset];
+                    y = fused ? std::fma(alpha, acc, y) : y + alpha * acc;
+                  }
+                }
+              }
+            }
+
+            AlignedBuffer<float> ytile(m * lanes);
+            std::copy(y_init.begin(), y_init.end(), ytile.data());
+            engine::QueryTileArgs a;
+            a.keys = keys.data();
+            a.num_planes = num_planes;
+            a.alphas = s.on ? alphas.data() : nullptr;
+            a.alpha_stride = s.stride;
+            a.alpha_offset = s.offset;
+            a.t0 = t0;
+            a.tcount = tcount;
+            a.mu = mu;
+            a.lut = lut.data();
+            a.ytile = ytile.data();
+            a.i0 = i0;
+            a.i1 = i1;
+            (mu > 8 ? k.query_tile_u16 : k.query_tile_u8)(a);
+            EXPECT_EQ(std::memcmp(ytile.data(), expected.data(),
+                                  expected.size() * sizeof(float)),
+                      0)
+                << k.isa << " mu=" << mu << " tcount=" << tcount
+                << " scales=" << (s.on ? s.stride : 0) << " rows=[" << i0
+                << ", " << i1 << ")";
+          }
+        }
+      }
+    }
   }
 }
 
