@@ -44,19 +44,18 @@ void tile_sweep(biq::bench::BenchJson& json) {
 }
 
 void engine_thread_sweep(biq::bench::BenchJson& json) {
-  constexpr std::size_t m = 1024, n = 1024, b = 32;
-  std::printf("-- engine x threads (m=%zu, n=%zu, b=%zu, 2-bit weights; "
-              "call-time ExecContext, shared partitioner) --\n", m, n, b);
+  constexpr std::size_t m = 1024, n = 1024;
+  std::printf("-- engine x threads (m=%zu, n=%zu, b = 1 / 8 / 32, 2-bit "
+              "weights; call-time ExecContext, shared partitioner) --\n",
+              m, n);
   biq::Rng rng(2);
   biq::Matrix w = biq::Matrix::random_normal(m, n, rng);
-  biq::Matrix x = biq::Matrix::random_normal(n, b, rng);
-  biq::Matrix y(m, b);
 
   biq::EngineConfig cfg;
   cfg.weight_bits = 2;
 
   const std::vector<unsigned> thread_counts = {1u, 2u, 4u};
-  std::vector<std::string> header = {"engine"};
+  std::vector<std::string> header = {"engine", "b"};
   for (unsigned t : thread_counts) {
     header.push_back(std::to_string(t) + "T us");
   }
@@ -65,23 +64,31 @@ void engine_thread_sweep(biq::bench::BenchJson& json) {
 
   for (const std::string& name : biq::EngineRegistry::instance().names()) {
     const auto engine = biq::make_engine(name, w, cfg);
-    std::vector<std::string> row = {name};
-    double serial = 0.0, best = 0.0;
-    for (unsigned threads : thread_counts) {
-      biq::ThreadPool pool(threads);
-      biq::ExecContext ctx(&pool);
-      const double t =
-          biq::bench::median_seconds([&] { engine->run(x, y, ctx); });
-      if (threads == 1) serial = t;
-      best = best == 0.0 ? t : std::min(best, t);
-      row.push_back(biq::bench::us(t, 1));
-      json.record({biq::bench::jstr("sweep", "engine_threads"),
-                   biq::bench::jstr("engine", name),
-                   biq::bench::jint("threads", threads),
-                   biq::bench::jnum("us", t * 1e6)});
+    // b = 1 is the GEMV, b = 8 one batch tile (split into row ranges
+    // across workers), b = 32 two to four tiles depending on the plane.
+    for (const std::size_t b : {std::size_t{1}, std::size_t{8},
+                                std::size_t{32}}) {
+      const biq::Matrix x = biq::Matrix::random_normal(n, b, rng);
+      biq::Matrix y(m, b);
+      std::vector<std::string> row = {name, std::to_string(b)};
+      double serial = 0.0, best = 0.0;
+      for (unsigned threads : thread_counts) {
+        biq::ThreadPool pool(threads);
+        biq::ExecContext ctx(&pool);
+        const double t =
+            biq::bench::median_seconds([&] { engine->run(x, y, ctx); });
+        if (threads == 1) serial = t;
+        best = best == 0.0 ? t : std::min(best, t);
+        row.push_back(biq::bench::us(t, 1));
+        json.record({biq::bench::jstr("sweep", "engine_threads"),
+                     biq::bench::jstr("engine", name),
+                     biq::bench::jint("batch", static_cast<long long>(b)),
+                     biq::bench::jint("threads", threads),
+                     biq::bench::jnum("us", t * 1e6)});
+      }
+      row.push_back(biq::TablePrinter::fmt(serial / best, 2) + "x");
+      table.add_row(row);
     }
-    row.push_back(biq::TablePrinter::fmt(serial / best, 2) + "x");
-    table.add_row(row);
   }
   std::printf("%s\n", table.to_markdown().c_str());
   std::printf("Note: this host exposes %u hardware thread(s); oversubscribed\n"

@@ -8,7 +8,6 @@
 #include "core/biqgemv.hpp"
 #include "core/lut_builder.hpp"
 #include "engine/dispatch.hpp"
-#include "engine/partition.hpp"
 #include "engine/plan_driver.hpp"
 
 namespace biq {
@@ -89,17 +88,19 @@ void build_tile(const engine::BiqKernels& kernels, const float* xt, float* lut,
   }
 }
 
-/// Runs the batch tile of columns [c0, c0+ncols) at the plane's full
-/// width plan.lanes (ncols < lanes only for a narrow batch or the last
-/// tile). `row_ctx` non-null parallelizes the query phase over
-/// output-row blocks through the shared partitioner (the small-batch
-/// regime); null keeps the tile on one worker (the tile-parallel regime).
+/// Runs output rows [i0, i1) of the batch tile of columns [c0, c0+ncols)
+/// at the plane's full width plan.lanes (ncols < lanes only for a narrow
+/// batch or the last tile): every chunk of the tile's tables is staged
+/// and built into this worker's scratch (or read from the prepared
+/// artifact), queried for those rows, and the rows are written back.
+/// The tables and each row's accumulation order do not depend on the
+/// row range, so any split of a tile gives the same bits.
 template <typename KeyT>
 void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t ncols,
-                        Scratch& scratch, ExecContext* row_ctx) {
+                        std::size_t i0, std::size_t i1, Scratch& scratch) {
   const std::size_t lanes = a.plan.lanes;
   float* ytile = scratch.ytile;
-  std::fill(ytile, ytile + a.m * lanes, 0.0f);
+  std::fill(ytile + i0 * lanes, ytile + i1 * lanes, 0.0f);
 
   engine::QueryTileArgs q;
   q.keys = a.keys->data();
@@ -109,6 +110,8 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t ncols,
   q.mu = a.mu;
   q.lut = scratch.lut;
   q.ytile = ytile;
+  q.i0 = i0;
+  q.i1 = i1;
   const auto query_fn = sizeof(KeyT) == 1 ? a.kernels->query_tile_u8
                                           : a.kernels->query_tile_u16;
 
@@ -133,24 +136,11 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t ncols,
     q.t0 = t0;
     q.tcount = tcount;
     q.alpha_offset = t0 * a.mu / a.group_size;
-    if (row_ctx != nullptr && row_ctx->worker_count() > 1) {
-      engine::for_each_tile(*row_ctx, a.m, a.plan.row_block,
-                            [&](unsigned /*worker*/, std::size_t lo,
-                                std::size_t hi) {
-                              engine::QueryTileArgs part = q;
-                              part.i0 = lo;
-                              part.i1 = hi;
-                              query_fn(part);
-                            });
-    } else {
-      q.i0 = 0;
-      q.i1 = a.m;
-      query_fn(q);
-    }
+    query_fn(q);
   }
 
   // Write-back from the interleaved tile into y columns — the moment
-  // the tile is complete and still hot. The fused epilogue merges into
+  // the rows are complete and still hot. The fused epilogue merges into
   // the de-interleave itself (the bias add — and, for activation-free
   // epilogues, the residual add — ride the copy's store), so fusion
   // costs no extra pass over y; an unfused plan pays those terms as
@@ -158,66 +148,67 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t ncols,
   if (a.ep->empty()) {
     for (std::size_t lane = 0; lane < ncols; ++lane) {
       float* ycol = a.y.col(c0 + lane);
-      for (std::size_t i = 0; i < a.m; ++i) ycol[i] = ytile[i * lanes + lane];
+      for (std::size_t i = i0; i < i1; ++i) ycol[i] = ytile[i * lanes + lane];
     }
   } else {
-    a.ep->apply_interleaved(a.y, ytile, a.m, lanes, c0, c0 + ncols);
+    a.ep->apply_interleaved(a.y, ytile, i0, i1, lanes, c0, c0 + ncols);
   }
 }
 
+/// One parallel region over (batch tile, row range) items, tile-major,
+/// so a serial context runs whole tiles in order exactly as one worker
+/// would. Every item carries its own stage/build scratch (none on the
+/// consume path, whose tables arrive prebuilt).
 template <typename KeyT>
 void run_kernel(const KernelArgs& args, ExecContext& ctx) {
   const std::size_t b = args.b;
   const std::size_t lanes = args.plan.lanes;
   const std::size_t ntiles = (b + lanes - 1) / lanes;
-
-  // Orchestration (prewarm -> dynamic batch-tile queue -> row-split
-  // fallback) lives in the shared driver; this kernel contributes only
-  // its scratch layout and per-tile body.
-  engine::drive_batch_tiles(
-      ctx, ntiles,
+  const std::size_t ranges = engine::row_ranges(ctx, ntiles, args.m);
+  engine::for_each_item(
+      ctx, ntiles * ranges,
       [&](ScratchArena& arena) {
         return Scratch(arena, args.plan, args.m, args.mu,
                        /*build=*/args.prep == nullptr);
       },
-      [&](Scratch& scratch, std::size_t t, ExecContext* row_ctx) {
-        const std::size_t c0 = t * lanes;
-        run_one_batch_tile<KeyT>(args, c0, std::min(lanes, b - c0), scratch,
-                                 row_ctx);
+      [&](Scratch& scratch, std::size_t item) {
+        const std::size_t c0 = item / ranges * lanes;
+        const auto [i0, i1] = engine::row_range(args.m, item % ranges, ranges);
+        run_one_batch_tile<KeyT>(args, c0, std::min(lanes, b - c0), i0, i1,
+                                 scratch);
       });
 }
 
 /// Builds the full batched LUT artifact (every batch tile's interleaved
 /// tables) into `prep`, layout as documented on KernelArgs::prep. Uses
 /// the same stage_x_tile/build_tile bodies as the fused path, so table
-/// contents are bitwise what execute would stream chunk by chunk.
+/// contents are bitwise what execute would stream chunk by chunk. Items
+/// are (batch tile, chunk) pairs, tile-major: each writes its own slice
+/// of the artifact.
 void run_prepare_kernel(ConstMatrixView x, float* prep, std::size_t ntables,
                         unsigned mu, bool use_dp, const TilePlan& plan,
                         const engine::BiqKernels& kernels, ExecContext& ctx) {
   const std::size_t b = x.cols();
   const std::size_t lanes = plan.lanes;
   const std::size_t ntiles = (b + lanes - 1) / lanes;
+  const std::size_t nchunks =
+      (ntables + plan.tables_per_tile - 1) / plan.tables_per_tile;
   const std::size_t entries = std::size_t{1} << mu;
-  struct PrepScratch {
-    float* xt;
-  };
-  engine::drive_batch_tiles(
-      ctx, ntiles,
+  engine::for_each_item(
+      ctx, ntiles * nchunks,
       [&](ScratchArena& arena) {
-        return PrepScratch{
-            arena.alloc<float>(plan.tables_per_tile * mu * plan.lanes)};
+        return arena.alloc<float>(plan.tables_per_tile * mu * lanes);
       },
-      [&](PrepScratch& s, std::size_t t, ExecContext* /*row_ctx*/) {
-        const std::size_t c0 = t * lanes;
-        float* block = prep + t * ntables * entries * lanes;
-        for (std::size_t t0 = 0; t0 < ntables; t0 += plan.tables_per_tile) {
-          const std::size_t tcount = std::min(plan.tables_per_tile,
-                                              ntables - t0);
-          stage_x_tile(x, c0, std::min(lanes, b - c0), lanes, t0, tcount, mu,
-                       s.xt);
-          build_tile(kernels, s.xt, block + t0 * entries * lanes, tcount, mu,
-                     use_dp);
-        }
+      [&](float* xt, std::size_t item) {
+        const std::size_t c0 = item / nchunks * lanes;
+        const std::size_t t0 = item % nchunks * plan.tables_per_tile;
+        const std::size_t tcount = std::min(plan.tables_per_tile,
+                                            ntables - t0);
+        stage_x_tile(x, c0, std::min(lanes, b - c0), lanes, t0, tcount, mu,
+                     xt);
+        build_tile(kernels, xt,
+                   prep + (c0 / lanes * ntables + t0) * entries * lanes,
+                   tcount, mu, use_dp);
       });
 }
 
@@ -237,9 +228,9 @@ class BiqGemmPlan final : public GemmPlan {
                  epilogue),
         keys_(&keys), alphas_(&alphas), opt_(&opt), kernels_(&kernels),
         num_groups_(engine.num_groups()), group_size_(engine.group_size()),
-        tile_plan_(plan_tiles(engine.rows(), opt, kernels.query_lanes)),
-        ntables_(table_count(engine.cols(), opt.mu)),
-        gemv_(batch == 1 && num_groups_ <= 1) {
+        gemv_(batch == 1 && num_groups_ <= 1),
+        tile_plan_(plan_tiles(opt, gemv_ ? 1 : kernels.query_lanes)),
+        ntables_(table_count(engine.cols(), opt.mu)) {
     if (num_groups_ > 1) tile_plan_.tables_per_tile = group_size_ / opt.mu;
     // A tile taller than the layer is one chunk either way, so the clamp
     // keeps the bits; it bounds the scratch sizes (tables_per_tile * mu *
@@ -252,15 +243,20 @@ class BiqGemmPlan final : public GemmPlan {
   void execute(ConstMatrixView x, MatrixView y,
                const EpilogueOp& ep) const override {
     if (gemv_) {
-      biqgemv_packed(*keys_, *alphas_, x.col(0), y.col(0), rows(), cols(),
-                     *opt_, context(), *kernels_);
-      // The GEMV kernel row-splits internally and writes y directly;
-      // its accumulation is complete here, so the epilogue is one pass
-      // over the single output column.
-      if (!ep.empty()) ep.apply(y, 0, rows(), 0, 1);
+      run_gemv(x.col(0), nullptr, y, ep);
       return;
     }
     run_batched(x, nullptr, y, ep);
+  }
+
+  void run_gemv(const float* x, const float* prep, MatrixView y,
+                const EpilogueOp& ep) const {
+    biqgemv_packed(*keys_, *alphas_, x, prep, y.col(0), rows(), cols(), *opt_,
+                   tile_plan_.tables_per_tile, context(), *kernels_);
+    // The GEMV kernel row-splits internally and writes y directly; its
+    // accumulation is complete here, so the epilogue is one pass over
+    // the single output column.
+    if (!ep.empty()) ep.apply(y, 0, rows(), 0, 1);
   }
 
   [[nodiscard]] PrepKey do_prep_key() const noexcept override {
@@ -271,14 +267,13 @@ class BiqGemmPlan final : public GemmPlan {
     key.cols = cols();
     key.batch = batch();
     key.p0 = opt_->mu;
+    key.p1 = static_cast<std::uint32_t>(tile_plan_.lanes);
     if (gemv_) {
       // GEMV builds flat tables with the scalar builders — layout equals
       // the interleaved one at a single lane, but the builder code path
       // differs, so the key does too.
-      key.p1 = 1;
       key.p2 = opt_->use_dp_builder ? 0u : 1u;
     } else {
-      key.p1 = static_cast<std::uint32_t>(tile_plan_.lanes);
       key.p2 = opt_->use_dp_builder ? 2u : 3u;
       key.plane = kernels_;  // interleaved builders are ISA-dispatched
     }
@@ -286,10 +281,10 @@ class BiqGemmPlan final : public GemmPlan {
   }
 
   [[nodiscard]] std::size_t do_prep_floats() const noexcept override {
-    // The GEMV stores one flat table per LUT-unit; every batch tile
-    // stores ntables tables of 2^mu * lanes entries, a narrow or last
-    // tile included (its zero-padded lanes are built too).
-    const std::size_t lanes = gemv_ ? 1 : tile_plan_.lanes;
+    // Every batch tile stores ntables tables of 2^mu * lanes entries, a
+    // narrow or last tile included (its zero-padded lanes are built
+    // too); the GEMV's one flat table per LUT-unit is the one-lane case.
+    const std::size_t lanes = tile_plan_.lanes;
     const std::size_t ntiles = (batch() + lanes - 1) / lanes;
     return ntables_ * (std::size_t{1} << opt_->mu) * lanes * ntiles;
   }
@@ -306,9 +301,7 @@ class BiqGemmPlan final : public GemmPlan {
   void do_consume(const float* prep, MatrixView y,
                   const EpilogueOp& ep) const override {
     if (gemv_) {
-      biqgemv_consume_packed(*keys_, *alphas_, prep, y.col(0), rows(), cols(),
-                             *opt_, context(), *kernels_);
-      if (!ep.empty()) ep.apply(y, 0, rows(), 0, 1);
+      run_gemv(nullptr, prep, y, ep);
       return;
     }
     run_batched(ConstMatrixView(), prep, y, ep);
@@ -346,9 +339,9 @@ class BiqGemmPlan final : public GemmPlan {
   const engine::BiqKernels* kernels_;
   std::size_t num_groups_;
   std::size_t group_size_;
-  TilePlan tile_plan_;
-  std::size_t ntables_;
   bool gemv_;  // batch 1 with per-row scales: the flat-LUT GEMV path
+  TilePlan tile_plan_;  // one lane for the GEMV's flat tables
+  std::size_t ntables_;
 };
 
 }  // namespace

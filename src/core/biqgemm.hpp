@@ -55,11 +55,12 @@ class BiqGemm final : public GemmEngine {
 
   /// Freezes kernel plane (honouring ctx's ISA override), tile geometry
   /// and scratch layout for `batch` columns. plan->run: batch == 1 with
-  /// per-row scales takes the GEMV fast path; otherwise batch tiles (or
-  /// query rows, for small
-  /// batches) are partitioned across ctx's pool, and all scratch is
-  /// served from ctx's per-worker arenas — repeated runs on a warm
-  /// context never touch the heap. The epilogue is applied on the tile
+  /// per-row scales takes the GEMV fast path; otherwise (batch tile,
+  /// row range) items — whole tiles once there are as many tiles as
+  /// workers — run in one parallel region over ctx's pool, each building
+  /// its tile's tables in its own worker's arena. All scratch is served
+  /// from those per-worker arenas, so repeated runs on a warm context
+  /// never touch the heap. The epilogue is applied on the tile
   /// write-back from ytile scratch into y.
   [[nodiscard]] std::unique_ptr<GemmPlan> plan(
       std::size_t batch, ExecContext& ctx,

@@ -23,29 +23,26 @@ struct BiqKernels;
 /// y = sum_q alpha_q o (B_q . x) computed from packed keys.
 /// x has length n, y length m (overwritten). `alphas` empty = unit scale.
 /// All KeyMatrix planes must share mu == opt.mu and shape m x ceil(n/mu).
-/// The LUT tile lives in ctx's worker-0 arena and the query rows are
-/// partitioned across ctx's pool. `kernels` is the caller's resolved
-/// plane (BiqGemm's plan already applied any ctx override).
+/// The tables are walked in chunks of `tile_tables` (BiqGemm's plan
+/// derives it with plan_tiles at one lane). Each of ctx's workers takes
+/// one contiguous row range and builds every chunk into its own arena,
+/// so no table is shared between cores. `prep` non-null is the full flat
+/// LUT from biqgemv_prepare_packed: the builds are skipped (x is unused)
+/// and the same chunked query runs against it, bitwise equal to the
+/// fused call. `kernels` is the caller's resolved plane (BiqGemm's plan
+/// already applied any ctx override).
 void biqgemv_packed(const std::vector<KeyMatrix>& keys,
                     const std::vector<std::vector<float>>& alphas,
-                    const float* x, float* y, std::size_t m, std::size_t n,
-                    const BiqGemmOptions& opt, ExecContext& ctx,
+                    const float* x, const float* prep, float* y, std::size_t m,
+                    std::size_t n, const BiqGemmOptions& opt,
+                    std::size_t tile_tables, ExecContext& ctx,
                     const engine::BiqKernels& kernels);
 
-/// Prepare/consume split of biqgemv_packed. prepare builds the FULL flat
-/// LUT from x (table_count(n, opt.mu) << opt.mu floats, table t at
-/// t << mu) with the same scalar builders the fused path uses per
-/// chunk; consume replays biqgemv_packed's chunked query loop against
-/// it — same chunk sizes, same per-chunk `y[i] += total` accumulation —
-/// so one prepare feeds any number of consumes, each bitwise identical
-/// to the fused call. Neither touches ctx's arenas beyond reads.
+/// Builds the FULL flat LUT from x (table_count(n, opt.mu) << opt.mu
+/// floats, table t at t << mu) with the scalar builders the fused path
+/// uses per chunk, so one prepare feeds any number of biqgemv_packed
+/// calls with `prep` set.
 void biqgemv_prepare_packed(const float* x, std::size_t n,
                             const BiqGemmOptions& opt, float* lut);
-void biqgemv_consume_packed(const std::vector<KeyMatrix>& keys,
-                            const std::vector<std::vector<float>>& alphas,
-                            const float* lut, float* y, std::size_t m,
-                            std::size_t n, const BiqGemmOptions& opt,
-                            ExecContext& ctx,
-                            const engine::BiqKernels& kernels);
 
 }  // namespace biq

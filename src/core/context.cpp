@@ -6,8 +6,7 @@
 
 namespace biq {
 
-TilePlan plan_tiles(std::size_t m, const BiqGemmOptions& opt,
-                    std::size_t lanes_hint) {
+TilePlan plan_tiles(const BiqGemmOptions& opt, std::size_t lanes_hint) {
   TilePlan plan;
   // Lane count comes from the runtime-dispatched kernel plane, not a
   // compile-time SIMD constant: the plane chosen at engine construction
@@ -24,9 +23,6 @@ TilePlan plan_tiles(std::size_t m, const BiqGemmOptions& opt,
         std::max<std::size_t>(1, opt.lut_tile_bytes / std::max<std::size_t>(
                                                           bytes_per_table, 1));
   }
-
-  plan.row_block = std::clamp<std::size_t>(opt.row_block, 16,
-                                           std::max<std::size_t>(m, 16));
   return plan;
 }
 

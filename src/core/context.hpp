@@ -26,11 +26,10 @@ struct BiqGemmOptions {
   /// from L2 slows it only moderately, while a taller tile cuts the
   /// chunk passes over y; the sweet spot is a large-but-L2-resident
   /// tile — see bench/ablation_tile_threads for the measured curve.
+  /// (Threading is a call-time choice: pass an ExecContext with a pool
+  /// to run(); how a call splits its work follows from the worker count
+  /// and the batch, so options carry only geometry.)
   std::size_t lut_tile_bytes = 256 * 1024;
-  /// Row-block size for the query phase when work is split across
-  /// threads. (Threading itself is a call-time choice: pass an
-  /// ExecContext with a pool to run(); options carry only geometry.)
-  std::size_t row_block = 128;
   /// false selects the GEMM-style LUT builder (Fig. 4a) instead of the
   /// dynamic-programming one — exists for the Tc,dp vs Tc,mm ablation.
   bool use_dp_builder = true;
@@ -43,16 +42,16 @@ struct BiqGemmOptions {
 struct TilePlan {
   std::size_t lanes = 8;            // batch columns per tile (vector width)
   std::size_t tables_per_tile = 4;  // LUT tile height
-  std::size_t row_block = 128;      // rows per query work item
 };
 
 /// Derives the plan: lanes = the *runtime-dispatched* vector width of
 /// the selected kernel plane, whatever the batch (a narrower batch runs
 /// one tile zero-padded to that width), tile height from the byte
-/// budget (at least 1), row_block clamped to [16, m]. Callers that
-/// already hold their resolved kernel table (BiqGemm) pass its
-/// query_lanes as `lanes_hint`; 0 resolves the plane from opt.isa.
-[[nodiscard]] TilePlan plan_tiles(std::size_t m, const BiqGemmOptions& opt,
+/// budget at that width (at least 1). Callers that already know their
+/// width pass it as `lanes_hint` — BiqGemm its resolved plane's
+/// query_lanes, or 1 for the flat-table GEMV; 0 resolves the plane from
+/// opt.isa.
+[[nodiscard]] TilePlan plan_tiles(const BiqGemmOptions& opt,
                                   std::size_t lanes_hint = 0);
 
 }  // namespace biq

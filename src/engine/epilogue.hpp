@@ -206,16 +206,17 @@ class EpilogueOp {
 
   /// De-interleaving write-back with the epilogue merged into the copy:
   /// `tile` holds a finished accumulator block in lane-interleaved order
-  /// (tile[i * lanes + lane] is raw y(i, c0 + lane)); columns [c0, c1)
-  /// are written, c1 - c0 <= lanes, so the zero-padded lanes of a narrow
-  /// batch tile are never stored. The bias add — and,
+  /// (tile[i * lanes + lane] is raw y(i, c0 + lane)); rows [i0, i1) of
+  /// columns [c0, c1) are written, c1 - c0 <= lanes, so the zero-padded
+  /// lanes of a narrow batch tile are never stored, and exactly those
+  /// rows are credited to the column barrier. The bias add — and,
   /// when there is no activation, the residual add too — rides the
   /// de-interleave store itself, so for those terms the epilogue costs
   /// no pass over y at all; activations follow as the same staged sweeps
   /// apply() runs. Same per-element arithmetic order, so the result is
   /// bitwise identical to a plain copy followed by apply().
-  void apply_interleaved(MatrixView y, const float* tile, std::size_t m,
-                         std::size_t lanes, std::size_t c0,
+  void apply_interleaved(MatrixView y, const float* tile, std::size_t i0,
+                         std::size_t i1, std::size_t lanes, std::size_t c0,
                          std::size_t c1) const noexcept {
     for (std::size_t lane = 0; lane < c1 - c0; ++lane) {
       float* yc = y.col(c0 + lane);
@@ -223,29 +224,35 @@ class EpilogueOp {
       const float* rc = has_residual_ ? residual_.col(c0 + lane) : nullptr;
       if (act_ == EpilogueAct::kNone) {
         if (bias_ != nullptr && rc != nullptr) {
-          for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t i = i0; i < i1; ++i) {
             yc[i] = (src[i * lanes] + bias_[i]) + rc[i];
           }
         } else if (bias_ != nullptr) {
-          for (std::size_t i = 0; i < m; ++i) yc[i] = src[i * lanes] + bias_[i];
+          for (std::size_t i = i0; i < i1; ++i) {
+            yc[i] = src[i * lanes] + bias_[i];
+          }
         } else if (rc != nullptr) {
-          for (std::size_t i = 0; i < m; ++i) yc[i] = src[i * lanes] + rc[i];
+          for (std::size_t i = i0; i < i1; ++i) {
+            yc[i] = src[i * lanes] + rc[i];
+          }
         } else {
-          for (std::size_t i = 0; i < m; ++i) yc[i] = src[i * lanes];
+          for (std::size_t i = i0; i < i1; ++i) yc[i] = src[i * lanes];
         }
         continue;
       }
       if (bias_ != nullptr) {
-        for (std::size_t i = 0; i < m; ++i) yc[i] = src[i * lanes] + bias_[i];
+        for (std::size_t i = i0; i < i1; ++i) {
+          yc[i] = src[i * lanes] + bias_[i];
+        }
       } else {
-        for (std::size_t i = 0; i < m; ++i) yc[i] = src[i * lanes];
+        for (std::size_t i = i0; i < i1; ++i) yc[i] = src[i * lanes];
       }
-      epilogue::activate_sweep(yc, yc, m, act_);
+      epilogue::activate_sweep(yc + i0, yc + i0, i1 - i0, act_);
       if (rc != nullptr) {
-        for (std::size_t i = 0; i < m; ++i) yc[i] += rc[i];
+        for (std::size_t i = i0; i < i1; ++i) yc[i] += rc[i];
       }
     }
-    notify_cols(y, 0, m, c0, c1);
+    notify_cols(y, i0, i1, c0, c1);
   }
 
  private:

@@ -1,25 +1,22 @@
-// The batch-tile execution driver behind BiQGEMM's fused, prepare and
-// consume paths:
+// The work-item driver behind every BiQGEMM call (fused, prepare,
+// consume and the batch-1 GEMV): one parallel region over `nitems`
+// independent items, served from the shared partitioner's dynamic
+// queue. Each item runs on one worker with that worker's arena freshly
+// reset and its scratch carved by make_scratch (ScratchArena& ->
+// Scratch, called identically for every item), then body(scratch, item).
+// Items build whatever tables they read privately, so no buffer is
+// shared between workers and no item waits on another.
 //
-//   wide batch (ntiles >= workers): batch tiles write disjoint output
-//     columns, so they run embarrassingly parallel off a dynamic tile
-//     queue, one arena-backed scratch per worker. Every worker's arena
-//     is pre-warmed from the calling thread (no region active yet), so
-//     the zero-allocation steady state is reached after one run even for
-//     workers the queue happened to starve.
+// Every worker's arena is pre-warmed from the calling thread (no region
+// active yet), so the zero-allocation steady state is reached after one
+// run even for workers the queue happened to starve. A serial context
+// runs the items inline, in order, on arena 0.
 //
-//   narrow batch: tiles run in order on the calling thread, and the
-//     per-tile body may split its query phase over output rows through
-//     the row_ctx it receives.
-//
-// The driver is parameterized over the scratch layout (make_scratch:
-// ScratchArena& -> Scratch, called identically for the pre-warm and the
-// real tiles, so the warm-path guarantee cannot drift out of sync with
-// the sizes) and the per-tile body (body: Scratch&, tile index, row_ctx).
-// Tiles are units of identical arithmetic at any worker count, so the
+// Items are units of identical arithmetic at any worker count, so the
 // partition preserves the engines' bitwise 1-vs-N-thread determinism.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "engine/exec_context.hpp"
@@ -27,35 +24,49 @@
 
 namespace biq::engine {
 
-template <typename MakeScratch, typename TileBody>
-void drive_batch_tiles(ExecContext& ctx, std::size_t ntiles,
-                       MakeScratch&& make_scratch, TileBody&& body) {
-  if (ntiles == 0) return;
-
-  if (ctx.worker_count() > 1 && ntiles >= ctx.worker_count()) {
+template <typename MakeScratch, typename ItemBody>
+void for_each_item(ExecContext& ctx, std::size_t nitems,
+                   MakeScratch&& make_scratch, ItemBody&& body) {
+  if (nitems == 0) return;
+  if (ctx.worker_count() > 1) {
     for (unsigned w = 0; w < ctx.worker_count(); ++w) {
       ScratchArena& arena = ctx.scratch(w);
       arena.reset();
       (void)make_scratch(arena);
     }
-    for_each_tile(ctx, ntiles, 1,
-                  [&](unsigned worker, std::size_t t0, std::size_t t1) {
-                    for (std::size_t t = t0; t < t1; ++t) {
-                      ScratchArena& arena = ctx.scratch(worker);
-                      arena.reset();
-                      auto scratch = make_scratch(arena);
-                      body(scratch, t, static_cast<ExecContext*>(nullptr));
-                    }
-                  });
-    return;
   }
+  for_each_tile(ctx, nitems, 1,
+                [&](unsigned worker, std::size_t i0, std::size_t i1) {
+                  ScratchArena& arena = ctx.scratch(worker);
+                  for (std::size_t i = i0; i < i1; ++i) {
+                    arena.reset();
+                    auto scratch = make_scratch(arena);
+                    body(scratch, i);
+                  }
+                });
+}
 
-  ScratchArena& arena = ctx.scratch(0);
-  for (std::size_t t = 0; t < ntiles; ++t) {
-    arena.reset();
-    auto scratch = make_scratch(arena);
-    body(scratch, t, &ctx);
-  }
+/// Row ranges per batch tile so that `ntiles` tiles give every worker
+/// at least one item: ceil(workers / ntiles), at most one per row. A
+/// wide batch gets one range per tile (whole tiles in parallel); a
+/// narrow one cuts each tile's output rows into ranges, each of which
+/// builds the tile's tables itself and queries only its rows.
+[[nodiscard]] inline std::size_t row_ranges(const ExecContext& ctx,
+                                            std::size_t ntiles,
+                                            std::size_t m) noexcept {
+  const std::size_t workers = ctx.worker_count();
+  const std::size_t ranges =
+      (workers + ntiles - 1) / std::max<std::size_t>(ntiles, 1);
+  return std::clamp<std::size_t>(ranges, 1, std::max<std::size_t>(m, 1));
+}
+
+/// Row range r of `ranges` near-equal contiguous ranges over [0, m).
+struct RowRange {
+  std::size_t i0, i1;
+};
+[[nodiscard]] constexpr RowRange row_range(std::size_t m, std::size_t r,
+                                           std::size_t ranges) noexcept {
+  return {m * r / ranges, m * (r + 1) / ranges};
 }
 
 }  // namespace biq::engine

@@ -255,28 +255,26 @@ TEST(BiqGemm, ReusableAcrossManyInputs) {
 // ran at. Each width 2..47 is checked against the same columns of a
 // b = 48 run: per-row and grouped scales, fused run and prepare +
 // run(prep), with and without a fused bias + GELU + residual epilogue,
-// at 1 and 4 threads. A per-row engine with row_block = 17 makes the
-// threaded row split start blocks (and so the query's row pairs) at odd
-// rows.
+// at 1, 3 and 4 workers. At 3 workers a one-tile batch splits the
+// m = 200 rows into ranges starting at rows 66 and 133, so the query's
+// row pairs also start at an odd row.
 TEST(BiqGemm, ColumnBitsDoNotDependOnBatchWidth) {
   constexpr std::size_t m = 200, n = 300, wide = 48;
   Rng rng(149);
   const Matrix w = Matrix::random_normal(m, n, rng);
   const BiqGemm per_row(quantize_greedy(w, 2), {});
   const BiqGemm grouped(quantize_greedy_grouped(w, 2, 64), {});
-  BiqGemmOptions odd_blocks;
-  odd_blocks.row_block = 17;
-  const BiqGemm per_row_odd(quantize_greedy(w, 2), odd_blocks);
   const Matrix x = Matrix::random_normal(n, wide, rng);
   const Matrix res = Matrix::random_normal(m, wide, rng);
   std::vector<float> bias(m);
   fill_normal(rng, bias.data(), m);
 
-  ThreadPool pool(4);
+  ThreadPool pool3(3), pool4(4);
   ExecContext serial;
-  ExecContext threaded(&pool);
-  for (ExecContext* ctx : {&serial, &threaded}) {
-    for (const BiqGemm* engine : {&per_row, &grouped, &per_row_odd}) {
+  ExecContext three(&pool3);
+  ExecContext four(&pool4);
+  for (ExecContext* ctx : {&serial, &three, &four}) {
+    for (const BiqGemm* engine : {&per_row, &grouped}) {
       for (const bool with_ep : {false, true}) {
         Epilogue ep;
         if (with_ep) {
@@ -310,9 +308,7 @@ TEST(BiqGemm, ColumnBitsDoNotDependOnBatchWidth) {
             }
           }
           EXPECT_EQ(differing, 0u)
-              << engine->name()
-              << (engine == &per_row_odd ? " row_block 17" : "")
-              << (prepared ? " prepared" : " fused")
+              << engine->name() << (prepared ? " prepared" : " fused")
               << (with_ep ? " +epilogue" : "") << ", "
               << ctx->worker_count() << " worker(s): " << differing << " of "
               << checked << " columns differ from the b = " << wide << " run";

@@ -437,7 +437,7 @@ TEST(Dispatch, PlanTilesLanesComeFromDispatchedPlane) {
     BiqGemmOptions opt;
     opt.isa = isa;
     const std::size_t lanes = engine::select_kernels(isa).query_lanes;
-    EXPECT_EQ(plan_tiles(128, opt).lanes, lanes);
+    EXPECT_EQ(plan_tiles(opt).lanes, lanes);
 
     const BiqGemm engine(codes, opt);
     ExecContext ctx;

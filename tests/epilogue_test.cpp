@@ -10,6 +10,7 @@
 // shape error contracts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -401,9 +402,12 @@ TEST(EpilogueContract, ResidualMustNotAliasOutput) {
 // for every bias/act/residual combo it must equal a plain de-interleave
 // copy followed by apply() over the same region — bitwise. The tile is
 // wider than the columns written (a zero-padded narrow batch tile): the
-// padding lanes must never reach y.
+// padding lanes must never reach y. A work item that owns only rows
+// [i0, i1) of a tile writes exactly those rows: every other element of
+// y keeps its sentinel.
 TEST(EpilogueContract, ApplyInterleavedMatchesCopyThenApply) {
   constexpr std::size_t m = 23, batch = 11, lanes = 8, c0 = 3, c1 = 7;
+  constexpr float kSentinel = -12345.0f;
   Rng rng(0xA11);
   const Matrix res = Matrix::random_normal(m, batch, rng);
   const Matrix raw = Matrix::random_normal(m, batch, rng);
@@ -418,26 +422,51 @@ TEST(EpilogueContract, ApplyInterleavedMatchesCopyThenApply) {
       tile[i * lanes + lane] = raw(i, c0 + lane);
     }
   }
-
-  for (const Combo& combo : kCombos) {
-    SCOPED_TRACE(combo.name);
-    Epilogue ep;
-    ep.bias = combo.bias ? bias.data() : nullptr;
-    ep.act = combo.act;
-    ep.residual = combo.residual;
-    const EpilogueOp op(ep, res.view());
-
-    Matrix got(m, batch, /*zero_fill=*/true);
-    op.apply_interleaved(got.view(), tile.data(), m, lanes, c0, c1);
-
-    Matrix want(m, batch, /*zero_fill=*/true);
-    for (std::size_t lane = 0; lane < c1 - c0; ++lane) {
-      float* yc = want.view().col(c0 + lane);
-      for (std::size_t i = 0; i < m; ++i) yc[i] = tile[i * lanes + lane];
+  const auto sentinel_matrix = [&] {
+    Matrix y(m, batch);
+    for (std::size_t c = 0; c < batch; ++c) {
+      std::fill(y.col(c), y.col(c) + m, kSentinel);
     }
-    op.apply(want.view(), 0, m, c0, c1);
+    return y;
+  };
 
-    expect_bitwise(got, want, combo.name);
+  struct Rows {
+    std::size_t i0, i1;
+  };
+  for (const Rows rows : {Rows{0, m}, Rows{5, 17}}) {
+    for (const Combo& combo : kCombos) {
+      SCOPED_TRACE(std::string(combo.name) + " rows " +
+                   std::to_string(rows.i0) + ".." + std::to_string(rows.i1));
+      Epilogue ep;
+      ep.bias = combo.bias ? bias.data() : nullptr;
+      ep.act = combo.act;
+      ep.residual = combo.residual;
+      const EpilogueOp op(ep, res.view());
+
+      Matrix got = sentinel_matrix();
+      op.apply_interleaved(got.view(), tile.data(), rows.i0, rows.i1, lanes,
+                           c0, c1);
+
+      Matrix want = sentinel_matrix();
+      for (std::size_t lane = 0; lane < c1 - c0; ++lane) {
+        float* yc = want.view().col(c0 + lane);
+        for (std::size_t i = rows.i0; i < rows.i1; ++i) {
+          yc[i] = tile[i * lanes + lane];
+        }
+      }
+      op.apply(want.view(), rows.i0, rows.i1, c0, c1);
+
+      expect_bitwise(got, want, combo.name);
+      for (std::size_t c = 0; c < batch; ++c) {
+        for (std::size_t i = 0; i < m; ++i) {
+          const bool owned = c >= c0 && c < c1 && i >= rows.i0 && i < rows.i1;
+          if (!owned) {
+            ASSERT_EQ(got(i, c), kSentinel)
+                << "stored outside the item at (" << i << ", " << c << ")";
+          }
+        }
+      }
+    }
   }
 }
 

@@ -215,8 +215,8 @@ TEST(ExecContext, WarmGemvRunsServeScratchFromTheArena) {
 }
 
 TEST(ExecContext, WarmPlanRunsPerformZeroHeapAllocations) {
-  // The planned hot path must be allocation-free once warm, in the
-  // GEMV, serial-batched and tile-parallel regimes: no scratch-arena
+  // The planned hot path must be allocation-free once warm, serial and
+  // threaded, at batch 1 and at narrow and wide batches: no scratch-arena
   // growth AND no operator-new traffic of any kind (plan-per-call
   // adapters, hidden std::function boxing, ...). Covers both LUT
   // engines AND the two engines with transient activation-quantization
@@ -233,9 +233,14 @@ TEST(ExecContext, WarmPlanRunsPerformZeroHeapAllocations) {
       std::size_t batch;
       unsigned threads;
     };
-    // 48 columns at 3 workers lands in the tile-parallel regime on every
-    // kernel plane (>= 3 batch tiles at 8 or 16 query lanes).
-    for (const Regime r : {Regime{1, 1}, Regime{24, 1}, Regime{48, 3}}) {
+    // For BiQGEMM: {1, 3} runs the GEMV as one row range per worker;
+    // {8, 3} splits one batch tile into row ranges; 48 columns at 3
+    // workers are whole tiles only (>= 3 batch tiles at 8 or 16 query
+    // lanes); {40, 4} mixes the two on the 16-lane plane (3 tiles x 2
+    // row ranges) and is whole tiles at 8 lanes. Every worker's arena
+    // carries its own tables.
+    for (const Regime r : {Regime{1, 1}, Regime{1, 3}, Regime{8, 3},
+                           Regime{24, 1}, Regime{48, 3}, Regime{40, 4}}) {
       ThreadPool pool(r.threads);
       ExecContext ctx(&pool);
       const std::unique_ptr<GemmPlan> plan = engine->plan(r.batch, ctx);
