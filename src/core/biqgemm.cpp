@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/biqgemv.hpp"
 #include "core/lut_builder.hpp"
 #include "engine/dispatch.hpp"
 #include "engine/plan_driver.hpp"
@@ -65,7 +64,7 @@ struct KernelArgs {
   std::size_t num_groups, group_size;
   ConstMatrixView x;
   MatrixView y;
-  std::size_t m, n, b, ntables;
+  std::size_t m, b, ntables;
   unsigned mu;
   bool use_dp;
   TilePlan plan;
@@ -78,21 +77,73 @@ struct KernelArgs {
   const float* prep = nullptr;
 };
 
-void build_tile(const engine::BiqKernels& kernels, const float* xt, float* lut,
-                std::size_t tcount, unsigned mu, bool use_dp) {
-  const std::size_t lanes = kernels.query_lanes;
+/// Builds the tcount tables of one staged chunk at `lanes` columns. At
+/// the plane's query width the interleaved builders run; at one lane
+/// (batch 1) the interleaved layout is the flat 2^mu table, which the
+/// scalar builders fill. xt is zero-padded to mu inputs per table, and
+/// a padded zero adds nothing to a +0-seeded sum, so the full-length
+/// build equals the ragged-tail one bit for bit.
+void build_tile(const engine::BiqKernels& kernels, std::size_t lanes,
+                const float* xt, float* lut, std::size_t tcount, unsigned mu,
+                bool use_dp) {
   const std::size_t table_stride = (std::size_t{1} << mu) * lanes;
+  if (lanes == 1) {
+    const auto build = use_dp ? &build_lut_dp : &build_lut_mm;
+    for (std::size_t g = 0; g < tcount; ++g) {
+      build(xt + g * mu, mu, mu, lut + g * table_stride);
+    }
+    return;
+  }
   const auto build = use_dp ? kernels.build_dp : kernels.build_mm;
   for (std::size_t g = 0; g < tcount; ++g) {
     build(xt + g * mu * lanes, mu, lut + g * table_stride);
   }
 }
 
+template <typename KeyT>
+const KeyT* key_row(const KeyMatrix& k, std::size_t i) noexcept {
+  if constexpr (sizeof(KeyT) == 1) {
+    return k.row8(i);
+  } else {
+    return k.row16(i);
+  }
+}
+
+/// The one-lane query (batch 1): per row, each plane's sum of flat-table
+/// hits from the plane's gemv_row, scaled and added into `total` in
+/// plane order, then `ytile[i] += total` once per chunk. It lives in
+/// this portable translation unit on purpose: in the vector planes'
+/// units (built with -mfma) the compiler may contract `alpha * acc`
+/// into an FMA and move the bits.
+template <typename KeyT>
+void query_one_lane(const engine::BiqKernels& kernels,
+                    const engine::QueryTileArgs& a) {
+  const auto row_fn = [&kernels] {
+    if constexpr (sizeof(KeyT) == 1) {
+      return kernels.gemv_row_u8;
+    } else {
+      return kernels.gemv_row_u16;
+    }
+  }();
+  for (std::size_t i = a.i0; i < a.i1; ++i) {
+    float total = 0.0f;
+    for (std::size_t q = 0; q < a.num_planes; ++q) {
+      const float acc =
+          row_fn(key_row<KeyT>(a.keys[q], i) + a.t0, a.tcount, a.mu, a.lut);
+      total += a.alphas != nullptr
+                   ? a.alphas[q][i * a.alpha_stride + a.alpha_offset] * acc
+                   : acc;
+    }
+    a.ytile[i] += total;
+  }
+}
+
 /// Runs output rows [i0, i1) of the batch tile of columns [c0, c0+ncols)
-/// at the plane's full width plan.lanes (ncols < lanes only for a narrow
-/// batch or the last tile): every chunk of the tile's tables is staged
-/// and built into this worker's scratch (or read from the prepared
-/// artifact), queried for those rows, and the rows are written back.
+/// at the tile width plan.lanes (the plane's query width, or 1 at batch
+/// 1; ncols < lanes only for a narrow batch or the last tile): every
+/// chunk of the tile's tables is staged and built into this worker's
+/// scratch (or read from the prepared artifact), queried for those rows,
+/// and the rows are written back.
 /// The tables and each row's accumulation order do not depend on the
 /// row range, so any split of a tile gives the same bits.
 template <typename KeyT>
@@ -126,7 +177,8 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t ncols,
 
     if (a.prep == nullptr) {
       stage_x_tile(a.x, c0, ncols, lanes, t0, tcount, a.mu, scratch.xt);
-      build_tile(*a.kernels, scratch.xt, scratch.lut, tcount, a.mu, a.use_dp);
+      build_tile(*a.kernels, lanes, scratch.xt, scratch.lut, tcount, a.mu,
+                 a.use_dp);
     } else {
       // Prebuilt chunk: same table layout build_tile would have written,
       // so the query kernel is untouched and the accumulation replays
@@ -136,7 +188,11 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t ncols,
     q.t0 = t0;
     q.tcount = tcount;
     q.alpha_offset = t0 * a.mu / a.group_size;
-    query_fn(q);
+    if (lanes == 1) {
+      query_one_lane<KeyT>(*a.kernels, q);
+    } else {
+      query_fn(q);
+    }
   }
 
   // Write-back from the interleaved tile into y columns — the moment
@@ -206,7 +262,7 @@ void run_prepare_kernel(ConstMatrixView x, float* prep, std::size_t ntables,
                                             ntables - t0);
         stage_x_tile(x, c0, std::min(lanes, b - c0), lanes, t0, tcount, mu,
                      xt);
-        build_tile(kernels, xt,
+        build_tile(kernels, lanes, xt,
                    prep + (c0 / lanes * ntables + t0) * entries * lanes,
                    tcount, mu, use_dp);
       });
@@ -214,10 +270,11 @@ void run_prepare_kernel(ConstMatrixView x, float* prep, std::size_t ntables,
 
 /// The frozen (shape, options, context) recipe behind BiqGemm::plan.
 /// Everything derivable before the activations arrive is resolved here,
-/// once: the kernel plane (construction default or ctx override), the
-/// tile geometry, and — batch > 1 — the KernelArgs skeleton. With more
-/// than one scale group, a LUT tile is exactly one group, so each
-/// tile's hits share one alpha per (plane, row).
+/// once: the kernel plane (construction default or ctx override) and the
+/// tile geometry. A batch tile is the plane's query width, or one lane
+/// at batch 1, where the flat tables need no padded lanes. With more
+/// than one scale group, a LUT tile is exactly one group, so each tile's
+/// hits share one alpha per (plane, row).
 class BiqGemmPlan final : public GemmPlan {
  public:
   BiqGemmPlan(const BiqGemm& engine, const std::vector<KeyMatrix>& keys,
@@ -228,8 +285,7 @@ class BiqGemmPlan final : public GemmPlan {
                  epilogue),
         keys_(&keys), alphas_(&alphas), opt_(&opt), kernels_(&kernels),
         num_groups_(engine.num_groups()), group_size_(engine.group_size()),
-        gemv_(batch == 1 && num_groups_ <= 1),
-        tile_plan_(plan_tiles(opt, gemv_ ? 1 : kernels.query_lanes)),
+        tile_plan_(plan_tiles(opt, batch == 1 ? 1 : kernels.query_lanes)),
         ntables_(table_count(engine.cols(), opt.mu)) {
     if (num_groups_ > 1) tile_plan_.tables_per_tile = group_size_ / opt.mu;
     // A tile taller than the layer is one chunk either way, so the clamp
@@ -242,21 +298,7 @@ class BiqGemmPlan final : public GemmPlan {
  private:
   void execute(ConstMatrixView x, MatrixView y,
                const EpilogueOp& ep) const override {
-    if (gemv_) {
-      run_gemv(x.col(0), nullptr, y, ep);
-      return;
-    }
-    run_batched(x, nullptr, y, ep);
-  }
-
-  void run_gemv(const float* x, const float* prep, MatrixView y,
-                const EpilogueOp& ep) const {
-    biqgemv_packed(*keys_, *alphas_, x, prep, y.col(0), rows(), cols(), *opt_,
-                   tile_plan_.tables_per_tile, context(), *kernels_);
-    // The GEMV kernel row-splits internally and writes y directly; its
-    // accumulation is complete here, so the epilogue is one pass over
-    // the single output column.
-    if (!ep.empty()) ep.apply(y, 0, rows(), 0, 1);
+    run_items(x, nullptr, y, ep);
   }
 
   [[nodiscard]] PrepKey do_prep_key() const noexcept override {
@@ -268,47 +310,32 @@ class BiqGemmPlan final : public GemmPlan {
     key.batch = batch();
     key.p0 = opt_->mu;
     key.p1 = static_cast<std::uint32_t>(tile_plan_.lanes);
-    if (gemv_) {
-      // GEMV builds flat tables with the scalar builders — layout equals
-      // the interleaved one at a single lane, but the builder code path
-      // differs, so the key does too.
-      key.p2 = opt_->use_dp_builder ? 0u : 1u;
-    } else {
-      key.p2 = opt_->use_dp_builder ? 2u : 3u;
-      key.plane = kernels_;  // interleaved builders are ISA-dispatched
-    }
+    key.p2 = opt_->use_dp_builder ? 0u : 1u;
+    key.plane = kernels_;
     return key;
   }
 
   [[nodiscard]] std::size_t do_prep_floats() const noexcept override {
     // Every batch tile stores ntables tables of 2^mu * lanes entries, a
     // narrow or last tile included (its zero-padded lanes are built
-    // too); the GEMV's one flat table per LUT-unit is the one-lane case.
+    // too); batch 1 is one tile of one lane.
     const std::size_t lanes = tile_plan_.lanes;
     const std::size_t ntiles = (batch() + lanes - 1) / lanes;
     return ntables_ * (std::size_t{1} << opt_->mu) * lanes * ntiles;
   }
 
   void do_prepare(ConstMatrixView x, float* prep) const override {
-    if (gemv_) {
-      biqgemv_prepare_packed(x.col(0), cols(), *opt_, prep);
-      return;
-    }
     run_prepare_kernel(x, prep, ntables_, opt_->mu, opt_->use_dp_builder,
                        tile_plan_, *kernels_, context());
   }
 
   void do_consume(const float* prep, MatrixView y,
                   const EpilogueOp& ep) const override {
-    if (gemv_) {
-      run_gemv(nullptr, prep, y, ep);
-      return;
-    }
-    run_batched(ConstMatrixView(), prep, y, ep);
+    run_items(ConstMatrixView(), prep, y, ep);
   }
 
-  void run_batched(ConstMatrixView x, const float* prep, MatrixView y,
-                   const EpilogueOp& ep) const {
+  void run_items(ConstMatrixView x, const float* prep, MatrixView y,
+                 const EpilogueOp& ep) const {
     KernelArgs args;
     args.keys = keys_;
     args.alphas = alphas_;
@@ -317,7 +344,6 @@ class BiqGemmPlan final : public GemmPlan {
     args.x = x;
     args.y = y;
     args.m = rows();
-    args.n = cols();
     args.b = batch();
     args.ntables = ntables_;
     args.mu = opt_->mu;
@@ -339,8 +365,7 @@ class BiqGemmPlan final : public GemmPlan {
   const engine::BiqKernels* kernels_;
   std::size_t num_groups_;
   std::size_t group_size_;
-  bool gemv_;  // batch 1 with per-row scales: the flat-LUT GEMV path
-  TilePlan tile_plan_;  // one lane for the GEMV's flat tables
+  TilePlan tile_plan_;
   std::size_t ntables_;
 };
 

@@ -3,8 +3,8 @@
 // from mu-bit-packed keys and on-the-fly lookup tables instead of
 // arithmetic on unpacked weights:
 //   per batch tile (the kernel plane's query width: 8 columns, 16 on
-//   AVX-512; a narrower batch is zero-padded to it) and LUT tile (G
-//   tables):
+//   AVX-512; a narrower batch is zero-padded to it; batch 1 is one
+//   one-lane tile of flat tables) and LUT tile (G tables):
 //     replace: stage the x sub-vectors into an interleaved tile
 //     build:   Algorithm-1 DP tables, entries interleaved by batch lane
 //              (Fig. 6) so queries are full vector loads
@@ -54,13 +54,13 @@ class BiqGemm final : public GemmEngine {
   explicit BiqGemm(const BinaryMatrix& plane, const BiqGemmOptions& opt = {});
 
   /// Freezes kernel plane (honouring ctx's ISA override), tile geometry
-  /// and scratch layout for `batch` columns. plan->run: batch == 1 with
-  /// per-row scales takes the GEMV fast path; otherwise (batch tile,
+  /// and scratch layout for `batch` columns. plan->run: (batch tile,
   /// row range) items — whole tiles once there are as many tiles as
   /// workers — run in one parallel region over ctx's pool, each building
-  /// its tile's tables in its own worker's arena. All scratch is served
-  /// from those per-worker arenas, so repeated runs on a warm context
-  /// never touch the heap. The epilogue is applied on the tile
+  /// its tile's tables in its own worker's arena. Batch 1, per-row or
+  /// grouped scales alike, is one tile of one lane whose rows split
+  /// across the workers. All scratch is served from those per-worker
+  /// arenas, so repeated runs on a warm context never touch the heap. The epilogue is applied on the tile
   /// write-back from ytile scratch into y.
   [[nodiscard]] std::unique_ptr<GemmPlan> plan(
       std::size_t batch, ExecContext& ctx,

@@ -49,8 +49,8 @@ struct TilePlan {
 /// one tile zero-padded to that width), tile height from the byte
 /// budget at that width (at least 1). Callers that already know their
 /// width pass it as `lanes_hint` — BiqGemm its resolved plane's
-/// query_lanes, or 1 for the flat-table GEMV; 0 resolves the plane from
-/// opt.isa.
+/// query_lanes, or 1 for its one-lane batch-1 tile; 0 resolves the plane
+/// from opt.isa.
 [[nodiscard]] TilePlan plan_tiles(const BiqGemmOptions& opt,
                                   std::size_t lanes_hint = 0);
 

@@ -77,8 +77,10 @@ struct BiqKernels {
   /// Batched query over one LUT tile, 8-bit / 16-bit key storage.
   void (*query_tile_u8)(const QueryTileArgs&) = nullptr;
   void (*query_tile_u16)(const QueryTileArgs&) = nullptr;
-  /// GEMV query: sum of LUT hits of one key row over tables [0, tcount),
-  /// lut holding tcount stacked flat tables of 2^mu entries.
+  /// One-lane (batch-1) query body: sum of LUT hits of one key row over
+  /// tables [0, tcount), lut holding tcount stacked flat tables of 2^mu
+  /// entries (the interleaved layout at one lane). BiqGemm's row loop
+  /// around it scales and accumulates each row.
   float (*gemv_row_u8)(const std::uint8_t* krow, std::size_t tcount,
                        unsigned mu, const float* lut) = nullptr;
   float (*gemv_row_u16)(const std::uint16_t* krow, std::size_t tcount,

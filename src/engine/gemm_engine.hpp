@@ -56,9 +56,8 @@ struct PrepKey {
   const char* kind = nullptr;
   std::size_t cols = 0;   // input features n the artifact covers
   std::size_t batch = 0;  // activation columns it was built for
-  /// Resolved kernel plane when the builder is ISA-dispatched (different
-  /// planes may interleave tables differently); nullptr for scalar
-  /// builders, which are plane-independent.
+  /// Resolved kernel plane of the builders (different planes may
+  /// interleave tables differently).
   const void* plane = nullptr;
   /// Family parameters (mu / lanes / builder variant). Two keys with
   /// different parameters freeze incompatible artifacts even when the

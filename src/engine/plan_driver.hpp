@@ -1,5 +1,5 @@
-// The work-item driver behind every BiQGEMM call (fused, prepare,
-// consume and the batch-1 GEMV): one parallel region over `nitems`
+// The work-item driver behind every BiQGEMM call (fused, prepare and
+// consume, at every batch width): one parallel region over `nitems`
 // independent items, served from the shared partitioner's dynamic
 // queue. Each item runs on one worker with that worker's arena freshly
 // reset and its scratch carved by make_scratch (ScratchArena& ->

@@ -76,7 +76,7 @@ INSTANTIATE_TEST_SUITE_P(
         Case{24, 36, 8, 1, 1}, Case{24, 34, 8, 16, 1},
         // single row / tiny shapes
         Case{1, 8, 8, 8, 1}, Case{2, 3, 2, 2, 2}, Case{8, 8, 8, 8, 1},
-        // GEMV delegation (b == 1)
+        // batch 1: one one-lane tile
         Case{64, 64, 1, 8, 1}, Case{130, 70, 1, 8, 3}, Case{64, 64, 1, 11, 2},
         // larger mixed case crossing several tiles
         Case{256, 192, 40, 8, 2},
@@ -119,8 +119,8 @@ TEST(BiqGemm, TinyLutTileForcesManyTilePasses) {
 // A LUT tile taller than the layer is one chunk whatever the option
 // asks for, so a huge tables_per_tile (which must not wrap the scratch
 // sizes derived from it) gives the default tiling's bits on a layer
-// narrower than one default tile (3 tables at mu 8): the GEMV and
-// batch-tile widths, fused and prepared.
+// narrower than one default tile (3 tables at mu 8): the one-lane and
+// full batch-tile widths, fused and prepared.
 TEST(BiqGemm, HugeTablesPerTileMatchesDefaultTilingBitwise) {
   constexpr std::size_t m = 40, n = 24;
   Rng rng(157);

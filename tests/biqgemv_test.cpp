@@ -1,13 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <tuple>
 #include <vector>
 
 #include "core/biqgemm.hpp"
-#include "core/biqgemv.hpp"
 #include "gemm/gemm_ref.hpp"
 #include "quant/greedy.hpp"
+#include "util/aligned_buffer.hpp"
 
 namespace biq {
 namespace {
@@ -70,26 +71,37 @@ TEST(BiqGemv, MatchesBatchKernelColumnByColumn) {
   }
 }
 
-// Each worker queries its own row range against its own copy of the
-// tables, in the same chunk order, so the output is bitwise the serial
-// one at any worker count.
+// Batch 1 runs one batch tile one lane wide: each worker queries its
+// own row range against its own copy of the tables, in the same chunk
+// order, so the output is bitwise the serial one at any worker count,
+// for per-row and multi-group scales, fused and from a prepared LUT.
 TEST(BiqGemv, ThreadedMatchesSerial) {
   Rng rng(73);
   Matrix w = Matrix::random_normal(512, 256, rng);
-  const BinaryCodes codes = quantize_greedy(w, 1);
+  const BiqGemm per_row(quantize_greedy(w, 1), {});
+  const BiqGemm grouped(quantize_greedy_grouped(w, 2, 64), {});
   Matrix x = Matrix::random_normal(256, 1, rng);
 
-  const BiqGemm engine(codes, {});
-  Matrix serial(512, 1);
-  engine.run(x, serial);
-  for (const unsigned workers : {2u, 3u, 4u}) {
-    ThreadPool pool(workers);
-    ExecContext ctx(&pool);
-    Matrix threaded(512, 1);
-    engine.run(x, threaded, ctx);
-    EXPECT_EQ(std::memcmp(serial.col(0), threaded.col(0), 512 * sizeof(float)),
-              0)
-        << workers << " workers";
+  for (const BiqGemm* engine : {&per_row, &grouped}) {
+    Matrix serial(512, 1);
+    engine->run(x, serial);
+    for (const unsigned workers : {2u, 3u, 4u}) {
+      ThreadPool pool(workers);
+      ExecContext ctx(&pool);
+      const std::unique_ptr<GemmPlan> plan = engine->plan(1, ctx);
+      Matrix fused(512, 1), consumed(512, 1);
+      plan->run(x, fused);
+      AlignedBuffer<float> storage(plan->prep_floats());
+      PrepHandle prep(storage.data(), storage.size());
+      plan->prepare(x, prep);
+      plan->run(prep, consumed);
+      for (const Matrix* y : {&fused, &consumed}) {
+        EXPECT_EQ(std::memcmp(serial.col(0), y->col(0), 512 * sizeof(float)),
+                  0)
+            << engine->name() << ", " << workers << " workers, "
+            << (y == &fused ? "fused" : "prepared");
+      }
+    }
   }
 }
 

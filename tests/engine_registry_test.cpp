@@ -426,10 +426,12 @@ TEST(Dispatch, UnavailablePlaneThrowsInsteadOfCrashing) {
 TEST(Dispatch, PlanTilesLanesComeFromDispatchedPlane) {
   // Every batch tile runs at its plane's full width: a narrower batch
   // (or the last tile of a wider one) is zero-padded, never clamped, so
-  // the prep artifact holds whole tiles. Batch 1 stays the flat GEMV.
+  // the prep artifact holds whole tiles. Batch 1 is one tile of one
+  // lane, for per-row and grouped scales alike.
   Rng rng(7);
-  const BinaryCodes codes = quantize(Matrix::random_normal(16, 40, rng), 2,
-                                     QuantMethod::kGreedy);
+  const Matrix w = Matrix::random_normal(16, 40, rng);
+  const BinaryCodes codes = quantize(w, 2, QuantMethod::kGreedy);
+  const GroupedBinaryCodes grouped = quantize_greedy_grouped(w, 2, 16);
   const std::size_t tables = 5;  // 40 inputs / mu 8
   for (const KernelIsa isa : {KernelIsa::kAuto, KernelIsa::kScalar,
                               KernelIsa::kAvx2, KernelIsa::kAvx512}) {
@@ -439,14 +441,18 @@ TEST(Dispatch, PlanTilesLanesComeFromDispatchedPlane) {
     const std::size_t lanes = engine::select_kernels(isa).query_lanes;
     EXPECT_EQ(plan_tiles(opt).lanes, lanes);
 
-    const BiqGemm engine(codes, opt);
-    ExecContext ctx;
-    const std::size_t table = std::size_t{1} << opt.mu;
-    EXPECT_EQ(engine.plan(1, ctx)->prep_floats(), tables * table);
-    EXPECT_EQ(engine.plan(3, ctx)->prep_floats(), tables * table * lanes);
-    EXPECT_EQ(engine.plan(lanes, ctx)->prep_floats(), tables * table * lanes);
-    EXPECT_EQ(engine.plan(lanes + 1, ctx)->prep_floats(),
-              tables * table * 2 * lanes);
+    const BiqGemm per_row(codes, opt), by_group(grouped, opt);
+    for (const BiqGemm* engine : {&per_row, &by_group}) {
+      ExecContext ctx;
+      const std::size_t table = std::size_t{1} << opt.mu;
+      EXPECT_EQ(engine->plan(1, ctx)->prep_floats(), tables * table)
+          << engine->name();
+      EXPECT_EQ(engine->plan(3, ctx)->prep_floats(), tables * table * lanes);
+      EXPECT_EQ(engine->plan(lanes, ctx)->prep_floats(),
+                tables * table * lanes);
+      EXPECT_EQ(engine->plan(lanes + 1, ctx)->prep_floats(),
+                tables * table * 2 * lanes);
+    }
   }
 }
 

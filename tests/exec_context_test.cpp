@@ -199,19 +199,26 @@ TEST(ExecContext, WarmBiqGemmRunsServeScratchFromTheArena) {
 TEST(ExecContext, WarmGemvRunsServeScratchFromTheArena) {
   Rng rng(12);
   const Matrix w = Matrix::random_normal(256, 160, rng);
-  const BinaryCodes codes = quantize(w, 2, QuantMethod::kGreedy);
-  const BiqGemm engine(codes);
+  const BiqGemm per_row(quantize(w, 2, QuantMethod::kGreedy));
+  const BiqGemm grouped(quantize_greedy_grouped(w, 2, 32));
   Matrix x = Matrix::random_normal(160, 1, rng);
   Matrix y(256, 1);
 
-  ExecContext ctx;
-  // Two warm-up runs: the first spills into an overflow block, the
-  // second's reset() consolidates the arena to its high-water mark.
-  engine.run(x, y, ctx);
-  engine.run(x, y, ctx);
-  const std::size_t warm = ctx.scratch_heap_allocations();
-  for (int rep = 0; rep < 8; ++rep) engine.run(x, y, ctx);
-  EXPECT_EQ(ctx.scratch_heap_allocations(), warm);
+  for (const BiqGemm* engine : {&per_row, &grouped}) {
+    // Three workers give every worker its own one-lane row-range items.
+    for (unsigned threads : {1u, 3u}) {
+      ThreadPool pool(threads);
+      ExecContext ctx(&pool);
+      // Two warm-up runs: the first spills into an overflow block, the
+      // second's reset() consolidates the arena to its high-water mark.
+      engine->run(x, y, ctx);
+      engine->run(x, y, ctx);
+      const std::size_t warm = ctx.scratch_heap_allocations();
+      for (int rep = 0; rep < 8; ++rep) engine->run(x, y, ctx);
+      EXPECT_EQ(ctx.scratch_heap_allocations(), warm)
+          << engine->name() << " threads=" << threads;
+    }
+  }
 }
 
 TEST(ExecContext, WarmPlanRunsPerformZeroHeapAllocations) {
@@ -233,12 +240,12 @@ TEST(ExecContext, WarmPlanRunsPerformZeroHeapAllocations) {
       std::size_t batch;
       unsigned threads;
     };
-    // For BiQGEMM: {1, 3} runs the GEMV as one row range per worker;
-    // {8, 3} splits one batch tile into row ranges; 48 columns at 3
-    // workers are whole tiles only (>= 3 batch tiles at 8 or 16 query
-    // lanes); {40, 4} mixes the two on the 16-lane plane (3 tiles x 2
-    // row ranges) and is whole tiles at 8 lanes. Every worker's arena
-    // carries its own tables.
+    // For BiQGEMM: {1, 3} splits the one-lane batch-1 tile into one row
+    // range per worker; {8, 3} splits one batch tile into row ranges; 48
+    // columns at 3 workers are whole tiles only (>= 3 batch tiles at 8
+    // or 16 query lanes); {40, 4} mixes the two on the 16-lane plane
+    // (3 tiles x 2 row ranges) and is whole tiles at 8 lanes. Every
+    // worker's arena carries its own tables.
     for (const Regime r : {Regime{1, 1}, Regime{1, 3}, Regime{8, 3},
                            Regime{24, 1}, Regime{48, 3}, Regime{40, 4}}) {
       ThreadPool pool(r.threads);

@@ -136,8 +136,8 @@ TEST(GroupedKernel, RejectsMalformedGroupScales) {
 }
 
 // One scale group is the per-row case: same planes, same alphas, so the
-// grouped engine must take the plain path bit for bit, including the
-// batch-1 GEMV. n = 512 gives 64 tables at mu 8, more than the default
+// grouped engine must take the plain path bit for bit, including
+// batch 1. n = 512 gives 64 tables at mu 8, more than the default
 // LUT tile holds on any plane, so the plain path chunks the tables.
 TEST(GroupedKernel, OneGroupMatchesPlainBitwise) {
   const std::size_t m = 96, n = 512;

@@ -4,7 +4,7 @@
 // BiQGEMM configurations:
 //   * a three-consumer fan-out (the QKV shape) fed by one prepare() is
 //     bitwise identical to three fused run(x, y) calls, at batch 1
-//     (GEMV builders) and batch > 1 (tiled builders),
+//     (scalar flat builders) and batch > 1 (interleaved builders),
 //   * epilogues (bias / activation / residual) apply identically on the
 //     consume path,
 //   * a strided window input prepares to the same bits as its dense
@@ -67,7 +67,7 @@ void expect_bitwise(ConstMatrixView a, ConstMatrixView b, const char* what) {
 }
 
 /// One BiQGEMM configuration. The set below spans every builder variant:
-/// the scalar GEMV builders (batch 1) and interleaved tile builders
+/// the scalar flat builders (batch 1, one lane) and interleaved builders
 /// (batch > 1), DP and MM, multi-bit planes and the group-scaled variant.
 struct EngineCase {
   const char* label;
