@@ -2,8 +2,13 @@
 // design discussion): how the tables-per-tile choice (LUT tile height,
 // Fig. 7) affects the BiQGEMM kernel, and how EVERY registered engine
 // scales across worker counts now that call-time ExecContexts route all
-// backends through the shared tile partitioner. Run with --json to emit
-// BENCH_ablation_tile_threads.json for the perf trajectory.
+// backends through the shared partitioner. Every sample times a plan
+// held per (engine, batch, threads), the serving hot path, so plan-time
+// work (workspace sizing, frame staging) stays out of the numbers.
+// --engines a,b,c restricts the engine sweep (the tile sweep runs only
+// when biqgemm passes the filter), --repeats N caps every measurement at
+// N runs, and --json emits BENCH_ablation_tile_threads.json for the perf
+// trajectory.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -16,7 +21,7 @@
 
 namespace {
 
-void tile_sweep(biq::bench::BenchJson& json) {
+void tile_sweep(biq::bench::BenchJson& json, std::size_t repeats) {
   std::printf("-- tables per LUT tile (m=2048, n=2048, b=32, mu=8; LUT tile "
               "bytes = tables * 256 entries * lanes * 4) --\n");
   biq::Rng rng(1);
@@ -30,7 +35,10 @@ void tile_sweep(biq::bench::BenchJson& json) {
     biq::BiqGemmOptions opt;
     opt.tables_per_tile = tiles;
     const biq::BiqGemm engine(codes, opt);
-    const double t = biq::bench::median_seconds([&] { engine.run(x, y); });
+    biq::ExecContext ctx;
+    const auto plan = engine.plan(32, ctx);
+    const double t =
+        biq::bench::bench_seconds([&] { plan->run(x, y); }, repeats);
     table.add_row({std::to_string(tiles), biq::bench::us(t, 1)});
     json.record({biq::bench::jstr("sweep", "tables_per_tile"),
                  biq::bench::jint("tables_per_tile",
@@ -43,10 +51,12 @@ void tile_sweep(biq::bench::BenchJson& json) {
               "tile size is highly constrained' point of Sec. III-C.\n\n");
 }
 
-void engine_thread_sweep(biq::bench::BenchJson& json) {
+void engine_thread_sweep(biq::bench::BenchJson& json,
+                         const std::vector<std::string>& filter,
+                         std::size_t repeats) {
   constexpr std::size_t m = 1024, n = 1024;
   std::printf("-- engine x threads (m=%zu, n=%zu, b = 1 / 8 / 32, 2-bit "
-              "weights; call-time ExecContext, shared partitioner) --\n",
+              "weights; held plan per engine, batch and thread count) --\n",
               m, n);
   biq::Rng rng(2);
   biq::Matrix w = biq::Matrix::random_normal(m, n, rng);
@@ -63,9 +73,11 @@ void engine_thread_sweep(biq::bench::BenchJson& json) {
   biq::TablePrinter table(header);
 
   for (const std::string& name : biq::EngineRegistry::instance().names()) {
+    if (!biq::bench::engine_enabled(filter, name)) continue;
     const auto engine = biq::make_engine(name, w, cfg);
-    // b = 1 is the GEMV, b = 8 one batch tile (split into row ranges
-    // across workers), b = 32 two to four tiles depending on the plane.
+    // b = 1 is the GEMV (one column cut into a row range per worker),
+    // b = 8 one BiQGEMM batch tile split into row ranges, b = 32 whole
+    // columns (or two to four batch tiles, by plane) in parallel.
     for (const std::size_t b : {std::size_t{1}, std::size_t{8},
                                 std::size_t{32}}) {
       const biq::Matrix x = biq::Matrix::random_normal(n, b, rng);
@@ -75,8 +87,9 @@ void engine_thread_sweep(biq::bench::BenchJson& json) {
       for (unsigned threads : thread_counts) {
         biq::ThreadPool pool(threads);
         biq::ExecContext ctx(&pool);
+        const auto plan = engine->plan(b, ctx);
         const double t =
-            biq::bench::median_seconds([&] { engine->run(x, y, ctx); });
+            biq::bench::bench_seconds([&] { plan->run(x, y); }, repeats);
         if (threads == 1) serial = t;
         best = best == 0.0 ? t : std::min(best, t);
         row.push_back(biq::bench::us(t, 1));
@@ -106,7 +119,9 @@ int main(int argc, char** argv) {
       "paper Sec. III-B tiling (Fig. 7) and Sec. III-C / IV-D threading "
       "remarks");
   biq::bench::BenchJson json(argc, argv, "ablation_tile_threads");
-  tile_sweep(json);
-  engine_thread_sweep(json);
+  const std::size_t repeats = biq::bench::parse_repeats(argc, argv);
+  const std::vector<std::string> filter = biq::bench::parse_engines(argc, argv);
+  if (biq::bench::engine_enabled(filter, "biqgemm")) tile_sweep(json, repeats);
+  engine_thread_sweep(json, filter, repeats);
   return 0;
 }

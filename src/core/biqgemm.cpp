@@ -7,7 +7,7 @@
 
 #include "core/lut_builder.hpp"
 #include "engine/dispatch.hpp"
-#include "engine/plan_driver.hpp"
+#include "engine/partition.hpp"
 
 namespace biq {
 namespace {
@@ -219,17 +219,14 @@ template <typename KeyT>
 void run_kernel(const KernelArgs& args, ExecContext& ctx) {
   const std::size_t b = args.b;
   const std::size_t lanes = args.plan.lanes;
-  const std::size_t ntiles = (b + lanes - 1) / lanes;
-  const std::size_t ranges = engine::row_ranges(ctx, ntiles, args.m);
-  engine::for_each_item(
-      ctx, ntiles * ranges,
+  engine::for_each_cell(
+      ctx, (b + lanes - 1) / lanes, args.m,
       [&](ScratchArena& arena) {
         return Scratch(arena, args.plan, args.m, args.mu,
                        /*build=*/args.prep == nullptr);
       },
-      [&](Scratch& scratch, std::size_t item) {
-        const std::size_t c0 = item / ranges * lanes;
-        const auto [i0, i1] = engine::row_range(args.m, item % ranges, ranges);
+      [&](Scratch& scratch, std::size_t tile, std::size_t i0, std::size_t i1) {
+        const std::size_t c0 = tile * lanes;
         run_one_batch_tile<KeyT>(args, c0, std::min(lanes, b - c0), i0, i1,
                                  scratch);
       });

@@ -16,31 +16,15 @@ void check_shapes(std::size_t wr, std::size_t wc, const Matrix& x,
   }
 }
 
-/// Columns [c0, c1) of the gemm_naive loop (columns are independent).
-void naive_columns(const Matrix& w, ConstMatrixView x, MatrixView y,
-                   std::size_t c0, std::size_t c1) {
-  const std::size_t m = w.rows(), n = w.cols();
-  const float* wdata = w.data();  // column k of W is contiguous (ld == m)
-  for (std::size_t c = c0; c < c1; ++c) {
-    const float* xc = x.col(c);
-    float* yc = y.col(c);
-    for (std::size_t i = 0; i < m; ++i) yc[i] = 0.0f;
-    for (std::size_t k = 0; k < n; ++k) {
-      const float xk = xc[k];
-      const float* wk = wdata + k * w.ld();
-      for (std::size_t i = 0; i < m; ++i) yc[i] += wk[i] * xk;
-    }
-  }
-}
-
-/// Rows [i0, i1) of a single-column gemm_naive (the b == 1 split: the
-/// per-row accumulation over k is unchanged, so ranges compose bitwise).
-void naive_rows_single_column(const Matrix& w, ConstMatrixView x, MatrixView y,
-                              std::size_t i0, std::size_t i1) {
+/// Rows [i0, i1) of column c of the gemm_naive loop: the per-row
+/// accumulation over k is the same whatever the range, so cells compose
+/// bitwise into any (column, row range) partition.
+void naive_cell(const Matrix& w, ConstMatrixView x, MatrixView y,
+                std::size_t c, std::size_t i0, std::size_t i1) {
   const std::size_t n = w.cols();
-  const float* wdata = w.data();
-  const float* xc = x.col(0);
-  float* yc = y.col(0);
+  const float* wdata = w.data();  // column k of W is contiguous (ld == m)
+  const float* xc = x.col(c);
+  float* yc = y.col(c);
   for (std::size_t i = i0; i < i1; ++i) yc[i] = 0.0f;
   for (std::size_t k = 0; k < n; ++k) {
     const float xk = xc[k];
@@ -48,10 +32,6 @@ void naive_rows_single_column(const Matrix& w, ConstMatrixView x, MatrixView y,
     for (std::size_t i = i0; i < i1; ++i) yc[i] += wk[i] * xk;
   }
 }
-
-}  // namespace
-
-namespace {
 
 class NaivePlan final : public GemmPlan {
  public:
@@ -64,23 +44,15 @@ class NaivePlan final : public GemmPlan {
  private:
   void execute(ConstMatrixView x, MatrixView y,
                const EpilogueOp& ep) const override {
-    // The epilogue runs per tile, right after the tile's accumulation
-    // finishes — tiles are disjoint, so this matches a whole-matrix pass.
-    if (batch() == 1) {
-      engine::for_each_tile(context(), w_->rows(), 256,
-                            [&](unsigned /*worker*/, std::size_t i0,
-                                std::size_t i1) {
-                              naive_rows_single_column(*w_, x, y, i0, i1);
-                              if (!ep.empty()) ep.apply(y, i0, i1, 0, 1);
-                            });
-      return;
-    }
-    engine::for_each_tile(context(), batch(), 1,
-                          [&](unsigned /*worker*/, std::size_t c0,
-                              std::size_t c1) {
-                            naive_columns(*w_, x, y, c0, c1);
-                            if (!ep.empty()) ep.apply(y, 0, rows(), c0, c1);
-                          });
+    // One (column, row range) cell per item; the epilogue runs on the
+    // cell right after its accumulation finishes — cells are disjoint,
+    // so this matches a whole-matrix pass.
+    engine::for_each_cell(
+        context(), batch(), rows(), [](ScratchArena&) { return 0; },
+        [&](int, std::size_t c, std::size_t i0, std::size_t i1) {
+          naive_cell(*w_, x, y, c, i0, i1);
+          if (!ep.empty()) ep.apply(y, i0, i1, c, c + 1);
+        });
   }
 
   const Matrix* w_;
@@ -111,7 +83,9 @@ void gemm_ref(const Matrix& w, const Matrix& x, Matrix& y) {
 
 void gemm_naive(const Matrix& w, const Matrix& x, Matrix& y) {
   check_shapes(w.rows(), w.cols(), x, y);
-  naive_columns(w, x, y, 0, x.cols());
+  for (std::size_t c = 0; c < x.cols(); ++c) {
+    naive_cell(w, x, y, c, 0, w.rows());
+  }
 }
 
 void gemv_ref(const Matrix& w, const float* x, float* y) {

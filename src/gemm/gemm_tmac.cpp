@@ -1,9 +1,7 @@
 #include "gemm/gemm_tmac.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
-#include <stdexcept>
 
 #include "engine/partition.hpp"
 
@@ -18,35 +16,9 @@ int decode_code(unsigned v, unsigned storage_bits) noexcept {
   return static_cast<int>(v) - (v >= half ? (1 << storage_bits) : 0);
 }
 
-/// The run's transient arena frame — one definition shared by the hot
-/// path and the plan-time prewarm so the prewarmed high-water mark can
-/// never desynchronize from what the run actually allocates. lut0 is
-/// the calling thread's table buffer; workers > 0 carve their own from
-/// their own arenas on the columns-parallel path.
-struct TmacFrame {
-  std::int8_t* xq;
-  float* xscales;
-  std::uint8_t* lut0;
-};
-
-TmacFrame stage_tmac_frame(ScratchArena& arena, std::size_t n, std::size_t b,
-                           std::size_t lut_bytes) {
-  arena.reset();
-  TmacFrame f;
-  f.xq = arena.alloc<std::int8_t>(n * b);
-  f.xscales = arena.alloc<float>(b);
-  f.lut0 = arena.alloc<std::uint8_t>(lut_bytes);
-  return f;
-}
-
-/// True when run() splits work column-wise (each worker building its
-/// own tables) instead of serial-columns / parallel-row-tiles.
-bool columns_parallel(const ExecContext& ctx, std::size_t b) noexcept {
-  return ctx.worker_count() > 1 && b >= ctx.worker_count();
-}
-
-/// One column's lookup-accumulate sweep over row tiles [t0, t1): the
-/// body both threading regimes of execute_batch run.
+/// One column's lookup-accumulate sweep over row tiles [t0, t1):
+/// dequantize and the fused epilogue ride each tile's write-back, so
+/// each fp32 value is touched exactly once.
 void tmac_run_column(const TmacPacked& packed,
                      const engine::TmacKernels& kernels, MatrixView y,
                      std::size_t c, float xs, const std::uint8_t* lut,
@@ -173,69 +145,6 @@ Matrix TmacLutGemm::dequantize() const {
   return out;
 }
 
-void TmacLutGemm::execute_batch(ConstMatrixView x, MatrixView y,
-                                ExecContext& ctx,
-                                const engine::TmacKernels& kernels,
-                                const EpilogueOp& ep) const {
-  const std::size_t n = packed_.cols;
-  const std::size_t b = x.cols();
-  const std::size_t lut_bytes = packed_.ngroups * 32;
-  const TmacFrame frame = stage_tmac_frame(ctx.scratch(0), n, b, lut_bytes);
-
-  // Phase 1: dynamic activation quantization (fp32 -> int8 per column).
-  engine::for_each_tile(ctx, b, 1,
-                        [&](unsigned /*worker*/, std::size_t c0,
-                            std::size_t c1) {
-                          for (std::size_t c = c0; c < c1; ++c) {
-                            frame.xscales[c] = quantize_column_int8(
-                                x.col(c), n, frame.xq + c * n);
-                          }
-                        });
-
-  // Phase 2: per column, build the tables once, then amortize them over
-  // every output-row tile; dequantize and the fused epilogue ride the
-  // tile write-back so each fp32 value is touched exactly once.
-  const auto run_column = [&](std::size_t c, const std::uint8_t* lut,
-                              std::size_t t0, std::size_t t1) {
-    tmac_run_column(packed_, kernels, y, c, frame.xscales[c], lut, t0, t1, ep);
-  };
-
-  if (columns_parallel(ctx, b)) {
-    // Wide batch: columns are independent (disjoint y columns), so each
-    // worker builds its own tables — worker 0 reuses the frame's
-    // buffer, the rest carve one from their own arena per chunk.
-    engine::for_each_tile(
-        ctx, b, 1, [&](unsigned worker, std::size_t c0, std::size_t c1) {
-          std::uint8_t* lut = frame.lut0;
-          if (worker != 0) {
-            ScratchArena& arena = ctx.scratch(worker);
-            arena.reset();
-            lut = arena.alloc<std::uint8_t>(lut_bytes);
-          }
-          for (std::size_t c = c0; c < c1; ++c) {
-            tmac_build_column_lut(frame.xq + c * n, n, packed_.storage_bits,
-                                  packed_.ngroups, lut);
-            run_column(c, lut, 0, packed_.ntiles);
-          }
-        });
-    return;
-  }
-
-  // Narrow batch (b == 1 GEMV included): one shared table per column,
-  // row tiles split across the pool. Tiles write disjoint y rows and
-  // only read the tables, and each (row, column)'s integer chain is
-  // fixed, so any worker count produces bitwise-identical output.
-  for (std::size_t c = 0; c < b; ++c) {
-    tmac_build_column_lut(frame.xq + c * n, n, packed_.storage_bits,
-                          packed_.ngroups, frame.lut0);
-    engine::for_each_tile(ctx, packed_.ntiles, 1,
-                          [&](unsigned /*worker*/, std::size_t t0,
-                              std::size_t t1) {
-                            run_column(c, frame.lut0, t0, t1);
-                          });
-  }
-}
-
 namespace {
 
 class TmacPlanImpl final : public GemmPlan {
@@ -248,34 +157,34 @@ class TmacPlanImpl final : public GemmPlan {
         engine_(&engine),
         kernels_(ctx.isa() == KernelIsa::kAuto
                      ? &construction_kernels
-                     : &engine::select_tmac_kernels(ctx.isa())) {
-    // Plan-time scratch sizing (same trick as the int8 plan): stage the
-    // run's arena frame twice so the first pass grows/spills and the
-    // second consolidates to the frame's high-water mark — the warm
-    // state two real runs would reach, paid off the serving path. The
-    // columns-parallel path additionally prewarms every worker's table
-    // buffer.
-    if (batch != 0 && engine.rows() != 0) {
-      const std::size_t lut_bytes = engine.packed().ngroups * 32;
-      for (int pass = 0; pass < 2; ++pass) {
-        (void)stage_tmac_frame(ctx.scratch(0), engine.cols(), batch,
-                               lut_bytes);
-      }
-      if (columns_parallel(ctx, batch)) {
-        for (unsigned w = 1; w < ctx.worker_count(); ++w) {
-          for (int pass = 0; pass < 2; ++pass) {
-            ctx.scratch(w).reset();
-            (void)ctx.scratch(w).alloc<std::uint8_t>(lut_bytes);
-          }
-        }
-      }
-    }
-  }
+                     : &engine::select_tmac_kernels(ctx.isa())) {}
 
  private:
+  /// One region over (column, row-tile range) items. Each item quantizes
+  /// its column to int8, builds the column's tables in its own arena and
+  /// sweeps only its tiles; tiles write disjoint y rows and each (row,
+  /// column)'s integer chain is fixed, so any worker count produces
+  /// bitwise-identical output.
   void execute(ConstMatrixView x, MatrixView y,
                const EpilogueOp& ep) const override {
-    engine_->execute_batch(x, y, context(), *kernels_, ep);
+    const TmacPacked& packed = engine_->packed();
+    const std::size_t n = packed.cols;
+    struct Scratch {
+      std::int8_t* xq;
+      std::uint8_t* lut;
+    };
+    engine::for_each_cell(
+        context(), batch(), packed.ntiles,
+        [&](ScratchArena& arena) {
+          return Scratch{arena.alloc<std::int8_t>(n),
+                         arena.alloc<std::uint8_t>(packed.ngroups * 32)};
+        },
+        [&](const Scratch& s, std::size_t c, std::size_t t0, std::size_t t1) {
+          const float xs = quantize_column_int8(x.col(c), n, s.xq);
+          tmac_build_column_lut(s.xq, n, packed.storage_bits, packed.ngroups,
+                                s.lut);
+          tmac_run_column(packed, *kernels_, y, c, xs, s.lut, t0, t1, ep);
+        });
   }
 
   const TmacLutGemm* engine_;

@@ -117,11 +117,6 @@ class TmacLutGemm final : public GemmEngine {
   /// reference comparisons in tests.
   [[nodiscard]] Matrix dequantize() const;
 
-  /// Plan-internal body (shapes pre-validated by GemmPlan::run).
-  void execute_batch(ConstMatrixView x, MatrixView y, ExecContext& ctx,
-                     const engine::TmacKernels& kernels,
-                     const EpilogueOp& ep) const;
-
  private:
   TmacPacked packed_;
   const engine::TmacKernels* kernels_;

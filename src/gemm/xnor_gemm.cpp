@@ -93,49 +93,37 @@ void XnorGemm::run_prequantized(const QuantizedActivations& qx, MatrixView y,
   const std::size_t words = planes_[0].words_per_row();
   const auto n_int = static_cast<long long>(n_);
 
-  // One (column, row-range) cell accumulates every (weight plane,
-  // activation plane) pair in ascending order, so the per-element
-  // accumulation order is independent of partitioning: bitwise
-  // identical at any worker count.
-  const auto cell = [&](std::size_t c, std::size_t i0, std::size_t i1) {
-    float* yc = y.col(c);
-    for (std::size_t qw = 0; qw < planes_.size(); ++qw) {
-      const PackedBits64& wplane = planes_[qw];
-      for (unsigned qa = 0; qa < qx.bits; ++qa) {
-        const std::uint64_t* xrow = qx.planes[qa].row(c);
-        const float gamma = qx.gammas[qa][c];
-        for (std::size_t i = i0; i < i1; ++i) {
-          const std::uint64_t* wrow = wplane.row(i);
-          long long diff = 0;
-          for (std::size_t wi = 0; wi < words; ++wi) {
-            diff += simd::popcount64(wrow[wi] ^ xrow[wi]);
+  // One (column, row range) cell zeroes its rows, then accumulates every
+  // (weight plane, activation plane) pair in ascending order, so the
+  // per-element accumulation order is independent of partitioning:
+  // bitwise identical at any worker count.
+  engine::for_each_cell(
+      ctx, qx.batch, m_, [](ScratchArena&) { return 0; },
+      [&](int, std::size_t c, std::size_t i0, std::size_t i1) {
+        float* yc = y.col(c);
+        for (std::size_t i = i0; i < i1; ++i) yc[i] = 0.0f;
+        for (std::size_t qw = 0; qw < planes_.size(); ++qw) {
+          const PackedBits64& wplane = planes_[qw];
+          for (unsigned qa = 0; qa < qx.bits; ++qa) {
+            const std::uint64_t* xrow = qx.planes[qa].row(c);
+            const float gamma = qx.gammas[qa][c];
+            for (std::size_t i = i0; i < i1; ++i) {
+              const std::uint64_t* wrow = wplane.row(i);
+              long long diff = 0;
+              for (std::size_t wi = 0; wi < words; ++wi) {
+                diff += simd::popcount64(wrow[wi] ^ xrow[wi]);
+              }
+              // Padded tail bits are 0 on both sides, so every mismatch
+              // is a real element: dot = n - 2 * diff.
+              const long long dot = n_int - 2 * diff;
+              yc[i] += alphas_[qw][i] * gamma * static_cast<float>(dot);
+            }
           }
-          // Padded tail bits are 0 on both sides, so every mismatch is a
-          // real element: dot = n - 2 * diff.
-          const long long dot = n_int - 2 * diff;
-          yc[i] += alphas_[qw][i] * gamma * static_cast<float>(dot);
         }
-      }
-    }
-    // All plane pairs have accumulated: the cell's values are final, so
-    // the fused epilogue runs now, while they are still in cache.
-    if (ep != nullptr && !ep->empty()) ep->apply(y, i0, i1, c, c + 1);
-  };
-
-  y.set_zero();
-  if (qx.batch > 1) {
-    engine::for_each_tile(ctx, qx.batch, 1,
-                          [&](unsigned /*worker*/, std::size_t c0,
-                              std::size_t c1) {
-                            for (std::size_t c = c0; c < c1; ++c) {
-                              cell(c, 0, m_);
-                            }
-                          });
-  } else if (qx.batch == 1) {
-    engine::for_each_tile(ctx, m_, 128,
-                          [&](unsigned /*worker*/, std::size_t i0,
-                              std::size_t i1) { cell(0, i0, i1); });
-  }
+        // All plane pairs have accumulated: the cell's values are final,
+        // so the fused epilogue runs now, while they are still in cache.
+        if (ep != nullptr && !ep->empty()) ep->apply(y, i0, i1, c, c + 1);
+      });
 }
 
 void XnorGemm::run_prequantized(const QuantizedActivations& qx,

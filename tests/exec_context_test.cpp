@@ -222,19 +222,22 @@ TEST(ExecContext, WarmGemvRunsServeScratchFromTheArena) {
 }
 
 TEST(ExecContext, WarmPlanRunsPerformZeroHeapAllocations) {
-  // The planned hot path must be allocation-free once warm, serial and
-  // threaded, at batch 1 and at narrow and wide batches: no scratch-arena
-  // growth AND no operator-new traffic of any kind (plan-per-call
-  // adapters, hidden std::function boxing, ...). Covers both LUT
-  // engines AND the two engines with transient activation-quantization
-  // phases — int8 sizes its arena frame and xnor its bit-plane
-  // workspace at plan time, so their quantize phases prewarm too.
+  // The planned hot path must be allocation-free after ONE run, serial
+  // and threaded, at batch 1 and at narrow and wide batches: no
+  // scratch-arena growth AND no operator-new traffic of any kind
+  // (plan-per-call adapters, hidden std::function boxing, ...). Covers
+  // the LUT engines, naive, AND the engines with transient
+  // activation-quantization phases — int8 sizes its arena frame and
+  // xnor its bit-plane workspace at plan time, and tmac-lut's items
+  // carve theirs from arenas the work-item driver prewarms (and
+  // consolidates) on every call, even for workers the queue starves.
   EngineConfig cfg;
   cfg.weight_bits = 2;
   Rng rng(17);
   const Matrix w = Matrix::random_normal(96, 112, rng, 0.0f, 0.5f);
 
-  for (const char* name : {"biqgemm", "biqgemm-grouped", "int8", "xnor"}) {
+  for (const char* name :
+       {"biqgemm", "biqgemm-grouped", "int8", "xnor", "tmac-lut", "naive"}) {
     const std::unique_ptr<GemmEngine> engine = make_engine(name, w, cfg);
     struct Regime {
       std::size_t batch;
@@ -245,7 +248,9 @@ TEST(ExecContext, WarmPlanRunsPerformZeroHeapAllocations) {
     // columns at 3 workers are whole tiles only (>= 3 batch tiles at 8
     // or 16 query lanes); {40, 4} mixes the two on the 16-lane plane
     // (3 tiles x 2 row ranges) and is whole tiles at 8 lanes. Every
-    // worker's arena carries its own tables.
+    // worker's arena carries its own tables. naive, xnor and tmac-lut
+    // run (column, row range) items: {1, 3} cuts the one column into
+    // three ranges, every wider regime runs whole columns.
     for (const Regime r : {Regime{1, 1}, Regime{1, 3}, Regime{8, 3},
                            Regime{24, 1}, Regime{48, 3}, Regime{40, 4}}) {
       ThreadPool pool(r.threads);
@@ -254,8 +259,7 @@ TEST(ExecContext, WarmPlanRunsPerformZeroHeapAllocations) {
       Matrix x = Matrix::random_normal(112, r.batch, rng);
       Matrix y(96, r.batch);
 
-      plan->run(x, y);  // first run grows the arenas
-      plan->run(x, y);  // second consolidates overflow blocks
+      plan->run(x, y);  // the one settling run
       const std::size_t arena_warm = ctx.scratch_heap_allocations();
       const std::size_t new_warm = g_new_calls.load();
       for (int rep = 0; rep < 8; ++rep) plan->run(x, y);

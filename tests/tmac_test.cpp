@@ -7,7 +7,9 @@
 //   * bitwise agreement with a plain int32 reference (the int16
 //     saturating chunks are exact by construction — this pins it),
 //   * bitwise identity across compiled ISA planes (scalar / AVX2 /
-//     AVX-512) and 1-vs-N threads on both packing layouts,
+//     AVX-512) and 1-vs-N threads on both packing layouts, with a ragged
+//     last row tile and a LayerNorm epilogue whose columns finish
+//     across (column, row-tile range) items,
 //   * zero heap allocations on warm plan->run for 2-bit and 4-bit
 //     paths, pinned by a binary-wide instrumented operator new,
 //   * the nn::Linear / make_linear_engine integration path.
@@ -16,6 +18,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <string>
 #include <vector>
@@ -306,25 +309,52 @@ TEST(TmacEngine, BitwiseIdenticalAcrossIsaPlanes) {
   }
 }
 
-TEST(TmacEngine, ThreadCountInvariantOnBothSplitPaths) {
+TEST(TmacEngine, ThreadCountInvariantAcrossWorkItems) {
+  // m = 100 is three full 32-row tiles and a ragged 4-row one. At 2-4
+  // workers b = 1 cuts its column into one tile range per worker, b = 3
+  // cuts each column into one or two ranges, b = 12 runs whole columns;
+  // every item quantizes its column and builds its tables itself. The
+  // LayerNorm arm needs a column's last tile before it normalizes, so
+  // its rows finish across items.
+  constexpr std::size_t m = 100, n = 57;
   Rng rng(11);
-  const Matrix w = Matrix::random_normal(100, 57, rng);
-  const TmacLutGemm engine(w, 4);
-  // b = 1 exercises the row-tile split, b = 12 >= workers the
-  // columns-parallel split with per-worker table buffers.
-  for (const std::size_t b : {std::size_t{1}, std::size_t{12}}) {
-    const Matrix x = Matrix::random_normal(57, b, rng);
-    Matrix y_serial(100, b), y_pool(100, b);
-    {
-      ExecContext ctx;
-      engine.plan(b, ctx)->run(x, y_serial);
+  const Matrix w = Matrix::random_normal(m, n, rng);
+  std::vector<float> bias(m), gamma(m), beta(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    bias[i] = 0.01f * static_cast<float>(i % 7) - 0.03f;
+    gamma[i] = 1.0f + 0.02f * static_cast<float>(i % 5);
+    beta[i] = 0.005f * static_cast<float>(i % 3);
+  }
+  Epilogue ln;
+  ln.bias = bias.data();
+  ln.act = EpilogueAct::kGelu;
+  ln.ln_gamma = gamma.data();
+  ln.ln_beta = beta.data();
+  ln.ln_dim = m;
+  for (const unsigned bits : {2u, 4u}) {
+    const TmacLutGemm engine(w, bits);
+    for (const std::size_t b : {std::size_t{1}, std::size_t{3},
+                                std::size_t{12}}) {
+      const Matrix x = Matrix::random_normal(n, b, rng);
+      for (const Epilogue& ep : {Epilogue{}, ln}) {
+        Matrix y_serial(m, b);
+        {
+          ExecContext ctx;
+          engine.plan(b, ctx, ep)->run(x, y_serial);
+        }
+        for (const unsigned workers : {2u, 3u, 4u}) {
+          Matrix y_pool(m, b);
+          ThreadPool pool(workers);
+          ExecContext ctx(&pool);
+          engine.plan(b, ctx, ep)->run(x, y_pool);
+          EXPECT_EQ(std::memcmp(y_serial.data(), y_pool.data(),
+                                m * b * sizeof(float)),
+                    0)
+              << "bits=" << bits << " b=" << b << " workers=" << workers
+              << " ln=" << (ep.ln_gamma != nullptr);
+        }
+      }
     }
-    {
-      ThreadPool pool(4);
-      ExecContext ctx(&pool);
-      engine.plan(b, ctx)->run(x, y_pool);
-    }
-    expect_bitwise(y_serial, y_pool, "threads");
   }
 }
 
