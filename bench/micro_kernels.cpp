@@ -55,19 +55,19 @@ BENCHMARK(BM_LutBuildMm)->Arg(4)->Arg(8)->Arg(12)->Unit(benchmark::kNanosecond);
 /// AVX-512): the builder every BiQGEMM batch tile runs.
 void BM_LutBuildDpInterleaved(benchmark::State& state) {
   constexpr unsigned mu = 8;
-  const biq::engine::BiqKernels& plane =
-      biq::engine::select_kernels(biq::KernelIsa::kAuto);
+  const biq::engine::KernelPlane& plane =
+      biq::engine::select_plane(biq::KernelIsa::kAuto);
+  const std::size_t lanes = plane.biq.query_lanes;
   biq::Rng rng(1);
-  biq::AlignedBuffer<float> xt(mu * plane.query_lanes);
+  biq::AlignedBuffer<float> xt(mu * lanes);
   biq::fill_normal(rng, xt.data(), xt.size());
-  biq::AlignedBuffer<float> lut((std::size_t{1} << mu) * plane.query_lanes);
+  biq::AlignedBuffer<float> lut((std::size_t{1} << mu) * lanes);
   for (auto _ : state) {
-    biq::build_lut_dp_interleaved(xt.data(), mu, lut.data());
+    plane.biq.build_dp(xt.data(), mu, lut.data());
     benchmark::DoNotOptimize(lut.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(std::string(plane.isa) + " lanes=" +
-                 std::to_string(plane.query_lanes));
+  state.SetLabel(std::string(plane.isa) + " lanes=" + std::to_string(lanes));
 }
 BENCHMARK(BM_LutBuildDpInterleaved)->Unit(benchmark::kNanosecond);
 
@@ -78,9 +78,9 @@ BENCHMARK(BM_LutBuildDpInterleaved)->Unit(benchmark::kNanosecond);
 void BM_QueryTile(benchmark::State& state) {
   constexpr unsigned mu = 8;
   constexpr std::size_t rows = 2048, num_planes = 2, tables = 16;
-  const biq::engine::BiqKernels& plane =
-      biq::engine::select_kernels(biq::KernelIsa::kAuto);
-  const std::size_t lanes = plane.query_lanes;
+  const biq::engine::KernelPlane& plane =
+      biq::engine::select_plane(biq::KernelIsa::kAuto);
+  const std::size_t lanes = plane.biq.query_lanes;
   biq::Rng rng(2);
   std::vector<biq::KeyMatrix> keys;
   for (std::size_t q = 0; q < num_planes; ++q) {
@@ -102,7 +102,7 @@ void BM_QueryTile(benchmark::State& state) {
   a.ytile = ytile.data();
   a.i1 = rows;
   for (auto _ : state) {
-    plane.query_tile_u8(a);
+    plane.biq.query_tile_u8(a);
     benchmark::DoNotOptimize(ytile.data());
     benchmark::ClobberMemory();
   }

@@ -9,9 +9,10 @@
 //   engine->run(x, y)                               -> one-shot Y = W . X
 //   engine->plan(batch, ctx) -> plan->run(x, y)     -> prepared hot path
 // Every kernel comes from the registry by name; the concrete classes
-// (BiqGemm, BlockedGemm, ...) never appear here. The BiQGEMM hot loops
-// pick their ISA plane (scalar / AVX2) at construction from the running
-// CPU — the same binary works on machines with and without AVX2.
+// (BiqGemm, BlockedGemm, ...) never appear here. Each plan picks its ISA
+// plane (scalar / AVX2 / AVX-512) from its ExecContext, by default the
+// widest one the running CPU supports — the same binary works on
+// machines with and without AVX2.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
   std::printf("selected LUT-unit mu = %u (Eq. 9 cost factor %.4f), "
               "kernel plane: %s\n",
               cfg.kernel.mu, biq::biqgemm_cost_factor(m, cfg.kernel.mu),
-              biq::engine::select_kernels(biq::KernelIsa::kAuto).isa);
+              biq::engine::select_plane(biq::KernelIsa::kAuto).isa);
 
   // 3. Run and compare against the fp32 product (also registry-built).
   const std::unique_ptr<biq::GemmEngine> dense = biq::make_engine("blocked", w);

@@ -68,7 +68,7 @@ struct KernelArgs {
   unsigned mu;
   bool use_dp;
   TilePlan plan;
-  const engine::BiqKernels* kernels;  // ISA plane resolved at construction
+  const engine::BiqKernels* kernels;  // the plan's ISA plane
   const EpilogueOp* ep;               // fused output transform (may be empty)
   /// Non-null = prepared-LUT consume: the full LUT artifact, batch tile t
   /// at prep + t * ntables * 2^mu * plan.lanes, table g of a chunk at
@@ -267,11 +267,11 @@ void run_prepare_kernel(ConstMatrixView x, float* prep, std::size_t ntables,
 
 /// The frozen (shape, options, context) recipe behind BiqGemm::plan.
 /// Everything derivable before the activations arrive is resolved here,
-/// once: the kernel plane (construction default or ctx override) and the
-/// tile geometry. A batch tile is the plane's query width, or one lane
-/// at batch 1, where the flat tables need no padded lanes. With more
-/// than one scale group, a LUT tile is exactly one group, so each tile's
-/// hits share one alpha per (plane, row).
+/// once: the kernel plane (ctx's isa) and the tile geometry. A batch
+/// tile is the plane's query width, or one lane at batch 1, where the
+/// flat tables need no padded lanes. With more than one scale group, a
+/// LUT tile is exactly one group, so each tile's hits share one alpha
+/// per (plane, row).
 class BiqGemmPlan final : public GemmPlan {
  public:
   BiqGemmPlan(const BiqGemm& engine, const std::vector<KeyMatrix>& keys,
@@ -374,8 +374,7 @@ BiqGemm::BiqGemm(std::string_view name, std::size_t rows, std::size_t cols,
                  std::size_t num_groups, std::size_t group_size,
                  const BiqGemmOptions& opt)
     : name_(name), m_(rows), n_(cols), bits_(bits), num_groups_(num_groups),
-      group_size_(group_size), opt_(opt),
-      kernels_(&engine::select_kernels(opt.isa)), alphas_(alphas) {
+      group_size_(group_size), opt_(opt), alphas_(alphas) {
   const std::string who(name_);
   if (bits_ == 0 || planes.size() != bits_) {
     throw std::invalid_argument(who + ": malformed codes (" +
@@ -434,8 +433,6 @@ BiqGemm::BiqGemm(const BinaryMatrix& plane, const BiqGemmOptions& opt)
     : BiqGemm("biqgemm", plane.rows(), plane.cols(), 1, {&plane, 1}, {},
               /*num_groups=*/1, /*group_size=*/plane.cols(), opt) {}
 
-std::string_view BiqGemm::isa() const noexcept { return kernels_->isa; }
-
 std::size_t BiqGemm::packed_weight_bytes() const noexcept {
   std::size_t bytes = 0;
   for (const KeyMatrix& k : keys_) bytes += k.storage_bytes();
@@ -445,10 +442,8 @@ std::size_t BiqGemm::packed_weight_bytes() const noexcept {
 
 std::unique_ptr<GemmPlan> BiqGemm::plan(std::size_t batch, ExecContext& ctx,
                                         const Epilogue& epilogue) const {
-  const engine::BiqKernels& kernels =
-      ctx.isa() == KernelIsa::kAuto ? *kernels_
-                                    : engine::select_kernels(ctx.isa());
-  return std::make_unique<BiqGemmPlan>(*this, keys_, alphas_, opt_, kernels,
+  return std::make_unique<BiqGemmPlan>(*this, keys_, alphas_, opt_,
+                                       engine::select_plane(ctx.isa()).biq,
                                        batch, ctx, epilogue);
 }
 

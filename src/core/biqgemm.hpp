@@ -30,10 +30,6 @@
 
 namespace biq {
 
-namespace engine {
-struct BiqKernels;
-}
-
 class BiqGemm final : public GemmEngine {
  public:
   /// Packs all planes of a quantized weight matrix. The BinaryCodes can
@@ -53,14 +49,15 @@ class BiqGemm final : public GemmEngine {
   /// used by the kernel-comparison benches.
   explicit BiqGemm(const BinaryMatrix& plane, const BiqGemmOptions& opt = {});
 
-  /// Freezes kernel plane (honouring ctx's ISA override), tile geometry
-  /// and scratch layout for `batch` columns. plan->run: (batch tile,
-  /// row range) items — whole tiles once there are as many tiles as
-  /// workers — run in one parallel region over ctx's pool, each building
-  /// its tile's tables in its own worker's arena. Batch 1, per-row or
-  /// grouped scales alike, is one tile of one lane whose rows split
-  /// across the workers. All scratch is served from those per-worker
-  /// arenas, so repeated runs on a warm context never touch the heap. The epilogue is applied on the tile
+  /// Freezes kernel plane (ctx's isa; throws std::runtime_error when
+  /// it is unavailable), tile geometry and scratch layout for `batch`
+  /// columns. plan->run: (batch tile, row range) items — whole tiles
+  /// once there are as many tiles as workers — run in one parallel
+  /// region over ctx's pool, each building its tile's tables in its own
+  /// worker's arena. Batch 1, per-row or grouped scales alike, is one
+  /// tile of one lane whose rows split across the workers. All scratch
+  /// is served from those per-worker arenas, so repeated runs on a warm
+  /// context never touch the heap. The epilogue is applied on the tile
   /// write-back from ytile scratch into y.
   [[nodiscard]] std::unique_ptr<GemmPlan> plan(
       std::size_t batch, ExecContext& ctx,
@@ -76,9 +73,6 @@ class BiqGemm final : public GemmEngine {
   [[nodiscard]] std::string_view name() const noexcept override {
     return name_;
   }
-  /// Kernel plane this instance dispatched to ("scalar" / "avx2") —
-  /// resolved once, at construction, from cpu_features().
-  [[nodiscard]] std::string_view isa() const noexcept;
   [[nodiscard]] unsigned bits() const noexcept { return bits_; }
   [[nodiscard]] unsigned mu() const noexcept { return opt_.mu; }
   /// Inputs per scale group (cols() for per-row scales).
@@ -107,7 +101,6 @@ class BiqGemm final : public GemmEngine {
   std::size_t num_groups_ = 1;
   std::size_t group_size_ = 0;
   BiqGemmOptions opt_;
-  const engine::BiqKernels* kernels_ = nullptr;  // selected at construction
   std::vector<KeyMatrix> keys_;
   /// alphas_[q][row * num_groups_ + group]; empty => unit scales.
   std::vector<std::vector<float>> alphas_;
@@ -117,7 +110,7 @@ class BiqGemm final : public GemmEngine {
 void biqgemm(const BinaryCodes& codes, const Matrix& x, Matrix& y,
              const BiqGemmOptions& opt = {});
 
-/// One-shot form with call-time execution state (pool / ISA override).
+/// One-shot form with call-time execution state (pool / kernel plane).
 void biqgemm(const BinaryCodes& codes, const Matrix& x, Matrix& y,
              const BiqGemmOptions& opt, ExecContext& ctx);
 

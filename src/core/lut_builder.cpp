@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "engine/dispatch.hpp"
-
 namespace biq {
 namespace {
 
@@ -41,21 +39,6 @@ void build_lut_mm(const float* x, std::size_t len, unsigned mu, float* lut) {
     }
     lut[k] = acc;
   }
-}
-
-// The interleaved builders are the kernel hot path: their bodies live in
-// engine/biq_kernels_impl.hpp, compiled once per ISA plane, and these
-// entry points route through the runtime-dispatched table. Callers on
-// the hot path (BiqGemm) hold the table directly; these wrappers keep
-// the documented public contract for tests and ablations.
-void build_lut_dp_interleaved(const float* xt, unsigned mu, float* lut) {
-  assert(mu >= 1 && mu <= 16);
-  engine::select_kernels(KernelIsa::kAuto).build_dp(xt, mu, lut);
-}
-
-void build_lut_mm_interleaved(const float* xt, unsigned mu, float* lut) {
-  assert(mu >= 1 && mu <= 16);
-  engine::select_kernels(KernelIsa::kAuto).build_mm(xt, mu, lut);
 }
 
 }  // namespace biq

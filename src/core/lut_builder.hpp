@@ -16,9 +16,12 @@
 //
 // Interleaved variants build one table per batch column for a whole
 // batch tile at once, with entry layout lut[key*lanes + lane] (paper
-// Fig. 6), which the query loop reads with full-width vector loads. The
-// tile width `lanes` is the kernel plane's query width (8 lanes, 16 on
-// the AVX-512 plane); narrower batches are zero-padded to it.
+// Fig. 6), which the query loop reads with full-width vector loads. They
+// are kernel hot loops, so they live on each kernel plane
+// (engine::BiqKernels::build_dp / build_mm): xt is a row-major
+// [mu x lanes] block, lut receives 2^mu * lanes floats, and the tile
+// width `lanes` is the plane's query width (8 lanes, 16 on the AVX-512
+// plane); narrower batches are zero-padded to it.
 #pragma once
 
 #include <cstddef>
@@ -31,16 +34,6 @@ void build_lut_dp(const float* x, std::size_t len, unsigned mu, float* lut);
 
 /// Brute-force oracle, identical contract.
 void build_lut_mm(const float* x, std::size_t len, unsigned mu, float* lut);
-
-/// Interleaved DP builder on the auto-selected kernel plane, whose
-/// query_lanes (engine::select_kernels(KernelIsa::kAuto)) is `lanes`:
-/// xt points at a row-major [mu x lanes] block (xt[j*lanes + lane] =
-/// element j of column `lane`'s sub-vector, already zero-padded), lut
-/// receives 2^mu * lanes floats, entry layout lut[k*lanes + lane].
-void build_lut_dp_interleaved(const float* xt, unsigned mu, float* lut);
-
-/// Interleaved brute-force builder (ablation comparison), same contract.
-void build_lut_mm_interleaved(const float* xt, unsigned mu, float* lut);
 
 /// Exact add/negate counts of the DP scheme (Eq. 6 cost model inputs).
 [[nodiscard]] constexpr std::size_t dp_build_adds(unsigned mu) noexcept {

@@ -14,3 +14,13 @@
 #include "engine/blocked_kernels_impl.hpp"
 #include "engine/tmac_kernels_impl.hpp"
 #include "engine/math_kernels_impl.hpp"
+
+namespace biq::engine::kern_avx512 {
+
+const KernelPlane& plane() noexcept {
+  static const KernelPlane p{"avx512", biq_table(), blocked_table(),
+                             tmac_table(), math_table()};
+  return p;
+}
+
+}  // namespace biq::engine::kern_avx512

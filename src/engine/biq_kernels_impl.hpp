@@ -344,29 +344,20 @@ float gemv_row(const KeyT* krow, std::size_t tcount, unsigned mu,
   return acc + (a0 + a1) + (a2 + a3);
 }
 
-}  // namespace
-
-const BiqKernels& kernels() noexcept {
-  static const BiqKernels k = [] {
-    BiqKernels t;
-#if defined(__AVX512F__)
-    t.isa = "avx512";
-#elif defined(__AVX2__)
-    t.isa = "avx2";
-#else
-    t.isa = "scalar";
-#endif
-    t.query_lanes = kQueryLanes;
-    t.build_dp = &build_dp;
-    t.build_mm = &build_mm;
-    t.query_tile_u8 = &query_tile<std::uint8_t>;
-    t.query_tile_u16 = &query_tile<std::uint16_t>;
-    t.gemv_row_u8 = &gemv_row<std::uint8_t>;
-    t.gemv_row_u16 = &gemv_row<std::uint16_t>;
-    return t;
-  }();
-  return k;
+/// This TU's BiqKernels table, exported through its KernelPlane.
+BiqKernels biq_table() noexcept {
+  BiqKernels t;
+  t.query_lanes = kQueryLanes;
+  t.build_dp = &build_dp;
+  t.build_mm = &build_mm;
+  t.query_tile_u8 = &query_tile<std::uint8_t>;
+  t.query_tile_u16 = &query_tile<std::uint16_t>;
+  t.gemv_row_u8 = &gemv_row<std::uint8_t>;
+  t.gemv_row_u16 = &gemv_row<std::uint16_t>;
+  return t;
 }
+
+}  // namespace
 
 }  // namespace BIQ_KERNELS_NS
 }  // namespace biq::engine

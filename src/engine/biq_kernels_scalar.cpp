@@ -13,3 +13,13 @@
 #include "engine/blocked_kernels_impl.hpp"
 #include "engine/tmac_kernels_impl.hpp"
 #include "engine/math_kernels_impl.hpp"
+
+namespace biq::engine::kern_scalar {
+
+const KernelPlane& plane() noexcept {
+  static const KernelPlane p{"scalar", biq_table(), blocked_table(),
+                             tmac_table(), math_table()};
+  return p;
+}
+
+}  // namespace biq::engine::kern_scalar

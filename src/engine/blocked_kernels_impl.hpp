@@ -101,23 +101,14 @@ void run_panels(const float* packed, std::size_t m, std::size_t n,
   }
 }
 
-}  // namespace
-
-const BlockedKernels& blocked_kernels() noexcept {
-  static const BlockedKernels k = [] {
-    BlockedKernels t;
-#if defined(__AVX512F__)
-    t.isa = "avx512";
-#elif defined(__AVX2__)
-    t.isa = "avx2";
-#else
-    t.isa = "scalar";
-#endif
-    t.run_panels = &run_panels;
-    return t;
-  }();
-  return k;
+/// This TU's BlockedKernels table, exported through its KernelPlane.
+BlockedKernels blocked_table() noexcept {
+  BlockedKernels t;
+  t.run_panels = &run_panels;
+  return t;
 }
+
+}  // namespace
 
 }  // namespace BIQ_KERNELS_NS
 }  // namespace biq::engine

@@ -10,65 +10,17 @@
 namespace biq::engine {
 namespace {
 
-const BiqKernels* avx2_plane() noexcept {
+const KernelPlane* avx2_plane() noexcept {
 #if BIQ_HAVE_AVX2_TU
-  return &kern_avx2::kernels();
+  return &kern_avx2::plane();
 #else
   return nullptr;
 #endif
 }
 
-const BiqKernels* avx512_plane() noexcept {
+const KernelPlane* avx512_plane() noexcept {
 #if BIQ_HAVE_AVX512_TU
-  return &kern_avx512::kernels();
-#else
-  return nullptr;
-#endif
-}
-
-const BlockedKernels* avx2_blocked_plane() noexcept {
-#if BIQ_HAVE_AVX2_TU
-  return &kern_avx2::blocked_kernels();
-#else
-  return nullptr;
-#endif
-}
-
-const BlockedKernels* avx512_blocked_plane() noexcept {
-#if BIQ_HAVE_AVX512_TU
-  return &kern_avx512::blocked_kernels();
-#else
-  return nullptr;
-#endif
-}
-
-const TmacKernels* avx2_tmac_plane() noexcept {
-#if BIQ_HAVE_AVX2_TU
-  return &kern_avx2::tmac_kernels();
-#else
-  return nullptr;
-#endif
-}
-
-const TmacKernels* avx512_tmac_plane() noexcept {
-#if BIQ_HAVE_AVX512_TU
-  return &kern_avx512::tmac_kernels();
-#else
-  return nullptr;
-#endif
-}
-
-const MathKernels* avx2_math_plane() noexcept {
-#if BIQ_HAVE_AVX2_TU
-  return &kern_avx2::math_kernels();
-#else
-  return nullptr;
-#endif
-}
-
-const MathKernels* avx512_math_plane() noexcept {
-#if BIQ_HAVE_AVX512_TU
-  return &kern_avx512::math_kernels();
+  return &kern_avx512::plane();
 #else
   return nullptr;
 #endif
@@ -100,7 +52,7 @@ const char* isa_name(KernelIsa isa) noexcept {
 
 [[noreturn]] void throw_unavailable(KernelIsa isa) {
   throw std::runtime_error(
-      std::string("select_kernels: ISA plane '") + isa_name(isa) +
+      std::string("select_plane: ISA plane '") + isa_name(isa) +
       (isa_compiled(isa) ? "' not supported by this CPU"
                          : "' not compiled into this binary"));
 }
@@ -133,48 +85,18 @@ bool isa_available(KernelIsa isa) noexcept {
   return true;
 }
 
-const BiqKernels& select_kernels(KernelIsa isa) {
-  if (isa == KernelIsa::kAuto) return select_kernels(resolve_auto());
+const KernelPlane& select_plane(KernelIsa isa) {
+  if (isa == KernelIsa::kAuto) return select_plane(resolve_auto());
   if (!isa_available(isa)) throw_unavailable(isa);
   switch (isa) {
     case KernelIsa::kAvx512: return *avx512_plane();
     case KernelIsa::kAvx2: return *avx2_plane();
-    default: return kern_scalar::kernels();
-  }
-}
-
-const BlockedKernels& select_blocked_kernels(KernelIsa isa) {
-  if (isa == KernelIsa::kAuto) return select_blocked_kernels(resolve_auto());
-  if (!isa_available(isa)) throw_unavailable(isa);
-  switch (isa) {
-    case KernelIsa::kAvx512: return *avx512_blocked_plane();
-    case KernelIsa::kAvx2: return *avx2_blocked_plane();
-    default: return kern_scalar::blocked_kernels();
-  }
-}
-
-const TmacKernels& select_tmac_kernels(KernelIsa isa) {
-  if (isa == KernelIsa::kAuto) return select_tmac_kernels(resolve_auto());
-  if (!isa_available(isa)) throw_unavailable(isa);
-  switch (isa) {
-    case KernelIsa::kAvx512: return *avx512_tmac_plane();
-    case KernelIsa::kAvx2: return *avx2_tmac_plane();
-    default: return kern_scalar::tmac_kernels();
-  }
-}
-
-const MathKernels& select_math_kernels(KernelIsa isa) {
-  if (isa == KernelIsa::kAuto) return select_math_kernels(resolve_auto());
-  if (!isa_available(isa)) throw_unavailable(isa);
-  switch (isa) {
-    case KernelIsa::kAvx512: return *avx512_math_plane();
-    case KernelIsa::kAvx2: return *avx2_math_plane();
-    default: return kern_scalar::math_kernels();
+    default: return kern_scalar::plane();
   }
 }
 
 const MathKernels& math_plane() {
-  static const MathKernels& plane = select_math_kernels(KernelIsa::kAuto);
+  static const MathKernels& plane = select_plane(KernelIsa::kAuto).math;
   return plane;
 }
 

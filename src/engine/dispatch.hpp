@@ -7,7 +7,7 @@
 //                            toolchain supports the flag)
 //   biq_kernels_avx512.cpp — same source again with -mavx512f, widening
 //                            the batched query to 16 lanes
-// Every TU includes the same impl headers, one per plane below:
+// Every TU includes the same impl headers, one per kernel family below:
 //   biq_kernels_impl.hpp     — BiqKernels: BiQGEMM build/query/GEMV loops
 //   blocked_kernels_impl.hpp — BlockedKernels: dense packed-panel
 //                              microkernel
@@ -15,18 +15,19 @@
 //   math_kernels_impl.hpp    — MathKernels: fp32 exp, GELU / sigmoid /
 //                              tanh sweeps, column softmax and the
 //                              attention-head kernel
-// so all planes execute the *same* arithmetic in the same order — LUT
-// keys and table layouts are bitwise identical across planes, and
-// outputs agree to rounding (FMA contraction differs).
+// and exports them together as one KernelPlane, so all planes execute
+// the *same* arithmetic in the same order — LUT keys and table layouts
+// are bitwise identical across planes, and outputs agree to rounding
+// (FMA contraction differs).
 //
 // Selection happens by probing cpu_features() — never with preprocessor
 // guards — so one binary serves scalar CI runners, AVX2 hosts and
-// AVX-512 hosts. The GEMM planes are resolved at engine construction;
-// the math plane once per process (math_plane()). The BIQ_ISA
-// environment variable ("scalar" / "avx2" / "avx512") overrides
-// auto-selection for all of them, which is how CI exercises fallback
-// planes; an ExecContext ISA override re-routes a single GEMM call the
-// same way.
+// AVX-512 hosts. Each GEMM plan resolves select_plane(ctx.isa()) once,
+// when it is compiled, so the ExecContext it is planned on picks its
+// plane; the math plane is resolved once per process (math_plane()).
+// The BIQ_ISA environment variable ("scalar" / "avx2" / "avx512") sets
+// what kAuto resolves to for all of them, which is how CI exercises
+// fallback planes.
 #pragma once
 
 #include <cstddef>
@@ -62,10 +63,9 @@ struct QueryTileArgs {
   std::size_t i0 = 0, i1 = 0;  // output-row range [i0, i1)
 };
 
-/// Function-pointer plane for one compiled ISA. BiqGemm resolves one of
-/// these at construction and calls through it — no #if in the hot path.
+/// BiQGEMM's function-pointer table for one compiled ISA. A BiqGemm plan
+/// holds its plane's table and calls through it — no #if in the hot path.
 struct BiqKernels {
-  const char* isa = "";
   /// Batch-tile width the builders and the query vectorize over (8 on
   /// the scalar and AVX2 planes, 16 on AVX-512). Every batch tile has
   /// this width; narrower batches are zero-padded to it.
@@ -92,10 +92,9 @@ struct BiqKernels {
 /// microkernel TUs — the panel layout is ISA-independent.
 inline constexpr std::size_t kBlockedPanelRows = 8;
 
-/// Per-ISA plane of the blocked dense GEMM microkernel (the
+/// Per-ISA table of the blocked dense GEMM microkernel (the
 /// vendor-library stand-in), dispatched exactly like BiqKernels.
 struct BlockedKernels {
-  const char* isa = "";
   /// Y += packed panels [panel_begin, panel_end) times X. `packed` is
   /// panel-major (kBlockedPanelRows rows per panel, zero-padded past m);
   /// panels write disjoint Y rows, so ranges parallelize freely. X and Y
@@ -128,22 +127,20 @@ struct TmacTileArgs {
   std::int32_t* acc = nullptr;
 };
 
-/// Per-ISA plane of the grouped-LUT lookup-accumulate kernel,
+/// Per-ISA table of the grouped-LUT lookup-accumulate kernel,
 /// dispatched exactly like BiqKernels. The AVX-512 TU reuses the
 /// 256-bit AVX2 body under EVEX encoding (in-register 16-entry table
 /// lookup is a VPSHUFB shape; widening it needs AVX-512BW, which the
 /// library's -mavx512f plane does not assume).
 struct TmacKernels {
-  const char* isa = "";
   void (*accumulate_tile)(const TmacTileArgs&) = nullptr;
 };
 
-/// Per-ISA plane of the fp32 math outside the GEMMs. Every sweep maps
+/// Per-ISA table of the fp32 math outside the GEMMs. Every sweep maps
 /// dst[i] = f(src[i]) over [0, n) (src == dst allowed) and gives each
 /// element the same bits wherever it falls in the sweep: tails run the
 /// vector body masked, never a separate scalar formula.
 struct MathKernels {
-  const char* isa = "";
   /// e^x: within 2 ulp of std::exp on normal results; +Inf past ~88.72,
   /// +0 below -104, NaN in gives NaN out (so do the sweeps below).
   void (*exp)(const float* src, float* dst, std::size_t n) = nullptr;
@@ -164,6 +161,15 @@ struct MathKernels {
                       MatrixView context) = nullptr;
 };
 
+/// Every kernel family compiled for one ISA: what one per-ISA TU exports.
+struct KernelPlane {
+  const char* isa = "";  // "scalar" / "avx2" / "avx512"
+  BiqKernels biq;
+  BlockedKernels blocked;
+  TmacKernels tmac;
+  MathKernels math;
+};
+
 /// True when the plane is linked into this binary.
 [[nodiscard]] bool isa_compiled(KernelIsa isa) noexcept;
 
@@ -173,43 +179,25 @@ struct MathKernels {
 /// Resolves a plane. kAuto returns the fastest available plane for this
 /// host (honouring BIQ_ISA); explicit requests throw std::runtime_error
 /// when isa_available() is false.
-[[nodiscard]] const BiqKernels& select_kernels(KernelIsa isa);
-
-/// Same resolution rules for the blocked dense microkernel plane.
-[[nodiscard]] const BlockedKernels& select_blocked_kernels(KernelIsa isa);
-
-/// Same resolution rules for the grouped-LUT lookup-accumulate plane.
-[[nodiscard]] const TmacKernels& select_tmac_kernels(KernelIsa isa);
-
-/// Same resolution rules for the math plane.
-[[nodiscard]] const MathKernels& select_math_kernels(KernelIsa isa);
+[[nodiscard]] const KernelPlane& select_plane(KernelIsa isa);
 
 /// The math plane every caller outside the GEMM engines uses: resolved
-/// once per process by select_math_kernels(KernelIsa::kAuto), so it
-/// honours BIQ_ISA but not a per-call ExecContext override.
+/// once per process by select_plane(KernelIsa::kAuto), so it honours
+/// BIQ_ISA but not an ExecContext's isa.
 [[nodiscard]] const MathKernels& math_plane();
 
-// Per-TU entry points (used by dispatch.cpp and the dispatch tests).
+// Per-TU entry points, used by dispatch.cpp.
 namespace kern_scalar {
-[[nodiscard]] const BiqKernels& kernels() noexcept;
-[[nodiscard]] const BlockedKernels& blocked_kernels() noexcept;
-[[nodiscard]] const TmacKernels& tmac_kernels() noexcept;
-[[nodiscard]] const MathKernels& math_kernels() noexcept;
+[[nodiscard]] const KernelPlane& plane() noexcept;
 }
 #if BIQ_HAVE_AVX2_TU
 namespace kern_avx2 {
-[[nodiscard]] const BiqKernels& kernels() noexcept;
-[[nodiscard]] const BlockedKernels& blocked_kernels() noexcept;
-[[nodiscard]] const TmacKernels& tmac_kernels() noexcept;
-[[nodiscard]] const MathKernels& math_kernels() noexcept;
+[[nodiscard]] const KernelPlane& plane() noexcept;
 }
 #endif
 #if BIQ_HAVE_AVX512_TU
 namespace kern_avx512 {
-[[nodiscard]] const BiqKernels& kernels() noexcept;
-[[nodiscard]] const BlockedKernels& blocked_kernels() noexcept;
-[[nodiscard]] const TmacKernels& tmac_kernels() noexcept;
-[[nodiscard]] const MathKernels& math_kernels() noexcept;
+[[nodiscard]] const KernelPlane& plane() noexcept;
 }
 #endif
 

@@ -1,14 +1,14 @@
 // ExecContext — call-time execution state for every GemmEngine.
 //
-// Engines are immutable after construction (packed weights, dispatched
-// kernel plane); everything that varies per call lives here instead:
+// Engines are immutable after construction (packed weights);
+// everything that varies per call lives here instead:
 //   * the worker pool (nullptr = serial) — threading is decided at the
 //     call site, not baked into the engine,
 //   * one grow-only ScratchArena per worker, so the steady-state hot
 //     path of repeated run() calls performs zero heap allocations,
-//   * an optional ISA-plane override that re-routes a single call onto
-//     a different compiled kernel plane (the per-engine default remains
-//     whatever was dispatched at construction).
+//   * the kernel plane: every plan compiled on this context resolves
+//     engine::select_plane(isa()) once and runs on that compiled plane
+//     (kAuto: the widest plane the host runs, or the BIQ_ISA one).
 //
 // Ownership and thread-safety contract: an ExecContext may be used by
 // one run() call at a time. Concurrent run() calls on the SAME engine
@@ -100,9 +100,10 @@ class ScratchArena {
 
 class ExecContext {
  public:
-  /// `pool` nullptr runs serial; `isa` != kAuto forces every engine call
-  /// made with this context onto that kernel plane (throws at run time
-  /// when the plane is unavailable, same contract as select_kernels).
+  /// `pool` nullptr runs serial; `isa` != kAuto puts every plan compiled
+  /// on this context onto that kernel plane (plan() throws
+  /// std::runtime_error when the plane is unavailable, as select_plane
+  /// does).
   explicit ExecContext(ThreadPool* pool = nullptr,
                        KernelIsa isa = KernelIsa::kAuto)
       : pool_(pool), isa_(isa), arenas_(worker_count()) {}

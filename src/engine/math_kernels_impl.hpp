@@ -446,28 +446,19 @@ void attend_head(ConstMatrixView q, ConstMatrixView k, ConstMatrixView v,
   }
 }
 
-}  // namespace
-
-const MathKernels& math_kernels() noexcept {
-  static const MathKernels k = [] {
-    MathKernels t;
-#if defined(__AVX512F__)
-    t.isa = "avx512";
-#elif defined(__AVX2__)
-    t.isa = "avx2";
-#else
-    t.isa = "scalar";
-#endif
-    t.exp = &sweep<exp_body>;
-    t.gelu = &sweep<gelu_body>;
-    t.sigmoid = &sweep<sigmoid_body>;
-    t.tanh = &sweep<tanh_body>;
-    t.softmax = &softmax_col;
-    t.attend_head = &attend_head;
-    return t;
-  }();
-  return k;
+/// This TU's MathKernels table, exported through its KernelPlane.
+MathKernels math_table() noexcept {
+  MathKernels t;
+  t.exp = &sweep<exp_body>;
+  t.gelu = &sweep<gelu_body>;
+  t.sigmoid = &sweep<sigmoid_body>;
+  t.tanh = &sweep<tanh_body>;
+  t.softmax = &softmax_col;
+  t.attend_head = &attend_head;
+  return t;
 }
+
+}  // namespace
 
 }  // namespace BIQ_KERNELS_NS
 }  // namespace biq::engine

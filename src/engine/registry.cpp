@@ -44,8 +44,8 @@ EngineRegistry::EngineRegistry() {
   add({"blocked",
        "cache-blocked fp32 GEMM (the vendor-library stand-in)",
        /*quantized=*/false,
-       [](const Matrix& w, const EngineConfig& cfg) {
-         return std::make_unique<BlockedGemm>(w, cfg.kernel.isa);
+       [](const Matrix& w, const EngineConfig&) {
+         return std::make_unique<BlockedGemm>(w);
        }});
   add({"naive",
        "unblocked fp32 triple loop (the paper's kCpu baseline)",
@@ -76,8 +76,7 @@ EngineRegistry::EngineRegistry() {
        "grouped-LUT GEMM: 1-4-bit integer weight codes, int8 activations",
        /*quantized=*/true,
        [](const Matrix& w, const EngineConfig& cfg) {
-         return std::make_unique<TmacLutGemm>(w, cfg.weight_bits,
-                                              cfg.kernel.isa);
+         return std::make_unique<TmacLutGemm>(w, cfg.weight_bits);
        }});
 }
 

@@ -36,9 +36,9 @@ struct EngineConfig {
   /// rows x cols). Not owned; must outlive the make() call only
   /// (engines pack their own copies).
   const BinaryCodes* codes = nullptr;
-  /// Kernel options: mu / tiling for the LUT engines, kernel.isa the
-  /// construction-time ISA plane for every dispatched engine. Threading
-  /// is NOT configured here — pass an ExecContext with a pool to run().
+  /// Kernel options: mu / tiling / builder of the LUT engines. Threading
+  /// and the kernel plane are NOT configured here — pass an ExecContext
+  /// with a pool and an isa to plan() or run().
   BiqGemmOptions kernel;
   /// On-the-fly activation quantization depth of the xnor engine.
   unsigned activation_bits = 1;

@@ -129,23 +129,14 @@ void tmac_accumulate_tile(const TmacTileArgs& a) {
 
 #endif  // __AVX2__
 
-}  // namespace
-
-const TmacKernels& tmac_kernels() noexcept {
-  static const TmacKernels k = [] {
-    TmacKernels t;
-#if defined(__AVX512F__)
-    t.isa = "avx512";
-#elif defined(__AVX2__)
-    t.isa = "avx2";
-#else
-    t.isa = "scalar";
-#endif
-    t.accumulate_tile = &tmac_accumulate_tile;
-    return t;
-  }();
-  return k;
+/// This TU's TmacKernels table, exported through its KernelPlane.
+TmacKernels tmac_table() noexcept {
+  TmacKernels t;
+  t.accumulate_tile = &tmac_accumulate_tile;
+  return t;
 }
+
+}  // namespace
 
 }  // namespace BIQ_KERNELS_NS
 }  // namespace biq::engine

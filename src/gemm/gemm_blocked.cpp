@@ -45,9 +45,8 @@ class BlockedPlan final : public GemmPlan {
 
 }  // namespace
 
-BlockedGemm::BlockedGemm(const Matrix& w, KernelIsa isa)
+BlockedGemm::BlockedGemm(const Matrix& w)
     : m_(w.rows()), n_(w.cols()),
-      kernels_(&engine::select_blocked_kernels(isa)),
       panels_((w.rows() + engine::kBlockedPanelRows - 1) /
               engine::kBlockedPanelRows),
       packed_(panels_ * engine::kBlockedPanelRows * w.cols(),
@@ -65,15 +64,11 @@ BlockedGemm::BlockedGemm(const Matrix& w, KernelIsa isa)
   }
 }
 
-std::string_view BlockedGemm::isa() const noexcept { return kernels_->isa; }
-
 std::unique_ptr<GemmPlan> BlockedGemm::plan(std::size_t batch,
                                             ExecContext& ctx,
                                             const Epilogue& epilogue) const {
-  const engine::BlockedKernels& kernels =
-      ctx.isa() == KernelIsa::kAuto ? *kernels_
-                                    : engine::select_blocked_kernels(ctx.isa());
-  return std::make_unique<BlockedPlan>(*this, packed_.data(), panels_, kernels,
+  return std::make_unique<BlockedPlan>(*this, packed_.data(), panels_,
+                                       engine::select_plane(ctx.isa()).blocked,
                                        batch, ctx, epilogue);
 }
 

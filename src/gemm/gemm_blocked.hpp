@@ -6,8 +6,8 @@
 //
 // The microkernel itself lives in the per-ISA kernel TUs
 // (engine/blocked_kernels_impl.hpp — scalar always, AVX2/AVX-512 when
-// compiled) and is dispatched at construction from cpu_features(), the
-// same treatment as the BiQGEMM hot loops: panels packed here are
+// compiled) and each plan picks its plane from its ExecContext, the same
+// treatment as the BiQGEMM hot loops: panels packed here are
 // ISA-independent, and one binary serves every host.
 #pragma once
 
@@ -18,14 +18,10 @@
 
 namespace biq {
 
-namespace engine {
-struct BlockedKernels;
-}
-
 /// One-shot blocked GEMM: Y = W . X (shapes as gemm_ref), serial.
 void gemm_blocked(const Matrix& w, const Matrix& x, Matrix& y);
 
-/// One-shot form with call-time execution state (pool / ISA override).
+/// One-shot form with call-time execution state (pool / kernel plane).
 void gemm_blocked(const Matrix& w, const Matrix& x, Matrix& y,
                   ExecContext& ctx);
 
@@ -33,11 +29,11 @@ void gemm_blocked(const Matrix& w, const Matrix& x, Matrix& y,
 /// W (inference): packs W once into microkernel panels.
 class BlockedGemm final : public GemmEngine {
  public:
-  /// Packs W and resolves the microkernel plane (kAuto probes the CPU).
-  explicit BlockedGemm(const Matrix& w, KernelIsa isa = KernelIsa::kAuto);
+  /// Packs W into microkernel panels.
+  explicit BlockedGemm(const Matrix& w);
 
-  /// Freezes the microkernel plane (construction default or ctx's ISA
-  /// override) for `batch` columns; plan->run computes Y = W . X from
+  /// Freezes the microkernel plane (ctx's isa) for `batch` columns;
+  /// plan->run computes Y = W . X from
   /// the pre-packed panels, partitioned across ctx's pool through the
   /// shared tile partitioner. The epilogue is applied per row panel,
   /// right after that panel's accumulation finishes.
@@ -56,8 +52,6 @@ class BlockedGemm final : public GemmEngine {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "blocked";
   }
-  /// Microkernel plane this instance dispatched to at construction.
-  [[nodiscard]] std::string_view isa() const noexcept;
   [[nodiscard]] std::size_t packed_bytes() const noexcept {
     return packed_.size_bytes();
   }
@@ -65,7 +59,6 @@ class BlockedGemm final : public GemmEngine {
  private:
   std::size_t m_ = 0;
   std::size_t n_ = 0;
-  const engine::BlockedKernels* kernels_ = nullptr;  // selected at construction
   std::size_t panels_ = 0;  // ceil(m / 8)
   // Panel-major packed weights: panel p holds 8*n floats, layout
   // packed[p*8*n + k*8 + r] = W(8p + r, k), zero-padded past row m.

@@ -130,9 +130,8 @@ void tmac_build_column_lut(const std::int8_t* xq, std::size_t n,
   }
 }
 
-TmacLutGemm::TmacLutGemm(const Matrix& w, unsigned weight_bits, KernelIsa isa)
-    : packed_(pack_tmac(quantize_lowbit(w, weight_bits))),
-      kernels_(&engine::select_tmac_kernels(isa)) {}
+TmacLutGemm::TmacLutGemm(const Matrix& w, unsigned weight_bits)
+    : packed_(pack_tmac(quantize_lowbit(w, weight_bits))) {}
 
 Matrix TmacLutGemm::dequantize() const {
   Matrix out(packed_.rows, packed_.cols);
@@ -150,14 +149,11 @@ namespace {
 class TmacPlanImpl final : public GemmPlan {
  public:
   TmacPlanImpl(const TmacLutGemm& engine, std::size_t batch, ExecContext& ctx,
-               const Epilogue& epilogue,
-               const engine::TmacKernels& construction_kernels)
+               const Epilogue& epilogue)
       : GemmPlan(engine.name(), engine.rows(), engine.cols(), batch, ctx,
                  epilogue),
         engine_(&engine),
-        kernels_(ctx.isa() == KernelIsa::kAuto
-                     ? &construction_kernels
-                     : &engine::select_tmac_kernels(ctx.isa())) {}
+        kernels_(&engine::select_plane(ctx.isa()).tmac) {}
 
  private:
   /// One region over (column, row-tile range) items. Each item quantizes
@@ -196,8 +192,7 @@ class TmacPlanImpl final : public GemmPlan {
 std::unique_ptr<GemmPlan> TmacLutGemm::plan(std::size_t batch,
                                             ExecContext& ctx,
                                             const Epilogue& epilogue) const {
-  return std::make_unique<TmacPlanImpl>(*this, batch, ctx, epilogue,
-                                        *kernels_);
+  return std::make_unique<TmacPlanImpl>(*this, batch, ctx, epilogue);
 }
 
 }  // namespace biq

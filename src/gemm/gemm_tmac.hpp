@@ -84,10 +84,8 @@ void tmac_build_column_lut(const std::int8_t* xq, std::size_t n,
 /// reproducible scalar-vs-AVX2-vs-AVX-512 and 1-vs-N threads.
 class TmacLutGemm final : public GemmEngine {
  public:
-  /// Throws std::invalid_argument for weight_bits outside [1, 4] or an
-  /// explicitly requested ISA plane that is not available.
-  explicit TmacLutGemm(const Matrix& w, unsigned weight_bits = 4,
-                       KernelIsa isa = KernelIsa::kAuto);
+  /// Throws std::invalid_argument for weight_bits outside [1, 4].
+  explicit TmacLutGemm(const Matrix& w, unsigned weight_bits = 4);
 
   [[nodiscard]] std::unique_ptr<GemmPlan> plan(
       std::size_t batch, ExecContext& ctx,
@@ -109,17 +107,12 @@ class TmacLutGemm final : public GemmEngine {
 
   [[nodiscard]] unsigned weight_bits() const noexcept { return packed_.bits; }
   [[nodiscard]] const TmacPacked& packed() const noexcept { return packed_; }
-  /// ISA plane resolved at construction ("scalar" / "avx2" / "avx512").
-  [[nodiscard]] const char* kernel_isa() const noexcept {
-    return kernels_->isa;
-  }
   /// W as the engine actually computes with it (scales * codes), for
   /// reference comparisons in tests.
   [[nodiscard]] Matrix dequantize() const;
 
  private:
   TmacPacked packed_;
-  const engine::TmacKernels* kernels_;
 };
 
 }  // namespace biq

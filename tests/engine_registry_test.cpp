@@ -1,8 +1,9 @@
 // Tests for the GemmEngine / EngineRegistry layer and the runtime ISA
 // dispatch: every registered engine approximates the fp32 reference on
 // random shapes (including the b == 1 GEMV path), the exact-arithmetic
-// engines agree with each other, and the scalar and AVX2 kernel planes
-// produce bitwise-consistent LUT keys and tables from one binary.
+// engines agree with each other, the scalar and vector kernel planes
+// build bitwise-consistent LUTs from one binary, and a plane the build
+// or the host lacks is refused when a plan is compiled on it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -403,24 +404,33 @@ TEST(GemmPlan, StridedViewsMatchDenseBitwiseAndRespectWindowBounds) {
 TEST(Dispatch, ScalarPlaneAlwaysAvailable) {
   EXPECT_TRUE(engine::isa_compiled(KernelIsa::kScalar));
   EXPECT_TRUE(engine::isa_available(KernelIsa::kScalar));
-  EXPECT_STREQ(engine::select_kernels(KernelIsa::kScalar).isa, "scalar");
+  EXPECT_STREQ(engine::select_plane(KernelIsa::kScalar).isa, "scalar");
   // Auto always resolves to something runnable.
-  const engine::BiqKernels& k = engine::select_kernels(KernelIsa::kAuto);
-  EXPECT_GT(k.query_lanes, 0u);
+  const engine::KernelPlane& k = engine::select_plane(KernelIsa::kAuto);
+  EXPECT_GT(k.biq.query_lanes, 0u);
 }
 
+// Engines carry no kernel plane, so every dispatched engine builds
+// whatever the host runs; a plane the build or the CPU lacks is refused
+// when a plan is compiled on it, before any call into a missing table.
 TEST(Dispatch, UnavailablePlaneThrowsInsteadOfCrashing) {
-  if (engine::isa_available(KernelIsa::kAvx2)) {
-    GTEST_SKIP() << "avx2 plane available here; nothing to refuse";
-  }
-  EXPECT_THROW((void)engine::select_kernels(KernelIsa::kAvx2),
-               std::runtime_error);
-  BiqGemmOptions opt;
-  opt.isa = KernelIsa::kAvx2;
   Rng rng(5);
-  const BinaryCodes codes = quantize(Matrix::random_normal(16, 16, rng), 1,
-                                     QuantMethod::kGreedy);
-  EXPECT_THROW(BiqGemm(codes, opt), std::runtime_error);
+  const Matrix w = Matrix::random_normal(16, 16, rng);
+  bool refused = false;
+  for (const KernelIsa isa : {KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    if (engine::isa_available(isa)) continue;
+    refused = true;
+    EXPECT_THROW((void)engine::select_plane(isa), std::runtime_error);
+    for (const char* name : {"biqgemm", "blocked", "tmac-lut"}) {
+      std::unique_ptr<GemmEngine> eng;
+      ASSERT_NO_THROW(eng = make_engine(name, w)) << name;
+      ExecContext ctx(nullptr, isa);
+      EXPECT_THROW((void)eng->plan(4, ctx), std::runtime_error) << name;
+    }
+  }
+  if (!refused) {
+    GTEST_SKIP() << "every vector plane is available here; nothing to refuse";
+  }
 }
 
 TEST(Dispatch, PlanTilesLanesComeFromDispatchedPlane) {
@@ -433,18 +443,14 @@ TEST(Dispatch, PlanTilesLanesComeFromDispatchedPlane) {
   const BinaryCodes codes = quantize(w, 2, QuantMethod::kGreedy);
   const GroupedBinaryCodes grouped = quantize_greedy_grouped(w, 2, 16);
   const std::size_t tables = 5;  // 40 inputs / mu 8
+  const BiqGemm per_row(codes), by_group(grouped);
   for (const KernelIsa isa : {KernelIsa::kAuto, KernelIsa::kScalar,
                               KernelIsa::kAvx2, KernelIsa::kAvx512}) {
     if (isa != KernelIsa::kAuto && !engine::isa_available(isa)) continue;
-    BiqGemmOptions opt;
-    opt.isa = isa;
-    const std::size_t lanes = engine::select_kernels(isa).query_lanes;
-    EXPECT_EQ(plan_tiles(opt).lanes, lanes);
-
-    const BiqGemm per_row(codes, opt), by_group(grouped, opt);
+    const std::size_t lanes = engine::select_plane(isa).biq.query_lanes;
+    ExecContext ctx(nullptr, isa);
     for (const BiqGemm* engine : {&per_row, &by_group}) {
-      ExecContext ctx;
-      const std::size_t table = std::size_t{1} << opt.mu;
+      const std::size_t table = std::size_t{1} << engine->mu();
       EXPECT_EQ(engine->plan(1, ctx)->prep_floats(), tables * table)
           << engine->name();
       EXPECT_EQ(engine->plan(3, ctx)->prep_floats(), tables * table * lanes);
@@ -460,10 +466,11 @@ TEST(Dispatch, ScalarAndAvx2PlanesAreBitwiseConsistent) {
   if (!engine::isa_available(KernelIsa::kAvx2)) {
     GTEST_SKIP() << "avx2 plane not available on this host/build";
   }
-  const engine::BiqKernels& scalar = engine::select_kernels(KernelIsa::kScalar);
-  const engine::BiqKernels& avx2 = engine::select_kernels(KernelIsa::kAvx2);
-  EXPECT_STREQ(scalar.isa, "scalar");
-  EXPECT_STREQ(avx2.isa, "avx2");
+  EXPECT_STREQ(engine::select_plane(KernelIsa::kScalar).isa, "scalar");
+  EXPECT_STREQ(engine::select_plane(KernelIsa::kAvx2).isa, "avx2");
+  const engine::BiqKernels& scalar =
+      engine::select_plane(KernelIsa::kScalar).biq;
+  const engine::BiqKernels& avx2 = engine::select_plane(KernelIsa::kAvx2).biq;
   EXPECT_EQ(scalar.query_lanes, avx2.query_lanes);
 
   // Bitwise-identical interleaved LUTs: both planes run the Algorithm-1
@@ -496,33 +503,18 @@ TEST(Dispatch, OneBinaryServesBothPlanesWithConsistentResults) {
   const Matrix w = Matrix::random_normal(80, 72, rng);
   const BinaryCodes codes = quantize(w, 2, QuantMethod::kGreedy);
 
-  BiqGemmOptions opt_scalar;
-  opt_scalar.isa = KernelIsa::kScalar;
-  BiqGemmOptions opt_avx2;
-  opt_avx2.isa = KernelIsa::kAvx2;
-  const BiqGemm scalar_engine(codes, opt_scalar);
-  const BiqGemm avx2_engine(codes, opt_avx2);
-  EXPECT_EQ(scalar_engine.isa(), "scalar");
-  EXPECT_EQ(avx2_engine.isa(), "avx2");
-
-  // LUT keys are packed by shared scalar code and must be bitwise equal
-  // regardless of the plane the engine dispatched to.
-  for (unsigned q = 0; q < 2; ++q) {
-    const KeyMatrix& ks = scalar_engine.keys(q);
-    const KeyMatrix& ka = avx2_engine.keys(q);
-    ASSERT_EQ(ks.rows(), ka.rows());
-    ASSERT_EQ(ks.tables(), ka.tables());
-    EXPECT_EQ(std::memcmp(ks.row8(0), ka.row8(0), ks.rows() * ks.tables()), 0)
-        << "plane " << q;
-  }
-
-  // Outputs agree to rounding (the avx2 query fuses multiply-add) on the
-  // batched path, a zero-padded narrow tile, and the GEMV path.
+  // One engine (its keys are packed before any plane exists), planned
+  // on a scalar and on an AVX2 context. Outputs agree to rounding (the
+  // avx2 query fuses multiply-add) on the batched path, a zero-padded
+  // narrow tile, and the GEMV path.
+  const BiqGemm engine(codes);
+  ExecContext scalar_ctx(nullptr, KernelIsa::kScalar);
+  ExecContext avx2_ctx(nullptr, KernelIsa::kAvx2);
   for (const std::size_t b : {std::size_t{1}, std::size_t{5}, std::size_t{16}}) {
     Matrix x = Matrix::random_normal(72, b, rng);
     Matrix y_scalar(80, b), y_avx2(80, b);
-    scalar_engine.run(x, y_scalar);
-    avx2_engine.run(x, y_avx2);
+    engine.run(x, y_scalar, scalar_ctx);
+    engine.run(x, y_avx2, avx2_ctx);
     EXPECT_TRUE(allclose(y_scalar, y_avx2, 1e-5f, 1e-5f)) << "b=" << b;
   }
 }
@@ -531,10 +523,11 @@ TEST(Dispatch, ScalarAndAvx512PlanesAreBitwiseConsistent) {
   if (!engine::isa_available(KernelIsa::kAvx512)) {
     GTEST_SKIP() << "avx512 plane not available on this host/build";
   }
-  const engine::BiqKernels& scalar = engine::select_kernels(KernelIsa::kScalar);
+  EXPECT_STREQ(engine::select_plane(KernelIsa::kAvx512).isa, "avx512");
+  const engine::BiqKernels& scalar =
+      engine::select_plane(KernelIsa::kScalar).biq;
   const engine::BiqKernels& avx512 =
-      engine::select_kernels(KernelIsa::kAvx512);
-  EXPECT_STREQ(avx512.isa, "avx512");
+      engine::select_plane(KernelIsa::kAvx512).biq;
   EXPECT_EQ(avx512.query_lanes, 16u);
 
   // One 16-lane AVX-512 tile holds the same columns as two 8-lane
@@ -585,19 +578,15 @@ TEST(Dispatch, ScalarAndAvx512PlanesAreBitwiseConsistent) {
   // tile and the GEMV path agree with the scalar plane to rounding.
   const Matrix w = Matrix::random_normal(72, 64, rng);
   const BinaryCodes codes = quantize(w, 2, QuantMethod::kGreedy);
-  BiqGemmOptions opt_scalar;
-  opt_scalar.isa = KernelIsa::kScalar;
-  BiqGemmOptions opt_avx512;
-  opt_avx512.isa = KernelIsa::kAvx512;
-  const BiqGemm scalar_engine(codes, opt_scalar);
-  const BiqGemm avx512_engine(codes, opt_avx512);
-  EXPECT_EQ(avx512_engine.isa(), "avx512");
+  const BiqGemm engine(codes);
+  ExecContext scalar_ctx(nullptr, KernelIsa::kScalar);
+  ExecContext avx512_ctx(nullptr, KernelIsa::kAvx512);
   for (const std::size_t b :
        {std::size_t{1}, std::size_t{11}, std::size_t{32}}) {
     Matrix x = Matrix::random_normal(64, b, rng);
     Matrix y_scalar(72, b), y_avx512(72, b);
-    scalar_engine.run(x, y_scalar);
-    avx512_engine.run(x, y_avx512);
+    engine.run(x, y_scalar, scalar_ctx);
+    engine.run(x, y_avx512, avx512_ctx);
     EXPECT_TRUE(allclose(y_scalar, y_avx512, 1e-5f, 1e-5f)) << "b=" << b;
   }
 }
@@ -624,11 +613,12 @@ TEST(Dispatch, QueryTileMatchesPerRowChainOrderOnEveryPlane) {
   for (const KernelIsa isa :
        {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
     if (!engine::isa_available(isa)) continue;
-    const engine::BiqKernels& k = engine::select_kernels(isa);
+    const engine::KernelPlane& plane = engine::select_plane(isa);
+    const engine::BiqKernels& k = plane.biq;
     const std::size_t lanes = k.query_lanes;
     // The vector planes scale with a fused multiply-add; the scalar plane
     // multiplies and adds, as this TU's plain expression does.
-    const bool fused = std::string(k.isa) != "scalar";
+    const bool fused = std::string(plane.isa) != "scalar";
     for (const unsigned mu : {8u, 11u}) {
       Rng rng(41 + mu);
       std::vector<KeyMatrix> keys;
@@ -694,7 +684,7 @@ TEST(Dispatch, QueryTileMatchesPerRowChainOrderOnEveryPlane) {
             EXPECT_EQ(std::memcmp(ytile.data(), expected.data(),
                                   expected.size() * sizeof(float)),
                       0)
-                << k.isa << " mu=" << mu << " tcount=" << tcount
+                << plane.isa << " mu=" << mu << " tcount=" << tcount
                 << " scales=" << (s.on ? s.stride : 0) << " rows=[" << i0
                 << ", " << i1 << ")";
           }
@@ -711,16 +701,16 @@ TEST(Dispatch, BlockedMicrokernelPlanesAgreeAcrossIsas) {
   Matrix y_scalar(61, 6), expected(61, 6);
   gemm_ref(w, x, expected);
 
-  const BlockedGemm scalar_engine(w, KernelIsa::kScalar);
-  EXPECT_EQ(scalar_engine.isa(), "scalar");
-  scalar_engine.run(x, y_scalar);
+  const BlockedGemm blocked(w);
+  ExecContext scalar_ctx(nullptr, KernelIsa::kScalar);
+  blocked.run(x, y_scalar, scalar_ctx);
   EXPECT_LT(rel_fro_error(y_scalar, expected), 1e-5);
 
   for (const KernelIsa isa : {KernelIsa::kAvx2, KernelIsa::kAvx512}) {
     if (!engine::isa_available(isa)) continue;
-    const BlockedGemm vec_engine(w, isa);
+    ExecContext ctx(nullptr, isa);
     Matrix y_vec(61, 6);
-    vec_engine.run(x, y_vec);
+    blocked.run(x, y_vec, ctx);
     // FMA contraction differs from the scalar mul+add, so compare to
     // rounding, not bitwise.
     EXPECT_TRUE(allclose(y_scalar, y_vec, 1e-5f, 1e-5f));

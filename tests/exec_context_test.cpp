@@ -325,13 +325,13 @@ TEST(ExecContext, OneEngineIsSafeUnderConcurrentRunsWithDistinctContexts) {
   }
 }
 
-// ---------------------------------------------- ISA override at call time
+// ------------------------------------- kernel plane from the ExecContext
 
 TEST(ExecContext, IsaOverrideReroutesOneCall) {
   Rng rng(14);
   const Matrix w = Matrix::random_normal(40, 48, rng);
   const BinaryCodes codes = quantize(w, 2, QuantMethod::kGreedy);
-  const BiqGemm engine(codes);  // auto plane
+  const BiqGemm engine(codes);
   Matrix x = Matrix::random_normal(48, 8, rng);
   Matrix y_auto(40, 8), y_scalar(40, 8);
   engine.run(x, y_auto);

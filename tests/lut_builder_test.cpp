@@ -98,7 +98,7 @@ TEST(LutBuilder, PaperExampleIndexSix) {
 // Each kernel plane the host can run builds one batch tile at its own
 // width (query_lanes); every lane must equal the single-column builder
 // bit for bit (both run the same adds and negates in the same order).
-// kAuto is the public build_lut_{dp,mm}_interleaved entry point.
+// kAuto is the plane a plan gets on a default ExecContext.
 class InterleavedPlaneSweep : public ::testing::TestWithParam<KernelIsa> {
  protected:
   void SetUp() override {
@@ -112,18 +112,14 @@ class InterleavedPlaneSweep : public ::testing::TestWithParam<KernelIsa> {
   template <typename Single>
   void expect_lanes_match(unsigned mu, std::uint64_t seed, Single single,
                           bool use_dp) {
-    const engine::BiqKernels& plane = engine::select_kernels(GetParam());
-    const std::size_t lanes = plane.query_lanes;
+    const engine::KernelPlane& plane = engine::select_plane(GetParam());
+    const std::size_t lanes = plane.biq.query_lanes;
     Rng rng(seed);
     std::vector<float> xt(mu * lanes);
     fill_normal(rng, xt.data(), xt.size());
     std::vector<float> lut((std::size_t{1} << mu) * lanes);
-    if (GetParam() == KernelIsa::kAuto) {
-      (use_dp ? build_lut_dp_interleaved : build_lut_mm_interleaved)(
-          xt.data(), mu, lut.data());
-    } else {
-      (use_dp ? plane.build_dp : plane.build_mm)(xt.data(), mu, lut.data());
-    }
+    (use_dp ? plane.biq.build_dp : plane.biq.build_mm)(xt.data(), mu,
+                                                       lut.data());
 
     std::vector<float> x(mu), ref(std::size_t{1} << mu);
     for (std::size_t lane = 0; lane < lanes; ++lane) {

@@ -24,18 +24,12 @@ namespace {
 
 using Sweep = void (*)(const float*, float*, std::size_t);
 
-std::vector<const MathKernels*> planes() {
-  std::vector<const MathKernels*> out{&kern_scalar::math_kernels()};
-#if BIQ_HAVE_AVX2_TU
-  if (isa_available(KernelIsa::kAvx2)) {
-    out.push_back(&kern_avx2::math_kernels());
+std::vector<const KernelPlane*> planes() {
+  std::vector<const KernelPlane*> out;
+  for (const KernelIsa isa :
+       {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    if (isa_available(isa)) out.push_back(&select_plane(isa));
   }
-#endif
-#if BIQ_HAVE_AVX512_TU
-  if (isa_available(KernelIsa::kAvx512)) {
-    out.push_back(&kern_avx512::math_kernels());
-  }
-#endif
   return out;
 }
 
@@ -86,7 +80,8 @@ TEST(MathKernels, ExpWithinTwoUlpOfStd) {
   for (std::size_t i = 0; i < kN; ++i) {
     x[i] = -87.0f + 175.0f * static_cast<float>(i) / static_cast<float>(kN - 1);
   }
-  for (const MathKernels* m : planes()) {
+  for (const KernelPlane* p : planes()) {
+    const MathKernels* m = &p->math;
     m->exp(x.data(), y.data(), kN);
     std::int64_t worst = 0;
     float at = 0.0f;
@@ -97,7 +92,7 @@ TEST(MathKernels, ExpWithinTwoUlpOfStd) {
         at = x[i];
       }
     }
-    EXPECT_LE(worst, 2) << m->isa << " worst at x = " << at;
+    EXPECT_LE(worst, 2) << p->isa << " worst at x = " << at;
   }
 }
 
@@ -108,33 +103,36 @@ TEST(MathKernels, ActivationsMatchDoubleReference) {
     x.push_back(v);
   }
   std::vector<float> y(x.size());
-  for (const MathKernels* m : planes()) {
+  for (const KernelPlane* p : planes()) {
+    const MathKernels* m = &p->math;
     m->sigmoid(x.data(), y.data(), x.size());
     for (std::size_t i = 0; i < x.size(); ++i) {
       ASSERT_LE(std::fabs(y[i] - sigmoid_ref(x[i])), 3e-7)
-          << m->isa << " sigmoid(" << x[i] << ")";
+          << p->isa << " sigmoid(" << x[i] << ")";
     }
     m->tanh(x.data(), y.data(), x.size());
     for (std::size_t i = 0; i < x.size(); ++i) {
       ASSERT_LE(std::fabs(y[i] - std::tanh(static_cast<double>(x[i]))), 3e-7)
-          << m->isa << " tanh(" << x[i] << ")";
+          << p->isa << " tanh(" << x[i] << ")";
     }
     m->gelu(x.data(), y.data(), x.size());
     for (std::size_t i = 0; i < x.size(); ++i) {
       const double bound = 4e-7 * std::max(1.0, std::fabs(double{x[i]}));
       ASSERT_LE(std::fabs(y[i] - gelu_ref(x[i])), bound)
-          << m->isa << " gelu(" << x[i] << ")";
+          << p->isa << " gelu(" << x[i] << ")";
     }
   }
 }
 
 TEST(MathKernels, NanInGivesNanOut) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  for (const MathKernels* m : planes()) {
+  for (const KernelPlane* p : planes()) {
+    const MathKernels* m = &p->math;
     for (const Fn& f : kFns) {
-      EXPECT_TRUE(std::isnan(one(*m, f.sweep, nan))) << m->isa << " " << f.name;
+      EXPECT_TRUE(std::isnan(one(*m, f.sweep, nan)))
+          << p->isa << " " << f.name;
       EXPECT_TRUE(std::isnan(one(*m, f.sweep, -nan)))
-          << m->isa << " " << f.name;
+          << p->isa << " " << f.name;
     }
   }
 }
@@ -151,9 +149,10 @@ TEST(MathKernels, LimitsMatchStdFormulas) {
       EXPECT_TRUE(same_bits(got, want)) << what << ": " << got << " vs " << want;
     }
   };
-  for (const MathKernels* m : planes()) {
+  for (const KernelPlane* p : planes()) {
+    const MathKernels* m = &p->math;
     for (float v : in) {
-      const std::string at = std::string(m->isa) + " at " + std::to_string(v);
+      const std::string at = std::string(p->isa) + " at " + std::to_string(v);
       // exp(-88.73) is subnormal and only close, not a limit.
       if (v != -88.73f) {
         expect_same(one(*m, &MathKernels::exp, v), std::exp(v), "exp " + at);
@@ -164,7 +163,7 @@ TEST(MathKernels, LimitsMatchStdFormulas) {
       // gelu(-Inf) is -Inf * 0 = NaN in either form.
       expect_same(one(*m, &MathKernels::gelu, v), old_gelu(v), "gelu " + at);
     }
-    EXPECT_GT(one(*m, &MathKernels::exp, -103.0f), 0.0f) << m->isa;
+    EXPECT_GT(one(*m, &MathKernels::exp, -103.0f), 0.0f) << p->isa;
   }
 }
 
@@ -175,7 +174,8 @@ TEST(MathKernels, SweepsArePositionIndependent) {
   for (float& v : x) v = 6.0f * rng.normal();
   x[5] = 0.3f;  // below tanh's polynomial cut-over
   x[20] = -0.0f;
-  for (const MathKernels* m : planes()) {
+  for (const KernelPlane* p : planes()) {
+    const MathKernels* m = &p->math;
     for (const Fn& f : kFns) {
       const Sweep sweep = m->*f.sweep;
       std::vector<float> whole(kN);
@@ -184,7 +184,7 @@ TEST(MathKernels, SweepsArePositionIndependent) {
         float alone = x[i];
         sweep(&alone, &alone, 1);
         ASSERT_TRUE(same_bits(alone, whole[i]))
-            << m->isa << " " << f.name << " element " << i << " alone";
+            << p->isa << " " << f.name << " element " << i << " alone";
       }
       for (std::size_t off = 0; off < 16; ++off) {
         std::vector<float> buf(kN + 16, 0.0f);
@@ -192,7 +192,7 @@ TEST(MathKernels, SweepsArePositionIndependent) {
         sweep(buf.data() + off, buf.data() + off, kN);
         ASSERT_EQ(std::memcmp(buf.data() + off, whole.data(), kN * sizeof(float)),
                   0)
-            << m->isa << " " << f.name << " at offset " << off;
+            << p->isa << " " << f.name << " at offset " << off;
       }
     }
   }
@@ -200,7 +200,8 @@ TEST(MathKernels, SweepsArePositionIndependent) {
 
 TEST(MathKernels, SoftmaxMatchesDoubleReference) {
   Rng rng(5);
-  for (const MathKernels* m : planes()) {
+  for (const KernelPlane* p : planes()) {
+    const MathKernels* m = &p->math;
     for (std::size_t n : {1, 5, 16, 17, 33, 128}) {
       std::vector<float> col(n);
       for (float& v : col) v = 4.0f * rng.normal();
@@ -211,7 +212,7 @@ TEST(MathKernels, SoftmaxMatchesDoubleReference) {
       for (float v : in) sum += std::exp(v - peak);
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_NEAR(col[i], std::exp(in[i] - peak) / sum, 1e-6)
-            << m->isa << " n = " << n << " row " << i;
+            << p->isa << " n = " << n << " row " << i;
       }
     }
     m->softmax(nullptr, 0);  // a zero-length column touches nothing
@@ -247,7 +248,8 @@ Matrix attend_ref(ConstMatrixView q, ConstMatrixView k, ConstMatrixView v,
 TEST(MathKernels, AttendHeadMatchesDoubleReferenceOnStridedViews) {
   constexpr float kGuard = 12345.0f;
   Rng rng(3);
-  for (const MathKernels* m : planes()) {
+  for (const KernelPlane* p : planes()) {
+    const MathKernels* m = &p->math;
     for (std::size_t hd : {4, 16, 64, 72}) {
       for (std::size_t t : {1, 7, 33, 128}) {
         for (std::size_t heads : {1, 8}) {
@@ -276,7 +278,7 @@ TEST(MathKernels, AttendHeadMatchesDoubleReferenceOnStridedViews) {
             for (std::size_t c = 0; c < t; ++c) {
               for (std::size_t i = 0; i < hd; ++i) {
                 ASSERT_NEAR(context(h * hd + i, c), ref(i, c), 2e-6f)
-                    << m->isa << " hd " << hd << " t " << t << " heads "
+                    << p->isa << " hd " << hd << " t " << t << " heads "
                     << heads << " head " << h << " at (" << i << ", " << c
                     << ")";
               }
@@ -299,8 +301,8 @@ TEST(MathKernels, AttendHeadMatchesDoubleReferenceOnStridedViews) {
 }
 
 TEST(MathKernels, ProcessPlaneIsTheAutoSelection) {
-  EXPECT_STREQ(math_plane().isa, select_math_kernels(KernelIsa::kAuto).isa);
-  EXPECT_STREQ(select_math_kernels(KernelIsa::kScalar).isa, "scalar");
+  EXPECT_EQ(&math_plane(), &select_plane(KernelIsa::kAuto).math);
+  EXPECT_STREQ(select_plane(KernelIsa::kScalar).isa, "scalar");
 }
 
 }  // namespace

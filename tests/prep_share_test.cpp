@@ -14,7 +14,7 @@
 //     operator new),
 //   * the error surface: every other registry engine carries no prep,
 //     not-ready handles, undersized storage, cross-parameter key
-//     mismatches.
+//     mismatches, artifacts built on another kernel plane.
 // The nn layer does not share prep: each projection runs its own fused
 // plan (see nn_model_plan_test for the planned models).
 #include <gtest/gtest.h>
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/dispatch.hpp"
 #include "engine/registry.hpp"
 #include "matrix/matrix.hpp"
 #include "threading/thread_pool.hpp"
@@ -374,6 +375,44 @@ TEST(PrepErrors, MismatchedKeysAreRejected) {
   const auto wide_plan = biq_engine->plan(b + 1, ctx);
   Matrix y_wide(m, b + 1);
   EXPECT_THROW(wide_plan->run(prep, y_wide), std::invalid_argument);
+}
+
+// The key carries the kernel plane of the context a plan is compiled
+// on. The scalar and AVX2 planes both build 8-lane tables, so only the
+// plane tells their artifacts apart.
+TEST(PrepErrors, KeyCarriesTheContextsPlane) {
+  if (!engine::isa_available(KernelIsa::kAvx2)) {
+    GTEST_SKIP() << "avx2 plane not available on this host/build";
+  }
+  Rng rng(53);
+  const std::size_t m = 20, n = 24, b = 3;
+  const Matrix w = Matrix::random_normal(m, n, rng);
+  const Matrix x = Matrix::random_normal(n, b, rng);
+  EngineConfig cfg;
+  cfg.weight_bits = 2;
+  const auto biq_engine = make_engine("biqgemm", w, cfg);
+  ExecContext scalar_ctx(nullptr, KernelIsa::kScalar);
+  ExecContext avx2_ctx(nullptr, KernelIsa::kAvx2);
+  const auto scalar_plan = biq_engine->plan(b, scalar_ctx);
+  const auto avx2_plan = biq_engine->plan(b, avx2_ctx);
+  ASSERT_EQ(scalar_plan->prep_key().p1, avx2_plan->prep_key().p1);  // lanes
+  EXPECT_NE(scalar_plan->prep_key(), avx2_plan->prep_key());
+
+  AlignedBuffer<float> storage(scalar_plan->prep_floats());
+  PrepHandle prep(storage.data(), storage.size());
+  Matrix y(m, b);
+  scalar_plan->prepare(x, prep);
+  EXPECT_THROW(avx2_plan->run(prep, y), std::invalid_argument);
+  avx2_plan->prepare(x, prep);
+  EXPECT_THROW(scalar_plan->run(prep, y), std::invalid_argument);
+
+  // Two plans on one context still share one artifact.
+  const auto avx2_again = biq_engine->plan(b, avx2_ctx);
+  ASSERT_EQ(avx2_again->prep_key(), avx2_plan->prep_key());
+  avx2_again->run(prep, y);
+  Matrix y_fused(m, b);
+  avx2_plan->run(x, y_fused);
+  expect_bitwise(y, y_fused, "shared artifact");
 }
 
 }  // namespace
