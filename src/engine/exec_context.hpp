@@ -57,12 +57,14 @@ class ScratchArena {
   }
 
   /// `count` elements of trivially-destructible T, 64-byte aligned,
-  /// valid until the next reset(). Contents are uninitialized.
+  /// valid until the next reset(). Contents are uninitialized. Throws
+  /// std::length_error, before allocating, when the byte count overflows.
   template <typename T>
   [[nodiscard]] T* alloc(std::size_t count) {
     static_assert(std::is_trivially_destructible_v<T>,
                   "ScratchArena only supports trivially destructible types");
-    return static_cast<T*>(alloc_bytes(count * sizeof(T)));
+    return static_cast<T*>(
+        alloc_bytes(checked_size_mul(count, sizeof(T), "ScratchArena::alloc")));
   }
 
   /// Bytes of the main (consolidated) block.
@@ -78,10 +80,9 @@ class ScratchArena {
 
  private:
   [[nodiscard]] void* alloc_bytes(std::size_t bytes) {
-    bytes = (bytes + kDefaultAlignment - 1) / kDefaultAlignment *
-            kDefaultAlignment;
+    bytes = checked_round_up(bytes, kDefaultAlignment, "ScratchArena::alloc");
     frame_bytes_ += bytes;
-    if (used_ + bytes <= main_.size()) {
+    if (bytes <= main_.size() - used_) {
       void* p = main_.data() + used_;
       used_ += bytes;
       return p;

@@ -15,10 +15,12 @@
 namespace biq {
 namespace {
 
-/// cfg.codes when supplied, else quantize w per the config.
-BinaryCodes codes_for(const Matrix& w, const EngineConfig& cfg) {
-  return cfg.codes != nullptr ? *cfg.codes
-                              : quantize(w, cfg.weight_bits, cfg.method);
+/// make(codes) over cfg.codes when supplied (read in place, never
+/// copied), else over w quantized per the config.
+template <typename Make>
+auto with_codes(const Matrix& w, const EngineConfig& cfg, Make&& make) {
+  if (cfg.codes != nullptr) return make(*cfg.codes);
+  return make(quantize(w, cfg.weight_bits, cfg.method));
 }
 
 }  // namespace
@@ -28,7 +30,9 @@ EngineRegistry::EngineRegistry() {
        "the paper's LUT kernel over binary-coding quantized weights",
        /*quantized=*/true,
        [](const Matrix& w, const EngineConfig& cfg) {
-         return std::make_unique<BiqGemm>(codes_for(w, cfg), cfg.kernel);
+         return with_codes(w, cfg, [&](const BinaryCodes& codes) {
+           return std::make_unique<BiqGemm>(codes, cfg.kernel);
+         });
        }});
   add({"biqgemm-grouped",
        "BiQGEMM with group-wise scales (LUT-GEMM-style refinement)",
@@ -63,14 +67,17 @@ EngineRegistry::EngineRegistry() {
        "GEMM over bit-packed weights, Algorithm-3 unpack before multiply",
        /*quantized=*/true,
        [](const Matrix& w, const EngineConfig& cfg) {
-         return std::make_unique<UnpackGemm>(codes_for(w, cfg));
+         return with_codes(w, cfg, [](const BinaryCodes& codes) {
+           return std::make_unique<UnpackGemm>(codes);
+         });
        }});
   add({"xnor",
        "XNOR-popcount GEMM, both weights and activations binarized",
        /*quantized=*/true,
        [](const Matrix& w, const EngineConfig& cfg) {
-         return std::make_unique<XnorGemm>(codes_for(w, cfg),
-                                           cfg.activation_bits);
+         return with_codes(w, cfg, [&](const BinaryCodes& codes) {
+           return std::make_unique<XnorGemm>(codes, cfg.activation_bits);
+         });
        }});
   add({"tmac-lut",
        "grouped-LUT GEMM: 1-4-bit integer weight codes, int8 activations",

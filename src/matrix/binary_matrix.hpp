@@ -19,9 +19,11 @@ class BinaryMatrix {
  public:
   BinaryMatrix() = default;
 
-  /// rows x cols, initialized to +1.
+  /// rows x cols, initialized to +1. Throws std::length_error when
+  /// rows * cols overflows size_t.
   BinaryMatrix(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), data_(rows * cols) {
+      : rows_(rows), cols_(cols),
+        data_(checked_size_mul(rows, cols, "BinaryMatrix")) {
     data_.fill(1);
   }
 

@@ -18,9 +18,10 @@ class Matrix {
   Matrix() = default;
 
   /// rows x cols, column-major, leading dimension = rows (dense).
+  /// Throws std::length_error when rows * cols overflows size_t.
   Matrix(std::size_t rows, std::size_t cols, bool zero_fill = true)
       : rows_(rows), cols_(cols), ld_(rows),
-        data_(rows * cols, zero_fill) {}
+        data_(checked_size_mul(rows, cols, "Matrix"), zero_fill) {}
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }

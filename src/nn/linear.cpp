@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "nn/layernorm.hpp"
+#include "quant/error.hpp"
 #include "quant/quantize.hpp"
 
 namespace biq::nn {
@@ -149,7 +150,7 @@ QuantLinear::QuantLinear(const Matrix& w, std::vector<float> bias,
   cfg.codes = &codes;
   cfg.kernel = opt;
   engine_ = make_engine("biqgemm", w, cfg);
-  quant_error_ = rel_fro_error(codes.dequantize(), w);
+  quant_error_ = rel_fro_error(codes, w);
 }
 
 std::unique_ptr<LinearLayer> make_linear(const Matrix& w,

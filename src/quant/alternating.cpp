@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "quant/greedy.hpp"
+#include "quant/row_panel.hpp"
 
 namespace biq {
 namespace {
@@ -83,8 +84,10 @@ BinaryCodes quantize_alternating(const Matrix& w, unsigned bits,
   std::vector<double> alpha(bits);
   std::vector<Level> levels(combos);
 
+  RowPanel panel(n);
   for (std::size_t i = 0; i < w.rows(); ++i) {
-    for (std::size_t j = 0; j < n; ++j) row_buf[j] = w(i, j);
+    if (i % kPanelRows == 0) panel.load(w, i);
+    panel.copy_row(i % kPanelRows, row_buf.data());
     double prev = row_mse(row_buf.data(), n, codes, i);
 
     for (unsigned iter = 0; iter < opt.iterations; ++iter) {

@@ -4,6 +4,7 @@
 // Rows are quantized independently, matching the paper's row-wise scaling.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -11,6 +12,42 @@
 #include "matrix/matrix.hpp"
 
 namespace biq {
+
+/// Writes columns [j0, j0 + width) of the reconstruction
+/// sum_q alpha(q, i, j) * planes[q](i, j) to dst, column-major with
+/// leading dimension ld (dst column 0 is column j0). Each element is
+/// summed in fp32 from 0 in plane order. It works in 16 x 16 blocks,
+/// a band of 16 rows at a time: each block row reads one contiguous
+/// segment of every row-major plane, and each block column is stored as
+/// one contiguous run of dst.
+template <typename AlphaAt>
+void reconstruct_columns(std::size_t rows, unsigned bits,
+                         const std::vector<BinaryMatrix>& planes,
+                         AlphaAt alpha, std::size_t j0, std::size_t width,
+                         float* dst, std::size_t ld) {
+  constexpr std::size_t kBlock = 16;
+  float tile[kBlock][kBlock] = {};  // [row][column] of one block
+  for (std::size_t ib = 0; ib < rows; ib += kBlock) {
+    const std::size_t mb = std::min(kBlock, rows - ib);
+    for (std::size_t jb = 0; jb < width; jb += kBlock) {
+      const std::size_t nb = std::min(kBlock, width - jb);
+      for (std::size_t r = 0; r < mb; ++r) {
+        float* acc = tile[r];
+        for (std::size_t k = 0; k < nb; ++k) acc[k] = 0.0f;
+        for (unsigned q = 0; q < bits; ++q) {
+          const std::int8_t* src = planes[q].row(ib + r) + j0 + jb;
+          for (std::size_t k = 0; k < nb; ++k) {
+            acc[k] += alpha(q, ib + r, j0 + jb + k) * static_cast<float>(src[k]);
+          }
+        }
+      }
+      for (std::size_t k = 0; k < nb; ++k) {
+        float* out = dst + (jb + k) * ld + ib;
+        for (std::size_t r = 0; r < mb; ++r) out[r] = tile[r][k];
+      }
+    }
+  }
+}
 
 struct BinaryCodes {
   std::size_t rows = 0;
@@ -21,18 +58,20 @@ struct BinaryCodes {
   /// alphas[q][i] is the scale of plane q for output row i.
   std::vector<std::vector<float>> alphas;
 
+  /// Columns [j0, j0 + width) of the reconstruction into dst
+  /// (column-major, leading dimension ld); see reconstruct_columns.
+  void reconstruct(std::size_t j0, std::size_t width, float* dst,
+                   std::size_t ld) const {
+    reconstruct_columns(
+        rows, bits, planes,
+        [this](unsigned q, std::size_t i, std::size_t) { return alphas[q][i]; },
+        j0, width, dst, ld);
+  }
+
   /// Reconstructs the dense approximation sum_q alpha_q o B_q.
   [[nodiscard]] Matrix dequantize() const {
-    Matrix w(rows, cols, /*zero_fill=*/true);
-    for (unsigned q = 0; q < bits; ++q) {
-      const BinaryMatrix& b = planes[q];
-      const std::vector<float>& a = alphas[q];
-      for (std::size_t i = 0; i < rows; ++i) {
-        for (std::size_t j = 0; j < cols; ++j) {
-          w(i, j) += a[i] * static_cast<float>(b(i, j));
-        }
-      }
-    }
+    Matrix w(rows, cols, /*zero_fill=*/false);
+    reconstruct(0, cols, w.data(), w.ld());
     return w;
   }
 

@@ -1,20 +1,22 @@
 #include "quant/grouped.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
+
+#include "quant/binary_codes.hpp"
+#include "quant/greedy.hpp"
 
 namespace biq {
 
 Matrix GroupedBinaryCodes::dequantize() const {
-  Matrix w(rows, cols, /*zero_fill=*/true);
-  for (unsigned q = 0; q < bits; ++q) {
-    for (std::size_t i = 0; i < rows; ++i) {
-      for (std::size_t j = 0; j < cols; ++j) {
-        w(i, j) += alpha(q, i, j / group_size) * static_cast<float>(planes[q](i, j));
-      }
-    }
-  }
+  Matrix w(rows, cols, /*zero_fill=*/false);
+  reconstruct_columns(
+      rows, bits, planes,
+      [this](unsigned q, std::size_t i, std::size_t j) {
+        return alpha(q, i, j / group_size);
+      },
+      0, cols, w.data(), w.ld());
   return w;
 }
 
@@ -40,27 +42,18 @@ GroupedBinaryCodes quantize_greedy_grouped(const Matrix& w, unsigned bits,
   for (unsigned q = 0; q < bits; ++q) out.planes.emplace_back(w.rows(), w.cols());
   out.alphas.assign(bits, std::vector<float>(w.rows() * out.num_groups, 0.0f));
 
-  std::vector<float> residual;
-  for (std::size_t i = 0; i < w.rows(); ++i) {
+  RowPanel panel(w.cols());
+  std::vector<float> scales(bits * kPanelRows);
+  for (std::size_t i = 0; i < w.rows(); i += kPanelRows) {
+    panel.load(w, i);
     for (std::size_t g = 0; g < out.num_groups; ++g) {
       const std::size_t j0 = g * group_size;
       const std::size_t j1 = std::min(w.cols(), j0 + group_size);
-      residual.assign(j1 - j0, 0.0f);
-      for (std::size_t j = j0; j < j1; ++j) residual[j - j0] = w(i, j);
-
+      quantize_greedy_panel(panel, j0, j1, bits, out.planes, scales.data());
       for (unsigned q = 0; q < bits; ++q) {
-        double mag = 0.0;
-        for (float v : residual) mag += std::fabs(v);
-        const float a = residual.empty()
-                            ? 0.0f
-                            : static_cast<float>(mag / static_cast<double>(
-                                                           residual.size()));
-        out.alphas[q][i * out.num_groups + g] = a;
-        for (std::size_t j = j0; j < j1; ++j) {
-          const std::int8_t s =
-              residual[j - j0] < 0.0f ? std::int8_t{-1} : std::int8_t{1};
-          out.planes[q](i, j) = s;
-          residual[j - j0] -= a * static_cast<float>(s);
+        for (std::size_t r = 0; r < panel.rows(); ++r) {
+          out.alphas[q][(i + r) * out.num_groups + g] =
+              scales[q * kPanelRows + r];
         }
       }
     }

@@ -5,12 +5,41 @@
 
 #include <cstddef>
 #include <cstdlib>
+#include <limits>
 #include <new>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace biq {
 
 inline constexpr std::size_t kDefaultAlignment = 64;
+
+/// a * b; throws std::length_error naming `who` when the product does
+/// not fit in size_t (a wrapped size would allocate a short block that
+/// later writes run past).
+[[nodiscard]] inline std::size_t checked_size_mul(std::size_t a, std::size_t b,
+                                                  const char* who) {
+  if (b != 0 && a > std::numeric_limits<std::size_t>::max() / b) {
+    throw std::length_error(std::string(who) + ": " + std::to_string(a) +
+                            " x " + std::to_string(b) +
+                            " overflows size_t");
+  }
+  return a * b;
+}
+
+/// v rounded up to a multiple of `align`; std::length_error naming `who`
+/// when that does not fit in size_t.
+[[nodiscard]] inline std::size_t checked_round_up(std::size_t v,
+                                                  std::size_t align,
+                                                  const char* who) {
+  if (v > std::numeric_limits<std::size_t>::max() - (align - 1)) {
+    throw std::length_error(std::string(who) + ": " + std::to_string(v) +
+                            " bytes cannot be rounded up to " +
+                            std::to_string(align));
+  }
+  return (v + align - 1) / align * align;
+}
 
 /// Owning, aligned, fixed-size array of trivially-destructible T.
 /// Unlike std::vector it guarantees the alignment of element 0 and never
@@ -26,7 +55,9 @@ class AlignedBuffer {
   explicit AlignedBuffer(std::size_t count, bool zero_fill = false)
       : size_(count) {
     if (count == 0) return;
-    const std::size_t bytes = round_up(count * sizeof(T), kDefaultAlignment);
+    const std::size_t bytes =
+        checked_round_up(checked_size_mul(count, sizeof(T), "AlignedBuffer"),
+                         kDefaultAlignment, "AlignedBuffer");
     data_ = static_cast<T*>(std::aligned_alloc(kDefaultAlignment, bytes));
     if (data_ == nullptr) throw std::bad_alloc{};
     if (zero_fill) {
@@ -79,10 +110,6 @@ class AlignedBuffer {
   }
 
  private:
-  static std::size_t round_up(std::size_t v, std::size_t a) noexcept {
-    return (v + a - 1) / a * a;
-  }
-
   T* data_ = nullptr;
   std::size_t size_ = 0;
 };

@@ -8,6 +8,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <new>
 #include <thread>
 #include <vector>
@@ -99,6 +101,23 @@ TEST(ScratchArena, GrowsAcrossFramesAndRestabilizes) {
     (void)arena.alloc<float>(10000);
   }
   EXPECT_EQ(arena.heap_allocations(), after_growth);
+}
+
+TEST(ScratchArena, OverflowingRequestsThrowBeforeAllocating) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  ScratchArena arena;
+  arena.reset();
+  // count * sizeof(float) wraps; so does the 64-byte round-up of a byte
+  // count just under SIZE_MAX. Either would hand out a short block.
+  EXPECT_THROW((void)arena.alloc<float>(kMax / 2), std::length_error);
+  EXPECT_THROW((void)arena.alloc<unsigned char>(kMax - 8), std::length_error);
+  EXPECT_EQ(arena.heap_allocations(), 0u);
+  // The frame's bookkeeping is untouched: a small request still fits the
+  // next frame's consolidated block exactly.
+  float* p = arena.alloc<float>(16);
+  p[15] = 1.0f;
+  arena.reset();
+  EXPECT_EQ(arena.capacity_bytes(), 64u);
 }
 
 TEST(ExecContext, ModelBlocksAreStableAndFreedIndividually) {

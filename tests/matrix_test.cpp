@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 
 #include "matrix/binary_matrix.hpp"
 #include "matrix/matrix.hpp"
+#include "util/aligned_buffer.hpp"
 
 namespace biq {
 namespace {
@@ -124,6 +128,43 @@ TEST(BinaryMatrix, RowPointerIsRowMajor) {
   b(1, 2) = -1;
   EXPECT_EQ(b.row(1)[2], -1);
   EXPECT_EQ(b.row(0)[2], 1);
+}
+
+// Sizes whose byte counts wrap size_t must throw before anything is
+// allocated: a wrapped count would allocate a short block that later
+// writes run past (and an honest huge request would abort under ASan).
+constexpr std::size_t kMaxSize = std::numeric_limits<std::size_t>::max();
+
+TEST(Matrix, OverflowingShapeThrowsLengthError) {
+  EXPECT_THROW(Matrix(kMaxSize / 2, 4), std::length_error);
+  EXPECT_THROW(Matrix(4, kMaxSize / 2, /*zero_fill=*/false), std::length_error);
+  // rows * cols fits, rows * cols * sizeof(float) does not.
+  EXPECT_THROW(Matrix(kMaxSize / 8, 2), std::length_error);
+}
+
+TEST(BinaryMatrix, OverflowingShapeThrowsLengthError) {
+  EXPECT_THROW(BinaryMatrix(kMaxSize / 2, 4), std::length_error);
+}
+
+TEST(AlignedBuffer, OverflowingCountThrowsLengthError) {
+  // count * sizeof(T) wraps.
+  EXPECT_THROW(AlignedBuffer<float>(kMaxSize / 2), std::length_error);
+  EXPECT_THROW(AlignedBuffer<std::uint16_t>(kMaxSize / 2 + 1),
+               std::length_error);
+  // The byte count fits; its round-up to the 64-byte alignment wraps.
+  EXPECT_THROW(AlignedBuffer<unsigned char>(kMaxSize - 8), std::length_error);
+  EXPECT_THROW(AlignedBuffer<float>(kMaxSize / 4), std::length_error);
+}
+
+TEST(AlignedBuffer, CheckedSizeHelpers) {
+  EXPECT_EQ(checked_size_mul(0, kMaxSize, "t"), 0u);
+  EXPECT_EQ(checked_size_mul(kMaxSize, 1, "t"), kMaxSize);
+  EXPECT_THROW((void)checked_size_mul(kMaxSize / 2 + 1, 2, "t"),
+               std::length_error);
+  EXPECT_EQ(checked_round_up(65, 64, "t"), 128u);
+  EXPECT_EQ(checked_round_up(kMaxSize - 63, 64, "t"), kMaxSize - 63);
+  EXPECT_THROW((void)checked_round_up(kMaxSize - 62, 64, "t"),
+               std::length_error);
 }
 
 }  // namespace
