@@ -91,7 +91,8 @@ int main(int argc, char** argv) {
               const float* rc = res.col(c);
               for (std::size_t i = 0; i < m; ++i) {
                 yc[i] = biq::epilogue::activate(yc[i] + bias[i],
-                                                biq::EpilogueAct::kGelu) +
+                                                biq::EpilogueAct::kGelu,
+                                                plan->plane().math) +
                         rc[i];
               }
             }

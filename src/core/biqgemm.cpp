@@ -276,13 +276,13 @@ class BiqGemmPlan final : public GemmPlan {
  public:
   BiqGemmPlan(const BiqGemm& engine, const std::vector<KeyMatrix>& keys,
               const std::vector<std::vector<float>>& alphas,
-              const BiqGemmOptions& opt, const engine::BiqKernels& kernels,
-              std::size_t batch, ExecContext& ctx, const Epilogue& epilogue)
+              const BiqGemmOptions& opt, std::size_t batch, ExecContext& ctx,
+              const Epilogue& epilogue)
       : GemmPlan(engine.name(), engine.rows(), engine.cols(), batch, ctx,
                  epilogue),
-        keys_(&keys), alphas_(&alphas), opt_(&opt), kernels_(&kernels),
+        keys_(&keys), alphas_(&alphas), opt_(&opt),
         num_groups_(engine.num_groups()), group_size_(engine.group_size()),
-        tile_plan_(plan_tiles(opt, batch == 1 ? 1 : kernels.query_lanes)),
+        tile_plan_(plan_tiles(opt, batch == 1 ? 1 : plane().biq.query_lanes)),
         ntables_(table_count(engine.cols(), opt.mu)) {
     if (num_groups_ > 1) tile_plan_.tables_per_tile = group_size_ / opt.mu;
     // A tile taller than the layer is one chunk either way, so the clamp
@@ -308,7 +308,7 @@ class BiqGemmPlan final : public GemmPlan {
     key.p0 = opt_->mu;
     key.p1 = static_cast<std::uint32_t>(tile_plan_.lanes);
     key.p2 = opt_->use_dp_builder ? 0u : 1u;
-    key.plane = kernels_;
+    key.plane = &plane().biq;
     return key;
   }
 
@@ -323,7 +323,7 @@ class BiqGemmPlan final : public GemmPlan {
 
   void do_prepare(ConstMatrixView x, float* prep) const override {
     run_prepare_kernel(x, prep, ntables_, opt_->mu, opt_->use_dp_builder,
-                       tile_plan_, *kernels_, context());
+                       tile_plan_, plane().biq, context());
   }
 
   void do_consume(const float* prep, MatrixView y,
@@ -346,7 +346,7 @@ class BiqGemmPlan final : public GemmPlan {
     args.mu = opt_->mu;
     args.use_dp = opt_->use_dp_builder;
     args.plan = tile_plan_;
-    args.kernels = kernels_;
+    args.kernels = &plane().biq;
     args.ep = &ep;
     args.prep = prep;
     if (opt_->mu > 8) {
@@ -359,7 +359,6 @@ class BiqGemmPlan final : public GemmPlan {
   const std::vector<KeyMatrix>* keys_;
   const std::vector<std::vector<float>>* alphas_;
   const BiqGemmOptions* opt_;
-  const engine::BiqKernels* kernels_;
   std::size_t num_groups_;
   std::size_t group_size_;
   TilePlan tile_plan_;
@@ -442,9 +441,8 @@ std::size_t BiqGemm::packed_weight_bytes() const noexcept {
 
 std::unique_ptr<GemmPlan> BiqGemm::plan(std::size_t batch, ExecContext& ctx,
                                         const Epilogue& epilogue) const {
-  return std::make_unique<BiqGemmPlan>(*this, keys_, alphas_, opt_,
-                                       engine::select_plane(ctx.isa()).biq,
-                                       batch, ctx, epilogue);
+  return std::make_unique<BiqGemmPlan>(*this, keys_, alphas_, opt_, batch,
+                                       ctx, epilogue);
 }
 
 void biqgemm(const BinaryCodes& codes, const Matrix& x, Matrix& y,

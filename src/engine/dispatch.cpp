@@ -95,9 +95,4 @@ const KernelPlane& select_plane(KernelIsa isa) {
   }
 }
 
-const MathKernels& math_plane() {
-  static const MathKernels& plane = select_plane(KernelIsa::kAuto).math;
-  return plane;
-}
-
 }  // namespace biq::engine

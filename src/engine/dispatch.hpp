@@ -22,11 +22,12 @@
 //
 // Selection happens by probing cpu_features() — never with preprocessor
 // guards — so one binary serves scalar CI runners, AVX2 hosts and
-// AVX-512 hosts. Each GEMM plan resolves select_plane(ctx.isa()) once,
-// when it is compiled, so the ExecContext it is planned on picks its
-// plane; the math plane is resolved once per process (math_plane()).
-// The BIQ_ISA environment variable ("scalar" / "avx2" / "avx512") sets
-// what kAuto resolves to for all of them, which is how CI exercises
+// AVX-512 hosts. Nothing is resolved per process: each plan — a
+// GemmPlan, or an nn step's activation, attention or LSTM-gate math —
+// resolves select_plane(ctx.isa()) once, when it is compiled, so the
+// ExecContext it is planned on picks every plane it runs, the math plane
+// included. The BIQ_ISA environment variable ("scalar" / "avx2" /
+// "avx512") sets what kAuto resolves to, which is how CI exercises
 // fallback planes.
 #pragma once
 
@@ -180,11 +181,6 @@ struct KernelPlane {
 /// host (honouring BIQ_ISA); explicit requests throw std::runtime_error
 /// when isa_available() is false.
 [[nodiscard]] const KernelPlane& select_plane(KernelIsa isa);
-
-/// The math plane every caller outside the GEMM engines uses: resolved
-/// once per process by select_plane(KernelIsa::kAuto), so it honours
-/// BIQ_ISA but not an ExecContext's isa.
-[[nodiscard]] const MathKernels& math_plane();
 
 // Per-TU entry points, used by dispatch.cpp.
 namespace kern_scalar {

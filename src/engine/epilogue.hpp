@@ -15,9 +15,9 @@
 // through the SAME activate_sweep() below (what a standalone
 // nn::Activation step runs), so fused and separate-sweep runs agree
 // bit for bit. The transcendentals run on the per-ISA math plane
-// (engine/dispatch.hpp), whose sweeps give an element the same bits
-// wherever it falls in a sweep — so a row tile, a whole column and a
-// single element all agree.
+// (engine/dispatch.hpp) the plan resolved from its ExecContext, whose
+// sweeps give an element the same bits wherever it falls in a sweep —
+// so a row tile, a whole column and a single element all agree.
 //
 // The residual operand is a run-time binding: plan-time Epilogue carries
 // only the *intent* (`residual = true`); the actual view arrives with
@@ -32,7 +32,7 @@
 // column, and whichever worker retires a column's last row runs the
 // normalization for that column — exactly once, with a fixed sequential
 // reduction order over the column, so the result is bitwise identical
-// at any thread count and tile schedule. All seven engines get this
+// at any thread count and tile schedule. All eight engines get this
 // through the shared apply paths; no engine carries barrier code.
 #pragma once
 
@@ -54,10 +54,11 @@ namespace epilogue {
 /// dst[i] = act(src[i]) over [0, n) (src == dst allowed): the single
 /// source of truth for activation arithmetic. The standalone
 /// nn::Activation step and every engine epilogue run this sweep, so
-/// fused and separate-pass execution are bitwise identical by
-/// construction. GELU, sigmoid and tanh run on the math plane.
+/// fused and separate-pass execution on the same plane are bitwise
+/// identical by construction. GELU, sigmoid and tanh run on `math`.
 inline void activate_sweep(const float* src, float* dst, std::size_t n,
-                           EpilogueAct act) noexcept {
+                           EpilogueAct act,
+                           const engine::MathKernels& math) noexcept {
   switch (act) {
     case EpilogueAct::kNone:
       for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
@@ -67,17 +68,16 @@ inline void activate_sweep(const float* src, float* dst, std::size_t n,
         dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
       }
       return;
-    case EpilogueAct::kGelu: engine::math_plane().gelu(src, dst, n); return;
-    case EpilogueAct::kSigmoid:
-      engine::math_plane().sigmoid(src, dst, n);
-      return;
-    case EpilogueAct::kTanh: engine::math_plane().tanh(src, dst, n); return;
+    case EpilogueAct::kGelu: math.gelu(src, dst, n); return;
+    case EpilogueAct::kSigmoid: math.sigmoid(src, dst, n); return;
+    case EpilogueAct::kTanh: math.tanh(src, dst, n); return;
   }
 }
 
 /// One element through the same sweep.
-[[nodiscard]] inline float activate(float v, EpilogueAct act) noexcept {
-  activate_sweep(&v, &v, 1, act);
+[[nodiscard]] inline float activate(float v, EpilogueAct act,
+                                    const engine::MathKernels& math) noexcept {
+  activate_sweep(&v, &v, 1, act, math);
   return v;
 }
 
@@ -142,13 +142,15 @@ struct Epilogue {
 };
 
 /// The per-run epilogue functor engines apply: the plan's frozen
-/// Epilogue bound to this run's residual operand. Engines call apply()
-/// (or apply_interleaved()) over the region they just finished.
+/// Epilogue bound to this run's residual operand and to the plan's math
+/// plane. Engines call apply() (or apply_interleaved()) over the region
+/// they just finished.
 class EpilogueOp {
  public:
   EpilogueOp() = default;
-  EpilogueOp(const Epilogue& ep, ConstMatrixView residual) noexcept
-      : bias_(ep.bias), residual_(residual), act_(ep.act),
+  EpilogueOp(const Epilogue& ep, ConstMatrixView residual,
+             const engine::MathKernels& math) noexcept
+      : bias_(ep.bias), residual_(residual), math_(&math), act_(ep.act),
         has_residual_(ep.residual) {}
 
   /// Binding for a plan with a column-granular LN stage: `col_counts`
@@ -157,12 +159,13 @@ class EpilogueOp {
   /// height, and `ln_dst` is where normalized columns land (empty view
   /// = normalize y in place).
   EpilogueOp(const Epilogue& ep, ConstMatrixView residual,
+             const engine::MathKernels& math,
              std::atomic<std::uint32_t>* col_counts, std::size_t total_rows,
              MatrixView ln_dst) noexcept
-      : bias_(ep.bias), residual_(residual), ln_gamma_(ep.ln_gamma),
-        ln_beta_(ep.ln_beta), col_counts_(col_counts), ln_dst_(ln_dst),
-        total_rows_(total_rows), ln_eps_(ep.ln_eps), act_(ep.act),
-        has_residual_(ep.residual) {}
+      : bias_(ep.bias), residual_(residual), math_(&math),
+        ln_gamma_(ep.ln_gamma), ln_beta_(ep.ln_beta), col_counts_(col_counts),
+        ln_dst_(ln_dst), total_rows_(total_rows), ln_eps_(ep.ln_eps),
+        act_(ep.act), has_residual_(ep.residual) {}
 
   [[nodiscard]] bool empty() const noexcept {
     return bias_ == nullptr && act_ == EpilogueAct::kNone && !has_residual_ &&
@@ -196,7 +199,7 @@ class EpilogueOp {
       if (bias_ != nullptr) {
         for (std::size_t i = i0; i < i1; ++i) yc[i] += bias_[i];
       }
-      epilogue::activate_sweep(yc + i0, yc + i0, i1 - i0, act_);
+      epilogue::activate_sweep(yc + i0, yc + i0, i1 - i0, act_, *math_);
       if (rc != nullptr) {
         for (std::size_t i = i0; i < i1; ++i) yc[i] += rc[i];
       }
@@ -247,7 +250,7 @@ class EpilogueOp {
       } else {
         for (std::size_t i = i0; i < i1; ++i) yc[i] = src[i * lanes];
       }
-      epilogue::activate_sweep(yc + i0, yc + i0, i1 - i0, act_);
+      epilogue::activate_sweep(yc + i0, yc + i0, i1 - i0, act_, *math_);
       if (rc != nullptr) {
         for (std::size_t i = i0; i < i1; ++i) yc[i] += rc[i];
       }
@@ -283,6 +286,7 @@ class EpilogueOp {
 
   const float* bias_ = nullptr;
   ConstMatrixView residual_;
+  const engine::MathKernels* math_ = nullptr;  // the plan's math plane
   const float* ln_gamma_ = nullptr;
   const float* ln_beta_ = nullptr;
   std::atomic<std::uint32_t>* col_counts_ = nullptr;  // plan-owned barrier

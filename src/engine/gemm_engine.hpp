@@ -1,9 +1,9 @@
 // The pluggable kernel interface. Every weight-stationary GEMM in the
 // library — the paper's BiQGEMM (plain and group-scaled) and all its
-// baselines (blocked dense, naive dense, int8, unpack, xnor) — computes
-// the same thing: Y ~= W . X with weights fixed at construction. This
-// interface is that contract; `nn` layers, the benches and the examples
-// consume kernels exclusively through it (obtained from the
+// baselines (blocked dense, naive dense, int8, unpack, xnor, tmac-lut) —
+// computes the same thing: Y ~= W . X with weights fixed at construction.
+// This interface is that contract; `nn` layers, the benches and the
+// examples consume kernels exclusively through it (obtained from the
 // EngineRegistry), so a new backend plugs into every integration surface
 // with one registration.
 //
@@ -25,10 +25,11 @@
 // as a thin plan-per-call adapter for one-shot callers.
 //
 // Execution state stays split from the engine: a plan binds the
-// ExecContext it was made with (pool, per-worker scratch arenas, ISA
-// override). Engines are immutable after construction, so one instance
-// serves many concurrent plans as long as each plan brings its own
-// context.
+// ExecContext it was made with (pool, per-worker scratch arenas) and the
+// kernel plane that context's ISA resolves to — the GEMM's kernels and
+// its epilogue's math both run on it. Engines are immutable after
+// construction, so one instance serves many concurrent plans as long as
+// each plan brings its own context.
 #pragma once
 
 #include <cstddef>
@@ -199,6 +200,11 @@ class GemmPlan {
   [[nodiscard]] std::string_view engine_name() const noexcept { return name_; }
   /// The fused epilogue the plan was frozen with (may be empty).
   [[nodiscard]] const Epilogue& epilogue() const noexcept { return epilogue_; }
+  /// The kernel plane the context's ISA resolved to when the plan was
+  /// compiled: the engine's kernels and the epilogue's math run on it.
+  [[nodiscard]] const engine::KernelPlane& plane() const noexcept {
+    return *plane_;
+  }
 
   // ------------------------------------------ LUT build / query split
   // BiQGEMM plans expose the paper's Fig. 8 seam: prepare(x, handle)
@@ -264,14 +270,17 @@ class GemmPlan {
   }
 
  protected:
-  /// Throws std::invalid_argument when the epilogue's LN stage is
-  /// malformed (one of gamma/beta missing, ln_dim != rows,
-  /// ln_split_dst without residual); allocates the per-column barrier
-  /// when an LN stage is present.
+  /// Resolves the context's kernel plane once (select_plane(ctx.isa()):
+  /// throws std::runtime_error when it is unavailable). Throws
+  /// std::invalid_argument when the epilogue's LN stage is malformed
+  /// (one of gamma/beta missing, ln_dim != rows, ln_split_dst without
+  /// residual); allocates the per-column barrier when an LN stage is
+  /// present.
   GemmPlan(std::string_view engine_name, std::size_t rows, std::size_t cols,
            std::size_t batch, ExecContext& ctx, const Epilogue& epilogue = {})
       : name_(engine_name), rows_(rows), cols_(cols), batch_(batch),
-        ctx_(&ctx), epilogue_(epilogue) {
+        ctx_(&ctx), plane_(&engine::select_plane(ctx.isa())),
+        epilogue_(epilogue) {
     init_ln();
   }
 
@@ -311,8 +320,11 @@ class GemmPlan {
   /// LN plans) to one run's residual / ln destination operands.
   [[nodiscard]] EpilogueOp make_op(ConstMatrixView residual,
                                    MatrixView ln_dst) const noexcept {
-    if (epilogue_.ln_gamma == nullptr) return EpilogueOp(epilogue_, residual);
-    return EpilogueOp(epilogue_, residual, col_barrier_.data(), rows_, ln_dst);
+    if (epilogue_.ln_gamma == nullptr) {
+      return EpilogueOp(epilogue_, residual, plane_->math);
+    }
+    return EpilogueOp(epilogue_, residual, plane_->math, col_barrier_.data(),
+                      rows_, ln_dst);
   }
 
   std::string_view name_;  // points at the engine's static name
@@ -320,6 +332,7 @@ class GemmPlan {
   std::size_t cols_;
   std::size_t batch_;
   ExecContext* ctx_;
+  const engine::KernelPlane* plane_;
   Epilogue epilogue_;
   engine::ColBarrier col_barrier_;  // one counter per column; LN plans only
 };

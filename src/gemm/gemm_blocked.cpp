@@ -13,11 +13,11 @@ namespace {
 class BlockedPlan final : public GemmPlan {
  public:
   BlockedPlan(const BlockedGemm& engine, const float* packed,
-              std::size_t panels, const engine::BlockedKernels& kernels,
-              std::size_t batch, ExecContext& ctx, const Epilogue& epilogue)
+              std::size_t panels, std::size_t batch, ExecContext& ctx,
+              const Epilogue& epilogue)
       : GemmPlan(engine.name(), engine.rows(), engine.cols(), batch, ctx,
                  epilogue),
-        packed_(packed), panels_(panels), kernels_(&kernels) {}
+        packed_(packed), panels_(panels) {}
 
  private:
   void execute(ConstMatrixView x, MatrixView y,
@@ -29,7 +29,7 @@ class BlockedPlan final : public GemmPlan {
     engine::for_each_tile(
         context(), panels_, 1,
         [&](unsigned /*worker*/, std::size_t p0, std::size_t p1) {
-          kernels_->run_panels(packed_, rows(), cols(), x, y, p0, p1);
+          plane().blocked.run_panels(packed_, rows(), cols(), x, y, p0, p1);
           if (!ep.empty()) {
             ep.apply(y, p0 * engine::kBlockedPanelRows,
                      std::min(rows(), p1 * engine::kBlockedPanelRows), 0,
@@ -40,7 +40,6 @@ class BlockedPlan final : public GemmPlan {
 
   const float* packed_;
   std::size_t panels_;
-  const engine::BlockedKernels* kernels_;
 };
 
 }  // namespace
@@ -67,9 +66,8 @@ BlockedGemm::BlockedGemm(const Matrix& w)
 std::unique_ptr<GemmPlan> BlockedGemm::plan(std::size_t batch,
                                             ExecContext& ctx,
                                             const Epilogue& epilogue) const {
-  return std::make_unique<BlockedPlan>(*this, packed_.data(), panels_,
-                                       engine::select_plane(ctx.isa()).blocked,
-                                       batch, ctx, epilogue);
+  return std::make_unique<BlockedPlan>(*this, packed_.data(), panels_, batch,
+                                       ctx, epilogue);
 }
 
 void gemm_blocked(const Matrix& w, const Matrix& x, Matrix& y) {

@@ -152,8 +152,7 @@ class TmacPlanImpl final : public GemmPlan {
                const Epilogue& epilogue)
       : GemmPlan(engine.name(), engine.rows(), engine.cols(), batch, ctx,
                  epilogue),
-        engine_(&engine),
-        kernels_(&engine::select_plane(ctx.isa()).tmac) {}
+        engine_(&engine) {}
 
  private:
   /// One region over (column, row-tile range) items. Each item quantizes
@@ -179,12 +178,11 @@ class TmacPlanImpl final : public GemmPlan {
           const float xs = quantize_column_int8(x.col(c), n, s.xq);
           tmac_build_column_lut(s.xq, n, packed.storage_bits, packed.ngroups,
                                 s.lut);
-          tmac_run_column(packed, *kernels_, y, c, xs, s.lut, t0, t1, ep);
+          tmac_run_column(packed, plane().tmac, y, c, xs, s.lut, t0, t1, ep);
         });
   }
 
   const TmacLutGemm* engine_;
-  const engine::TmacKernels* kernels_;
 };
 
 }  // namespace

@@ -2,9 +2,8 @@
 
 namespace biq::nn {
 
-void softmax_columns(MatrixView x) noexcept {
+void softmax_columns(MatrixView x, const engine::MathKernels& math) noexcept {
   if (x.rows() == 0) return;
-  const engine::MathKernels& math = engine::math_plane();
   for (std::size_t c = 0; c < x.cols(); ++c) math.softmax(x.col(c), x.rows());
 }
 
@@ -13,21 +12,22 @@ void softmax_columns(MatrixView x) noexcept {
 namespace {
 
 /// The standalone activation step (no producer to fold into): one
-/// element-wise pass.
+/// element-wise pass on the math plane of the context it was planned on.
 class ActivationStep final : public ModuleStep {
  public:
-  explicit ActivationStep(Act act) : act_(act) {}
+  ActivationStep(Act act, const engine::MathKernels& math)
+      : act_(to_epilogue_act(act)), math_(&math) {}
 
   void run_step(float* /*base*/, ConstMatrixView x,
                 MatrixView y) const override {
-    const EpilogueAct act = to_epilogue_act(act_);
     for (std::size_t c = 0; c < x.cols(); ++c) {
-      epilogue::activate_sweep(x.col(c), y.col(c), x.rows(), act);
+      epilogue::activate_sweep(x.col(c), y.col(c), x.rows(), act_, *math_);
     }
   }
 
  private:
-  Act act_;
+  EpilogueAct act_;
+  const engine::MathKernels* math_;
 };
 
 }  // namespace
@@ -38,8 +38,9 @@ Shape Activation::out_shape(Shape in) const {
 }
 
 std::unique_ptr<ModuleStep> Activation::plan_into(
-    ModulePlanContext& /*mpc*/) const {
-  return std::make_unique<ActivationStep>(act_);
+    ModulePlanContext& mpc) const {
+  return std::make_unique<ActivationStep>(
+      act_, engine::select_plane(mpc.exec().isa()).math);
 }
 
 }  // namespace biq::nn

@@ -5,8 +5,9 @@
 // The activation sweep lives in engine/epilogue.hpp so a non-linearity
 // fused into a GEMM plan's output loop and a standalone Activation step
 // are THE SAME arithmetic — bitwise, not approximately. Both, and the
-// softmax below, run their transcendentals on the per-ISA math plane
-// (engine/dispatch.hpp), one vectorized exp shared by every caller.
+// softmax below, run their transcendentals on a per-ISA math plane
+// (engine/dispatch.hpp), one vectorized exp shared by every caller: a
+// planned step uses the plane of the ExecContext it was planned on.
 #pragma once
 
 #include "engine/epilogue.hpp"
@@ -30,14 +31,14 @@ enum class Act { kRelu, kGelu, kSigmoid, kTanh };
 }
 
 /// Numerically-stable softmax over the rows of each column (columns are
-/// independent distributions) — the attention-weight normalization. A
-/// view with no rows is a no-op.
-void softmax_columns(MatrixView x) noexcept;
+/// independent distributions) — the attention-weight normalization — on
+/// the math plane `math`. A view with no rows is a no-op.
+void softmax_columns(MatrixView x, const engine::MathKernels& math) noexcept;
 
 /// Element-wise activation as a module: y(i, c) = act(x(i, c)), with
 /// GELU in its tanh approximation (as used by BERT-family models). Shape
 /// preserving, no weights, no internal slots. Inside a plan_chain a
-/// Linear -> Activation adjacency is folded into the producer's GEMM
+/// LinearLayer -> Activation adjacency is folded into the producer's GEMM
 /// epilogue (the step below never runs); standalone it is a plain
 /// element-wise pass.
 class Activation final : public PlannableModule {

@@ -21,18 +21,16 @@ class AttentionStep final : public ModuleStep {
     sq_ = mpc.acquire(attn.hidden(), tokens);
     sk_ = mpc.acquire(attn.hidden(), tokens);
     sv_ = mpc.acquire(attn.hidden(), tokens);
-    q_ = LinearPlan(attn.wq(), tokens, mpc.exec());
-    k_ = LinearPlan(attn.wk(), tokens, mpc.exec());
-    v_ = LinearPlan(attn.wv(), tokens, mpc.exec());
+    q_ = attn.wq().plan(tokens, mpc.exec());
+    k_ = attn.wk().plan(tokens, mpc.exec());
+    v_ = attn.wv().plan(tokens, mpc.exec());
     sscores_ = mpc.acquire(tokens, tokens);
     scontext_ = mpc.acquire(attn.hidden(), tokens);
     // The requested fusion rides the output projection's epilogue: the
     // block's input x is bound as the residual operand at run time, and
     // a folded LayerNorm normalizes each of y's columns in place as wo's
     // GEMM completes them.
-    o_ = LinearPlan(attn.wo(), tokens, mpc.exec(),
-                    LinearFusion{fusion.act, fusion.input_residual, nullptr,
-                                 fusion.ln});
+    o_ = attn.wo().plan(tokens, mpc.exec(), fusion);
     for (const ModelSlot* s : {&sscores_, &sq_, &sk_, &sv_, &scontext_}) {
       mpc.release(*s);
     }
@@ -42,22 +40,23 @@ class AttentionStep final : public ModuleStep {
     const MatrixView q = sq_.view(base);
     const MatrixView k = sk_.view(base);
     const MatrixView v = sv_.view(base);
-    q_.run(x, q);
-    k_.run(x, k);
-    v_.run(x, v);
+    q_->run(x, q);
+    k_->run(x, k);
+    v_->run(x, v);
     const MatrixView context = scontext_.view(base);
-    attn_->attend(q, k, v, sscores_.view(base), context);
+    // The head math runs on the plane the projections were planned on.
+    attn_->attend(q, k, v, sscores_.view(base), context, o_->plane().math);
     if (input_residual_) {
-      o_.run(context, y, x);  // y = wo(context) + bias + x, one pass
+      o_->run(context, y, x);  // y = wo(context) + bias + x, one pass
     } else {
-      o_.run(context, y);
+      o_->run(context, y);
     }
   }
 
  private:
   const MultiHeadAttention* attn_;
   bool input_residual_;
-  LinearPlan q_, k_, v_, o_;
+  std::unique_ptr<GemmPlan> q_, k_, v_, o_;
   ModelSlot sq_, sk_, sv_, sscores_, scontext_;
 };
 
@@ -110,7 +109,8 @@ std::size_t MultiHeadAttention::weight_bytes() const noexcept {
 
 void MultiHeadAttention::attend(ConstMatrixView q, ConstMatrixView k,
                                 ConstMatrixView v, MatrixView scores,
-                                MatrixView context) const {
+                                MatrixView context,
+                                const engine::MathKernels& math) const {
   const std::size_t t = q.cols();
   if (q.rows() != hidden_ || k.rows() != hidden_ || v.rows() != hidden_ ||
       k.cols() != t || v.cols() != t || context.rows() != hidden_ ||
@@ -118,7 +118,6 @@ void MultiHeadAttention::attend(ConstMatrixView q, ConstMatrixView k,
     throw std::invalid_argument("MultiHeadAttention::attend: shape mismatch");
   }
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  const engine::MathKernels& math = engine::math_plane();
   for (unsigned h = 0; h < heads_; ++h) {
     // Each head is a strided row window of the packed projections — it
     // never exists as its own dense buffer.

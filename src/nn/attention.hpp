@@ -46,11 +46,12 @@ class MultiHeadAttention final : public PlannableModule {
   /// head h, scores = softmax(K_h^T Q_h / sqrt(d)) column-wise, then
   /// context_h = V_h . scores. q/k/v: hidden x T; scores: T x T scratch
   /// (overwritten); context: hidden x T (overwritten). Each head runs
-  /// the math plane's attention-head kernel on strided row windows of
-  /// q/k/v (engine/dispatch.hpp). The planned step runs this routine
-  /// over arena slots.
+  /// `math`'s attention-head kernel on strided row windows of q/k/v
+  /// (engine/dispatch.hpp). The planned step runs this routine over
+  /// arena slots, on the math plane of the context it was planned on.
   void attend(ConstMatrixView q, ConstMatrixView k, ConstMatrixView v,
-              MatrixView scores, MatrixView context) const;
+              MatrixView scores, MatrixView context,
+              const engine::MathKernels& math) const;
 
   [[nodiscard]] std::size_t hidden() const noexcept { return hidden_; }
   [[nodiscard]] unsigned heads() const noexcept { return heads_; }

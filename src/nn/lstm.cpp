@@ -23,12 +23,11 @@ LstmCell::LstmCell(std::unique_ptr<LinearLayer> input_proj,
   }
 }
 
-void LstmCell::apply_gates(const float* pre, float* h,
-                           float* c) const noexcept {
+void LstmCell::apply_gates(const float* pre, float* h, float* c,
+                           const engine::MathKernels& math) const noexcept {
   // Gate activations run as math-plane sweeps over stack chunks; the
   // sweeps are position independent, so chunking does not move a bit.
   constexpr std::size_t kChunk = 64;
-  const engine::MathKernels& math = engine::math_plane();
   float gi[kChunk] = {}, gf[kChunk] = {}, gg[kChunk] = {}, go[kChunk] = {};
   for (std::size_t j0 = 0; j0 < hidden_; j0 += kChunk) {
     const std::size_t n = std::min(kChunk, hidden_ - j0);
@@ -51,14 +50,13 @@ LstmCell::ScanPlan LstmCell::plan_scan(ModulePlanContext& mpc) const {
   p.sgh_ = mpc.acquire(4 * hidden_, 1);
   p.sh_ = mpc.acquire(hidden_, 1);
   p.sc_ = mpc.acquire(hidden_, 1);
-  p.wx_ = LinearPlan(*wx_, mpc.batch(), mpc.exec());
+  p.wx_ = wx_->plan(mpc.batch(), mpc.exec());
   // The recurrent layer carries no bias of its own, so the cell's gate
   // bias rides its plan as an override, and gx arrives as the run-time
   // residual: gh = (Wh.h + bias) + gx in the GEMV's epilogue.
-  LinearFusion fusion;
-  fusion.residual = true;
-  fusion.bias = &bias_;
-  p.wh_ = LinearPlan(*wh_, 1, mpc.exec(), fusion);
+  StepFusion fusion;
+  fusion.input_residual = true;
+  p.wh_ = wh_->plan(1, mpc.exec(), fusion, &bias_);
   for (const ModelSlot* s : {&p.sgx_, &p.sgh_, &p.sh_, &p.sc_}) {
     mpc.release(*s);
   }
@@ -76,13 +74,13 @@ void LstmCell::ScanPlan::run(float* base, ConstMatrixView x, MatrixView y,
   // Wx.x_t does not depend on the recurrence, so every frame's input
   // projection runs up front as one GEMM: each LUT is built once per
   // batch tile of frames instead of once per frame.
-  wx_.run(x, gx);
+  wx_->run(x, gx);
   const std::size_t frames = x.cols();
   const std::size_t hidden = cell_->hidden_size();
   for (std::size_t s = 0; s < frames; ++s) {
     const std::size_t t = reverse ? frames - 1 - s : s;
-    wh_.run(h, gh, gx.col_block(t, 1));  // gh = (Wh.h + bias) + gx_t
-    cell_->apply_gates(gh.col(0), h.col(0), c.col(0));
+    wh_->run(h, gh, gx.col_block(t, 1));  // gh = (Wh.h + bias) + gx_t
+    cell_->apply_gates(gh.col(0), h.col(0), c.col(0), wh_->plane().math);
     float* out = y.col(t);
     const float* hp = h.col(0);
     for (std::size_t i = 0; i < hidden; ++i) out[i] = hp[i];

@@ -37,7 +37,9 @@ class LstmCell {
    private:
     friend class LstmCell;
     const LstmCell* cell_ = nullptr;
-    LinearPlan wx_, wh_;  // gate bias + gx residual ride wh's epilogue
+    // Gate bias + gx residual ride wh's epilogue; the gates run on wh's
+    // math plane.
+    std::unique_ptr<GemmPlan> wx_, wh_;
     ModelSlot sgx_;       // 4h x T input projections of every frame
     ModelSlot sgh_;       // 4h x 1 combined gate pre-activations
     ModelSlot sh_, sc_;   // h x 1 hidden / cell state
@@ -56,8 +58,9 @@ class LstmCell {
 
   /// The gate non-linearities over the COMBINED pre-activations
   /// pre = (Wh.h + bias) + Wx.x_t (length 4h), updating h and c in
-  /// place — the tail of every scan step.
-  void apply_gates(const float* pre, float* h, float* c) const noexcept;
+  /// place on the math plane `math` — the tail of every scan step.
+  void apply_gates(const float* pre, float* h, float* c,
+                   const engine::MathKernels& math) const noexcept;
 
   /// Projection layers and bias, for planners freezing the step.
   [[nodiscard]] const LinearLayer& wx() const noexcept { return *wx_; }

@@ -6,8 +6,10 @@
 // a TransformerEncoder, an Lstm/BiLstm, a bare MultiHeadAttention, or
 // an arbitrary Sequential hybrid of them — for one batch width under
 // one ExecContext, through one generic walker:
-//   * every projection's GemmPlan is frozen up front (LinearPlan =
-//     engine plan + bias), so the warm path never plans per call,
+//   * every projection's GemmPlan is frozen up front (LinearLayer::plan:
+//     the engine's plan with the bias, and any folded activation,
+//     residual or LayerNorm, in its epilogue), so the warm path never
+//     plans per call,
 //   * every intermediate activation tensor of the module tree goes
 //     through ModelPlanner, a liveness-based packer that assigns offsets
 //     in ONE arena block, reusing storage across tensors whose lifetimes

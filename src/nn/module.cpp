@@ -204,8 +204,8 @@ std::unique_ptr<ModuleStep> plan_chain(const PlannableModule* const* modules,
     }
     // Second peephole: a trailing LayerNorm (directly after the
     // producer, or after the Activation just folded) rides the
-    // producer's column-granular epilogue — Linear→LN and
-    // Linear→Act→LN become one step, and the slot between them never
+    // producer's column-granular epilogue — LinearLayer→LN and
+    // LinearLayer→Act→LN become one step, and the slot between them never
     // exists. LN is shape-preserving, so the output slot's shape is
     // the same either way.
     if (i + consumed < count) {

@@ -202,7 +202,7 @@ class PlannableModule {
   /// concatenating requests along it, padding to a larger width, and
   /// slicing columns back out is EXACT (the serving layer's dynamic
   /// batching relies on this; src/serve/ rejects modules that return
-  /// false). Column-wise projections (Linear), element-wise maps
+  /// false). Column-wise projections (LinearLayer), element-wise maps
   /// (Activation) and per-column normalization (LayerNorm) qualify;
   /// attention (tokens attend across columns) and recurrence (columns
   /// are time steps) do not. Default is the conservative false.
@@ -255,8 +255,8 @@ class PlannableModule {
 /// for is folded into ONE fused step — the activation runs inside the
 /// producer's GEMM epilogue, the Activation's step and the intermediate
 /// slot between them are never materialized. The same fold extends to a
-/// trailing LayerNorm (after any Activation fold): Linear→LN and
-/// Linear→Act→LN compile to one step whose GEMM normalizes each output
+/// trailing LayerNorm (after any Activation fold): LinearLayer→LN and
+/// LinearLayer→Act→LN compile to one step whose GEMM normalizes each output
 /// column as it completes.
 [[nodiscard]] std::unique_ptr<ModuleStep> plan_chain(
     const PlannableModule* const* modules, std::size_t count,

@@ -50,11 +50,9 @@ class FeedForwardStep final : public ModuleStep {
       : input_residual_(fusion.input_residual),
         ln_split_(fusion.ln != nullptr && fusion.ln_split_dst),
         smid_(mpc.acquire(ffn.up().out_features(), mpc.batch())),
-        up_(ffn.up(), mpc.batch(), mpc.exec(),
-            LinearFusion{to_epilogue_act(ffn.activation())}),
-        down_(ffn.down(), mpc.batch(), mpc.exec(),
-              LinearFusion{fusion.act, fusion.input_residual, nullptr,
-                           fusion.ln, fusion.ln_split_dst}) {
+        up_(ffn.up().plan(mpc.batch(), mpc.exec(),
+                          StepFusion{to_epilogue_act(ffn.activation())})),
+        down_(ffn.down().plan(mpc.batch(), mpc.exec(), fusion)) {
     // Split-destination LN: the down projection accumulates
     // down(mid) + bias + residual into a staging slot and normalizes
     // each completed column into the step's y — which is what lets the
@@ -69,13 +67,13 @@ class FeedForwardStep final : public ModuleStep {
 
   void run_step(float* base, ConstMatrixView x, MatrixView y) const override {
     const MatrixView mid = smid_.view(base);
-    up_.run(x, mid);  // bias + activation ride the up plan's epilogue
+    up_->run(x, mid);  // bias + activation ride the up plan's epilogue
     if (ln_split_) {
-      down_.run(mid, sstage_.view(base), x, y);  // y = LN(down(mid)+bias+x)
+      down_->run(mid, sstage_.view(base), x, y);  // y = LN(down(mid)+bias+x)
     } else if (input_residual_) {
-      down_.run(mid, y, x);  // y = down(mid) + bias + x, one pass
+      down_->run(mid, y, x);  // y = down(mid) + bias + x, one pass
     } else {
-      down_.run(mid, y);
+      down_->run(mid, y);
     }
   }
 
@@ -83,7 +81,7 @@ class FeedForwardStep final : public ModuleStep {
   bool input_residual_;
   bool ln_split_;
   ModelSlot smid_, sstage_;
-  LinearPlan up_, down_;
+  std::unique_ptr<GemmPlan> up_, down_;
 };
 
 /// Both residual→LN seams ride the sub-blocks' output projections: the

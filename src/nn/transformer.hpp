@@ -52,7 +52,7 @@ class FeedForward final : public PlannableModule {
   /// input-residual add and a trailing LayerNorm of matching dim fold
   /// into that plan's epilogue. (The internal activation between up and
   /// down folds into the UP projection's epilogue regardless — see
-  /// FeedForwardStep.) Unlike a bare Linear, the split-destination LN
+  /// FeedForwardStep.) Unlike a bare LinearLayer, the split-destination LN
   /// form IS supported: the step stages the pre-norm sublayer output in
   /// its own planner slot, which is what lets the residual operand
   /// alias the step's final output (the encoder's second seam). Defined

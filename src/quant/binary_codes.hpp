@@ -13,31 +13,30 @@
 
 namespace biq {
 
-/// Writes columns [j0, j0 + width) of the reconstruction
+/// Writes the rows x cols reconstruction
 /// sum_q alpha(q, i, j) * planes[q](i, j) to dst, column-major with
-/// leading dimension ld (dst column 0 is column j0). Each element is
-/// summed in fp32 from 0 in plane order. It works in 16 x 16 blocks,
+/// leading dimension ld. Each element is summed in fp32 from 0 in plane
+/// order. It works in 16 x 16 blocks,
 /// a band of 16 rows at a time: each block row reads one contiguous
 /// segment of every row-major plane, and each block column is stored as
 /// one contiguous run of dst.
 template <typename AlphaAt>
-void reconstruct_columns(std::size_t rows, unsigned bits,
+void reconstruct_columns(std::size_t rows, std::size_t cols, unsigned bits,
                          const std::vector<BinaryMatrix>& planes,
-                         AlphaAt alpha, std::size_t j0, std::size_t width,
-                         float* dst, std::size_t ld) {
+                         AlphaAt alpha, float* dst, std::size_t ld) {
   constexpr std::size_t kBlock = 16;
   float tile[kBlock][kBlock] = {};  // [row][column] of one block
   for (std::size_t ib = 0; ib < rows; ib += kBlock) {
     const std::size_t mb = std::min(kBlock, rows - ib);
-    for (std::size_t jb = 0; jb < width; jb += kBlock) {
-      const std::size_t nb = std::min(kBlock, width - jb);
+    for (std::size_t jb = 0; jb < cols; jb += kBlock) {
+      const std::size_t nb = std::min(kBlock, cols - jb);
       for (std::size_t r = 0; r < mb; ++r) {
         float* acc = tile[r];
         for (std::size_t k = 0; k < nb; ++k) acc[k] = 0.0f;
         for (unsigned q = 0; q < bits; ++q) {
-          const std::int8_t* src = planes[q].row(ib + r) + j0 + jb;
+          const std::int8_t* src = planes[q].row(ib + r) + jb;
           for (std::size_t k = 0; k < nb; ++k) {
-            acc[k] += alpha(q, ib + r, j0 + jb + k) * static_cast<float>(src[k]);
+            acc[k] += alpha(q, ib + r, jb + k) * static_cast<float>(src[k]);
           }
         }
       }
@@ -58,20 +57,14 @@ struct BinaryCodes {
   /// alphas[q][i] is the scale of plane q for output row i.
   std::vector<std::vector<float>> alphas;
 
-  /// Columns [j0, j0 + width) of the reconstruction into dst
-  /// (column-major, leading dimension ld); see reconstruct_columns.
-  void reconstruct(std::size_t j0, std::size_t width, float* dst,
-                   std::size_t ld) const {
-    reconstruct_columns(
-        rows, bits, planes,
-        [this](unsigned q, std::size_t i, std::size_t) { return alphas[q][i]; },
-        j0, width, dst, ld);
-  }
-
-  /// Reconstructs the dense approximation sum_q alpha_q o B_q.
+  /// Reconstructs the dense approximation sum_q alpha_q o B_q (see
+  /// reconstruct_columns).
   [[nodiscard]] Matrix dequantize() const {
     Matrix w(rows, cols, /*zero_fill=*/false);
-    reconstruct(0, cols, w.data(), w.ld());
+    reconstruct_columns(
+        rows, cols, bits, planes,
+        [this](unsigned q, std::size_t i, std::size_t) { return alphas[q][i]; },
+        w.data(), w.ld());
     return w;
   }
 

@@ -12,11 +12,11 @@ namespace biq {
 Matrix GroupedBinaryCodes::dequantize() const {
   Matrix w(rows, cols, /*zero_fill=*/false);
   reconstruct_columns(
-      rows, bits, planes,
+      rows, cols, bits, planes,
       [this](unsigned q, std::size_t i, std::size_t j) {
         return alpha(q, i, j / group_size);
       },
-      0, cols, w.data(), w.ld());
+      w.data(), w.ld());
   return w;
 }
 

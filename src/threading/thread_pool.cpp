@@ -103,9 +103,4 @@ void ThreadPool::run_raw(RawJob fn, void* ctx) {
   if (caller_error) std::rethrow_exception(caller_error);
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
-}
-
 }  // namespace biq

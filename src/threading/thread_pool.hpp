@@ -42,9 +42,6 @@ class ThreadPool {
   using RawJob = void (*)(void* ctx, unsigned worker);
   void run_raw(RawJob fn, void* ctx);
 
-  /// Process-wide default pool (size from BIQ_THREADS or the hardware).
-  static ThreadPool& global();
-
  private:
   void worker_loop(unsigned id);
 
@@ -59,49 +56,5 @@ class ThreadPool {
   bool stop_ = false;
   std::exception_ptr first_error_;
 };
-
-/// Splits [begin, end) into chunks of at most `grain` and executes
-/// fn(lo, hi) over them on the pool, dynamically load-balanced. Safe to
-/// call with an empty range; runs inline when the range fits one grain.
-template <typename Fn>
-void parallel_for(ThreadPool& pool, std::int64_t begin, std::int64_t end,
-                  std::int64_t grain, Fn&& fn);
-
-/// Convenience overload on the global pool.
-template <typename Fn>
-void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  Fn&& fn) {
-  parallel_for(ThreadPool::global(), begin, end, grain, std::forward<Fn>(fn));
-}
-
-}  // namespace biq
-
-#include <algorithm>
-#include <atomic>
-
-namespace biq {
-
-template <typename Fn>
-void parallel_for(ThreadPool& pool, std::int64_t begin, std::int64_t end,
-                  std::int64_t grain, Fn&& fn) {
-  if (end <= begin) return;
-  if (grain < 1) grain = 1;
-  const std::int64_t total = end - begin;
-  if (pool.worker_count() == 1 || total <= grain) {
-    fn(begin, end);
-    return;
-  }
-  const std::int64_t chunks = (total + grain - 1) / grain;
-  std::atomic<std::int64_t> next{0};
-  pool.run([&](unsigned /*worker*/) {
-    for (;;) {
-      const std::int64_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= chunks) break;
-      const std::int64_t lo = begin + c * grain;
-      const std::int64_t hi = std::min(end, lo + grain);
-      fn(lo, hi);
-    }
-  });
-}
 
 }  // namespace biq

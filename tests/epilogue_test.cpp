@@ -23,6 +23,11 @@
 namespace biq {
 namespace {
 
+/// The math plane every default-context plan below runs on.
+const engine::MathKernels& auto_math() {
+  return engine::select_plane(KernelIsa::kAuto).math;
+}
+
 /// The reference seam passes, in the exact order the fused epilogue
 /// applies per element: bias, then activation, then residual.
 void apply_separate(MatrixView y, const Epilogue& ep, ConstMatrixView res) {
@@ -31,7 +36,7 @@ void apply_separate(MatrixView y, const Epilogue& ep, ConstMatrixView res) {
     for (std::size_t i = 0; i < y.rows(); ++i) {
       float v = yc[i];
       if (ep.bias != nullptr) v += ep.bias[i];
-      v = epilogue::activate(v, ep.act);
+      v = epilogue::activate(v, ep.act, auto_math());
       if (ep.residual) v += res(i, c);
       yc[i] = v;
     }
@@ -441,7 +446,7 @@ TEST(EpilogueContract, ApplyInterleavedMatchesCopyThenApply) {
       ep.bias = combo.bias ? bias.data() : nullptr;
       ep.act = combo.act;
       ep.residual = combo.residual;
-      const EpilogueOp op(ep, res.view());
+      const EpilogueOp op(ep, res.view(), auto_math());
 
       Matrix got = sentinel_matrix();
       op.apply_interleaved(got.view(), tile.data(), rows.i0, rows.i1, lanes,

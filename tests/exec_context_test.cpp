@@ -191,6 +191,65 @@ TEST(Partitioner, SerialContextRunsInlineAsWorkerZero) {
   EXPECT_EQ(calls, 1);
 }
 
+TEST(Partitioner, EmptyRangeIsNoop) {
+  ThreadPool pool(2);
+  ExecContext ctx(&pool);
+  std::atomic<int> calls{0};
+  engine::for_each_tile(ctx, 0, 1, [&](unsigned, std::size_t, std::size_t) {
+    ++calls;
+  });
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(Partitioner, GrainLargerThanRangeRunsInline) {
+  ThreadPool pool(4);
+  ExecContext ctx(&pool);
+  int calls = 0;
+  engine::for_each_tile(ctx, 10, 100,
+                        [&](unsigned worker, std::size_t lo, std::size_t hi) {
+                          ++calls;
+                          EXPECT_EQ(worker, 0u);
+                          EXPECT_EQ(lo, 0u);
+                          EXPECT_EQ(hi, 10u);
+                        });
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(Partitioner, ZeroGrainIsClampedToOne) {
+  ThreadPool pool(2);
+  ExecContext ctx(&pool);
+  std::atomic<std::size_t> total{0};
+  std::atomic<bool> wider{false};
+  engine::for_each_tile(ctx, 16, 0,
+                        [&](unsigned, std::size_t lo, std::size_t hi) {
+                          if (hi - lo != 1) wider = true;
+                          total.fetch_add(hi - lo);
+                        });
+  EXPECT_EQ(total.load(), 16u);
+  EXPECT_FALSE(wider.load());
+}
+
+TEST(Partitioner, ChunksRespectGrainAndSumMatchesSerial) {
+  ThreadPool pool(4);
+  ExecContext ctx(&pool);
+  constexpr std::size_t kTotal = 10000, kGrain = 128;
+  std::atomic<bool> bad_chunk{false};
+  std::atomic<long long> sum{0};
+  engine::for_each_tile(ctx, kTotal, kGrain,
+                        [&](unsigned, std::size_t lo, std::size_t hi) {
+                          if (hi <= lo || hi - lo > kGrain || lo % kGrain != 0) {
+                            bad_chunk = true;
+                          }
+                          long long local = 0;
+                          for (std::size_t i = lo; i < hi; ++i) {
+                            local += static_cast<long long>(i);
+                          }
+                          sum.fetch_add(local);
+                        });
+  EXPECT_FALSE(bad_chunk.load());
+  EXPECT_EQ(sum.load(), static_cast<long long>(kTotal) * (kTotal - 1) / 2);
+}
+
 // --------------------------------------------- warm-path zero allocation
 
 TEST(ExecContext, WarmBiqGemmRunsServeScratchFromTheArena) {

@@ -142,14 +142,14 @@ TEST(Integration, MixedPrecisionEncoderFloatAttentionQuantFfn) {
   const std::size_t d = 32;
   Rng rng(7);
   auto fp_proj = [&] {
-    return std::make_unique<nn::Linear>(nn::xavier_uniform(d, d, rng),
-                                        std::vector<float>());
+    return nn::make_linear(nn::xavier_uniform(d, d, rng),
+                           std::vector<float>(), 0);
   };
   nn::MultiHeadAttention attn(fp_proj(), fp_proj(), fp_proj(), fp_proj(), 4);
-  auto up = std::make_unique<nn::QuantLinear>(nn::xavier_uniform(2 * d, d, rng),
-                                              std::vector<float>(), 3);
-  auto down = std::make_unique<nn::QuantLinear>(
-      nn::xavier_uniform(d, 2 * d, rng), std::vector<float>(), 3);
+  auto up = nn::make_linear(nn::xavier_uniform(2 * d, d, rng),
+                            std::vector<float>(), 3);
+  auto down = nn::make_linear(nn::xavier_uniform(d, 2 * d, rng),
+                              std::vector<float>(), 3);
   nn::FeedForward ffn(std::move(up), std::move(down));
   nn::EncoderLayer layer(std::move(attn), std::move(ffn), d);
 

@@ -16,7 +16,10 @@
 #include <vector>
 
 #include "engine/dispatch.hpp"
+#include "engine/registry.hpp"
 #include "matrix/matrix.hpp"
+#include "nn/activations.hpp"
+#include "nn/model_plan.hpp"
 #include "util/rng.hpp"
 
 namespace biq::engine {
@@ -300,9 +303,43 @@ TEST(MathKernels, AttendHeadMatchesDoubleReferenceOnStridedViews) {
   }
 }
 
-TEST(MathKernels, ProcessPlaneIsTheAutoSelection) {
-  EXPECT_EQ(&math_plane(), &select_plane(KernelIsa::kAuto).math);
-  EXPECT_STREQ(select_plane(KernelIsa::kScalar).isa, "scalar");
+// A plan runs the math plane of the ExecContext it was planned on, not
+// the process default: on a scalar context a GELU epilogue and a
+// standalone Activation step both give the scalar plane's GELU bits,
+// whatever plane kAuto (or BIQ_ISA) picks. The vector planes' GELU
+// differs from the scalar one in the last bits on a few hundred of
+// these 4096 inputs, so a plan that fell back to the process plane
+// fails here on a vector host.
+TEST(MathKernels, PlansRunTheMathPlaneOfTheirContext) {
+  constexpr std::size_t kRows = 64, kCols = 64;
+  Rng rng(27);
+  const Matrix x = Matrix::random_uniform(kRows, kCols, rng, -6.0f, 6.0f);
+  const MathKernels& scalar = select_plane(KernelIsa::kScalar).math;
+  ExecContext ctx(nullptr, KernelIsa::kScalar);
+
+  // GEMM plan with a GELU epilogue: gelu(W . x), against the scalar
+  // sweep over the same plan's epilogue-free output.
+  const auto eng = make_engine("blocked", Matrix::random_normal(kRows, kRows, rng));
+  Epilogue ep;
+  ep.act = EpilogueAct::kGelu;
+  const auto fused = eng->plan(kCols, ctx, ep);
+  EXPECT_STREQ(fused->plane().isa, "scalar");
+  Matrix raw(kRows, kCols), got(kRows, kCols);
+  eng->plan(kCols, ctx)->run(x, raw);
+  fused->run(x, got);
+  Matrix want = raw;
+  scalar.gelu(want.data(), want.data(), kRows * kCols);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), kRows * kCols * sizeof(float)),
+            0);
+
+  // Standalone Activation(kGelu) module: gelu(x).
+  const nn::Activation act(kRows, nn::Act::kGelu);
+  const nn::ModelPlan plan(act, kCols, ctx);
+  Matrix y(kRows, kCols), expect(kRows, kCols);
+  plan.run(x, y);
+  scalar.gelu(x.data(), expect.data(), kRows * kCols);
+  EXPECT_EQ(std::memcmp(y.data(), expect.data(), kRows * kCols * sizeof(float)),
+            0);
 }
 
 }  // namespace

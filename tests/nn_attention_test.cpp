@@ -17,7 +17,7 @@ Matrix identity(std::size_t n) {
 }
 
 std::unique_ptr<LinearLayer> identity_layer(std::size_t n) {
-  return std::make_unique<Linear>(identity(n), std::vector<float>());
+  return make_linear(identity(n), std::vector<float>(), 0);
 }
 
 /// Hand-rolled single-head attention with identity projections:
@@ -33,7 +33,7 @@ Matrix reference_self_attention(const Matrix& x) {
       scores(kt, qt) = dot * inv;
     }
   }
-  softmax_columns(scores);
+  softmax_columns(scores, engine::select_plane(KernelIsa::kAuto).math);
   Matrix y(d, t, /*zero_fill=*/true);
   for (std::size_t qt = 0; qt < t; ++qt) {
     for (std::size_t kt = 0; kt < t; ++kt) {
@@ -114,10 +114,10 @@ TEST(Attention, QuantizedProjectionsStayClose) {
   Matrix wo = xavier_uniform(d, d, wrng);
 
   auto fp_layer = [&](const Matrix& w) {
-    return std::make_unique<Linear>(w, std::vector<float>());
+    return make_linear(w, std::vector<float>(), 0);
   };
   auto q_layer = [&](const Matrix& w) {
-    return std::make_unique<QuantLinear>(w, std::vector<float>(), 4);
+    return make_linear(w, std::vector<float>(), 4);
   };
 
   MultiHeadAttention fp(fp_layer(wq), fp_layer(wk), fp_layer(wv), fp_layer(wo), 4);
@@ -140,8 +140,8 @@ TEST(Attention, RejectsBadConfigs) {
                                   identity_layer(8), identity_layer(8), 3),
                std::invalid_argument);  // 3 does not divide 8
   Rng rng(5);
-  auto rect = std::make_unique<Linear>(Matrix::random_normal(8, 4, rng),
-                                       std::vector<float>());
+  auto rect = make_linear(Matrix::random_normal(8, 4, rng),
+                          std::vector<float>(), 0);
   EXPECT_THROW(MultiHeadAttention(std::move(rect), identity_layer(8),
                                   identity_layer(8), identity_layer(8), 2),
                std::invalid_argument);

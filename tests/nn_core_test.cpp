@@ -19,6 +19,11 @@ Matrix filled(std::initializer_list<float> vals, std::size_t rows,
   return m;
 }
 
+/// The math plane a default-context plan runs on.
+const engine::MathKernels& math() {
+  return engine::select_plane(KernelIsa::kAuto).math;
+}
+
 /// The Activation module's output (a compiled one-step plan).
 Matrix activated(const Matrix& x, Act act) {
   Matrix y(x.rows(), x.cols());
@@ -44,9 +49,9 @@ TEST(Activations, SigmoidKnownValues) {
   Matrix x = filled({0.0f}, 1, 1);
   x = activated(x, Act::kSigmoid);
   EXPECT_FLOAT_EQ(x(0, 0), 0.5f);
-  EXPECT_FLOAT_EQ(epilogue::activate(0.0f, EpilogueAct::kSigmoid), 0.5f);
-  EXPECT_NEAR(epilogue::activate(100.0f, EpilogueAct::kSigmoid), 1.0f, 1e-6f);
-  EXPECT_NEAR(epilogue::activate(-100.0f, EpilogueAct::kSigmoid), 0.0f, 1e-6f);
+  EXPECT_FLOAT_EQ(epilogue::activate(0.0f, EpilogueAct::kSigmoid, math()), 0.5f);
+  EXPECT_NEAR(epilogue::activate(100.0f, EpilogueAct::kSigmoid, math()), 1.0f, 1e-6f);
+  EXPECT_NEAR(epilogue::activate(-100.0f, EpilogueAct::kSigmoid, math()), 0.0f, 1e-6f);
 }
 
 TEST(Activations, TanhMatchesStd) {
@@ -110,7 +115,7 @@ TEST(Activations, SigmoidNumericalEdges) {
 TEST(Softmax, ColumnsSumToOne) {
   Rng rng(1);
   Matrix x = Matrix::random_normal(9, 4, rng);
-  softmax_columns(x);
+  softmax_columns(x, math());
   for (std::size_t c = 0; c < 4; ++c) {
     float sum = 0.0f;
     for (std::size_t i = 0; i < 9; ++i) {
@@ -123,7 +128,7 @@ TEST(Softmax, ColumnsSumToOne) {
 
 TEST(Softmax, StableForLargeLogits) {
   Matrix x = filled({1000.0f, 999.0f}, 2, 1);
-  softmax_columns(x);
+  softmax_columns(x, math());
   EXPECT_TRUE(std::isfinite(x(0, 0)));
   EXPECT_NEAR(x(0, 0) + x(1, 0), 1.0f, 1e-5f);
   EXPECT_GT(x(0, 0), x(1, 0));
@@ -132,7 +137,7 @@ TEST(Softmax, StableForLargeLogits) {
 TEST(Softmax, UniformInputGivesUniformOutput) {
   Matrix x(5, 1);
   x.fill(0.3f);
-  softmax_columns(x);
+  softmax_columns(x, math());
   for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(x(i, 0), 0.2f, 1e-6f);
 }
 
@@ -143,7 +148,7 @@ TEST(Softmax, AllEqualColumnsAreExactlyUniform) {
   for (const float v : {0.0f, -0.0f, 1e6f, -1e6f, 3.25f}) {
     Matrix x(4, 3);
     x.fill(v);
-    softmax_columns(x);
+    softmax_columns(x, math());
     for (std::size_t c = 0; c < 3; ++c) {
       for (std::size_t i = 0; i < 4; ++i) {
         EXPECT_EQ(x(i, c), 0.25f) << "v=" << v;
@@ -154,7 +159,7 @@ TEST(Softmax, AllEqualColumnsAreExactlyUniform) {
 
 TEST(Softmax, ExtremeLogitsProduceNoNaN) {
   Matrix x = filled({1e8f, -1e8f, 0.0f, -0.0f}, 4, 1);
-  softmax_columns(x);
+  softmax_columns(x, math());
   float sum = 0.0f;
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_TRUE(std::isfinite(x(i, 0))) << "row " << i;
@@ -169,7 +174,7 @@ TEST(Softmax, ZeroRowColumnsAreANoOp) {
   // Columns with no rows hold no distribution; a 0-row matrix has no
   // storage, so nothing may be read through its column pointers.
   Matrix x(0, 3);
-  softmax_columns(x);
+  softmax_columns(x, math());
   EXPECT_EQ(x.rows(), 0u);
   EXPECT_EQ(x.cols(), 3u);
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/biqgemm.hpp"
 #include "gemm/gemm_ref.hpp"
 #include "nn/linear.hpp"
 #include "nn/model_plan.hpp"
@@ -16,7 +17,7 @@ void add_bias(Matrix& y, const std::vector<float>& bias) {
   }
 }
 
-TEST(Linear, MatchesReferenceWithBias) {
+TEST(LinearLayer, MatchesReferenceWithBias) {
   Rng rng(1);
   Matrix w = Matrix::random_normal(12, 20, rng);
   std::vector<float> bias(12);
@@ -27,53 +28,57 @@ TEST(Linear, MatchesReferenceWithBias) {
   gemm_ref(w, x, expected);
   add_bias(expected, bias);
 
-  const Linear layer(w, bias);
+  const auto layer = make_linear(w, bias, 0);
   Matrix actual(12, 5);
-  layer.forward(x, actual);
+  layer->forward(x, actual);
   EXPECT_TRUE(allclose(actual, expected, 1e-3f, 1e-3f));
-  EXPECT_EQ(layer.in_features(), 20u);
-  EXPECT_EQ(layer.out_features(), 12u);
-  EXPECT_EQ(layer.weight_bytes(), 12u * 20u * 4u);
+  EXPECT_EQ(layer->in_features(), 20u);
+  EXPECT_EQ(layer->out_features(), 12u);
+  EXPECT_EQ(layer->weight_bytes(), 12u * 20u * 4u);
 }
 
-TEST(Linear, EmptyBiasSkipsAddition) {
+TEST(LinearLayer, EmptyBiasSkipsAddition) {
   Rng rng(2);
   Matrix w = Matrix::random_normal(6, 6, rng);
   Matrix x = Matrix::random_normal(6, 2, rng);
   Matrix expected(6, 2);
   gemm_ref(w, x, expected);
-  const Linear layer(w, {});
+  const auto layer = make_linear(w, {}, 0);
   Matrix actual(6, 2);
-  layer.forward(x, actual);
+  layer->forward(x, actual);
   EXPECT_TRUE(allclose(actual, expected, 1e-3f, 1e-3f));
 }
 
-TEST(Linear, RejectsBadBias) {
+TEST(LinearLayer, RejectsBadBias) {
   Rng rng(3);
   Matrix w = Matrix::random_normal(4, 4, rng);
-  EXPECT_THROW(Linear(w, std::vector<float>(3, 0.0f)), std::invalid_argument);
+  for (const unsigned bits : {0u, 2u}) {
+    EXPECT_THROW((void)make_linear(w, std::vector<float>(3, 0.0f), bits),
+                 std::invalid_argument)
+        << "bits=" << bits;
+  }
 }
 
-TEST(QuantLinear, MatchesDequantizedGemmExactly) {
+TEST(MakeLinear, QuantizedMatchesCodesGemm) {
   Rng rng(4);
   Matrix w = Matrix::random_normal(16, 32, rng);
   std::vector<float> bias(16, 0.25f);
   Matrix x = Matrix::random_normal(32, 4, rng);
 
-  // QuantLinear(greedy, q bits) must equal GEMM with the greedy codes.
+  // make_linear(greedy, q bits) must equal GEMM with the greedy codes.
   const BinaryCodes codes = quantize_greedy(w, 3);
   Matrix expected(16, 4);
   gemm_codes_ref(codes, x, expected);
   add_bias(expected, bias);
 
-  const QuantLinear layer(w, bias, 3, QuantMethod::kGreedy);
+  const auto layer = make_linear(w, bias, 3, QuantMethod::kGreedy);
   Matrix actual(16, 4);
-  layer.forward(x, actual);
+  layer->forward(x, actual);
   EXPECT_TRUE(allclose(actual, expected, 1e-3f, 1e-3f));
-  EXPECT_EQ(layer.bits(), 3u);
+  EXPECT_EQ(static_cast<const BiqGemm&>(layer->engine()).bits(), 3u);
 }
 
-TEST(QuantLinear, AlternatingMethodWired) {
+TEST(MakeLinear, AlternatingMethodWired) {
   Rng rng(5);
   Matrix w = Matrix::random_normal(10, 24, rng);
   Matrix x = Matrix::random_normal(24, 2, rng);
@@ -81,25 +86,25 @@ TEST(QuantLinear, AlternatingMethodWired) {
   Matrix expected(10, 2);
   gemm_codes_ref(codes, x, expected);
 
-  const QuantLinear layer(w, {}, 2, QuantMethod::kAlternating);
+  const auto layer = make_linear(w, {}, 2, QuantMethod::kAlternating);
   Matrix actual(10, 2);
-  layer.forward(x, actual);
+  layer->forward(x, actual);
   EXPECT_TRUE(allclose(actual, expected, 1e-3f, 1e-3f));
 }
 
-TEST(QuantLinear, ApproximatesFloatLayerWithinQuantError) {
+TEST(MakeLinear, ApproximatesFloatLayerWithinQuantError) {
   Rng rng(6);
   Matrix w = Matrix::random_normal(64, 128, rng);
   Matrix x = Matrix::random_normal(128, 8, rng);
 
-  const Linear fp(w, {});
+  const auto fp = make_linear(w, {}, 0);
   Matrix y_fp(64, 8);
-  fp.forward(x, y_fp);
+  fp->forward(x, y_fp);
 
   for (unsigned bits : {1u, 2u, 3u, 4u}) {
-    const QuantLinear q(w, {}, bits);
+    const auto q = make_linear(w, {}, bits);
     Matrix y_q(64, 8);
-    q.forward(x, y_q);
+    q->forward(x, y_q);
     const double err = rel_fro_error(y_q, y_fp);
     EXPECT_LT(err, 1.0) << "bits=" << bits;
     if (bits >= 3) {
@@ -108,53 +113,49 @@ TEST(QuantLinear, ApproximatesFloatLayerWithinQuantError) {
   }
 }
 
-TEST(QuantLinear, OutputErrorShrinksWithBits) {
+TEST(MakeLinear, OutputErrorShrinksWithBits) {
   Rng rng(7);
   Matrix w = Matrix::random_normal(48, 96, rng);
   Matrix x = Matrix::random_normal(96, 4, rng);
-  const Linear fp(w, {});
+  const auto fp = make_linear(w, {}, 0);
   Matrix y_fp(48, 4);
-  fp.forward(x, y_fp);
+  fp->forward(x, y_fp);
 
   double prev = 1e9;
   for (unsigned bits : {1u, 2u, 4u}) {
-    const QuantLinear q(w, {}, bits);
+    const auto q = make_linear(w, {}, bits);
     Matrix y_q(48, 4);
-    q.forward(x, y_q);
+    q->forward(x, y_q);
     const double err = rel_fro_error(y_q, y_fp);
     EXPECT_LT(err, prev) << "bits=" << bits;
     prev = err;
   }
 }
 
-TEST(QuantLinear, CompressionRatioNearFactorOfBits) {
+TEST(MakeLinear, CompressionRatioNearFactorOfBits) {
   Rng rng(8);
   Matrix w = Matrix::random_normal(256, 256, rng);
-  const QuantLinear q2(w, {}, 2);
-  const Linear fp(w, {});
-  const double ratio = static_cast<double>(fp.weight_bytes()) /
-                       static_cast<double>(q2.weight_bytes());
+  const auto q2 = make_linear(w, {}, 2);
+  const auto fp = make_linear(w, {}, 0);
+  const double ratio = static_cast<double>(fp->weight_bytes()) /
+                       static_cast<double>(q2->weight_bytes());
   // 32/2 = 16x, minus scale overhead.
   EXPECT_GT(ratio, 14.0);
   EXPECT_LE(ratio, 16.0);
 }
 
-TEST(QuantLinear, QuantizationErrorRecorded) {
-  Rng rng(9);
-  Matrix w = Matrix::random_normal(20, 40, rng);
-  const QuantLinear q1(w, {}, 1);
-  const QuantLinear q4(w, {}, 4);
-  EXPECT_GT(q1.quantization_error(), q4.quantization_error());
-  EXPECT_GT(q1.quantization_error(), 0.0);
-}
-
 TEST(MakeLinear, DispatchesOnBits) {
   Rng rng(10);
   Matrix w = Matrix::random_normal(8, 8, rng);
-  auto fp = make_linear(w, {}, 0);
-  auto quant = make_linear(w, {}, 2);
-  EXPECT_NE(dynamic_cast<Linear*>(fp.get()), nullptr);
-  EXPECT_NE(dynamic_cast<QuantLinear*>(quant.get()), nullptr);
+  BiqGemmOptions opt;
+  opt.mu = 4;
+  const auto fp = make_linear(w, {}, 0);
+  const auto quant = make_linear(w, {}, 2, QuantMethod::kGreedy, opt);
+  EXPECT_EQ(fp->engine().name(), "blocked");
+  ASSERT_EQ(quant->engine().name(), "biqgemm");
+  const auto& biq = static_cast<const BiqGemm&>(quant->engine());
+  EXPECT_EQ(biq.bits(), 2u);
+  EXPECT_EQ(biq.mu(), 4u);
 }
 
 TEST(MakeLinear, PooledForwardMatchesSerialBitwise) {
@@ -190,9 +191,9 @@ TEST(LinearLayer, PlannedStepReadsAndWritesStridedWindows) {
   std::vector<float> bias(24, 0.5f);
   Matrix x = Matrix::random_normal(32, 6, rng);
 
-  const QuantLinear layer(w, bias, 2);
+  const auto layer = make_linear(w, bias, 2);
   ExecContext ctx;
-  const ModelPlan plan(layer, 6, ctx);
+  const ModelPlan plan(*layer, 6, ctx);
   Matrix dense(24, 6);
   plan.run(x, dense);
 

@@ -43,9 +43,8 @@ TEST(Lstm, ScanMatchesHandRolledSteps) {
   std::vector<float> bias(4 * hidden);
   fill_normal(rng, bias.data(), bias.size(), 0.0f, 0.1f);
 
-  const Lstm lstm(LstmCell(std::make_unique<Linear>(wx, std::vector<float>()),
-                           std::make_unique<Linear>(wh, std::vector<float>()),
-                           bias));
+  const Lstm lstm(LstmCell(make_linear(wx, std::vector<float>(), 0),
+                           make_linear(wh, std::vector<float>(), 0), bias));
   const Matrix x = Matrix::random_normal(in, frames, rng);
   Matrix h_out(hidden, frames);
   lstm.forward(x, h_out);
@@ -61,10 +60,10 @@ TEST(Lstm, ScanMatchesHandRolledSteps) {
 
 TEST(LstmCell, ValidatesShapes) {
   Rng rng(2);
-  auto wx = std::make_unique<Linear>(Matrix::random_normal(20, 6, rng),
-                                     std::vector<float>());
-  auto wh_bad = std::make_unique<Linear>(Matrix::random_normal(16, 5, rng),
-                                         std::vector<float>());
+  auto wx = make_linear(Matrix::random_normal(20, 6, rng),
+                        std::vector<float>(), 0);
+  auto wh_bad = make_linear(Matrix::random_normal(16, 5, rng),
+                            std::vector<float>(), 0);
   EXPECT_THROW(LstmCell(std::move(wx), std::move(wh_bad),
                         std::vector<float>(20, 0.0f)),
                std::invalid_argument);
@@ -166,7 +165,8 @@ TEST(Lstm, ForgetGateBiasInitializedToOne) {
     EXPECT_EQ(cell.gate_bias()[3 + j], 1.0f);
   }
   std::vector<float> h(3, 0.0f), c{1.0f, 1.0f, 1.0f};
-  cell.apply_gates(cell.gate_bias().data(), h.data(), c.data());
+  cell.apply_gates(cell.gate_bias().data(), h.data(), c.data(),
+                   engine::select_plane(KernelIsa::kAuto).math);
   for (float v : c) EXPECT_GT(v, 0.5f);
 }
 

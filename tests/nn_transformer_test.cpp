@@ -99,10 +99,10 @@ TEST(Transformer, QuantizedWeightsCompressStorage) {
 
 TEST(FeedForward, RejectsNonTransposedShapes) {
   Rng rng(5);
-  auto up = std::make_unique<Linear>(Matrix::random_normal(16, 8, rng),
-                                     std::vector<float>());
-  auto down_bad = std::make_unique<Linear>(Matrix::random_normal(8, 12, rng),
-                                           std::vector<float>());
+  auto up = make_linear(Matrix::random_normal(16, 8, rng),
+                        std::vector<float>(), 0);
+  auto down_bad = make_linear(Matrix::random_normal(8, 12, rng),
+                              std::vector<float>(), 0);
   EXPECT_THROW(FeedForward(std::move(up), std::move(down_bad)),
                std::invalid_argument);
 }
@@ -112,9 +112,8 @@ TEST(FeedForward, AppliesActivationBetweenLayers) {
   const std::size_t d = 4;
   Matrix ident(d, d);
   for (std::size_t i = 0; i < d; ++i) ident(i, i) = 1.0f;
-  FeedForward ffn(std::make_unique<Linear>(ident, std::vector<float>()),
-                  std::make_unique<Linear>(ident, std::vector<float>()),
-                  Act::kRelu);
+  FeedForward ffn(make_linear(ident, std::vector<float>(), 0),
+                  make_linear(ident, std::vector<float>(), 0), Act::kRelu);
   Matrix x(d, 1);
   x(0, 0) = -5.0f;
   x(1, 0) = 2.0f;
@@ -141,8 +140,7 @@ TEST(Transformer, ModuleInterfaceShapes) {
 }
 
 std::unique_ptr<LinearLayer> square(std::size_t n, Rng& rng) {
-  return std::make_unique<Linear>(xavier_uniform(n, n, rng),
-                                  std::vector<float>());
+  return make_linear(xavier_uniform(n, n, rng), std::vector<float>(), 0);
 }
 
 MultiHeadAttention attention(std::size_t n, Rng& rng) {
@@ -152,10 +150,8 @@ MultiHeadAttention attention(std::size_t n, Rng& rng) {
 
 FeedForward ffn(std::size_t n, Rng& rng) {
   return FeedForward(
-      std::make_unique<Linear>(xavier_uniform(2 * n, n, rng),
-                               std::vector<float>()),
-      std::make_unique<Linear>(xavier_uniform(n, 2 * n, rng),
-                               std::vector<float>()));
+      make_linear(xavier_uniform(2 * n, n, rng), std::vector<float>(), 0),
+      make_linear(xavier_uniform(n, 2 * n, rng), std::vector<float>(), 0));
 }
 
 TEST(EncoderLayer, RejectsSubBlocksOfAnotherWidth) {

@@ -180,6 +180,19 @@ TEST(ErrorMetrics, SqnrInfiniteForExactAndPositiveForNoisy) {
   EXPECT_GT(db, 0.0);
 }
 
+TEST(ErrorMetrics, RelativeReconstructionErrorFallsWithBits) {
+  // The Table I quality proxy: the relative Frobenius error of the
+  // dequantized weights is positive and strictly falls from 1 to 4 bits.
+  const Matrix w = random_weights(20, 40, 9);
+  double prev = 2.0;
+  for (unsigned bits = 1; bits <= 4; ++bits) {
+    const double err = rel_fro_error(quantize_greedy(w, bits).dequantize(), w);
+    EXPECT_GT(err, 0.0) << "bits=" << bits;
+    EXPECT_LT(err, prev) << "bits=" << bits;
+    prev = err;
+  }
+}
+
 TEST(ErrorMetrics, MseOfShiftedMatrix) {
   Matrix a(2, 2), b(2, 2);
   b(0, 0) = 2.0f;  // single element differs by 2

@@ -4,7 +4,6 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
-#include <vector>
 
 #include "threading/thread_pool.hpp"
 
@@ -68,76 +67,6 @@ TEST(ThreadPool, PropagatesCallerThreadException) {
         if (id == 0) throw std::logic_error("caller");
       }),
       std::logic_error);
-}
-
-TEST(ParallelFor, CoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, 0, 1000, 7, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  int calls = 0;
-  parallel_for(pool, 5, 5, 1, [&](std::int64_t, std::int64_t) { ++calls; });
-  parallel_for(pool, 9, 3, 1, [&](std::int64_t, std::int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(ParallelFor, GrainLargerThanRangeRunsInline) {
-  ThreadPool pool(4);
-  int calls = 0;
-  parallel_for(pool, 0, 10, 100, [&](std::int64_t lo, std::int64_t hi) {
-    ++calls;
-    EXPECT_EQ(lo, 0);
-    EXPECT_EQ(hi, 10);
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ParallelFor, NonPositiveGrainIsClamped) {
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  parallel_for(pool, 0, 16, 0, [&](std::int64_t lo, std::int64_t hi) {
-    total.fetch_add(static_cast<int>(hi - lo));
-  });
-  EXPECT_EQ(total.load(), 16);
-}
-
-TEST(ParallelFor, ChunksRespectGrain) {
-  ThreadPool pool(1);  // inline => deterministic chunking is observable
-  std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
-  parallel_for(pool, 0, 10, 3, [&](std::int64_t lo, std::int64_t hi) {
-    chunks.emplace_back(lo, hi);
-  });
-  // worker_count()==1 short-circuits to a single inline call.
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks[0].first, 0);
-  EXPECT_EQ(chunks[0].second, 10);
-}
-
-TEST(ParallelFor, ParallelSumMatchesSerial) {
-  ThreadPool pool(4);
-  std::vector<double> data(10000);
-  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<double>(i);
-  std::atomic<long long> sum{0};
-  parallel_for(pool, 0, static_cast<std::int64_t>(data.size()), 128,
-               [&](std::int64_t lo, std::int64_t hi) {
-                 long long local = 0;
-                 for (std::int64_t i = lo; i < hi; ++i) {
-                   local += static_cast<long long>(data[i]);
-                 }
-                 sum.fetch_add(local);
-               });
-  EXPECT_EQ(sum.load(), 10000LL * 9999 / 2);
-}
-
-TEST(ThreadPool, GlobalPoolIsSingleton) {
-  EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
-  EXPECT_GE(ThreadPool::global().worker_count(), 1u);
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 //     across (column, row-tile range) items,
 //   * zero heap allocations on warm plan->run for 2-bit and 4-bit
 //     paths, pinned by a binary-wide instrumented operator new,
-//   * the nn::Linear / make_linear_engine integration path.
+//   * the nn::LinearLayer / make_linear_engine integration path.
 #include <gtest/gtest.h>
 
 #include <atomic>
