@@ -4,9 +4,11 @@
 //   serial     one ExecContext, one ModelPlan per request width, each
 //              request runs back-to-back (the no-server baseline),
 //   pipelined  InferenceServer with 2 worker contexts and max_wait 0:
-//              no coalescing, but two buckets in flight overlap,
+//              two buckets in flight overlap, and a worker coalesces
+//              only what is already queued when it frees up,
 //   batched    InferenceServer with 2 worker contexts and a coalescing
-//              deadline: requests concatenate into power-of-two buckets.
+//              deadline: a worker also waits for more requests to
+//              concatenate into its power-of-two bucket.
 //
 // The generator offers load at ~2x the serial capacity (inter-arrival =
 // serial median latency / 2), so the serial shape saturates and the
@@ -258,9 +260,9 @@ int main(int argc, char** argv) {
   std::printf(
       "serial measures pure back-to-back service time (it IS the\n"
       "capacity the offered load doubles); pipelined overlaps two\n"
-      "in-flight buckets on distinct ExecContexts; batched additionally\n"
-      "coalesces queued requests into power-of-two buckets, so each\n"
-      "dispatch amortizes one plan traversal over avg cols/batch\n"
+      "in-flight buckets on distinct ExecContexts and coalesces what is\n"
+      "already queued; batched additionally waits for co-travellers, so\n"
+      "each dispatch amortizes one plan traversal over avg cols/batch\n"
       "columns. p50/p99 include queueing delay under the offered load.\n");
   return 0;
 }

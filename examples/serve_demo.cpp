@@ -1,7 +1,7 @@
 // Concurrent serving in ~100 lines: an InferenceServer owns one
 // quantized MLP's weights, four submitter threads fire mixed-width
-// requests at it, the batcher coalesces them into power-of-two buckets
-// and two worker ExecContexts execute the buckets in flight — then
+// requests at it, and two workers each coalesce them into power-of-two
+// buckets and execute those on their own ExecContext — then
 // every result is checked bitwise against a serial same-bucket
 // ModelPlan run. Exits non-zero on any divergence, so CI can smoke-run
 // it as a correctness gate.

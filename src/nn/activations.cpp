@@ -2,11 +2,6 @@
 
 namespace biq::nn {
 
-void softmax_columns(MatrixView x, const engine::MathKernels& math) noexcept {
-  if (x.rows() == 0) return;
-  for (std::size_t c = 0; c < x.cols(); ++c) math.softmax(x.col(c), x.rows());
-}
-
 // ------------------------------------------------------------- Activation
 
 namespace {

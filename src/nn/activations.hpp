@@ -1,13 +1,13 @@
-// Element-wise non-linearities and column softmax. Activations stay fp32
-// throughout (the paper quantizes weights only; Sec. II argues activation
-// quantization costs accuracy and on-the-fly conversion work).
+// Element-wise non-linearities. Activations stay fp32 throughout (the
+// paper quantizes weights only; Sec. II argues activation quantization
+// costs accuracy and on-the-fly conversion work).
 //
 // The activation sweep lives in engine/epilogue.hpp so a non-linearity
 // fused into a GEMM plan's output loop and a standalone Activation step
-// are THE SAME arithmetic — bitwise, not approximately. Both, and the
-// softmax below, run their transcendentals on a per-ISA math plane
-// (engine/dispatch.hpp), one vectorized exp shared by every caller: a
-// planned step uses the plane of the ExecContext it was planned on.
+// are THE SAME arithmetic — bitwise, not approximately. Both run their
+// transcendentals on a per-ISA math plane (engine/dispatch.hpp), one
+// vectorized exp shared by every caller: a planned step uses the plane
+// of the ExecContext it was planned on.
 #pragma once
 
 #include "engine/epilogue.hpp"
@@ -29,11 +29,6 @@ enum class Act { kRelu, kGelu, kSigmoid, kTanh };
   }
   return EpilogueAct::kNone;
 }
-
-/// Numerically-stable softmax over the rows of each column (columns are
-/// independent distributions) — the attention-weight normalization — on
-/// the math plane `math`. A view with no rows is a no-op.
-void softmax_columns(MatrixView x, const engine::MathKernels& math) noexcept;
 
 /// Element-wise activation as a module: y(i, c) = act(x(i, c)), with
 /// GELU in its tanh approximation (as used by BERT-family models). Shape

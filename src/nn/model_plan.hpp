@@ -93,8 +93,8 @@ class ModelPlan {
 /// plans are live at once — each holds an activation arena block on the
 /// context, so an unbounded cache would grow the context's footprint
 /// with every distinct batch width ever requested. The default capacity
-/// keeps all power-of-two buckets up to 128 resident, which is exactly
-/// the working set of the serve PlanPool built on top. A model or context change clears the
+/// keeps all power-of-two buckets up to 128 resident: the widths a
+/// bucket-padding server asks for. A model or context change clears the
 /// cache (plans are only valid for the pair they were compiled for).
 /// The model must outlive the cache. Model may be any PlannableModule
 /// type. Like plan compilation itself this is control-path state: one

@@ -4,119 +4,60 @@
 
 namespace biq::serve {
 
-RequestQueue::RequestQueue(std::size_t capacity, std::size_t shards) {
-  const std::size_t n = std::max<std::size_t>(1, shards);
-  const std::size_t per_shard = std::max<std::size_t>(1, capacity / n);
-  shards_.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    shards_.push_back(std::make_unique<Shard>(per_shard));
-  }
-}
+RequestQueue::RequestQueue(std::size_t capacity)
+    : ring_(std::max<std::size_t>(1, capacity)) {}
 
-bool RequestQueue::try_push_shard(Shard& shard, const Request& r) {
-  std::lock_guard<std::mutex> lock(shard.m);
-  if (shard.count == shard.ring.size()) return false;
-  shard.ring[(shard.head + shard.count) % shard.ring.size()] = r;
-  ++shard.count;
-  // Inside the shard lock, so a consumer that observes the increment
-  // and scans the shards is guaranteed to find the request. seq_cst —
-  // not release — because wake_consumer() then READS the sleeping flag:
-  // the increment and that read must not reorder against the consumer's
-  // flag-store/pending-read pair, or both sides see stale values and
-  // the wakeup is lost (Dekker's protocol needs the total order).
-  pending_.fetch_add(1, std::memory_order_seq_cst);
+bool RequestQueue::push(const Request& r) {
+  std::unique_lock<std::mutex> lock(m_);
+  not_full_.wait(lock, [&] { return count_ < ring_.size() || closed_; });
+  if (closed_) return false;
+  ring_[(head_ + count_) % ring_.size()] = r;
+  ++count_;
+  lock.unlock();
+  not_empty_.notify_one();
   return true;
 }
 
-bool RequestQueue::push(const Request& r) {
-  const std::size_t start =
-      rr_push_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
-  for (;;) {
-    if (closed()) return false;
-    // One non-blocking pass over all shards starting from this
-    // producer's round-robin home...
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      Shard& shard = *shards_[(start + i) % shards_.size()];
-      if (try_push_shard(shard, r)) {
-        wake_consumer();
-        return true;
-      }
-    }
-    // ... then sleep on the home shard until the consumer frees space.
-    Shard& home = *shards_[start];
-    std::unique_lock<std::mutex> lock(home.m);
-    home.not_full.wait(lock, [&] {
-      return home.count < home.ring.size() || closed();
-    });
-  }
-}
-
-bool RequestQueue::try_pop(Request& out) {
-  if (pending_.load(std::memory_order_acquire) == 0) return false;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[(rr_pop_ + i) % shards_.size()];
-    std::unique_lock<std::mutex> lock(shard.m);
-    if (shard.count == 0) continue;
-    out = shard.ring[shard.head];
-    shard.head = (shard.head + 1) % shard.ring.size();
-    --shard.count;
-    pending_.fetch_sub(1, std::memory_order_release);
-    lock.unlock();
-    shard.not_full.notify_one();
-    rr_pop_ = (rr_pop_ + i + 1) % shards_.size();
-    return true;
-  }
-  return false;
-}
-
 bool RequestQueue::pop(Request& out) {
-  return pop_until(out, std::chrono::steady_clock::time_point::max());
+  std::unique_lock<std::mutex> lock(m_);
+  not_empty_.wait(lock, [&] { return count_ != 0 || closed_; });
+  if (count_ == 0) return false;
+  take_head(out, lock);
+  return true;
 }
 
 bool RequestQueue::pop_until(Request& out,
-                             std::chrono::steady_clock::time_point deadline) {
-  for (;;) {
-    if (try_pop(out)) return true;
-    std::unique_lock<std::mutex> lock(wake_m_);
-    consumer_sleeping_.store(true, std::memory_order_seq_cst);
-    // Re-check after advertising: a producer that bumped pending_
-    // before the store above may have skipped the notify. seq_cst on
-    // the store/load pair pairs with the producer side (see
-    // try_push_shard) so one of the two sides always sees the other.
-    if (pending_.load(std::memory_order_seq_cst) != 0) {
-      consumer_sleeping_.store(false, std::memory_order_relaxed);
-      continue;
-    }
-    if (closed()) {
-      consumer_sleeping_.store(false, std::memory_order_relaxed);
-      return try_pop(out);  // drain race: one last scan
-    }
-    if (deadline == std::chrono::steady_clock::time_point::max()) {
-      wake_cv_.wait(lock);
-    } else if (wake_cv_.wait_until(lock, deadline) ==
-               std::cv_status::timeout) {
-      consumer_sleeping_.store(false, std::memory_order_relaxed);
-      return try_pop(out);
-    }
-    consumer_sleeping_.store(false, std::memory_order_relaxed);
-  }
+                             std::chrono::steady_clock::time_point deadline,
+                             std::size_t max_cols) {
+  std::unique_lock<std::mutex> lock(m_);
+  not_empty_.wait_until(lock, deadline,
+                        [&] { return count_ != 0 || closed_; });
+  if (count_ == 0 || ring_[head_].x.cols() > max_cols) return false;
+  take_head(out, lock);
+  return true;
 }
 
-void RequestQueue::wake_consumer() {
-  if (consumer_sleeping_.load(std::memory_order_seq_cst)) {
-    std::lock_guard<std::mutex> lock(wake_m_);
-    wake_cv_.notify_one();
-  }
+void RequestQueue::take_head(Request& out,
+                             std::unique_lock<std::mutex>& lock) {
+  out = ring_[head_];
+  head_ = (head_ + 1) % ring_.size();
+  --count_;
+  lock.unlock();
+  not_full_.notify_one();
 }
 
 void RequestQueue::close() {
-  closed_.store(true, std::memory_order_release);
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->m);
-    shard->not_full.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(m_);
+    closed_ = true;
   }
-  std::lock_guard<std::mutex> lock(wake_m_);
-  wake_cv_.notify_all();
+  not_full_.notify_all();
+  not_empty_.notify_all();
+}
+
+std::size_t RequestQueue::pending() const {
+  std::lock_guard<std::mutex> lock(m_);
+  return count_;
 }
 
 }  // namespace biq::serve

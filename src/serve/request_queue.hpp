@@ -1,18 +1,13 @@
-// Mutex-sharded MPSC submission queue: many submitter threads push, the
-// single batcher thread pops. Producers round-robin across shards so
-// concurrent submitters contend on different locks; the consumer drains
-// shards in rotation (per-shard FIFO, approximately-FIFO globally —
-// batching makes exact global order irrelevant). Capacity is fixed at
-// construction and every ring is preallocated, so the warm request path
-// touches the heap zero times; a full queue blocks submitters
-// (backpressure), a closed queue drains and then rejects.
+// Bounded FIFO submission queue: submitter threads push, the worker
+// that is gathering a batch pops. One preallocated ring under one
+// mutex, so the warm request path touches the heap zero times; a full
+// queue blocks submitters (backpressure), a closed queue drains and
+// then rejects.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -33,74 +28,48 @@ struct Request {
 
 class RequestQueue {
  public:
-  /// `capacity` total requests split across `shards` rings (each shard
-  /// holds at least one).
-  RequestQueue(std::size_t capacity, std::size_t shards);
+  /// Holds at most `capacity` requests (at least one).
+  explicit RequestQueue(std::size_t capacity);
 
   RequestQueue(const RequestQueue&) = delete;
   RequestQueue& operator=(const RequestQueue&) = delete;
 
-  /// Enqueues r, blocking while every shard is full. Returns false —
+  /// Enqueues r, blocking while the queue is full. Returns false —
   /// without enqueueing — once the queue is closed.
   bool push(const Request& r);
 
-  /// Pops one request, blocking until one arrives. Returns false only
-  /// when the queue is closed AND fully drained.
+  /// Pops the head, blocking until one arrives. Returns false only when
+  /// the queue is closed AND drained.
   bool pop(Request& out);
 
-  /// pop() with a deadline: false when the deadline passes with the
-  /// queue still empty (or it is closed and drained) — the batcher's
-  /// coalescing wait.
-  bool pop_until(Request& out,
-                 std::chrono::steady_clock::time_point deadline);
-
-  /// Non-blocking pop.
-  bool try_pop(Request& out);
+  /// Pops the head only if it is at most `max_cols` columns wide,
+  /// waiting until `deadline` for one to arrive — the coalescing wait of
+  /// an open batch. A head that is already queued is taken even past the
+  /// deadline. Returns false when the head is wider (it stays queued and
+  /// opens the next batch), when the deadline passes with the queue
+  /// empty, or when the queue is closed and drained.
+  bool pop_until(Request& out, std::chrono::steady_clock::time_point deadline,
+                 std::size_t max_cols);
 
   /// Stops accepting pushes and wakes every waiter. Already-queued
   /// requests remain poppable (the drain contract).
   void close();
 
-  [[nodiscard]] bool closed() const noexcept {
-    return closed_.load(std::memory_order_acquire);
-  }
-
-  /// Requests currently queued (approximate under concurrency).
-  [[nodiscard]] std::size_t pending() const noexcept {
-    return pending_.load(std::memory_order_acquire);
-  }
+  /// Requests currently queued.
+  [[nodiscard]] std::size_t pending() const;
 
  private:
-  /// One lock's worth of queue: a fixed-capacity ring. Producers that
-  /// find it full first try the other shards, then sleep on not_full.
-  struct Shard {
-    explicit Shard(std::size_t capacity) : ring(capacity) {}
-    std::mutex m;
-    std::condition_variable not_full;
-    std::vector<Request> ring;  // fixed size; head/count index into it
-    std::size_t head = 0;
-    std::size_t count = 0;
-  };
+  /// Moves the head into out and wakes one blocked submitter; `lock`
+  /// holds m_ on entry and is released.
+  void take_head(Request& out, std::unique_lock<std::mutex>& lock);
 
-  /// True when r was enqueued without blocking.
-  bool try_push_shard(Shard& shard, const Request& r);
-  /// Wakes the batcher iff it advertised it was about to sleep.
-  void wake_consumer();
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::size_t> rr_push_{0};  // producer round-robin cursor
-  std::size_t rr_pop_ = 0;               // consumer-only rotation cursor
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<bool> closed_{false};
-
-  // Consumer sleep/wake handshake: the consumer advertises
-  // consumer_sleeping_ under wake_m_ and re-checks pending_ before
-  // actually sleeping; producers increment pending_ (inside the shard
-  // lock) before reading the flag — so either the producer sees the
-  // flag and notifies, or the consumer's re-check sees the increment.
-  std::mutex wake_m_;
-  std::condition_variable wake_cv_;
-  std::atomic<bool> consumer_sleeping_{false};
+  mutable std::mutex m_;
+  std::condition_variable not_full_;
+  std::condition_variable not_empty_;
+  std::vector<Request> ring_;  // fixed size; head_/count_ index into it
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+  bool closed_ = false;
 };
 
 }  // namespace biq::serve

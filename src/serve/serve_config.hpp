@@ -29,19 +29,19 @@ namespace biq::serve {
 
 struct ServeConfig {
   /// Largest batch (total request columns) one dispatch may carry; also
-  /// the largest bucket the PlanPool compiles. Rounded up to a power of
+  /// the largest bucket every worker compiles. Rounded up to a power of
   /// two by the server. A single request may be at most this wide.
   std::size_t max_batch = 16;
 
-  /// How long the batcher holds an open batch waiting for more requests
-  /// to coalesce once the first one arrived. 0 dispatches immediately
-  /// (pure pipelining, no coalescing); larger values trade first-token
-  /// latency for batching efficiency.
+  /// How long a worker holds its open batch waiting for more requests
+  /// to coalesce once the first one arrived. 0 dispatches what is
+  /// already queued at once (pure pipelining); larger values trade
+  /// first-token latency for batching efficiency.
   std::chrono::microseconds max_wait{200};
 
-  /// Worker ExecContexts (= batches in flight at once). 2 is the
-  /// planner-aware double-buffering: one bucket executes while the
-  /// batcher fills and dispatches the next to the other context.
+  /// Worker threads, each with its own ExecContext (= batches in flight
+  /// at once). 2 is the planner-aware double-buffering: one bucket
+  /// executes while the other worker gathers the next.
   std::size_t workers = 2;
 
   /// ThreadPool size per worker context; <= 1 runs each worker serial
@@ -53,15 +53,6 @@ struct ServeConfig {
   /// submitters — bounded memory under overload (backpressure), never
   /// unbounded buffering.
   std::size_t queue_capacity = 1024;
-
-  /// Mutex shards of the submission queue: producers hash across
-  /// shards so concurrent submitters do not serialize on one lock.
-  std::size_t queue_shards = 4;
-
-  /// Compile + warm-run every (worker, bucket) ModelPlan in the server
-  /// constructor, so the first real request already runs the warm
-  /// zero-allocation path. Off = lazy (first request per bucket pays).
-  bool prewarm = true;
 };
 
 }  // namespace biq::serve

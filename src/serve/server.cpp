@@ -1,5 +1,7 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <exception>
 #include <stdexcept>
@@ -9,63 +11,72 @@
 
 namespace biq::serve {
 
+InferenceServer::Worker::Worker(const nn::PlannableModule& module,
+                                std::size_t out_rows, std::size_t max_bucket,
+                                unsigned threads)
+    : pool(threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr),
+      ctx(pool.get()),
+      in(module.in_rows(), max_bucket),
+      out(out_rows, max_bucket) {
+  batch.reserve(max_bucket);
+  plans.reserve(bucket_count(max_bucket));
+  for (std::size_t bucket = 1; bucket <= max_bucket; bucket <<= 1) {
+    const nn::ModelPlan& p = plans.emplace_back(module, bucket, ctx);
+    const ConstMatrixView x = in.col_block(0, bucket);
+    const MatrixView y = out.col_block(0, bucket);
+    p.run(x, y);
+    p.run(x, y);
+  }
+}
+
 InferenceServer::InferenceServer(const nn::PlannableModule& module,
                                  ServeConfig cfg)
     : cfg_(cfg),
-      module_(&module),
-      pool_(module, cfg),
-      queue_(cfg.queue_capacity, cfg.queue_shards) {
+      in_rows_(module.in_rows()),
+      out_rows_(module.out_shape({module.in_rows(), 1}).rows),
+      queue_(cfg.queue_capacity) {
   if (!module.columns_independent()) {
     throw std::invalid_argument(
         "InferenceServer: module mixes batch columns "
         "(columns_independent() is false) — concatenating independent "
         "requests along the column axis would change their results");
   }
-  cfg_.max_batch = pool_.max_bucket();  // normalized to a power of two
+  cfg_.max_batch = bucket_for(std::max<std::size_t>(1, cfg.max_batch));
 
-  if (cfg_.prewarm) pool_.warm();
-
-  slots_.reserve(pool_.workers());
-  for (std::size_t w = 0; w < pool_.workers(); ++w) {
-    slots_.push_back(std::make_unique<WorkerSlot>());
-    slots_.back()->batch.reserve(cfg_.max_batch);
-    slots_.back()->thread =
-        std::thread([this, w] { worker_loop(w); });
+  const std::size_t worker_count = std::max<std::size_t>(1, cfg.workers);
+  workers_.reserve(worker_count);
+  for (std::size_t w = 0; w < worker_count; ++w) {
+    workers_.push_back(std::make_unique<Worker>(
+        module, out_rows_, cfg_.max_batch, cfg.threads_per_worker));
   }
-  batcher_ = std::thread([this] { batcher_loop(); });
+  for (auto& w : workers_) {
+    Worker& worker = *w;
+    worker.thread = std::thread([this, &worker] { worker_loop(worker); });
+  }
 }
 
 InferenceServer::~InferenceServer() {
-  // Drain, do not abort: no new submissions; the batcher dispatches
-  // everything already accepted (including its carry) and exits; each
-  // worker finishes its last batch before honoring stop. Every accepted
-  // ticket has completed by the time the threads are joined. pool_ (the
-  // plans and their contexts) is destroyed after this body — threads
-  // are long gone, and within the pool plans die before contexts.
+  // Drain, do not abort: no new submissions; the workers pop and run
+  // everything already accepted, and each exits once the queue is
+  // closed AND empty. The workers (their plans, then their contexts)
+  // are destroyed after this body, with their threads long gone.
   queue_.close();
-  if (batcher_.joinable()) batcher_.join();
-  for (auto& slot : slots_) {
-    {
-      std::lock_guard<std::mutex> lock(slot->m);
-      slot->stop = true;
-    }
-    slot->cv.notify_one();
-    if (slot->thread.joinable()) slot->thread.join();
+  for (auto& w : workers_) {
+    if (w->thread.joinable()) w->thread.join();
   }
 }
 
 void InferenceServer::submit(ConstMatrixView x, MatrixView y,
                              ServeTicket& ticket) {
-  if (x.rows() != pool_.in_rows() || y.rows() != pool_.out_rows() ||
-      x.cols() != y.cols() || x.cols() == 0 || x.cols() > cfg_.max_batch ||
-      x.ld() < x.rows() || y.ld() < y.rows()) {
+  if (x.rows() != in_rows_ || y.rows() != out_rows_ || x.cols() != y.cols() ||
+      x.cols() == 0 || x.cols() > cfg_.max_batch || x.ld() < x.rows() ||
+      y.ld() < y.rows()) {
     throw std::invalid_argument(
         "InferenceServer::submit: x is " + std::to_string(x.rows()) + "x" +
         std::to_string(x.cols()) + ", y is " + std::to_string(y.rows()) +
         "x" + std::to_string(y.cols()) + "; expected x " +
-        std::to_string(pool_.in_rows()) + "xC, y " +
-        std::to_string(pool_.out_rows()) + "xC with 1 <= C <= " +
-        std::to_string(cfg_.max_batch));
+        std::to_string(in_rows_) + "xC, y " + std::to_string(out_rows_) +
+        "xC with 1 <= C <= " + std::to_string(cfg_.max_batch));
   }
   ticket.arm();
   if (!queue_.push(Request{x, y, &ticket})) {
@@ -89,115 +100,48 @@ InferenceServer::Stats InferenceServer::stats() const noexcept {
   return s;
 }
 
-InferenceServer::WorkerSlot& InferenceServer::acquire_idle_slot() {
+void InferenceServer::worker_loop(Worker& w) {
   for (;;) {
-    for (auto& slot : slots_) {
-      if (!slot->busy.load(std::memory_order_acquire)) {
-        slot->busy.store(true, std::memory_order_relaxed);
-        return *slot;
-      }
+    std::size_t cols = 0;
+    {
+      // One batch coalesces at a time; the other workers meanwhile run
+      // the batches they already gathered.
+      std::lock_guard<std::mutex> gather(gather_m_);
+      Request r;
+      if (!queue_.pop(r)) return;  // closed and drained
+      const auto deadline = std::chrono::steady_clock::now() + cfg_.max_wait;
+      w.batch.clear();
+      do {
+        w.batch.push_back(r);
+        cols += r.x.cols();
+      } while (cols < cfg_.max_batch &&
+               queue_.pop_until(r, deadline, cfg_.max_batch - cols));
     }
-    std::unique_lock<std::mutex> lock(idle_m_);
-    idle_cv_.wait(lock, [&] {
-      for (const auto& slot : slots_) {
-        if (!slot->busy.load(std::memory_order_acquire)) return true;
-      }
-      return false;
-    });
+    run_batch(w, cols);
   }
 }
 
-void InferenceServer::batcher_loop() {
-  for (;;) {
-    // Open a batch with the carry or the next (blocking) request; exit
-    // only once the queue is closed AND drained and no carry remains.
-    Request first;
-    if (carry_valid_) {
-      first = carry_;
-      carry_valid_ = false;
-    } else if (!queue_.pop(first)) {
-      return;
-    }
-
-    // Claim the next idle worker FIRST and build the batch in place in
-    // its mailbox — while it coalesces here, the other workers are
-    // still executing previous buckets (the pipelining overlap).
-    WorkerSlot& slot = acquire_idle_slot();
-    slot.batch.clear();
-    slot.batch.push_back(first);
-    std::size_t cols = first.x.cols();
-
-    // Coalesce until the bucket is full or the deadline passes. A
-    // request that does not fit carries into the next batch.
-    const auto deadline =
-        std::chrono::steady_clock::now() + cfg_.max_wait;
-    while (cols < cfg_.max_batch) {
-      Request next;
-      if (!queue_.pop_until(next, deadline)) break;
-      if (cols + next.x.cols() > cfg_.max_batch) {
-        carry_ = next;
-        carry_valid_ = true;
-        break;
-      }
-      slot.batch.push_back(next);
-      cols += next.x.cols();
-    }
-
-    {
-      std::lock_guard<std::mutex> lock(slot.m);
-      slot.cols = cols;
-      slot.bucket = bucket_for(cols);
-      slot.has_job = true;
-    }
-    slot.cv.notify_one();
-  }
-}
-
-void InferenceServer::worker_loop(std::size_t w) {
-  WorkerSlot& slot = *slots_[w];
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(slot.m);
-      slot.cv.wait(lock, [&] { return slot.has_job || slot.stop; });
-      if (!slot.has_job && slot.stop) return;
-    }
-    // The batch contents are worker-owned until completion (busy holds
-    // the batcher off this slot); run without the mailbox lock.
-    run_batch(w, slot);
-    {
-      std::lock_guard<std::mutex> lock(slot.m);
-      slot.has_job = false;
-    }
-    slot.busy.store(false, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(idle_m_);
-    }
-    idle_cv_.notify_one();
-  }
-}
-
-void InferenceServer::run_batch(std::size_t w, WorkerSlot& slot) {
-  const std::size_t bucket = slot.bucket;
+void InferenceServer::run_batch(Worker& w, std::size_t cols) {
+  const std::size_t bucket = bucket_for(cols);
   std::exception_ptr err;
   try {
-    const MatrixView in = pool_.staging_in(w, bucket);
-    const MatrixView out = pool_.staging_out(w, bucket);
+    const MatrixView in = w.in.col_block(0, bucket);
+    const MatrixView out = w.out.col_block(0, bucket);
     // Scatter: each request's columns become a contiguous column range
     // of the staging input. Pad columns [cols, bucket) keep whatever
-    // the previous batch left there — finite values whose outputs are
+    // an earlier batch left there — finite values whose outputs are
     // never gathered (column independence keeps them from touching the
     // real columns' arithmetic).
     std::size_t c0 = 0;
-    for (const Request& r : slot.batch) {
+    for (const Request& r : w.batch) {
       nn::copy_into(r.x, in.col_block(c0, r.x.cols()));
       c0 += r.x.cols();
     }
-    // Warm path: cache hit in the PlanPool (zero replans), zero heap
-    // allocations in the plan's run.
-    pool_.plan(w, bucket).run(in, out);
+    // Warm path: zero replans, zero heap allocations in the plan's run.
+    w.plans[std::countr_zero(bucket)].run(in, out);
     // Gather: slice each request's columns back out.
     c0 = 0;
-    for (const Request& r : slot.batch) {
+    for (const Request& r : w.batch) {
       nn::copy_into(out.col_block(c0, r.x.cols()), r.y);
       c0 += r.x.cols();
     }
@@ -207,13 +151,13 @@ void InferenceServer::run_batch(std::size_t w, WorkerSlot& slot) {
 
   // Counters first, completion second: a submitter that observed its
   // ticket complete must already see its request in stats().
-  requests_.fetch_add(slot.batch.size(), std::memory_order_relaxed);
+  requests_.fetch_add(w.batch.size(), std::memory_order_relaxed);
   batches_.fetch_add(1, std::memory_order_relaxed);
-  columns_.fetch_add(slot.cols, std::memory_order_relaxed);
-  padded_.fetch_add(bucket - slot.cols, std::memory_order_relaxed);
+  columns_.fetch_add(cols, std::memory_order_relaxed);
+  padded_.fetch_add(bucket - cols, std::memory_order_relaxed);
 
   const auto t = std::chrono::steady_clock::now();
-  for (const Request& r : slot.batch) {
+  for (const Request& r : w.batch) {
     if (err == nullptr) {
       r.ticket->complete(t, bucket);
     } else {

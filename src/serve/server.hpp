@@ -1,27 +1,28 @@
-// InferenceServer — concurrent request batching over pooled ModelPlans:
-// the first subsystem above the model layer, and the serving shape of
-// the paper's own motivating workloads (ASR / translation traffic of
-// many small concurrent requests, Sec. I): build-once-amortize-
-// everywhere lifted from LUTs and plans to whole-server lifetime.
+// InferenceServer — concurrent request batching over per-worker frozen
+// ModelPlans: the first subsystem above the model layer, and the
+// serving shape of the paper's own motivating workloads (ASR /
+// translation traffic of many small concurrent requests, Sec. I):
+// build-once-amortize-everywhere lifted from LUTs and plans to
+// whole-server lifetime.
 //
-//   submitters --> RequestQueue (mutex-sharded MPSC, bounded)
+//   submitters --> RequestQueue (one locked ring, bounded)
 //                      |
-//                  batcher thread: coalesces pending requests into one
-//                      batch (<= max_batch columns) under a max_wait
-//                      deadline, picks the next idle worker
-//                      |
-//                  worker threads (one ExecContext each): scatter
-//                      request columns into staging padded to the next
-//                      power-of-two bucket, run the bucket's frozen
-//                      ModelPlan from the PlanPool, gather columns back
-//                      to each request's output, complete the tickets
+//                  worker threads, each with its own ExecContext and one
+//                      frozen ModelPlan per power-of-two bucket. An idle
+//                      worker takes the gather lock (one batch coalesces
+//                      at a time), blocks for the first request, pops
+//                      more until max_batch columns or the max_wait
+//                      deadline, releases the lock, then scatters the
+//                      requests into staging padded to the bucket, runs
+//                      the bucket's plan, gathers the columns back and
+//                      completes the tickets
 //
 // Guarantees:
 //   * zero replans and ZERO heap allocations anywhere on the warm
-//     request path (submit / batcher / worker) — every bucket's plan is
-//     compiled and warm-run up front, every queue/batch/staging buffer
-//     is preallocated, and completion uses caller-owned tickets rather
-//     than allocating futures,
+//     request path (submit / gather / run / complete) — every bucket's
+//     plan is compiled and run twice in the constructor, every queue /
+//     batch / staging buffer is preallocated, and completion uses
+//     caller-owned tickets rather than allocating futures,
 //   * results are deterministic and bitwise identical to executing the
 //     same bucket serially on one context: at a fixed bucket width the
 //     engines compute each column with per-column accumulators, so
@@ -32,41 +33,44 @@
 //     legitimately differ from a standalone run at its exact width.
 //     Column independence is required of the module and validated at
 //     construction.)
+//   * a batch whose plan run throws fails exactly its own tickets (each
+//     wait() rethrows); the worker keeps serving,
 //   * destruction drains: every accepted request completes (its ticket
 //     fires) before the destructor returns — plans die before their
 //     contexts (the ExecContext teardown guard enforces the order).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "matrix/view.hpp"
+#include "engine/exec_context.hpp"
+#include "matrix/matrix.hpp"
+#include "nn/model_plan.hpp"
 #include "nn/module.hpp"
-#include "serve/plan_pool.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/serve_config.hpp"
 #include "serve/ticket.hpp"
+#include "threading/thread_pool.hpp"
 
 namespace biq::serve {
 
 class InferenceServer {
  public:
-  /// Starts the batcher and worker threads and (by default) prewarms
-  /// every (worker, bucket) plan. The module must outlive the server
-  /// and must be columns_independent() — dynamic batching concatenates
-  /// requests along the column axis, which is only exact when columns
-  /// never mix (throws std::invalid_argument otherwise).
+  /// Compiles and warm-runs every (worker, bucket) plan, then starts the
+  /// worker threads. The module must outlive the server and must be
+  /// columns_independent() — dynamic batching concatenates requests
+  /// along the column axis, which is only exact when columns never mix
+  /// (throws std::invalid_argument otherwise).
   explicit InferenceServer(const nn::PlannableModule& module,
                            ServeConfig cfg = {});
 
-  /// Drains: closes the queue, lets the batcher dispatch everything
-  /// already accepted, waits for the workers to finish, then joins all
-  /// threads. Every accepted request's ticket completes.
+  /// Drains: closes the queue, lets the workers run everything already
+  /// accepted, then joins them. Every accepted request's ticket
+  /// completes.
   ~InferenceServer();
 
   InferenceServer(const InferenceServer&) = delete;
@@ -92,61 +96,52 @@ class InferenceServer {
   [[nodiscard]] Stats stats() const noexcept;
 
   [[nodiscard]] const ServeConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] std::size_t in_rows() const noexcept {
-    return pool_.in_rows();
-  }
-  [[nodiscard]] std::size_t out_rows() const noexcept {
-    return pool_.out_rows();
-  }
+  [[nodiscard]] std::size_t in_rows() const noexcept { return in_rows_; }
+  [[nodiscard]] std::size_t out_rows() const noexcept { return out_rows_; }
   /// Largest accepted request width == largest compiled bucket.
   [[nodiscard]] std::size_t max_batch() const noexcept {
-    return pool_.max_bucket();
+    return cfg_.max_batch;
   }
 
  private:
-  /// One worker's mailbox: the batcher builds a batch directly into an
-  /// idle slot (no copy, no allocation), marks it busy and signals; the
-  /// worker runs it and signals idle. busy is the batcher-visible
-  /// ownership bit; m/cv hand the job over.
-  struct WorkerSlot {
-    std::mutex m;
-    std::condition_variable cv;
-    std::vector<Request> batch;  // reserved to max bucket, reused
-    std::size_t cols = 0;        // real columns in `batch`
-    std::size_t bucket = 0;
-    bool has_job = false;
-    bool stop = false;
-    std::atomic<bool> busy{false};
-    std::thread thread;  // joined by the server destructor
+  /// One worker: its context, its frozen plans and staging, and the
+  /// thread that gathers and runs its batches. Only that thread touches
+  /// the members after construction.
+  struct Worker {
+    /// Compiles the plan of every bucket 1, 2, 4, ..., max_bucket and
+    /// runs each twice over the zeroed staging: the first run grows the
+    /// engines' scratch arenas, the second consolidates overflow.
+    Worker(const nn::PlannableModule& module, std::size_t out_rows,
+           std::size_t max_bucket, unsigned threads);
+
+    // Declaration order is the teardown contract: plans (and their
+    // arena blocks) die before the ctx they bind to, the ctx before
+    // the pool it borrows.
+    std::unique_ptr<ThreadPool> pool;
+    ExecContext ctx;
+    std::vector<nn::ModelPlan> plans;  // plans[k] runs bucket 2^k
+    Matrix in, out;                    // staging, rows x max_bucket
+    std::vector<Request> batch;        // reserved to max_bucket, reused
+    std::thread thread;                // joined by the server destructor
   };
 
-  void batcher_loop();
-  void worker_loop(std::size_t w);
-  /// Runs slot's batch on worker w's context: scatter, plan, gather,
-  /// complete every ticket (with the batch's error, if any).
-  void run_batch(std::size_t w, WorkerSlot& slot);
-  /// Blocks until some worker is idle and returns it marked busy.
-  WorkerSlot& acquire_idle_slot();
+  void worker_loop(Worker& w);
+  /// Runs w.batch (cols real columns) at its bucket: scatter, plan,
+  /// gather, complete every ticket (with the batch's error, if any).
+  void run_batch(Worker& w, std::size_t cols);
 
   ServeConfig cfg_;
-  const nn::PlannableModule* module_;
-  PlanPool pool_;
+  std::size_t in_rows_;
+  std::size_t out_rows_;
   RequestQueue queue_;
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
-
-  std::mutex idle_m_;
-  std::condition_variable idle_cv_;  // a worker went idle
-
-  // Batcher-only: a popped request that did not fit the open batch.
-  Request carry_;
-  bool carry_valid_ = false;
+  std::mutex gather_m_;  // held by the one worker coalescing a batch
 
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> columns_{0};
   std::atomic<std::uint64_t> padded_{0};
 
-  std::thread batcher_;  // started last, joined first
+  std::vector<std::unique_ptr<Worker>> workers_;
 };
 
 }  // namespace biq::serve

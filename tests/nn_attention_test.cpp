@@ -33,7 +33,8 @@ Matrix reference_self_attention(const Matrix& x) {
       scores(kt, qt) = dot * inv;
     }
   }
-  softmax_columns(scores, engine::select_plane(KernelIsa::kAuto).math);
+  const engine::MathKernels& math = engine::select_plane(KernelIsa::kAuto).math;
+  for (std::size_t qt = 0; qt < t; ++qt) math.softmax(scores.col(qt), t);
   Matrix y(d, t, /*zero_fill=*/true);
   for (std::size_t qt = 0; qt < t; ++qt) {
     for (std::size_t kt = 0; kt < t; ++kt) {

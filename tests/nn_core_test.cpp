@@ -24,6 +24,11 @@ const engine::MathKernels& math() {
   return engine::select_plane(KernelIsa::kAuto).math;
 }
 
+/// The math plane's softmax over the rows of each column.
+void softmax_each_column(Matrix& x) {
+  for (std::size_t c = 0; c < x.cols(); ++c) math().softmax(x.col(c), x.rows());
+}
+
 /// The Activation module's output (a compiled one-step plan).
 Matrix activated(const Matrix& x, Act act) {
   Matrix y(x.rows(), x.cols());
@@ -115,7 +120,7 @@ TEST(Activations, SigmoidNumericalEdges) {
 TEST(Softmax, ColumnsSumToOne) {
   Rng rng(1);
   Matrix x = Matrix::random_normal(9, 4, rng);
-  softmax_columns(x, math());
+  softmax_each_column(x);
   for (std::size_t c = 0; c < 4; ++c) {
     float sum = 0.0f;
     for (std::size_t i = 0; i < 9; ++i) {
@@ -128,7 +133,7 @@ TEST(Softmax, ColumnsSumToOne) {
 
 TEST(Softmax, StableForLargeLogits) {
   Matrix x = filled({1000.0f, 999.0f}, 2, 1);
-  softmax_columns(x, math());
+  softmax_each_column(x);
   EXPECT_TRUE(std::isfinite(x(0, 0)));
   EXPECT_NEAR(x(0, 0) + x(1, 0), 1.0f, 1e-5f);
   EXPECT_GT(x(0, 0), x(1, 0));
@@ -137,7 +142,7 @@ TEST(Softmax, StableForLargeLogits) {
 TEST(Softmax, UniformInputGivesUniformOutput) {
   Matrix x(5, 1);
   x.fill(0.3f);
-  softmax_columns(x, math());
+  softmax_each_column(x);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(x(i, 0), 0.2f, 1e-6f);
 }
 
@@ -148,7 +153,7 @@ TEST(Softmax, AllEqualColumnsAreExactlyUniform) {
   for (const float v : {0.0f, -0.0f, 1e6f, -1e6f, 3.25f}) {
     Matrix x(4, 3);
     x.fill(v);
-    softmax_columns(x, math());
+    softmax_each_column(x);
     for (std::size_t c = 0; c < 3; ++c) {
       for (std::size_t i = 0; i < 4; ++i) {
         EXPECT_EQ(x(i, c), 0.25f) << "v=" << v;
@@ -159,7 +164,7 @@ TEST(Softmax, AllEqualColumnsAreExactlyUniform) {
 
 TEST(Softmax, ExtremeLogitsProduceNoNaN) {
   Matrix x = filled({1e8f, -1e8f, 0.0f, -0.0f}, 4, 1);
-  softmax_columns(x, math());
+  softmax_each_column(x);
   float sum = 0.0f;
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_TRUE(std::isfinite(x(i, 0))) << "row " << i;
@@ -174,7 +179,7 @@ TEST(Softmax, ZeroRowColumnsAreANoOp) {
   // Columns with no rows hold no distribution; a 0-row matrix has no
   // storage, so nothing may be read through its column pointers.
   Matrix x(0, 3);
-  softmax_columns(x, math());
+  softmax_each_column(x);
   EXPECT_EQ(x.rows(), 0u);
   EXPECT_EQ(x.cols(), 3u);
 }

@@ -1,8 +1,8 @@
 // Inference-server tests: bucket padding bitwise-exactness against
 // same-width serial plans, concurrent ModelPlan::run on distinct
 // ExecContexts over shared weights, coalescing, the zero-allocation
-// warm request path, drain-on-destroy, the ExecContext teardown guard,
-// and the sharded MPSC submission queue.
+// warm request path, drain-on-destroy, a failing batch, head-of-line
+// order, the ExecContext teardown guard, and the submission queue.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -74,6 +75,42 @@ Sequential make_mlp(unsigned bits, std::uint64_t seed = 40) {
   return mlp;
 }
 
+/// Column-independent pass-through whose step throws when the batch's
+/// first input value is marked (x(0, 0) > 1e30) — a stand-in for any
+/// step failing mid-batch. Only column 0 is checked: every batch writes
+/// its first request there, so a marker can never linger in the pad
+/// columns of a later batch.
+class ThrowOnMarker final : public nn::PlannableModule {
+ public:
+  explicit ThrowOnMarker(std::size_t dim) : dim_(dim) {}
+
+  [[nodiscard]] std::size_t in_rows() const noexcept override { return dim_; }
+  [[nodiscard]] nn::Shape out_shape(nn::Shape in) const override {
+    check_in_rows(in, "ThrowOnMarker");
+    return in;
+  }
+  [[nodiscard]] std::unique_ptr<nn::ModuleStep> plan_into(
+      nn::ModulePlanContext& /*mpc*/) const override {
+    return std::make_unique<Step>();
+  }
+  [[nodiscard]] bool columns_independent() const noexcept override {
+    return true;
+  }
+
+  static constexpr float kMarker = 1e31f;
+
+ private:
+  struct Step final : nn::ModuleStep {
+    void run_step(float* /*base*/, ConstMatrixView x,
+                  MatrixView y) const override {
+      if (x(0, 0) > 1e30f) throw std::runtime_error("marked input");
+      nn::copy_into(x, y);
+    }
+  };
+
+  std::size_t dim_;
+};
+
 bool bitwise_equal(ConstMatrixView a, ConstMatrixView b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
   for (std::size_t c = 0; c < a.cols(); ++c) {
@@ -135,13 +172,13 @@ TEST(InferenceServer, SubmitRejectsBadShapes) {
   const Sequential mlp = make_mlp(2);
   ServeConfig cfg;
   cfg.max_batch = 8;
-  cfg.prewarm = false;  // shape validation does not need warm plans
   InferenceServer server(mlp, cfg);
 
   ServeTicket ticket;
   Matrix x(kIn, 2), y(kOut, 2);
   Matrix wrong_in(kIn + 1, 2), wrong_out(kOut + 1, 2);
   Matrix wide_x(kIn, 9), wide_y(kOut, 9), narrow_y(kOut, 1);
+  Matrix empty_x(kIn, 0), empty_y(kOut, 0);
   EXPECT_THROW(server.submit(wrong_in.view(), y.view(), ticket),
                std::invalid_argument);
   EXPECT_THROW(server.submit(x.view(), wrong_out.view(), ticket),
@@ -150,6 +187,8 @@ TEST(InferenceServer, SubmitRejectsBadShapes) {
                std::invalid_argument);  // wider than max_batch
   EXPECT_THROW(server.submit(x.view(), narrow_y.view(), ticket),
                std::invalid_argument);  // x/y column mismatch
+  EXPECT_THROW(server.submit(empty_x.view(), empty_y.view(), ticket),
+               std::invalid_argument);  // zero-width request
   EXPECT_NO_THROW(server.infer(x.view(), y.view()));
 }
 
@@ -192,8 +231,8 @@ TEST(InferenceServer, ConcurrentSubmittersMatchSerialForwardBitwise) {
   // request's output must be bitwise identical to the serial forward of
   // its own columns at their own width. Pinned on the fp32 build, whose
   // kernels are width-invariant, so the reference is exact whatever
-  // bucket and column offset the racing batcher assigned. Under TSan this is the
-  // submit/batch/complete race stress.
+  // bucket and column offset the racing workers assigned. Under TSan this
+  // is the submit/gather/complete race stress.
   const Sequential mlp = make_mlp(0);
 
   ServeConfig cfg;
@@ -329,6 +368,115 @@ TEST(InferenceServer, BatcherCoalescesQueuedRequests) {
       << "back-to-back width-1 submissions should coalesce";
 }
 
+TEST(InferenceServer, WiderHeadClosesTheBatchInsteadOfBeingSkipped) {
+  // Head-of-line order: the gathering worker takes the queue's head or
+  // nothing. Widths 6, 4, 1 must run as [6] then [4, 1] — both at bucket
+  // 8 — never pulling the width-1 request ahead into the first batch.
+  const Sequential mlp = make_mlp(2);
+
+  ServeConfig cfg;
+  cfg.max_batch = 8;
+  cfg.workers = 1;
+  cfg.max_wait = std::chrono::milliseconds(50);
+  InferenceServer server(mlp, cfg);
+
+  Rng rng(131);
+  std::vector<Matrix> xs, ys;
+  for (const std::size_t w : {6u, 4u, 1u}) {
+    xs.push_back(Matrix::random_normal(kIn, w, rng));
+    ys.emplace_back(kOut, w);
+  }
+  ServeTicket tickets[3];
+  for (std::size_t i = 0; i < 3; ++i) {
+    server.submit(xs[i].view(), ys[i].view(), tickets[i]);
+  }
+  for (ServeTicket& t : tickets) t.wait();
+
+  EXPECT_EQ(server.stats().batches, 2u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(tickets[i].served_bucket(), 8u) << "request " << i;
+  }
+  // One batch completes all its tickets at one instant.
+  EXPECT_LT(tickets[0].completed_at(), tickets[1].completed_at());
+  EXPECT_EQ(tickets[1].completed_at(), tickets[2].completed_at());
+}
+
+TEST(InferenceServer, FailingBatchFailsItsTicketsAndTheWorkerKeepsServing) {
+  // A step that throws fails every ticket of the batch that carried the
+  // marked input — wait() rethrows, served_bucket() is set — and no
+  // other. The one worker then serves the next requests bitwise equal
+  // to a serial plan at their bucket.
+  Sequential model;
+  model.add(std::make_unique<ThrowOnMarker>(kIn));
+  model.add(std::make_unique<Sequential>(make_mlp(2)));
+
+  ServeConfig cfg;
+  cfg.max_batch = 8;
+  cfg.workers = 1;
+  cfg.max_wait = std::chrono::milliseconds(50);
+  InferenceServer server(model, cfg);
+
+  Rng rng(141);
+  Matrix marked = Matrix::random_normal(kIn, 2, rng);
+  marked(0, 0) = ThrowOnMarker::kMarker;
+  Matrix marked_y(kOut, 2);
+  constexpr std::size_t kReqs = 6;
+  std::vector<Matrix> xs, ys;
+  for (std::size_t i = 0; i < kReqs; ++i) {
+    xs.push_back(Matrix::random_normal(kIn, 1 + i % 3, rng));
+    ys.emplace_back(kOut, xs.back().cols());
+  }
+
+  // The marked request opens a batch on the idle server, and the
+  // co-travellers submitted right behind it join that batch.
+  ServeTicket marked_ticket;
+  std::vector<std::unique_ptr<ServeTicket>> tickets;
+  server.submit(marked.view(), marked_y.view(), marked_ticket);
+  for (std::size_t i = 0; i < kReqs / 2; ++i) {
+    tickets.push_back(std::make_unique<ServeTicket>());
+    server.submit(xs[i].view(), ys[i].view(), *tickets[i]);
+  }
+  EXPECT_THROW(marked_ticket.wait(), std::runtime_error);
+  EXPECT_GE(marked_ticket.served_bucket(), bucket_for(2));
+
+  // The next requests, submitted after the failure. With one worker
+  // they complete after every earlier batch, so all tickets are ready
+  // below.
+  for (std::size_t i = kReqs / 2; i < kReqs; ++i) {
+    tickets.push_back(std::make_unique<ServeTicket>());
+    server.submit(xs[i].view(), ys[i].view(), *tickets[i]);
+  }
+  for (std::size_t i = kReqs / 2; i < kReqs; ++i) tickets[i]->wait();
+
+  ExecContext ref_ctx;
+  nn::ModelPlanCache<nn::PlannableModule> ref_plans;
+  std::size_t served = 0, failed = 0;
+  for (std::size_t i = 0; i < kReqs; ++i) {
+    ServeTicket& t = *tickets[i];
+    ASSERT_TRUE(t.ready()) << "request " << i;
+    if (t.completed_at() == marked_ticket.completed_at()) {
+      // A co-traveller of the marked input: same batch, same failure.
+      EXPECT_THROW(t.wait(), std::runtime_error) << "request " << i;
+      EXPECT_EQ(t.served_bucket(), marked_ticket.served_bucket());
+      ++failed;
+      continue;
+    }
+    ++served;
+    t.wait();  // a request outside the failed batch must not throw
+    const std::size_t w = xs[i].cols();
+    const std::size_t bucket = t.served_bucket();
+    Matrix xref(kIn, bucket);  // zero pad, request at column 0
+    nn::copy_into(xs[i].view(), xref.col_block(0, w));
+    Matrix yref(kOut, bucket);
+    ref_plans.run(model, xref, yref, ref_ctx);
+    EXPECT_TRUE(bitwise_equal(ys[i].view(), yref.col_block(0, w)))
+        << "request " << i << " width " << w << " bucket " << bucket;
+  }
+  EXPECT_GE(failed, 1u) << "no request shared the failing batch";
+  EXPECT_GE(served, kReqs / 2);
+  EXPECT_EQ(server.stats().requests, kReqs + 1);
+}
+
 TEST(InferenceServer, ConcurrentPlansOnDistinctContextsMatchSerialBitwise) {
   // The double-buffering contract underneath the worker pool, without
   // the server: two threads run their own ModelPlans on their own
@@ -371,9 +519,9 @@ TEST(InferenceServer, ConcurrentPlansOnDistinctContextsMatchSerialBitwise) {
 }
 
 TEST(InferenceServer, WarmRequestPathPerformsZeroHeapAllocations) {
-  // The acceptance pin: after construction (prewarm compiles and
+  // The acceptance pin: after construction (which compiles and
   // double-runs every bucket plan), a mixed-size request stream must
-  // allocate NOTHING anywhere in the process — submit, queue, batcher,
+  // allocate NOTHING anywhere in the process — submit, queue, coalescing,
   // scatter, plan run, gather, ticket completion included — and must
   // never replan (stable plan-cache hits are implied by the alloc pin:
   // a replan would allocate) across mixed bucket widths.
@@ -454,7 +602,7 @@ TEST(InferenceServer, DestructorDrainsInFlightRequests) {
 // --------------------------------------------------------- RequestQueue
 
 TEST(RequestQueue, DrainsQueuedRequestsAfterClose) {
-  RequestQueue q(8, 2);
+  RequestQueue q(8);
   Matrix x(4, 1), y(4, 1);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(q.push(Request{x.view(), y.view(), nullptr}));
@@ -470,21 +618,22 @@ TEST(RequestQueue, DrainsQueuedRequestsAfterClose) {
 }
 
 TEST(RequestQueue, PopUntilTimesOutOnAnEmptyQueue) {
-  RequestQueue q(4, 1);
+  RequestQueue q(4);
   Request r;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
-  EXPECT_FALSE(q.pop_until(r, deadline));
+  EXPECT_FALSE(q.pop_until(r, deadline, 8));
   EXPECT_GE(std::chrono::steady_clock::now(), deadline);
 }
 
-TEST(RequestQueue, ManyProducersOneConsumerLosesNothing) {
-  // MPSC stress: distinct tickets stand in for payload identity; the
-  // consumer must see every push exactly once, across shard rotation,
-  // full-queue blocking, and the sleep/wake handshake.
+TEST(RequestQueue, ManyProducersTwoConsumersLoseNothing) {
+  // MPMC stress: distinct tickets stand in for payload identity; the two
+  // consumers together must see every push exactly once, across
+  // full-queue blocking and the sleep/wake of both sides.
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kPerProducer = 200;
-  RequestQueue q(16, 4);  // small: forces backpressure blocking
+  constexpr std::size_t kConsumers = 2;
+  RequestQueue q(16);  // small: forces backpressure blocking
   Matrix x(4, 1), y(4, 1);
   std::vector<std::unique_ptr<ServeTicket>> tickets;
   for (std::size_t i = 0; i < kProducers * kPerProducer; ++i) {
@@ -501,26 +650,35 @@ TEST(RequestQueue, ManyProducersOneConsumerLosesNothing) {
     });
   }
 
+  // Each consumer records what it popped; the tally runs after joining.
+  std::vector<std::vector<const ServeTicket*>> popped(kConsumers);
+  std::vector<std::thread> consumers;
+  for (std::size_t c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&, c] {
+      Request r;
+      while (q.pop(r)) popped[c].push_back(r.ticket);
+    });
+  }
+
+  for (std::thread& p : producers) p.join();
+  q.close();
+  for (std::thread& c : consumers) c.join();
+
   std::vector<bool> seen(tickets.size(), false);
-  std::size_t popped = 0, duplicates = 0;
-  std::thread consumer([&] {
-    Request r;
-    while (q.pop(r)) {
+  std::size_t total = 0, duplicates = 0;
+  for (const auto& mine : popped) {
+    for (const ServeTicket* t : mine) {
       std::size_t idx = 0;
       for (; idx < tickets.size(); ++idx) {
-        if (tickets[idx].get() == r.ticket) break;
+        if (tickets[idx].get() == t) break;
       }
       ASSERT_LT(idx, tickets.size());
       if (seen[idx]) ++duplicates;
       seen[idx] = true;
-      ++popped;
+      ++total;
     }
-  });
-
-  for (std::thread& p : producers) p.join();
-  q.close();
-  consumer.join();
-  EXPECT_EQ(popped, kProducers * kPerProducer);
+  }
+  EXPECT_EQ(total, kProducers * kPerProducer);
   EXPECT_EQ(duplicates, 0u);
 }
 
