@@ -218,6 +218,70 @@ void shared_vs_rebuilt(biq::bench::BenchJson& json, std::size_t repeats) {
       "tile's tables back from memory instead of from cache.\n\n");
 }
 
+// One stacked Q/K/V plan vs three fused plans at the encoder's width
+// (d=512): three BiQGEMM engines with distinct weights read one input.
+// The stacked plan (plan_stack) stages and builds each LUT chunk of x
+// once and queries all three engines' keys against it; the three fused
+// plans each stage and build every chunk themselves. Both arms write
+// bitwise-identical rows (pinned by tests/stack_plan_test), so the
+// delta is two of every three builds, at no cost in stored tables.
+void stacked_vs_fused(biq::bench::BenchJson& json, std::size_t repeats) {
+  std::printf("-- one stacked Q/K/V plan vs three fused plans (d=512, "
+              "mu=8, 1 thread) --\n");
+  biq::TablePrinter table(
+      {"bits", "tokens", "stacked us", "3 fused us", "speedup"});
+  const std::size_t d = 512;
+  biq::Rng rng(13);
+  std::vector<biq::Matrix> w;
+  for (int p = 0; p < 3; ++p) {
+    w.push_back(biq::Matrix::random_normal(d, d, rng, 0.0f, 0.05f));
+  }
+  for (const unsigned bits : {1u, 2u}) {
+    biq::EngineConfig cfg;
+    cfg.weight_bits = bits;
+    std::vector<std::unique_ptr<biq::GemmEngine>> engines;
+    std::vector<biq::StackPart> parts;
+    for (const biq::Matrix& wp : w) {
+      engines.push_back(biq::make_engine("biqgemm", wp, cfg));
+      parts.push_back({engines.back().get(), {}});
+    }
+    for (const std::size_t t : {std::size_t{32}, std::size_t{128}}) {
+      biq::ExecContext ctx;
+      const auto stack = biq::plan_stack(parts, t, ctx);
+      std::vector<std::unique_ptr<biq::GemmPlan>> fused;
+      for (const auto& e : engines) fused.push_back(e->plan(t, ctx));
+      const biq::Matrix x = biq::Matrix::random_normal(d, t, rng);
+      biq::Matrix yqkv(3 * d, t);
+
+      const auto [stacked, separate] = biq::bench::interleaved_ab_seconds(
+          [&] { stack->run(x, yqkv); },
+          [&] {
+            for (std::size_t p = 0; p < fused.size(); ++p) {
+              fused[p]->run(x, yqkv.block(p * d, d, 0, t));
+            }
+          },
+          repeats);
+
+      table.add_row({std::to_string(bits), std::to_string(t),
+                     biq::bench::us(stacked, 1), biq::bench::us(separate, 1),
+                     biq::TablePrinter::fmt(separate / stacked, 2) + "x"});
+      for (const bool stack_on : {true, false}) {
+        json.record({biq::bench::jstr("section", "stacked_qkv"),
+                     biq::bench::jint("bits", bits),
+                     biq::bench::jint("d", static_cast<long long>(d)),
+                     biq::bench::jint("tokens", static_cast<long long>(t)),
+                     biq::bench::jstr("stacked", stack_on ? "on" : "off"),
+                     biq::bench::jnum("us",
+                                      (stack_on ? stacked : separate) * 1e6)});
+      }
+    }
+  }
+  std::printf("%s\n", table.to_markdown().c_str());
+  std::printf(
+      "Both arms are bitwise identical; the speedup is the two LUT builds\n"
+      "per chunk the stacked plan does not pay, with no stored artifact.\n\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -229,6 +293,7 @@ int main(int argc, char** argv) {
   builder_only();
   tmac_vs_biq_build();
   shared_vs_rebuilt(json, repeats);
+  stacked_vs_fused(json, repeats);
   end_to_end();
   return 0;
 }

@@ -110,7 +110,8 @@ int main(int argc, char** argv) {
             for (std::size_t c = 0; c < b; ++c) {
               biq::epilogue::layernorm_col(y.col(c), y.col(c), m,
                                            gamma.data(), beta.data(),
-                                           ln_ep.ln_eps);
+                                           ln_ep.ln_eps,
+                                           ln_plan->plane().math);
             }
           },
           repeats);

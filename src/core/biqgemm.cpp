@@ -33,43 +33,51 @@ struct Scratch {
   float* ytile;
 };
 
-/// Stages x sub-vectors for tables [t0, t0+tcount) x columns
-/// [c0, c0+ncols) into the interleaved layout xt[(g*mu+j)*lanes + lane],
-/// zero-padding rows past n (the tail-group guarantee) and lanes past
-/// ncols (a narrow batch tile runs at the plane's full width; each lane
-/// is independent, so the padding never reaches a real column).
-void stage_x_tile(ConstMatrixView x, std::size_t c0, std::size_t ncols,
-                  std::size_t lanes, std::size_t t0, std::size_t tcount,
-                  unsigned mu, float* xt) {
-  const std::size_t n = x.rows();
-  for (std::size_t g = 0; g < tcount; ++g) {
-    for (unsigned j = 0; j < mu; ++j) {
-      const std::size_t row = (t0 + g) * mu + j;
-      float* dst = xt + (g * mu + j) * lanes;
-      const std::size_t real = row < n ? ncols : 0;
-      for (std::size_t lane = 0; lane < real; ++lane) {
-        dst[lane] = x(row, c0 + lane);
-      }
-      std::fill(dst + real, dst + lanes, 0.0f);
-    }
-  }
-}
-
-struct KernelArgs {
-  const std::vector<KeyMatrix>* keys;
-  const std::vector<std::vector<float>>* alphas;
-  /// Scale columns per row and inputs per scale column: the tile whose
+/// One engine's rows of a plan: its key planes and scales, the rows
+/// [row0, row0 + rows) of the plan's y it fills and the epilogue they
+/// take. A plain plan has one part; a row stack (plan_stack) has one
+/// per engine, all querying the same tables.
+struct Part {
+  const KeyMatrix* keys;  // planes [0, num_planes)
+  std::size_t num_planes;
+  const std::vector<float>* alphas;  // nullptr = unit scales
+  /// Scale columns per row and inputs per scale column: the chunk whose
   /// first table is t0 reads alphas[q][i * num_groups + t0 * mu /
   /// group_size] (column 0 for per-row scales, where group_size = n).
   std::size_t num_groups, group_size;
-  ConstMatrixView x;
+  std::size_t row0, rows;
+  Epilogue epilogue;  // a stack's own; a plain plan runs the plan's
+};
+
+Part part_of(const BiqGemm& e, std::size_t row0, const Epilogue& ep) {
+  Part p;
+  p.keys = &e.keys(0);
+  p.num_planes = e.bits();
+  p.alphas = e.alphas().empty() ? nullptr : e.alphas().data();
+  p.num_groups = e.num_groups();
+  p.group_size = e.group_size();
+  p.row0 = row0;
+  p.rows = e.rows();
+  p.epilogue = ep;
+  return p;
+}
+
+/// A part bound to one run: its row block of y and its epilogue.
+struct PartRun {
+  const Part* part = nullptr;
   MatrixView y;
-  std::size_t m, b, ntables;
+  EpilogueOp ep;
+};
+
+struct KernelArgs {
+  const PartRun* parts;
+  std::size_t nparts;
+  ConstMatrixView x;
+  std::size_t m, b, ntables;  // m: rows of all parts
   unsigned mu;
   bool use_dp;
   TilePlan plan;
   const engine::BiqKernels* kernels;  // the plan's ISA plane
-  const EpilogueOp* ep;               // fused output transform (may be empty)
   /// Non-null = prepared-LUT consume: the full LUT artifact, batch tile t
   /// at prep + t * ntables * 2^mu * plan.lanes, table g of a chunk at
   /// chunk_base + g * 2^mu * plan.lanes (the layout build_tile emits).
@@ -138,14 +146,26 @@ void query_one_lane(const engine::BiqKernels& kernels,
   }
 }
 
+/// Rows [lo, hi) of `part` that fall in the item's rows [i0, i1), in the
+/// part's own numbering; lo >= hi when none do.
+struct PartRows {
+  std::size_t lo, hi;
+};
+PartRows part_rows(const Part& p, std::size_t i0, std::size_t i1) noexcept {
+  const std::size_t lo = std::max(i0, p.row0);
+  const std::size_t hi = std::min(i1, p.row0 + p.rows);
+  return lo < hi ? PartRows{lo - p.row0, hi - p.row0} : PartRows{0, 0};
+}
+
 /// Runs output rows [i0, i1) of the batch tile of columns [c0, c0+ncols)
 /// at the tile width plan.lanes (the plane's query width, or 1 at batch
 /// 1; ncols < lanes only for a narrow batch or the last tile): every
-/// chunk of the tile's tables is staged and built into this worker's
-/// scratch (or read from the prepared artifact), queried for those rows,
-/// and the rows are written back.
-/// The tables and each row's accumulation order do not depend on the
-/// row range, so any split of a tile gives the same bits.
+/// chunk of the tile's tables is staged and built once into this
+/// worker's scratch (or read from the prepared artifact) and queried by
+/// every part's rows in the range, and the rows are written back.
+/// The tables and each row's accumulation order depend neither on the
+/// row range nor on the other parts, so any split of a tile, and any
+/// stack, gives the same bits.
 template <typename KeyT>
 void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t ncols,
                         std::size_t i0, std::size_t i1, Scratch& scratch) {
@@ -154,15 +174,8 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t ncols,
   std::fill(ytile + i0 * lanes, ytile + i1 * lanes, 0.0f);
 
   engine::QueryTileArgs q;
-  q.keys = a.keys->data();
-  q.num_planes = a.keys->size();
-  q.alphas = a.alphas->empty() ? nullptr : a.alphas->data();
-  q.alpha_stride = a.num_groups;
   q.mu = a.mu;
   q.lut = scratch.lut;
-  q.ytile = ytile;
-  q.i0 = i0;
-  q.i1 = i1;
   const auto query_fn = sizeof(KeyT) == 1 ? a.kernels->query_tile_u8
                                           : a.kernels->query_tile_u16;
 
@@ -176,7 +189,8 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t ncols,
     const std::size_t tcount = std::min(a.plan.tables_per_tile, a.ntables - t0);
 
     if (a.prep == nullptr) {
-      stage_x_tile(a.x, c0, ncols, lanes, t0, tcount, a.mu, scratch.xt);
+      a.kernels->stage_x_tile(a.x, c0, ncols, t0 * a.mu, tcount * a.mu,
+                              lanes, scratch.xt);
       build_tile(*a.kernels, lanes, scratch.xt, scratch.lut, tcount, a.mu,
                  a.use_dp);
     } else {
@@ -187,11 +201,23 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t ncols,
     }
     q.t0 = t0;
     q.tcount = tcount;
-    q.alpha_offset = t0 * a.mu / a.group_size;
-    if (lanes == 1) {
-      query_one_lane<KeyT>(*a.kernels, q);
-    } else {
-      query_fn(q);
+    for (std::size_t p = 0; p < a.nparts; ++p) {
+      const Part& part = *a.parts[p].part;
+      const PartRows r = part_rows(part, i0, i1);
+      if (r.lo >= r.hi) continue;
+      q.keys = part.keys;
+      q.num_planes = part.num_planes;
+      q.alphas = part.alphas;
+      q.alpha_stride = part.num_groups;
+      q.alpha_offset = t0 * a.mu / part.group_size;
+      q.ytile = ytile + part.row0 * lanes;
+      q.i0 = r.lo;
+      q.i1 = r.hi;
+      if (lanes == 1) {
+        query_one_lane<KeyT>(*a.kernels, q);
+      } else {
+        query_fn(q);
+      }
     }
   }
 
@@ -200,14 +226,14 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t ncols,
   // the de-interleave itself (the bias add — and, for activation-free
   // epilogues, the residual add — ride the copy's store), so fusion
   // costs no extra pass over y; an unfused plan pays those terms as
-  // separate re-streaming passes afterwards.
-  if (a.ep->empty()) {
-    for (std::size_t lane = 0; lane < ncols; ++lane) {
-      float* ycol = a.y.col(c0 + lane);
-      for (std::size_t i = i0; i < i1; ++i) ycol[i] = ytile[i * lanes + lane];
-    }
-  } else {
-    a.ep->apply_interleaved(a.y, ytile, i0, i1, lanes, c0, c0 + ncols);
+  // separate re-streaming passes afterwards. An empty epilogue is the
+  // plain de-interleaving copy.
+  for (std::size_t p = 0; p < a.nparts; ++p) {
+    const PartRun& run = a.parts[p];
+    const PartRows r = part_rows(*run.part, i0, i1);
+    if (r.lo >= r.hi) continue;
+    run.ep.apply_interleaved(run.y, ytile + run.part->row0 * lanes, r.lo,
+                             r.hi, lanes, c0, c0 + ncols);
   }
 }
 
@@ -234,10 +260,10 @@ void run_kernel(const KernelArgs& args, ExecContext& ctx) {
 
 /// Builds the full batched LUT artifact (every batch tile's interleaved
 /// tables) into `prep`, layout as documented on KernelArgs::prep. Uses
-/// the same stage_x_tile/build_tile bodies as the fused path, so table
-/// contents are bitwise what execute would stream chunk by chunk. Items
-/// are (batch tile, chunk) pairs, tile-major: each writes its own slice
-/// of the artifact.
+/// the same stage/build bodies as the fused path, so table contents are
+/// bitwise what execute would stream chunk by chunk. Items are (batch
+/// tile, chunk) pairs, tile-major: each writes its own slice of the
+/// artifact.
 void run_prepare_kernel(ConstMatrixView x, float* prep, std::size_t ntables,
                         unsigned mu, bool use_dp, const TilePlan& plan,
                         const engine::BiqKernels& kernels, ExecContext& ctx) {
@@ -257,57 +283,94 @@ void run_prepare_kernel(ConstMatrixView x, float* prep, std::size_t ntables,
         const std::size_t t0 = item % nchunks * plan.tables_per_tile;
         const std::size_t tcount = std::min(plan.tables_per_tile,
                                             ntables - t0);
-        stage_x_tile(x, c0, std::min(lanes, b - c0), lanes, t0, tcount, mu,
-                     xt);
+        kernels.stage_x_tile(x, c0, std::min(lanes, b - c0), t0 * mu,
+                             tcount * mu, lanes, xt);
         build_tile(kernels, lanes, xt,
                    prep + (c0 / lanes * ntables + t0) * entries * lanes,
                    tcount, mu, use_dp);
       });
 }
 
-/// The frozen (shape, options, context) recipe behind BiqGemm::plan.
-/// Everything derivable before the activations arrive is resolved here,
-/// once: the kernel plane (ctx's isa) and the tile geometry. A batch
-/// tile is the plane's query width, or one lane at batch 1, where the
-/// flat tables need no padded lanes. With more than one scale group, a
-/// LUT tile is exactly one group, so each tile's hits share one alpha
-/// per (plane, row).
+/// Batch-tile width of an engine's plans: the plane's query width, or
+/// one lane at batch 1, where the flat tables need no padded lanes.
+std::size_t tile_lanes(std::size_t batch, const engine::KernelPlane& plane) {
+  return batch == 1 ? 1 : plane.biq.query_lanes;
+}
+
+/// Tables per LUT chunk of `e`'s plans at `lanes` lanes. With more than
+/// one scale group a chunk is exactly one group, so each chunk's hits
+/// share one alpha per (plane, row). A chunk taller than the layer is
+/// one chunk either way, so the clamp keeps the bits; it bounds the
+/// scratch sizes (tables_per_tile * mu * lanes) so a huge user value
+/// cannot wrap them.
+std::size_t chunk_tables(const BiqGemm& e, std::size_t lanes) {
+  const std::size_t t = e.num_groups() > 1
+                            ? e.group_size() / e.mu()
+                            : plan_tiles(e.options(), lanes).tables_per_tile;
+  return std::clamp<std::size_t>(
+      t, 1, std::max<std::size_t>(table_count(e.cols(), e.mu()), 1));
+}
+
+/// The frozen (shape, options, context) recipe behind BiqGemm::plan and
+/// BiQGEMM row stacks. Everything derivable before the activations
+/// arrive is resolved here, once: the kernel plane (ctx's isa), the
+/// tile geometry and the parts. A plain plan is one part under the
+/// plan's own epilogue; a stack's parts share mu, builder and chunk
+/// height, so one staged and built chunk serves all of them, and each
+/// part runs under its own epilogue.
 class BiqGemmPlan final : public GemmPlan {
  public:
-  BiqGemmPlan(const BiqGemm& engine, const std::vector<KeyMatrix>& keys,
-              const std::vector<std::vector<float>>& alphas,
-              const BiqGemmOptions& opt, std::size_t batch, ExecContext& ctx,
+  BiqGemmPlan(const BiqGemm& engine, std::size_t batch, ExecContext& ctx,
               const Epilogue& epilogue)
       : GemmPlan(engine.name(), engine.rows(), engine.cols(), batch, ctx,
                  epilogue),
-        keys_(&keys), alphas_(&alphas), opt_(&opt),
-        num_groups_(engine.num_groups()), group_size_(engine.group_size()),
-        tile_plan_(plan_tiles(opt, batch == 1 ? 1 : plane().biq.query_lanes)),
-        ntables_(table_count(engine.cols(), opt.mu)) {
-    if (num_groups_ > 1) tile_plan_.tables_per_tile = group_size_ / opt.mu;
-    // A tile taller than the layer is one chunk either way, so the clamp
-    // keeps the bits; it bounds the scratch sizes (tables_per_tile * mu *
-    // lanes) so a huge user value cannot wrap them.
-    tile_plan_.tables_per_tile = std::clamp<std::size_t>(
-        tile_plan_.tables_per_tile, 1, std::max<std::size_t>(ntables_, 1));
+        mu_(engine.mu()), use_dp_(engine.options().use_dp_builder),
+        stacked_(false),
+        tile_plan_{tile_lanes(batch, plane()),
+                   chunk_tables(engine, tile_lanes(batch, plane()))},
+        ntables_(table_count(engine.cols(), engine.mu())),
+        parts_{part_of(engine, 0, Epilogue{})}, runs_(1) {}
+
+  /// A row stack of BiqGemm engines (checked compatible by the caller).
+  BiqGemmPlan(std::span<const StackPart> parts, std::size_t rows,
+              std::size_t batch, ExecContext& ctx)
+      : GemmPlan(parts.front().engine->name(), rows,
+                 parts.front().engine->cols(), batch, ctx),
+        mu_(first(parts).mu()),
+        use_dp_(first(parts).options().use_dp_builder), stacked_(true),
+        tile_plan_{tile_lanes(batch, plane()),
+                   chunk_tables(first(parts), tile_lanes(batch, plane()))},
+        ntables_(table_count(cols(), mu_)), runs_(parts.size()) {
+    parts_.reserve(parts.size());
+    std::size_t row0 = 0;
+    for (const StackPart& p : parts) {
+      const auto& e = static_cast<const BiqGemm&>(*p.engine);
+      parts_.push_back(part_of(e, row0, p.epilogue));
+      row0 += e.rows();
+    }
   }
 
  private:
+  static const BiqGemm& first(std::span<const StackPart> parts) {
+    return static_cast<const BiqGemm&>(*parts.front().engine);
+  }
+
   void execute(ConstMatrixView x, MatrixView y,
                const EpilogueOp& ep) const override {
     run_items(x, nullptr, y, ep);
   }
 
   [[nodiscard]] PrepKey do_prep_key() const noexcept override {
-    // Tables depend only on x, never on the scale layout, so per-row and
-    // grouped plans with equal parameters share artifacts.
+    // Tables depend only on x, never on the scale layout or the parts,
+    // so per-row, grouped and stacked plans with equal parameters share
+    // artifacts.
     PrepKey key;
     key.kind = "biq-lut";
     key.cols = cols();
     key.batch = batch();
-    key.p0 = opt_->mu;
+    key.p0 = mu_;
     key.p1 = static_cast<std::uint32_t>(tile_plan_.lanes);
-    key.p2 = opt_->use_dp_builder ? 0u : 1u;
+    key.p2 = use_dp_ ? 0u : 1u;
     key.plane = &plane().biq;
     return key;
   }
@@ -318,12 +381,12 @@ class BiqGemmPlan final : public GemmPlan {
     // too); batch 1 is one tile of one lane.
     const std::size_t lanes = tile_plan_.lanes;
     const std::size_t ntiles = (batch() + lanes - 1) / lanes;
-    return ntables_ * (std::size_t{1} << opt_->mu) * lanes * ntiles;
+    return ntables_ * (std::size_t{1} << mu_) * lanes * ntiles;
   }
 
   void do_prepare(ConstMatrixView x, float* prep) const override {
-    run_prepare_kernel(x, prep, ntables_, opt_->mu, opt_->use_dp_builder,
-                       tile_plan_, plane().biq, context());
+    run_prepare_kernel(x, prep, ntables_, mu_, use_dp_, tile_plan_,
+                       plane().biq, context());
   }
 
   void do_consume(const float* prep, MatrixView y,
@@ -333,36 +396,43 @@ class BiqGemmPlan final : public GemmPlan {
 
   void run_items(ConstMatrixView x, const float* prep, MatrixView y,
                  const EpilogueOp& ep) const {
+    for (std::size_t p = 0; p < parts_.size(); ++p) {
+      const Part& part = parts_[p];
+      runs_[p].part = &part;
+      runs_[p].y = y.block(part.row0, part.rows, 0, batch());
+      runs_[p].ep = stacked_
+                        ? EpilogueOp(part.epilogue, ConstMatrixView(),
+                                     plane().math)
+                        : ep;
+    }
     KernelArgs args;
-    args.keys = keys_;
-    args.alphas = alphas_;
-    args.num_groups = num_groups_;
-    args.group_size = group_size_;
+    args.parts = runs_.data();
+    args.nparts = runs_.size();
     args.x = x;
-    args.y = y;
     args.m = rows();
     args.b = batch();
     args.ntables = ntables_;
-    args.mu = opt_->mu;
-    args.use_dp = opt_->use_dp_builder;
+    args.mu = mu_;
+    args.use_dp = use_dp_;
     args.plan = tile_plan_;
     args.kernels = &plane().biq;
-    args.ep = &ep;
     args.prep = prep;
-    if (opt_->mu > 8) {
+    if (mu_ > 8) {
       run_kernel<std::uint16_t>(args, context());
     } else {
       run_kernel<std::uint8_t>(args, context());
     }
   }
 
-  const std::vector<KeyMatrix>* keys_;
-  const std::vector<std::vector<float>>* alphas_;
-  const BiqGemmOptions* opt_;
-  std::size_t num_groups_;
-  std::size_t group_size_;
+  unsigned mu_;
+  bool use_dp_;
+  bool stacked_;  // parts carry their own epilogues
   TilePlan tile_plan_;
   std::size_t ntables_;
+  std::vector<Part> parts_;
+  /// Per-run bindings of the parts, rewritten by each run (a plan is run
+  /// by one caller at a time); sized here so runs never allocate.
+  mutable std::vector<PartRun> runs_;
 };
 
 }  // namespace
@@ -441,8 +511,25 @@ std::size_t BiqGemm::packed_weight_bytes() const noexcept {
 
 std::unique_ptr<GemmPlan> BiqGemm::plan(std::size_t batch, ExecContext& ctx,
                                         const Epilogue& epilogue) const {
-  return std::make_unique<BiqGemmPlan>(*this, keys_, alphas_, opt_, batch,
-                                       ctx, epilogue);
+  return std::make_unique<BiqGemmPlan>(*this, batch, ctx, epilogue);
+}
+
+std::unique_ptr<GemmPlan> BiqGemm::plan_shared_stack(
+    std::span<const StackPart> parts, std::size_t batch,
+    ExecContext& ctx) const {
+  const std::size_t lanes = tile_lanes(batch, engine::select_plane(ctx.isa()));
+  const std::size_t chunk = chunk_tables(*this, lanes);
+  std::size_t rows = 0;
+  for (const StackPart& p : parts) {
+    const auto* e = dynamic_cast<const BiqGemm*>(p.engine);
+    if (e == nullptr || e->mu() != mu() ||
+        e->options().use_dp_builder != opt_.use_dp_builder ||
+        chunk_tables(*e, lanes) != chunk) {
+      return nullptr;
+    }
+    rows += e->rows();
+  }
+  return std::make_unique<BiqGemmPlan>(parts, rows, batch, ctx);
 }
 
 void biqgemm(const BinaryCodes& codes, const Matrix& x, Matrix& y,

@@ -64,6 +64,17 @@ class BiqGemm final : public GemmEngine {
       const Epilogue& epilogue) const override;
   using GemmEngine::plan;
 
+  /// A stack of BiqGemm parts with this engine's mu, builder and LUT
+  /// chunk height (per-row and grouped parts may mix when their chunks
+  /// agree) is one plan: one parallel region over (batch tile, row
+  /// range) items of the stacked rows, each chunk of x staged and built
+  /// once per item and queried by every part's rows in its range, each
+  /// row's arithmetic that of its own engine's plan. Any other stack
+  /// gets nullptr (its parts run one after another).
+  [[nodiscard]] std::unique_ptr<GemmPlan> plan_shared_stack(
+      std::span<const StackPart> parts, std::size_t batch,
+      ExecContext& ctx) const override;
+
   [[nodiscard]] std::size_t rows() const noexcept override { return m_; }
   [[nodiscard]] std::size_t cols() const noexcept override { return n_; }
   [[nodiscard]] std::size_t weight_bytes() const noexcept override {
@@ -81,6 +92,11 @@ class BiqGemm final : public GemmEngine {
   [[nodiscard]] const BiqGemmOptions& options() const noexcept { return opt_; }
   [[nodiscard]] const KeyMatrix& keys(unsigned plane) const {
     return keys_.at(plane);
+  }
+  /// Per-plane scales, alphas()[q][row * num_groups() + group]; empty =
+  /// unit scales.
+  [[nodiscard]] const std::vector<std::vector<float>>& alphas() const noexcept {
+    return alphas_;
   }
 
   /// Bytes inference actually loads for weights: packed keys + scales.

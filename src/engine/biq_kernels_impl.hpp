@@ -1,10 +1,10 @@
-// Generic source of the BiQGEMM hot loops (interleaved LUT builders,
-// batched query tile, GEMV query row). This header is included exactly
-// once per ISA translation unit with BIQ_KERNELS_NS set to that unit's
-// namespace (kern_scalar / kern_avx2 / kern_avx512); the TU's compile
-// flags decide whether the vector types below lower to AVX2/AVX-512
-// intrinsics or to portable per-lane loops, and fix the batch-tile
-// width (VBatch / kQueryLanes: 8 lanes, 16 on AVX-512). All planes run
+// Generic source of the BiQGEMM hot loops (x-tile staging, interleaved
+// LUT builders, batched query tile, GEMV query row). This header is
+// included exactly once per ISA translation unit with BIQ_KERNELS_NS
+// set to that unit's namespace (kern_scalar / kern_avx2 / kern_avx512);
+// the TU's compile flags decide whether the vector types below lower to
+// AVX2/AVX-512 intrinsics or to portable per-lane loops, and fix the
+// batch-tile width (VBatch / kQueryLanes: 8 lanes, 16 on AVX-512). All planes run
 // the same arithmetic in the same per-lane order — only the instruction
 // encoding differs — which is what makes the cross-plane bitwise
 // consistency tests possible.
@@ -20,8 +20,10 @@
 #error "biq_kernels_impl.hpp must be included with BIQ_KERNELS_NS defined"
 #endif
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #if defined(__AVX2__) || defined(__AVX512F__)
 #include <immintrin.h>
@@ -29,6 +31,7 @@
 
 #include "core/key_matrix.hpp"
 #include "engine/dispatch.hpp"
+#include "matrix/view.hpp"
 
 namespace biq::engine {
 namespace BIQ_KERNELS_NS {
@@ -137,6 +140,175 @@ using VBatch = V8;
 inline constexpr std::size_t kQueryLanes = 8;
 
 #endif  // __AVX512F__
+
+// ------------------------------------- masked segments, in-register transpose
+// load_n / store_n move lanes [0, n) of a VBatch (the rest load as zero
+// and are not stored; nothing past p + n is touched). transpose() turns
+// W vectors of W lanes into their transpose: afterwards r[i] lane j
+// holds what r[j] lane i held.
+#if defined(__AVX512F__)
+
+__mmask16 lane_mask(std::size_t n) noexcept {
+  return static_cast<__mmask16>((1u << n) - 1u);
+}
+VBatch load_n(const float* p, std::size_t n) noexcept {
+  return {_mm512_maskz_loadu_ps(lane_mask(n), p)};
+}
+void store_n(VBatch a, float* p, std::size_t n) noexcept {
+  _mm512_mask_storeu_ps(p, lane_mask(n), a.v);
+}
+
+/// 16 x 16: pairs of rows interleave by float, then by float pair, then
+/// 128-bit lanes swap twice. The all-lanes-masked intrinsic forms take
+/// an explicit pass-through operand: GCC 12's unmasked forms pass an
+/// undefined one, which trips -Wuninitialized under -Werror.
+void transpose(VBatch (&r)[16]) noexcept {
+  constexpr __mmask16 kAll = 0xFFFF;
+  constexpr __mmask8 kAll8 = 0xFF;
+  __m512 t[16];
+  for (int i = 0; i < 16; i += 2) {
+    t[i] = _mm512_mask_unpacklo_ps(r[i].v, kAll, r[i].v, r[i + 1].v);
+    t[i + 1] = _mm512_mask_unpackhi_ps(r[i].v, kAll, r[i].v, r[i + 1].v);
+  }
+  auto lo = [](__m512 a, __m512 b) {
+    const __m512d ad = _mm512_castps_pd(a);
+    return _mm512_castpd_ps(
+        _mm512_mask_unpacklo_pd(ad, kAll8, ad, _mm512_castps_pd(b)));
+  };
+  auto hi = [](__m512 a, __m512 b) {
+    const __m512d ad = _mm512_castps_pd(a);
+    return _mm512_castpd_ps(
+        _mm512_mask_unpackhi_pd(ad, kAll8, ad, _mm512_castps_pd(b)));
+  };
+  auto lanes = [](__m512 a, __m512 b, auto imm) {
+    return _mm512_mask_shuffle_f32x4(a, kAll, a, b, decltype(imm)::value);
+  };
+  using Even = std::integral_constant<int, 0x88>;  // 128-bit lanes 0, 2
+  using Odd = std::integral_constant<int, 0xdd>;   // 128-bit lanes 1, 3
+  __m512 u[16];
+  for (int i = 0; i < 16; i += 4) {
+    u[i] = lo(t[i], t[i + 2]);
+    u[i + 1] = hi(t[i], t[i + 2]);
+    u[i + 2] = lo(t[i + 1], t[i + 3]);
+    u[i + 3] = hi(t[i + 1], t[i + 3]);
+  }
+  // u[4g + i], 128-bit lane L: element 4L + i of rows 4g..4g+3.
+  for (int i = 0; i < 4; ++i) {
+    t[i] = lanes(u[i], u[i + 4], Even{});
+    t[i + 4] = lanes(u[i], u[i + 4], Odd{});
+    t[i + 8] = lanes(u[i + 8], u[i + 12], Even{});
+    t[i + 12] = lanes(u[i + 8], u[i + 12], Odd{});
+  }
+  for (int i = 0; i < 4; ++i) {
+    r[i].v = lanes(t[i], t[i + 8], Even{});
+    r[i + 8].v = lanes(t[i], t[i + 8], Odd{});
+    r[i + 4].v = lanes(t[i + 4], t[i + 12], Even{});
+    r[i + 12].v = lanes(t[i + 4], t[i + 12], Odd{});
+  }
+}
+
+#elif defined(__AVX2__)
+
+__m256i lane_mask(std::size_t n) noexcept {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+VBatch load_n(const float* p, std::size_t n) noexcept {
+  return {_mm256_maskload_ps(p, lane_mask(n))};
+}
+void store_n(VBatch a, float* p, std::size_t n) noexcept {
+  _mm256_maskstore_ps(p, lane_mask(n), a.v);
+}
+
+/// 8 x 8: pairs of rows interleave by float, then by float pair, then
+/// the 128-bit halves swap.
+void transpose(VBatch (&r)[8]) noexcept {
+  __m256 t[8];
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_ps(r[i].v, r[i + 1].v);
+    t[i + 1] = _mm256_unpackhi_ps(r[i].v, r[i + 1].v);
+  }
+  __m256 u[8];
+  for (int i = 0; i < 8; i += 4) {
+    u[i] = _mm256_shuffle_ps(t[i], t[i + 2], 0x44);
+    u[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], 0xEE);
+    u[i + 2] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0x44);
+    u[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0xEE);
+  }
+  for (int i = 0; i < 4; ++i) {
+    r[i].v = _mm256_permute2f128_ps(u[i], u[i + 4], 0x20);
+    r[i + 4].v = _mm256_permute2f128_ps(u[i], u[i + 4], 0x31);
+  }
+}
+
+#else  // portable plane
+
+VBatch load_n(const float* p, std::size_t n) noexcept {
+  VBatch r = VBatch::zero();
+  for (std::size_t i = 0; i < n; ++i) r.v[i] = p[i];
+  return r;
+}
+void store_n(VBatch a, float* p, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) p[i] = a.v[i];
+}
+void transpose(VBatch (&r)[kQueryLanes]) noexcept {
+  for (std::size_t i = 0; i < kQueryLanes; ++i) {
+    for (std::size_t j = i + 1; j < kQueryLanes; ++j) {
+      const float t = r[i].v[j];
+      r[i].v[j] = r[j].v[i];
+      r[j].v[i] = t;
+    }
+  }
+}
+
+#endif
+
+// -------------------------------------------------------------- staging
+/// Stages x rows [r0, r0 + nrows) of columns [c0, c0 + ncols) into the
+/// row-major tile xt[r * lanes + lane] = x(r0 + r, c0 + lane), zero past
+/// x's last row (the tail-group guarantee) and past ncols (a narrow
+/// batch tile runs at the plane's full width; each lane is independent,
+/// so the padding never reaches a real column). At the query width the
+/// vector planes load W-row segments of the W columns and transpose
+/// them in registers; the portable plane, and the one-lane tile of
+/// batch 1, copy element by element. Both give the same bits.
+void stage_x_tile(ConstMatrixView x, std::size_t c0, std::size_t ncols,
+                  std::size_t r0, std::size_t nrows, std::size_t lanes,
+                  float* xt) {
+  const std::size_t n = x.rows();
+#if defined(__AVX2__)
+  if (lanes == kQueryLanes) {
+    constexpr std::size_t W = kQueryLanes;
+    for (std::size_t rb = 0; rb < nrows; rb += W) {
+      const std::size_t row = r0 + rb;
+      const std::size_t real = row < n ? std::min(W, n - row) : 0;
+      VBatch r[W];
+      for (std::size_t lane = 0; lane < W; ++lane) {
+        if (lane >= ncols || real == 0) {
+          r[lane] = VBatch::zero();
+        } else if (real == W) {
+          r[lane] = VBatch::loadu(x.col(c0 + lane) + row);
+        } else {
+          r[lane] = load_n(x.col(c0 + lane) + row, real);
+        }
+      }
+      transpose(r);
+      const std::size_t rows = std::min(W, nrows - rb);
+      for (std::size_t k = 0; k < rows; ++k) r[k].storeu(xt + (rb + k) * W);
+    }
+    return;
+  }
+#endif
+  for (std::size_t r = 0; r < nrows; ++r) {
+    const std::size_t row = r0 + r;
+    float* dst = xt + r * lanes;
+    const std::size_t real = row < n ? ncols : 0;
+    for (std::size_t lane = 0; lane < real; ++lane) {
+      dst[lane] = x(row, c0 + lane);
+    }
+    for (std::size_t lane = real; lane < lanes; ++lane) dst[lane] = 0.0f;
+  }
+}
 
 // --------------------------------------------------- LUT builders (Fig. 4)
 // Both builders fill one batch tile of kQueryLanes columns: xt is
@@ -348,6 +520,7 @@ float gemv_row(const KeyT* krow, std::size_t tcount, unsigned mu,
 BiqKernels biq_table() noexcept {
   BiqKernels t;
   t.query_lanes = kQueryLanes;
+  t.stage_x_tile = &stage_x_tile;
   t.build_dp = &build_dp;
   t.build_mm = &build_mm;
   t.query_tile_u8 = &query_tile<std::uint8_t>;

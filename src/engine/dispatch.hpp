@@ -13,8 +13,8 @@
 //                              microkernel
 //   tmac_kernels_impl.hpp    — TmacKernels: grouped-LUT lookup-accumulate
 //   math_kernels_impl.hpp    — MathKernels: fp32 exp, GELU / sigmoid /
-//                              tanh sweeps, column softmax and the
-//                              attention-head kernel
+//                              tanh sweeps, column softmax, the
+//                              attention-head kernel and LayerNorm
 // and exports them together as one KernelPlane, so all planes execute
 // the *same* arithmetic in the same order — LUT keys and table layouts
 // are bitwise identical across planes, and outputs agree to rounding
@@ -71,6 +71,15 @@ struct BiqKernels {
   /// the scalar and AVX2 planes, 16 on AVX-512). Every batch tile has
   /// this width; narrower batches are zero-padded to it.
   std::size_t query_lanes = 8;
+  /// Stages x rows [r0, r0 + nrows) of columns [c0, c0 + ncols) into the
+  /// row-major tile xt[r * lanes + lane] = x(r0 + r, c0 + lane), with
+  /// zeros past x's last row and past ncols. At lanes == query_lanes the
+  /// vector planes transpose column segments in registers; other widths
+  /// (the one-lane batch-1 tile) and the scalar plane copy one element
+  /// at a time.
+  void (*stage_x_tile)(ConstMatrixView x, std::size_t c0, std::size_t ncols,
+                       std::size_t r0, std::size_t nrows, std::size_t lanes,
+                       float* xt) = nullptr;
   /// Interleaved LUT builders (contract of core/lut_builder.hpp): xt is
   /// [mu x query_lanes] row-major, lut receives 2^mu * query_lanes floats.
   void (*build_dp)(const float* xt, unsigned mu, float* lut) = nullptr;
@@ -137,11 +146,17 @@ struct TmacKernels {
   void (*accumulate_tile)(const TmacTileArgs&) = nullptr;
 };
 
+/// Widest math-plane vector (AVX-512): the most columns one
+/// MathKernels::layernorm call takes on any plane.
+inline constexpr std::size_t kMaxMathLanes = 16;
+
 /// Per-ISA table of the fp32 math outside the GEMMs. Every sweep maps
 /// dst[i] = f(src[i]) over [0, n) (src == dst allowed) and gives each
 /// element the same bits wherever it falls in the sweep: tails run the
 /// vector body masked, never a separate scalar formula.
 struct MathKernels {
+  /// Vector width of the plane (8, 16 on AVX-512; <= kMaxMathLanes).
+  std::size_t lanes = 8;
   /// e^x: within 2 ulp of std::exp on normal results; +Inf past ~88.72,
   /// +0 below -104, NaN in gives NaN out (so do the sweeps below).
   void (*exp)(const float* src, float* dst, std::size_t n) = nullptr;
@@ -160,6 +175,25 @@ struct MathKernels {
   void (*attend_head)(ConstMatrixView q, ConstMatrixView k,
                       ConstMatrixView v, float scale, MatrixView scores,
                       MatrixView context) = nullptr;
+  /// De-interleaving write-back of a lanes-wide accumulator tile
+  /// (tile[i * lanes + l] is row i of column l): for rows [i0, i1) and
+  /// l < ncols, y(i, c0 + l) = (tile[i * lanes + l] + bias[i]) +
+  /// res(i, c0 + l), each add only when its operand is given (bias
+  /// non-null, res non-empty). Row blocks go through in-register
+  /// transposes.
+  void (*write_tile)(const float* tile, std::size_t i0, std::size_t i1,
+                     MatrixView y, std::size_t c0, std::size_t ncols,
+                     const float* bias, ConstMatrixView res) = nullptr;
+  /// LayerNorm of `cols` (1..lanes) columns of d floats in lockstep:
+  /// dst[j][i] = gamma[i] * (float(src[j][i] - mean_j) * inv_j) + beta[i]
+  /// with inv_j = 1 / sqrt(float(var_j) + eps). Column j's mean and
+  /// variance are its own sequential double sums over i = 0..d-1, each
+  /// product rounded before its add, so every plane gives every column
+  /// the same bits, whichever columns share the call. dst[j] == src[j]
+  /// (in place) is allowed.
+  void (*layernorm)(const float* const* src, float* const* dst,
+                    std::size_t cols, std::size_t d, const float* gamma,
+                    const float* beta, float eps) = nullptr;
 };
 
 /// Every kernel family compiled for one ISA: what one per-ISA TU exports.

@@ -31,13 +31,14 @@
 // apply()/apply_interleaved() call reports the rows it finished per
 // column, and whichever worker retires a column's last row runs the
 // normalization for that column — exactly once, with a fixed sequential
-// reduction order over the column, so the result is bitwise identical
-// at any thread count and tile schedule. All eight engines get this
-// through the shared apply paths; no engine carries barrier code.
+// reduction order over the column (the math plane's lockstep kernel
+// normalizes the columns one call completes together), so the result
+// is bitwise identical at any thread count and tile schedule. All eight
+// engines get this through the shared apply paths; no engine carries
+// barrier code.
 #pragma once
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 
 #include "engine/dispatch.hpp"
@@ -81,31 +82,20 @@ inline void activate_sweep(const float* src, float* dst, std::size_t n,
   return v;
 }
 
-/// Normalize one column of length d: the single source of truth for
+/// Normalize one column of length d through the math plane's lockstep
+/// LayerNorm (MathKernels::layernorm): the single source of truth for
 /// LayerNorm arithmetic. The standalone nn::LayerNorm step and the
-/// col_post epilogue stage both call this, so standalone and fused
-/// execution are bitwise identical by construction. The reduction order
-/// is the fixed sequential i = 0..d-1 sweep (mean, then variance, then
-/// the scaled write), independent of who executes it — that is what
-/// makes the column barrier's "whichever worker finishes last
-/// normalizes" scheduling invisible in the output. src == dst
-/// (in-place) is fine.
+/// col_post epilogue stage run the same kernel, several columns per
+/// call, and a column's bits depend neither on the columns beside it
+/// nor on the plane: its reduction is the fixed sequential i = 0..d-1
+/// chain (mean, then variance, then the scaled write), independent of
+/// who executes it. That is what makes the column barrier's "whichever
+/// worker finishes last normalizes" scheduling invisible in the output.
+/// src == dst (in-place) is fine.
 inline void layernorm_col(const float* src, float* dst, std::size_t d,
-                          const float* gamma, const float* beta,
-                          float eps) noexcept {
-  double mean = 0.0;
-  for (std::size_t i = 0; i < d; ++i) mean += src[i];
-  mean /= static_cast<double>(d);
-  double var = 0.0;
-  for (std::size_t i = 0; i < d; ++i) {
-    const double dv = src[i] - mean;
-    var += dv * dv;
-  }
-  var /= static_cast<double>(d);
-  const float inv = 1.0f / std::sqrt(static_cast<float>(var) + eps);
-  for (std::size_t i = 0; i < d; ++i) {
-    dst[i] = gamma[i] * (static_cast<float>(src[i] - mean) * inv) + beta[i];
-  }
+                          const float* gamma, const float* beta, float eps,
+                          const engine::MathKernels& math) noexcept {
+  math.layernorm(&src, &dst, 1, d, gamma, beta, eps);
 }
 
 }  // namespace epilogue
@@ -216,43 +206,38 @@ class EpilogueOp {
   /// when there is no activation, the residual add too — rides the
   /// de-interleave store itself, so for those terms the epilogue costs
   /// no pass over y at all; activations follow as the same staged sweeps
-  /// apply() runs. Same per-element arithmetic order, so the result is
-  /// bitwise identical to a plain copy followed by apply().
+  /// apply() runs. A tile of the math plane's width goes through its
+  /// transposing write_tile; a one-lane tile (batch 1) is a plain
+  /// column. Same per-element arithmetic order either way, so the
+  /// result is bitwise identical to a plain copy followed by apply().
   void apply_interleaved(MatrixView y, const float* tile, std::size_t i0,
                          std::size_t i1, std::size_t lanes, std::size_t c0,
                          std::size_t c1) const noexcept {
-    for (std::size_t lane = 0; lane < c1 - c0; ++lane) {
-      float* yc = y.col(c0 + lane);
-      const float* src = tile + lane;
-      const float* rc = has_residual_ ? residual_.col(c0 + lane) : nullptr;
-      if (act_ == EpilogueAct::kNone) {
-        if (bias_ != nullptr && rc != nullptr) {
-          for (std::size_t i = i0; i < i1; ++i) {
-            yc[i] = (src[i * lanes] + bias_[i]) + rc[i];
-          }
-        } else if (bias_ != nullptr) {
-          for (std::size_t i = i0; i < i1; ++i) {
-            yc[i] = src[i * lanes] + bias_[i];
-          }
-        } else if (rc != nullptr) {
-          for (std::size_t i = i0; i < i1; ++i) {
-            yc[i] = src[i * lanes] + rc[i];
-          }
-        } else {
-          for (std::size_t i = i0; i < i1; ++i) yc[i] = src[i * lanes];
-        }
-        continue;
-      }
-      if (bias_ != nullptr) {
+    const bool res_in_copy = has_residual_ && act_ == EpilogueAct::kNone;
+    if (lanes == math_->lanes) {
+      math_->write_tile(tile, i0, i1, y, c0, c1 - c0, bias_,
+                        res_in_copy ? residual_ : ConstMatrixView());
+    } else {
+      for (std::size_t lane = 0; lane < c1 - c0; ++lane) {
+        float* yc = y.col(c0 + lane);
+        const float* src = tile + lane;
+        const float* rc = res_in_copy ? residual_.col(c0 + lane) : nullptr;
         for (std::size_t i = i0; i < i1; ++i) {
-          yc[i] = src[i * lanes] + bias_[i];
+          float v = src[i * lanes];
+          if (bias_ != nullptr) v += bias_[i];
+          if (rc != nullptr) v += rc[i];
+          yc[i] = v;
         }
-      } else {
-        for (std::size_t i = i0; i < i1; ++i) yc[i] = src[i * lanes];
       }
-      epilogue::activate_sweep(yc + i0, yc + i0, i1 - i0, act_, *math_);
-      if (rc != nullptr) {
-        for (std::size_t i = i0; i < i1; ++i) yc[i] += rc[i];
+    }
+    if (act_ != EpilogueAct::kNone) {
+      for (std::size_t c = c0; c < c1; ++c) {
+        float* yc = y.col(c);
+        epilogue::activate_sweep(yc + i0, yc + i0, i1 - i0, act_, *math_);
+        if (has_residual_) {
+          const float* rc = residual_.col(c);
+          for (std::size_t i = i0; i < i1; ++i) yc[i] += rc[i];
+        }
       }
     }
     notify_cols(y, i0, i1, c0, c1);
@@ -262,25 +247,38 @@ class EpilogueOp {
   /// Column-completion barrier tick: credit [i0, i1) rows to each of
   /// columns [c0, c1); the call that brings a column to total_rows_
   /// resets its counter and runs the LN stage over the now-complete
-  /// column. The acq_rel RMW chain on each column's atomic means every
-  /// writer of that column happens-before the completing worker's
-  /// normalize (TSan-clean), and the relaxed reset is safe across runs
-  /// because plan->run joins its worker pool before returning. No-op
-  /// unless the plan carries an LN stage.
+  /// column. The columns one call completes (a batch tile's, which
+  /// finish together) are normalized together, up to the math plane's
+  /// lanes per kernel call. The acq_rel RMW chain on each column's
+  /// atomic means every writer of that column happens-before the
+  /// completing worker's normalize (TSan-clean), and the relaxed reset
+  /// is safe across runs because plan->run joins its worker pool before
+  /// returning. No-op unless the plan carries an LN stage.
   void notify_cols(MatrixView y, std::size_t i0, std::size_t i1,
                    std::size_t c0, std::size_t c1) const noexcept {
     if (ln_gamma_ == nullptr) return;
     const auto added = static_cast<std::uint32_t>(i1 - i0);
     const auto total = static_cast<std::uint32_t>(total_rows_);
+    const float* src[engine::kMaxMathLanes];
+    float* dst[engine::kMaxMathLanes];
+    std::size_t ready = 0;
     for (std::size_t c = c0; c < c1; ++c) {
       std::atomic<std::uint32_t>& count = col_counts_[c];
-      if (count.fetch_add(added, std::memory_order_acq_rel) + added == total) {
-        count.store(0, std::memory_order_relaxed);
-        const float* src = y.col(c);
-        float* dst = ln_dst_.data() != nullptr ? ln_dst_.col(c) : y.col(c);
-        epilogue::layernorm_col(src, dst, total_rows_, ln_gamma_, ln_beta_,
-                                ln_eps_);
+      if (count.fetch_add(added, std::memory_order_acq_rel) + added != total) {
+        continue;
       }
+      count.store(0, std::memory_order_relaxed);
+      src[ready] = y.col(c);
+      dst[ready] = ln_dst_.data() != nullptr ? ln_dst_.col(c) : y.col(c);
+      if (++ready == math_->lanes) {
+        math_->layernorm(src, dst, ready, total_rows_, ln_gamma_, ln_beta_,
+                         ln_eps_);
+        ready = 0;
+      }
+    }
+    if (ready != 0) {
+      math_->layernorm(src, dst, ready, total_rows_, ln_gamma_, ln_beta_,
+                       ln_eps_);
     }
   }
 

@@ -3,9 +3,37 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace biq {
 namespace {
+
+/// A row stack whose engines share no work: each part's own plan runs
+/// on its row block of y, in stack order.
+class SequentialStackPlan final : public GemmPlan {
+ public:
+  SequentialStackPlan(std::span<const StackPart> parts, std::size_t rows,
+                      std::size_t batch, ExecContext& ctx)
+      : GemmPlan(parts.front().engine->name(), rows,
+                 parts.front().engine->cols(), batch, ctx) {
+    parts_.reserve(parts.size());
+    for (const StackPart& p : parts) {
+      parts_.push_back(p.engine->plan(batch, ctx, p.epilogue));
+    }
+  }
+
+ private:
+  void execute(ConstMatrixView x, MatrixView y,
+               const EpilogueOp& /*ep*/) const override {
+    std::size_t row0 = 0;
+    for (const auto& p : parts_) {
+      p->run(x, y.block(row0, p->rows(), 0, batch()));
+      row0 += p->rows();
+    }
+  }
+
+  std::vector<std::unique_ptr<GemmPlan>> parts_;
+};
 
 std::string dims(ConstMatrixView v) {
   char buf[96];
@@ -15,6 +43,35 @@ std::string dims(ConstMatrixView v) {
 }
 
 }  // namespace
+
+std::unique_ptr<GemmPlan> plan_stack(std::span<const StackPart> parts,
+                                     std::size_t batch, ExecContext& ctx) {
+  if (parts.empty()) throw std::invalid_argument("plan_stack: no parts");
+  std::size_t rows = 0;
+  for (const StackPart& p : parts) {
+    const char* what = nullptr;
+    const Epilogue& ep = p.epilogue;
+    if (p.engine == nullptr) {
+      what = "a part has no engine";
+    } else if (p.engine->cols() != parts.front().engine->cols()) {
+      what = "parts read x of different heights";
+    } else if (ep.residual || ep.ln_gamma != nullptr ||
+               ep.ln_beta != nullptr || ep.ln_split_dst) {
+      what = "a part's epilogue has a residual or LayerNorm stage";
+    }
+    if (what != nullptr) {
+      throw std::invalid_argument(std::string("plan_stack: ") + what);
+    }
+    rows += p.engine->rows();
+  }
+  if (parts.size() == 1) {
+    return parts.front().engine->plan(batch, ctx, parts.front().epilogue);
+  }
+  std::unique_ptr<GemmPlan> shared =
+      parts.front().engine->plan_shared_stack(parts, batch, ctx);
+  if (shared != nullptr) return shared;
+  return std::make_unique<SequentialStackPlan>(parts, rows, batch, ctx);
+}
 
 void GemmPlan::validate(ConstMatrixView x, MatrixView y) const {
   const char* what = nullptr;

@@ -35,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 
 #include "engine/epilogue.hpp"
@@ -337,6 +338,30 @@ class GemmPlan {
   engine::ColBarrier col_barrier_;  // one counter per column; LN plans only
 };
 
+class GemmEngine;
+
+/// One part of a row stack (plan_stack): an engine and the epilogue its
+/// rows take. The epilogue may add a bias and apply an activation; a
+/// stack takes no residual operand and no LayerNorm stage.
+struct StackPart {
+  const GemmEngine* engine = nullptr;
+  Epilogue epilogue;
+};
+
+/// One plan over a row stack of engines that read the same x: its y is
+/// the parts' outputs stacked by rows (sum of their rows() x batch),
+/// and each part's row block is bitwise what that engine's own
+/// plan(batch, ctx, part.epilogue) writes. An engine that can serve the
+/// whole stack as one recipe does so (BiQGEMM stages and builds each LUT
+/// chunk of x once and queries every part's keys against it); any other
+/// stack runs its parts' plans one after another under the same call.
+/// A one-part stack is that engine's plain plan. No weight is copied:
+/// the engines must outlive the plan, as must every part's bias. Throws
+/// std::invalid_argument on an empty stack, a null engine, parts of
+/// different cols(), or a residual / LayerNorm epilogue.
+[[nodiscard]] std::unique_ptr<GemmPlan> plan_stack(
+    std::span<const StackPart> parts, std::size_t batch, ExecContext& ctx);
+
 class GemmEngine {
  public:
   virtual ~GemmEngine() = default;
@@ -380,6 +405,16 @@ class GemmEngine {
   /// Stable registry name ("biqgemm", "blocked", ...), used by the bench
   /// tables and the examples for uniform reporting.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
+
+  /// plan_stack's hook, asked of the first part's engine with the
+  /// already-validated parts: one recipe for the whole stack that shares
+  /// the x-side work, or nullptr (the default) when this engine has none
+  /// for these parts, in which case the parts run one after another.
+  [[nodiscard]] virtual std::unique_ptr<GemmPlan> plan_shared_stack(
+      std::span<const StackPart> /*parts*/, std::size_t /*batch*/,
+      ExecContext& /*ctx*/) const {
+    return nullptr;
+  }
 };
 
 }  // namespace biq

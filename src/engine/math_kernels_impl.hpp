@@ -1,11 +1,12 @@
 // Generic source of the fp32 math plane: one vectorized exp, the GELU /
-// sigmoid / tanh sweeps built on it, the column softmax and the
-// attention-head kernel. Compiled once per ISA exactly like
-// biq_kernels_impl.hpp: include this AFTER biq_kernels_impl.hpp in the
-// same per-ISA TU with the same BIQ_KERNELS_NS. It computes on that TU's
-// VBatch type (16 lanes on AVX-512, 8 elsewhere); the extra operations
-// below lower to intrinsics on the vector planes and to per-lane loops
-// on the portable plane.
+// sigmoid / tanh sweeps built on it, the column softmax, the
+// attention-head kernel and the lockstep LayerNorm. Compiled once per
+// ISA exactly like biq_kernels_impl.hpp: include this AFTER
+// biq_kernels_impl.hpp in the same per-ISA TU with the same
+// BIQ_KERNELS_NS. It computes on that TU's VBatch type (16 lanes on
+// AVX-512, 8 elsewhere) and reuses that header's load_n / store_n /
+// transpose; the extra operations below lower to intrinsics on the
+// vector planes and to per-lane loops on the portable plane.
 //
 // Position independence: every element-wise sweep runs one vector body
 // per kMathLanes elements and finishes a tail with a masked run of the
@@ -13,7 +14,8 @@
 // So an element's bits do not depend on where it falls in a sweep, and
 // a row-tiled epilogue gives the same bits at any thread count. The
 // planes themselves differ by FMA contraction, so they agree to
-// rounding, not bitwise.
+// rounding, not bitwise — except LayerNorm, which rounds every product
+// on its own and so gives the same bits on every plane.
 //
 // Everything here lives behind the MathKernels function-pointer table
 // (engine/dispatch.hpp); nothing outside the engine layer includes this.
@@ -81,16 +83,6 @@ VM vexp_bits(VM t) noexcept {
       _mm512_add_epi32(_mm512_castps_si512(t.v), _mm512_set1_epi32(127));
   return {_mm512_castsi512_ps(_mm512_mask_slli_epi32(k, kAllLanes, k, 23))};
 }
-__mmask16 lane_mask(std::size_t n) noexcept {
-  return static_cast<__mmask16>((1u << n) - 1u);
-}
-/// Lanes [0, n) from p, the rest zero; reads nothing past p + n.
-VM load_n(const float* p, std::size_t n) noexcept {
-  return {_mm512_maskz_loadu_ps(lane_mask(n), p)};
-}
-void store_n(VM a, float* p, std::size_t n) noexcept {
-  _mm512_mask_storeu_ps(p, lane_mask(n), a.v);
-}
 /// Lanes [0, n) of a, the rest zero.
 VM keep_n(VM a, std::size_t n) noexcept {
   return {_mm512_maskz_mov_ps(lane_mask(n), a.v)};
@@ -116,6 +108,40 @@ float hmax(VM a) noexcept {
   return _mm_cvtss_f32(s);
 }
 
+VM vsqrt(VM a) noexcept { return {_mm512_mask_sqrt_ps(a.v, kAllLanes, a.v)}; }
+/// kMathLanes doubles, lanes [0, 8) in lo and [8, 16) in hi.
+struct VD {
+  __m512d lo, hi;
+};
+constexpr __mmask8 kAllPd = 0xFF;
+__m512d widen_half(__m256 a) noexcept {
+  return _mm512_mask_cvtps_pd(_mm512_setzero_pd(), kAllPd, a);
+}
+__m256d narrow_half(__m512d a) noexcept {
+  return _mm256_castps_pd(
+      _mm512_mask_cvtpd_ps(_mm256_setzero_ps(), kAllPd, a));
+}
+VD widen(VM a) noexcept { return {widen_half(half<0>(a)), widen_half(half<1>(a))}; }
+VM narrow(VD a) noexcept {
+  const __m512d z = _mm512_setzero_pd();
+  const __m512d lo = _mm512_mask_insertf64x4(z, kAllPd, z, narrow_half(a.lo), 0);
+  return {_mm512_castpd_ps(
+      _mm512_mask_insertf64x4(lo, kAllPd, lo, narrow_half(a.hi), 1))};
+}
+VD vd_set1(double x) noexcept { return {_mm512_set1_pd(x), _mm512_set1_pd(x)}; }
+VD operator+(VD a, VD b) noexcept {
+  return {_mm512_add_pd(a.lo, b.lo), _mm512_add_pd(a.hi, b.hi)};
+}
+VD operator-(VD a, VD b) noexcept {
+  return {_mm512_sub_pd(a.lo, b.lo), _mm512_sub_pd(a.hi, b.hi)};
+}
+VD operator*(VD a, VD b) noexcept {
+  return {_mm512_mul_pd(a.lo, b.lo), _mm512_mul_pd(a.hi, b.hi)};
+}
+VD operator/(VD a, VD b) noexcept {
+  return {_mm512_div_pd(a.lo, b.lo), _mm512_div_pd(a.hi, b.hi)};
+}
+
 #elif defined(__AVX2__)
 
 VM vsub(VM a, VM b) noexcept { return {_mm256_sub_ps(a.v, b.v)}; }
@@ -138,16 +164,6 @@ VM vexp_bits(VM t) noexcept {
       _mm256_add_epi32(_mm256_castps_si256(t.v), _mm256_set1_epi32(127)),
       23))};
 }
-__m256i lane_mask(std::size_t n) noexcept {
-  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
-                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-}
-VM load_n(const float* p, std::size_t n) noexcept {
-  return {_mm256_maskload_ps(p, lane_mask(n))};
-}
-void store_n(VM a, float* p, std::size_t n) noexcept {
-  _mm256_maskstore_ps(p, lane_mask(n), a.v);
-}
 VM keep_n(VM a, std::size_t n) noexcept {
   return {_mm256_and_ps(a.v, _mm256_castsi256_ps(lane_mask(n)))};
 }
@@ -164,6 +180,32 @@ float hmax(VM a) noexcept {
   s = _mm_max_ps(s, _mm_movehl_ps(s, s));
   s = _mm_max_ss(s, _mm_shuffle_ps(s, s, 0x55));
   return _mm_cvtss_f32(s);
+}
+
+VM vsqrt(VM a) noexcept { return {_mm256_sqrt_ps(a.v)}; }
+/// kMathLanes doubles, lanes [0, 4) in lo and [4, 8) in hi.
+struct VD {
+  __m256d lo, hi;
+};
+VD widen(VM a) noexcept {
+  return {_mm256_cvtps_pd(_mm256_castps256_ps128(a.v)),
+          _mm256_cvtps_pd(_mm256_extractf128_ps(a.v, 1))};
+}
+VM narrow(VD a) noexcept {
+  return {_mm256_set_m128(_mm256_cvtpd_ps(a.hi), _mm256_cvtpd_ps(a.lo))};
+}
+VD vd_set1(double x) noexcept { return {_mm256_set1_pd(x), _mm256_set1_pd(x)}; }
+VD operator+(VD a, VD b) noexcept {
+  return {_mm256_add_pd(a.lo, b.lo), _mm256_add_pd(a.hi, b.hi)};
+}
+VD operator-(VD a, VD b) noexcept {
+  return {_mm256_sub_pd(a.lo, b.lo), _mm256_sub_pd(a.hi, b.hi)};
+}
+VD operator*(VD a, VD b) noexcept {
+  return {_mm256_mul_pd(a.lo, b.lo), _mm256_mul_pd(a.hi, b.hi)};
+}
+VD operator/(VD a, VD b) noexcept {
+  return {_mm256_div_pd(a.lo, b.lo), _mm256_div_pd(a.hi, b.hi)};
 }
 
 #else  // portable plane: the same operations as per-lane loops
@@ -222,14 +264,6 @@ VM vexp_bits(VM t) noexcept {
   }
   return r;
 }
-VM load_n(const float* p, std::size_t n) noexcept {
-  VM r = VM::zero();
-  for (std::size_t i = 0; i < n; ++i) r.v[i] = p[i];
-  return r;
-}
-void store_n(VM a, float* p, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) p[i] = a.v[i];
-}
 VM keep_n(VM a, std::size_t n) noexcept {
   for (std::size_t i = n; i < kMathLanes; ++i) a.v[i] = 0.0f;
   return a;
@@ -245,7 +279,67 @@ float hmax(VM a) noexcept {
   return m;
 }
 
+VM vsqrt(VM a) noexcept {
+  VM r;
+  for (std::size_t i = 0; i < kMathLanes; ++i) r.v[i] = std::sqrt(a.v[i]);
+  return r;
+}
+struct VD {
+  double v[kMathLanes];
+};
+VD widen(VM a) noexcept {
+  VD r;
+  for (std::size_t i = 0; i < kMathLanes; ++i) r.v[i] = a.v[i];
+  return r;
+}
+VM narrow(VD a) noexcept {
+  VM r;
+  for (std::size_t i = 0; i < kMathLanes; ++i) {
+    r.v[i] = static_cast<float>(a.v[i]);
+  }
+  return r;
+}
+VD vd_set1(double x) noexcept {
+  VD r;
+  for (double& lane : r.v) lane = x;
+  return r;
+}
+template <typename F>
+VD lanewise(VD a, VD b, F f) noexcept {
+  VD r;
+  for (std::size_t i = 0; i < kMathLanes; ++i) r.v[i] = f(a.v[i], b.v[i]);
+  return r;
+}
+VD operator+(VD a, VD b) noexcept {
+  return lanewise(a, b, [](double x, double y) { return x + y; });
+}
+VD operator-(VD a, VD b) noexcept {
+  return lanewise(a, b, [](double x, double y) { return x - y; });
+}
+VD operator*(VD a, VD b) noexcept {
+  return lanewise(a, b, [](double x, double y) { return x * y; });
+}
+VD operator/(VD a, VD b) noexcept {
+  return lanewise(a, b, [](double x, double y) { return x / y; });
+}
+
 #endif
+
+/// Returns `a` unchanged but hidden from the optimizer, so a product
+/// passed through it is rounded on its own and never contracted into an
+/// FMA with the add that consumes it (the vector planes' units build
+/// with -mfma; the portable plane has no FMA to contract into).
+template <typename T>
+T opaque(T a) noexcept {
+#if defined(__AVX2__)
+  if constexpr (sizeof(T) == sizeof(VM)) {
+    __asm__("" : "+x"(a.v));
+  } else {
+    __asm__("" : "+x"(a.lo), "+x"(a.hi));
+  }
+#endif
+  return a;
+}
 
 /// Round to nearest even for |x| < 2^22: adding and removing 1.5 * 2^23
 /// leaves the integer part in the mantissa (exact IEEE arithmetic, so
@@ -446,15 +540,125 @@ void attend_head(ConstMatrixView q, ConstMatrixView k, ConstMatrixView v,
   }
 }
 
+// ---------------------------------------------------- tile write-back
+/// The de-interleaving write-back (MathKernels::write_tile): W tile rows
+/// at a time are loaded, transposed into W column segments, and stored
+/// with the bias and residual adds in the per-element order
+/// (v + bias) + res. Rows past i1 load as zero and are not stored.
+void write_tile(const float* tile, std::size_t i0, std::size_t i1,
+                MatrixView y, std::size_t c0, std::size_t ncols,
+                const float* bias, ConstMatrixView res) {
+  constexpr std::size_t W = kMathLanes;
+  const bool add_res = res.data() != nullptr;
+  VM r[W];
+  for (std::size_t i = i0; i < i1; i += W) {
+    const std::size_t rows = std::min(W, i1 - i);
+    for (std::size_t k = 0; k < W; ++k) {
+      r[k] = k < rows ? VM::loadu(tile + (i + k) * W) : VM::zero();
+    }
+    transpose(r);
+    const VM b = bias == nullptr ? VM::zero()
+                 : rows == W     ? VM::loadu(bias + i)
+                                 : load_n(bias + i, rows);
+    for (std::size_t l = 0; l < ncols; ++l) {
+      VM v = r[l];
+      if (bias != nullptr) v = v + b;
+      if (add_res) {
+        const float* rc = res.col(c0 + l) + i;
+        v = v + (rows == W ? VM::loadu(rc) : load_n(rc, rows));
+      }
+      float* yc = y.col(c0 + l) + i;
+      if (rows == W) {
+        v.storeu(yc);
+      } else {
+        store_n(v, yc, rows);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------- LayerNorm
+/// Rows [i, i + rows) of columns src[0 .. cols), transposed: afterwards
+/// r[k] holds row i + k of every column, one column per lane (lanes
+/// past cols and rows past `rows` are zero).
+void load_rows_t(const float* const* src, std::size_t cols, std::size_t i,
+                 std::size_t rows, VM (&r)[kMathLanes]) noexcept {
+  for (std::size_t c = 0; c < kMathLanes; ++c) {
+    if (c >= cols) {
+      r[c] = VM::zero();
+    } else if (rows == kMathLanes) {
+      r[c] = VM::loadu(src[c] + i);
+    } else {
+      r[c] = load_n(src[c] + i, rows);
+    }
+  }
+  transpose(r);
+}
+
+/// LayerNorm of `cols` <= kMathLanes columns in lockstep, one column
+/// per lane: every lane runs the sequential per-column chain
+///   mean = sum_i double(x_i) / d,  var = sum_i (x_i - mean)^2 / d,
+///   dst_i = gamma_i * (float(x_i - mean) * inv) + beta_i,
+///   inv = 1 / sqrt(float(var) + eps),
+/// over i = 0..d-1 in order, with each product rounded before its add.
+/// A lane's bits therefore do not depend on the plane or on which
+/// columns share the call. Row blocks are read and written through
+/// in-register transposes; a block is loaded before it is stored, so
+/// dst may be src.
+void layernorm(const float* const* src, float* const* dst, std::size_t cols,
+               std::size_t d, const float* gamma, const float* beta,
+               float eps) {
+  constexpr std::size_t W = kMathLanes;
+  VM r[W];
+  VD mean = vd_set1(0.0);
+  for (std::size_t i = 0; i < d; i += W) {
+    const std::size_t rows = std::min(W, d - i);
+    load_rows_t(src, cols, i, rows, r);
+    for (std::size_t k = 0; k < rows; ++k) mean = mean + widen(r[k]);
+  }
+  mean = mean / vd_set1(static_cast<double>(d));
+  VD var = vd_set1(0.0);
+  for (std::size_t i = 0; i < d; i += W) {
+    const std::size_t rows = std::min(W, d - i);
+    load_rows_t(src, cols, i, rows, r);
+    for (std::size_t k = 0; k < rows; ++k) {
+      const VD dv = widen(r[k]) - mean;
+      var = var + opaque(dv * dv);
+    }
+  }
+  var = var / vd_set1(static_cast<double>(d));
+  const VM inv = vdiv(VM::set1(1.0f), vsqrt(narrow(var) + VM::set1(eps)));
+  for (std::size_t i = 0; i < d; i += W) {
+    const std::size_t rows = std::min(W, d - i);
+    load_rows_t(src, cols, i, rows, r);
+    for (std::size_t k = 0; k < rows; ++k) {
+      const VM centered = vmul(narrow(widen(r[k]) - mean), inv);
+      r[k] = opaque(vmul(VM::set1(gamma[i + k]), centered)) +
+             VM::set1(beta[i + k]);
+    }
+    transpose(r);
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (rows == W) {
+        r[c].storeu(dst[c] + i);
+      } else {
+        store_n(r[c], dst[c] + i, rows);
+      }
+    }
+  }
+}
+
 /// This TU's MathKernels table, exported through its KernelPlane.
 MathKernels math_table() noexcept {
   MathKernels t;
+  t.lanes = kMathLanes;
   t.exp = &sweep<exp_body>;
   t.gelu = &sweep<gelu_body>;
   t.sigmoid = &sweep<sigmoid_body>;
   t.tanh = &sweep<tanh_body>;
   t.softmax = &softmax_col;
   t.attend_head = &attend_head;
+  t.write_tile = &write_tile;
+  t.layernorm = &layernorm;
   return t;
 }
 

@@ -9,21 +9,20 @@
 namespace biq::nn {
 namespace {
 
-/// One attention block's frozen forward: per-projection plans plus the
-/// planner slots for q/k/v, the score matrix and the head context, all
-/// served from the arena.
+/// One attention block's frozen forward: one plan for the Q, K and V
+/// projections stacked by rows (each LUT chunk of x built once for all
+/// three when the engine can share it), the output projection's plan,
+/// and the planner slots for the stacked q/k/v, the score matrix and the
+/// head context, all served from the arena.
 class AttentionStep final : public ModuleStep {
  public:
   AttentionStep(const MultiHeadAttention& attn, ModulePlanContext& mpc,
                 const StepFusion& fusion)
-      : attn_(&attn), input_residual_(fusion.input_residual) {
+      : attn_(&attn), input_residual_(fusion.runtime_residual) {
     const std::size_t tokens = mpc.batch();
-    sq_ = mpc.acquire(attn.hidden(), tokens);
-    sk_ = mpc.acquire(attn.hidden(), tokens);
-    sv_ = mpc.acquire(attn.hidden(), tokens);
-    q_ = attn.wq().plan(tokens, mpc.exec());
-    k_ = attn.wk().plan(tokens, mpc.exec());
-    v_ = attn.wv().plan(tokens, mpc.exec());
+    sqkv_ = mpc.acquire(3 * attn.hidden(), tokens);
+    const LinearLayer* qkv[] = {&attn.wq(), &attn.wk(), &attn.wv()};
+    qkv_ = LinearLayer::plan_stack(qkv, tokens, mpc.exec());
     sscores_ = mpc.acquire(tokens, tokens);
     scontext_ = mpc.acquire(attn.hidden(), tokens);
     // The requested fusion rides the output projection's epilogue: the
@@ -31,21 +30,21 @@ class AttentionStep final : public ModuleStep {
     // a folded LayerNorm normalizes each of y's columns in place as wo's
     // GEMM completes them.
     o_ = attn.wo().plan(tokens, mpc.exec(), fusion);
-    for (const ModelSlot* s : {&sscores_, &sq_, &sk_, &sv_, &scontext_}) {
+    for (const ModelSlot* s : {&sscores_, &sqkv_, &scontext_}) {
       mpc.release(*s);
     }
   }
 
   void run_step(float* base, ConstMatrixView x, MatrixView y) const override {
-    const MatrixView q = sq_.view(base);
-    const MatrixView k = sk_.view(base);
-    const MatrixView v = sv_.view(base);
-    q_->run(x, q);
-    k_->run(x, k);
-    v_->run(x, v);
+    const MatrixView qkv = sqkv_.view(base);
+    qkv_->run(x, qkv);
+    const std::size_t d = attn_->hidden();
+    const std::size_t t = x.cols();
     const MatrixView context = scontext_.view(base);
     // The head math runs on the plane the projections were planned on.
-    attn_->attend(q, k, v, sscores_.view(base), context, o_->plane().math);
+    attn_->attend(qkv.block(0, d, 0, t), qkv.block(d, d, 0, t),
+                  qkv.block(2 * d, d, 0, t), sscores_.view(base), context,
+                  o_->plane().math);
     if (input_residual_) {
       o_->run(context, y, x);  // y = wo(context) + bias + x, one pass
     } else {
@@ -56,8 +55,8 @@ class AttentionStep final : public ModuleStep {
  private:
   const MultiHeadAttention* attn_;
   bool input_residual_;
-  std::unique_ptr<GemmPlan> q_, k_, v_, o_;
-  ModelSlot sq_, sk_, sv_, sscores_, scontext_;
+  std::unique_ptr<GemmPlan> qkv_, o_;
+  ModelSlot sqkv_, sscores_, scontext_;
 };
 
 }  // namespace

@@ -20,8 +20,9 @@ class MultiHeadAttention final : public PlannableModule {
                      std::unique_ptr<LinearLayer> wo, unsigned heads);
 
   /// PlannableModule (self-attention: x and y are hidden x T for T
-  /// tokens): the frozen step holds the four projection plans
-  /// plus slots for q/k/v, the score matrix and the head context (all
+  /// tokens): the frozen step holds one plan for Q, K and V stacked by
+  /// rows (LinearLayer::plan_stack) and wo's plan, plus slots for the
+  /// stacked q/k/v, the score matrix and the head context (all
   /// internal — acquired and released within plan_into).
   [[nodiscard]] std::size_t in_rows() const noexcept override {
     return hidden_;

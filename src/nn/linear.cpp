@@ -10,14 +10,14 @@ namespace biq::nn {
 namespace {
 
 /// LinearLayer's frozen module step: the held GemmPlan, no slots. When
-/// the step was planned with input_residual, the module-IR contract is
+/// the step was planned with runtime_residual, the module-IR contract is
 /// "add the step's own input" — run_step binds x as the residual.
 class LinearStep final : public ModuleStep {
  public:
   LinearStep(const LinearLayer& layer, ModulePlanContext& mpc,
              const StepFusion& fusion)
       : plan_(layer.plan(mpc.batch(), mpc.exec(), fusion)),
-        input_residual_(fusion.input_residual) {}
+        input_residual_(fusion.runtime_residual) {}
 
   void run_step(float* /*base*/, ConstMatrixView x,
                 MatrixView y) const override {
@@ -49,7 +49,7 @@ Shape LinearLayer::out_shape(Shape in) const {
 }
 
 bool LinearLayer::supports_fusion(const StepFusion& fusion) const noexcept {
-  if (fusion.input_residual && out_features() != in_features()) return false;
+  if (fusion.runtime_residual && out_features() != in_features()) return false;
   // A bare LinearStep writes the caller's y directly; it has no staging
   // block to offer a split-destination LN, so only the in-place form
   // folds here (the split form is a composite-step affair — see
@@ -69,14 +69,13 @@ std::unique_ptr<ModuleStep> LinearLayer::plan_into_fused(
   return std::make_unique<LinearStep>(*this, mpc, fusion);
 }
 
-std::unique_ptr<GemmPlan> LinearLayer::plan(
-    std::size_t batch, ExecContext& ctx, const StepFusion& fusion,
-    const std::vector<float>* bias) const {
+Epilogue LinearLayer::epilogue(const StepFusion& fusion,
+                               const std::vector<float>* bias) const {
   const std::vector<float>& b = bias != nullptr ? *bias : bias_;
   Epilogue ep;
   ep.bias = b.empty() ? nullptr : b.data();
   ep.act = fusion.act;
-  ep.residual = fusion.input_residual;
+  ep.residual = fusion.runtime_residual;
   if (fusion.ln != nullptr) {
     ep.ln_gamma = fusion.ln->gamma().data();
     ep.ln_beta = fusion.ln->beta().data();
@@ -84,7 +83,24 @@ std::unique_ptr<GemmPlan> LinearLayer::plan(
     ep.ln_dim = fusion.ln->dim();
     ep.ln_split_dst = fusion.ln_split_dst;
   }
-  return engine_->plan(batch, ctx, ep);
+  return ep;
+}
+
+std::unique_ptr<GemmPlan> LinearLayer::plan(
+    std::size_t batch, ExecContext& ctx, const StepFusion& fusion,
+    const std::vector<float>* bias) const {
+  return engine_->plan(batch, ctx, epilogue(fusion, bias));
+}
+
+std::unique_ptr<GemmPlan> LinearLayer::plan_stack(
+    std::span<const LinearLayer* const> layers, std::size_t batch,
+    ExecContext& ctx) {
+  std::vector<StackPart> parts;
+  parts.reserve(layers.size());
+  for (const LinearLayer* l : layers) {
+    parts.push_back({l->engine_.get(), l->epilogue({}, nullptr)});
+  }
+  return biq::plan_stack(parts, batch, ctx);
 }
 
 std::unique_ptr<LinearLayer> make_linear(const Matrix& w,

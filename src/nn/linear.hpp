@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -66,7 +67,7 @@ class LinearLayer final : public PlannableModule {
 
   /// The engine's GemmPlan for `batch` columns on `ctx`, with the bias
   /// and `fusion` frozen into its epilogue: fusion.act runs after the
-  /// bias, fusion.input_residual makes every run take a residual operand
+  /// bias, fusion.runtime_residual makes every run take a residual operand
   /// (run(x, y, residual)), and fusion.ln folds a LayerNorm over the
   /// output columns (ln_split_dst: run(x, y, residual, ln_out)). A
   /// non-null `bias` replaces the layer's own — how an LSTM cell's gate
@@ -75,6 +76,16 @@ class LinearLayer final : public PlannableModule {
   [[nodiscard]] std::unique_ptr<GemmPlan> plan(
       std::size_t batch, ExecContext& ctx, const StepFusion& fusion = {},
       const std::vector<float>* bias = nullptr) const;
+
+  /// The row stack of `layers` (equal in_features) as one GemmPlan for
+  /// `batch` columns on `ctx` (engine/gemm_engine.hpp's plan_stack): its
+  /// y is the layers' outputs stacked by rows, and each layer's row
+  /// block is bitwise what its own plan(batch, ctx) writes, bias
+  /// included. No weight is copied; the layers and ctx must outlive the
+  /// plan.
+  [[nodiscard]] static std::unique_ptr<GemmPlan> plan_stack(
+      std::span<const LinearLayer* const> layers, std::size_t batch,
+      ExecContext& ctx);
 
   [[nodiscard]] std::size_t in_features() const noexcept {
     return engine_->cols();
@@ -94,6 +105,11 @@ class LinearLayer final : public PlannableModule {
   }
 
  private:
+  /// The epilogue plan() freezes: bias (`bias`, else the layer's own)
+  /// and `fusion`.
+  [[nodiscard]] Epilogue epilogue(const StepFusion& fusion,
+                                  const std::vector<float>* bias) const;
+
   std::unique_ptr<GemmEngine> engine_;
   std::vector<float> bias_;
 };

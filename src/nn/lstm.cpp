@@ -55,7 +55,7 @@ LstmCell::ScanPlan LstmCell::plan_scan(ModulePlanContext& mpc) const {
   // bias rides its plan as an override, and gx arrives as the run-time
   // residual: gh = (Wh.h + bias) + gx in the GEMV's epilogue.
   StepFusion fusion;
-  fusion.input_residual = true;
+  fusion.runtime_residual = true;
   p.wh_ = wh_->plan(1, mpc.exec(), fusion, &bias_);
   for (const ModelSlot* s : {&p.sgx_, &p.sgh_, &p.sh_, &p.sc_}) {
     mpc.release(*s);

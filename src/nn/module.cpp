@@ -322,7 +322,7 @@ Shape Residual::out_shape(Shape in) const {
 }
 
 std::unique_ptr<ModuleStep> Residual::plan_into(ModulePlanContext& mpc) const {
-  const StepFusion fusion{EpilogueAct::kNone, /*input_residual=*/true};
+  const StepFusion fusion{EpilogueAct::kNone, /*runtime_residual=*/true};
   if (inner_->supports_fusion(fusion)) {
     return inner_->plan_into_fused(mpc, fusion);
   }
@@ -330,9 +330,9 @@ std::unique_ptr<ModuleStep> Residual::plan_into(ModulePlanContext& mpc) const {
 }
 
 bool Residual::supports_fusion(const StepFusion& fusion) const noexcept {
-  if (fusion.input_residual) return false;  // the wrapper's add sits there
+  if (fusion.runtime_residual) return false;  // the wrapper's add sits there
   StepFusion inner = fusion;
-  inner.input_residual = true;
+  inner.runtime_residual = true;
   return inner_->supports_fusion(inner);
 }
 
@@ -340,8 +340,8 @@ std::unique_ptr<ModuleStep> Residual::plan_into_fused(
     ModulePlanContext& mpc, const StepFusion& fusion) const {
   if (fusion.empty()) return plan_into(mpc);
   StepFusion inner = fusion;
-  inner.input_residual = true;
-  if (fusion.input_residual || !inner_->supports_fusion(inner)) {
+  inner.runtime_residual = true;
+  if (fusion.runtime_residual || !inner_->supports_fusion(inner)) {
     throw std::logic_error(
         "Residual::plan_into_fused: unsupported fusion (probe "
         "supports_fusion first)");

@@ -111,25 +111,29 @@ using ModelSlot = ModelPlanner::Slot;
 
 /// What a consumer asks a producer module to absorb into its own output
 /// loop (the GEMM epilogue): a trailing element-wise activation and/or
-/// the add of the producer's OWN input (y = module(x) + x — the residual
-/// shape every seam in this codebase has). Fusion changes where the
-/// arithmetic runs, never what it computes: the engine-level epilogue
-/// is bitwise identical to the same stages as separate sweeps.
+/// a residual add. Fusion changes where the arithmetic runs, never what
+/// it computes: the engine-level epilogue is bitwise identical to the
+/// same stages as separate sweeps.
 struct StepFusion {
   EpilogueAct act = EpilogueAct::kNone;
-  bool input_residual = false;
+  /// A residual operand arrives at run time and is added after the
+  /// activation (Epilogue::residual). Which operand is the caller's
+  /// choice: a module step binds its own input (y = module(x) + x, the
+  /// shape of every residual seam), an LSTM scan binds the frame's
+  /// precomputed input projection.
+  bool runtime_residual = false;
   /// Column-granular stage: fold this LayerNorm (borrowed; must outlive
   /// the plan) over the producer's output — each column is normalized
   /// inside the GEMM's output pass the moment it completes. With
   /// ln_split_dst the producer's y becomes a pre-norm staging block and
   /// the normalized columns land in a separate destination the step
-  /// supplies (this requires input_residual — it exists so the residual
+  /// supplies (this requires runtime_residual — it exists so the residual
   /// operand may alias the final output).
   const LayerNorm* ln = nullptr;
   bool ln_split_dst = false;
 
   [[nodiscard]] bool empty() const noexcept {
-    return act == EpilogueAct::kNone && !input_residual && ln == nullptr;
+    return act == EpilogueAct::kNone && !runtime_residual && ln == nullptr;
   }
 };
 
@@ -213,7 +217,7 @@ class PlannableModule {
   /// Whether plan_into_fused can absorb `fusion` into the module's own
   /// output loop. Default: only the empty request. Modules whose output
   /// is produced by a GemmPlan override this (LinearLayer, FeedForward,
-  /// MultiHeadAttention); input_residual additionally requires a
+  /// MultiHeadAttention); runtime_residual additionally requires a
   /// shape-preserving module. Callers probe BEFORE acquiring the output
   /// slot, so a fold decision never disturbs the slot discipline.
   [[nodiscard]] virtual bool supports_fusion(
@@ -322,9 +326,9 @@ class Residual final : public PlannableModule {
   [[nodiscard]] std::unique_ptr<ModuleStep> plan_into(
       ModulePlanContext& mpc) const override;
   /// A Residual can absorb a trailing fusion (an LN, say) by delegating
-  /// to its inner module with input_residual added — so the plan_chain
+  /// to its inner module with runtime_residual added — so the plan_chain
   /// peephole folds Residual(m)→LN into m's own epilogue. Requests that
-  /// already carry input_residual are rejected (the wrapper's own add
+  /// already carry runtime_residual are rejected (the wrapper's own add
   /// claims that seat).
   [[nodiscard]] bool supports_fusion(
       const StepFusion& fusion) const noexcept override;

@@ -47,7 +47,7 @@ class FeedForwardStep final : public ModuleStep {
  public:
   FeedForwardStep(const FeedForward& ffn, ModulePlanContext& mpc,
                   const StepFusion& fusion)
-      : input_residual_(fusion.input_residual),
+      : input_residual_(fusion.runtime_residual),
         ln_split_(fusion.ln != nullptr && fusion.ln_split_dst),
         smid_(mpc.acquire(ffn.up().out_features(), mpc.batch())),
         up_(ffn.up().plan(mpc.batch(), mpc.exec(),
@@ -95,10 +95,10 @@ class EncoderLayerStep final : public ModuleStep {
  public:
   EncoderLayerStep(const EncoderLayer& layer, ModulePlanContext& mpc)
       : attn_(layer.attention().plan_into_fused(
-            mpc, StepFusion{EpilogueAct::kNone, /*input_residual=*/true,
+            mpc, StepFusion{EpilogueAct::kNone, /*runtime_residual=*/true,
                             &layer.ln1(), /*ln_split_dst=*/false})),
         ffn_(layer.ffn().plan_into_fused(
-            mpc, StepFusion{EpilogueAct::kNone, /*input_residual=*/true,
+            mpc, StepFusion{EpilogueAct::kNone, /*runtime_residual=*/true,
                             &layer.ln2(), /*ln_split_dst=*/true})) {}
 
   void run_step(float* base, ConstMatrixView x, MatrixView y) const override {
@@ -122,7 +122,7 @@ bool FeedForward::supports_fusion(const StepFusion& fusion) const noexcept {
     return false;
   }
   if (fusion.ln_split_dst &&
-      (fusion.ln == nullptr || !fusion.input_residual)) {
+      (fusion.ln == nullptr || !fusion.runtime_residual)) {
     return false;
   }
   return true;

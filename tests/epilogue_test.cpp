@@ -44,11 +44,12 @@ void apply_separate(MatrixView y, const Epilogue& ep, ConstMatrixView res) {
 }
 
 /// The reference LN seam pass: the same shared per-column helper the
-/// col_post epilogue stage runs, applied as one separate sweep.
+/// col_post epilogue stage runs, applied as one separate sweep, one
+/// column per call.
 void apply_separate_ln(MatrixView y, const Epilogue& ep) {
   for (std::size_t c = 0; c < y.cols(); ++c) {
     epilogue::layernorm_col(y.col(c), y.col(c), y.rows(), ep.ln_gamma,
-                            ep.ln_beta, ep.ln_eps);
+                            ep.ln_beta, ep.ln_eps, auto_math());
   }
 }
 

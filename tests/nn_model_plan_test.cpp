@@ -338,9 +338,10 @@ std::size_t align16(std::size_t floats) {
 
 TEST(ModelPlan, AttentionArenaIsTheClosedForm) {
   // AttentionStep's slot program (hidden h, tokens T, extents E(.)
-  // rounded up to 16 floats): q, k, v, scores and context are acquired
-  // in that order and all live until the step's end, so the peak is
-  // their sum: 4·E(h·T) + E(T·T). x and y belong to the caller.
+  // rounded up to 16 floats): the stacked q/k/v block (3h x T, written
+  // by one plan), scores and context are acquired in that order and all
+  // live until the step's end, so the peak is their sum:
+  // E(3·h·T) + E(h·T) + E(T·T). x and y belong to the caller.
   const std::size_t hidden = 24, tokens = 5;
   for (const QuantSpec& spec : {QuantSpec{}, quant2()}) {
     Rng wrng(57);
@@ -351,7 +352,8 @@ TEST(ModelPlan, AttentionArenaIsTheClosedForm) {
     const MultiHeadAttention mha(proj(), proj(), proj(), proj(), 4);
     ExecContext ctx;
     EXPECT_EQ(ModelPlan(mha, tokens, ctx).arena_floats(),
-              4 * align16(hidden * tokens) + align16(tokens * tokens))
+              align16(3 * hidden * tokens) + align16(hidden * tokens) +
+                  align16(tokens * tokens))
         << spec.weight_bits << "-bit";
   }
 }
@@ -808,6 +810,44 @@ TEST(ModelPlan, WarmTileParallelEncoderForwardPerformsZeroHeapAllocations) {
   for (int rep = 0; rep < 4; ++rep) plan.run(x, y);
   EXPECT_EQ(ctx.scratch_heap_allocations(), arena_warm);
   EXPECT_EQ(g_new_calls.load(), new_warm);
+}
+
+
+TEST(ModelPlan, WarmStackedQkvPlansPerformZeroHeapAllocations) {
+  // The attention step's one Q/K/V plan: BiQGEMM's shared stack (2-bit)
+  // and the blocked parts run one after another (fp32), alone and inside
+  // the encoder's ModelPlan, at batch 1 and a multi-tile batch, serial
+  // and pooled.
+  ThreadPool pool(3);
+  ExecContext serial, pooled(&pool);
+  for (const QuantSpec& spec : {QuantSpec{}, quant2()}) {
+    const TransformerEncoder enc = make_encoder(tiny(), 42, spec);
+    const MultiHeadAttention& attn = enc.layers()[0].attention();
+    const LinearLayer* qkv[] = {&attn.wq(), &attn.wk(), &attn.wv()};
+    for (ExecContext* ctx : {&serial, &pooled}) {
+      for (const std::size_t t : {std::size_t{1}, std::size_t{40}}) {
+        Rng rng(t);
+        const Matrix x = Matrix::random_normal(32, t, rng);
+        Matrix y(32, t), yqkv(96, t);
+        const auto stack = LinearLayer::plan_stack(qkv, t, *ctx);
+        const ModelPlan plan(enc, t, *ctx);
+        for (int warm = 0; warm < 2; ++warm) {
+          stack->run(x, yqkv);
+          plan.run(x, y);
+        }
+        const std::size_t arena_warm = ctx->scratch_heap_allocations();
+        const std::size_t new_warm = g_new_calls.load();
+        for (int rep = 0; rep < 4; ++rep) {
+          stack->run(x, yqkv);
+          plan.run(x, y);
+        }
+        EXPECT_EQ(ctx->scratch_heap_allocations(), arena_warm)
+            << spec.weight_bits << "-bit t " << t;
+        EXPECT_EQ(g_new_calls.load(), new_warm)
+            << spec.weight_bits << "-bit t " << t;
+      }
+    }
+  }
 }
 
 }  // namespace

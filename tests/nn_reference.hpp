@@ -3,8 +3,8 @@
 // layer's bare engine plan (empty epilogue); bias, activation, residual,
 // the attention core (scores, softmax, context), the LSTM gates and the
 // direction concat then run as plain loops over std:: functions, so the
-// oracle shares no code with the math plane under test. LayerNorm runs
-// through its one shared routine (epilogue::layernorm_col). Nothing here
+// oracle shares no code with the math plane under test; so does
+// LayerNorm, as the per-column sequential chain. Nothing here
 // folds, shares prep or packs an arena, so it shares no fusion, prep or
 // liveness logic with the planner; it also makes no attempt to follow
 // the fused operand order — compare with expect_matches_reference
@@ -80,10 +80,24 @@ inline void add(Matrix& y, ConstMatrixView x) {
 }
 
 inline Matrix layernorm(const LayerNorm& ln, ConstMatrixView x) {
-  Matrix y(x.rows(), x.cols());
+  const std::size_t d = x.rows();
+  Matrix y(d, x.cols());
   for (std::size_t c = 0; c < x.cols(); ++c) {
-    epilogue::layernorm_col(x.col(c), y.col(c), x.rows(), ln.gamma().data(),
-                            ln.beta().data(), ln.eps());
+    const float* src = x.col(c);
+    double mean = 0.0;
+    for (std::size_t i = 0; i < d; ++i) mean += src[i];
+    mean /= static_cast<double>(d);
+    double var = 0.0;
+    for (std::size_t i = 0; i < d; ++i) {
+      const double dv = src[i] - mean;
+      var += dv * dv;
+    }
+    var /= static_cast<double>(d);
+    const float inv = 1.0f / std::sqrt(static_cast<float>(var) + ln.eps());
+    for (std::size_t i = 0; i < d; ++i) {
+      y(i, c) = ln.gamma()[i] * (static_cast<float>(src[i] - mean) * inv) +
+                ln.beta()[i];
+    }
   }
   return y;
 }
