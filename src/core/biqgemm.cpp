@@ -532,16 +532,6 @@ std::unique_ptr<GemmPlan> BiqGemm::plan_shared_stack(
   return std::make_unique<BiqGemmPlan>(parts, rows, batch, ctx);
 }
 
-void biqgemm(const BinaryCodes& codes, const Matrix& x, Matrix& y,
-             const BiqGemmOptions& opt) {
-  BiqGemm(codes, opt).run(x, y);
-}
-
-void biqgemm(const BinaryCodes& codes, const Matrix& x, Matrix& y,
-             const BiqGemmOptions& opt, ExecContext& ctx) {
-  BiqGemm(codes, opt).run(x, y, ctx);
-}
-
 void biqgemm_basic(const BinaryCodes& codes, const Matrix& x, Matrix& y,
                    unsigned mu) {
   if (x.rows() != codes.cols || y.rows() != codes.rows ||

@@ -122,14 +122,6 @@ class BiqGemm final : public GemmEngine {
   std::vector<std::vector<float>> alphas_;
 };
 
-/// One-shot convenience wrapper (packs keys, runs, discards).
-void biqgemm(const BinaryCodes& codes, const Matrix& x, Matrix& y,
-             const BiqGemmOptions& opt = {});
-
-/// One-shot form with call-time execution state (pool / kernel plane).
-void biqgemm(const BinaryCodes& codes, const Matrix& x, Matrix& y,
-             const BiqGemmOptions& opt, ExecContext& ctx);
-
 /// Untiled, unvectorized two-phase reference implementation of the same
 /// algorithm — the clarity oracle the optimized kernel is tested against
 /// (in addition to gemm_codes_ref).

@@ -46,8 +46,8 @@
 
 namespace biq {
 
-/// Element-wise activation folded into an engine epilogue. A deliberate
-/// mirror of nn::Act plus kNone; the nn layer maps between them.
+/// Element-wise activation folded into an engine epilogue; nn::Act is
+/// this enum, so a standalone Activation and a fold name it alike.
 enum class EpilogueAct : std::uint8_t { kNone, kRelu, kGelu, kSigmoid, kTanh };
 
 namespace epilogue {

@@ -213,8 +213,7 @@ void GemmPlan::validate_prep(const PrepHandle& prep) const {
   if (!key.valid()) no_prep();
   if (!prep.ready()) {
     std::string msg(name_);
-    msg += " plan: prep handle is not ready — call prepare() first (and "
-           "re-prepare after bind())";
+    msg += " plan: prep handle is not ready — call prepare() first";
     throw std::invalid_argument(msg);
   }
   if (prep.key() != key) {
@@ -236,7 +235,7 @@ void GemmPlan::do_consume(const float*, MatrixView, const EpilogueOp&) const {
 
 void GemmPlan::no_prep() const {
   std::string msg(name_);
-  msg += " plan carries no activation prep (has_prep() is false)";
+  msg += " plan carries no activation prep (its prep_key() is invalid)";
   throw std::invalid_argument(msg);
 }
 

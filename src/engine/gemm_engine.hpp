@@ -86,20 +86,13 @@ struct PrepKey {
 /// — a liveness-planner slot in nn, a plain buffer in tests);
 /// plan->prepare(x, handle) fills it and stamps the producing plan's
 /// key, and any plan whose prep_key() matches may consume it via
-/// plan->run(handle, y). Rebinding or touching the storage invalidates
-/// readiness until the next prepare().
+/// plan->run(handle, y). Touching the storage invalidates the artifact
+/// until the next prepare().
 class PrepHandle {
  public:
   PrepHandle() = default;
   PrepHandle(float* storage, std::size_t floats) noexcept
       : data_(storage), floats_(floats) {}
-
-  /// (Re)points the handle at caller storage; clears readiness.
-  void bind(float* storage, std::size_t floats) noexcept {
-    data_ = storage;
-    floats_ = floats;
-    ready_ = false;
-  }
 
   [[nodiscard]] float* data() const noexcept { return data_; }
   [[nodiscard]] std::size_t floats() const noexcept { return floats_; }
@@ -218,12 +211,10 @@ class GemmPlan {
   // accumulation structure exactly). Every other engine reads X directly
   // and carries no prep.
 
-  /// True when this plan carries an activation-side artifact at all.
-  [[nodiscard]] bool has_prep() const noexcept { return prep_key().valid(); }
   /// Identity of the artifact this plan builds/consumes (invalid key =
   /// no prep: every non-BiQGEMM engine).
   [[nodiscard]] PrepKey prep_key() const noexcept { return do_prep_key(); }
-  /// Floats of caller storage one artifact needs (0 when !has_prep()).
+  /// Floats of caller storage one artifact needs (0 without prep).
   [[nodiscard]] std::size_t prep_floats() const noexcept {
     return do_prep_floats();
   }
@@ -236,38 +227,15 @@ class GemmPlan {
   void prepare(ConstMatrixView x, PrepHandle& prep) const;
 
   /// Consume path: Y = epilogue(W . prep) against a ready artifact
-  /// whose key matches this plan's prep_key(). Same epilogue/overload
-  /// rules as run(x, y); bitwise identical to it for the same X.
+  /// whose key matches this plan's prep_key(); bitwise identical to
+  /// run(x, y) for the same X. Like run(x, y), it throws on plans frozen
+  /// with a residual epilogue: those take the fused run only.
   void run(const PrepHandle& prep, MatrixView y) const {
     validate_y(y);
     if (epilogue_.residual) residual_mismatch(/*provided=*/false);
     validate_prep(prep);
     if (batch_ == 0 || rows_ == 0) return;
     do_consume(prep.data(), y, make_op(ConstMatrixView(), MatrixView()));
-  }
-
-  /// Residual-fused consume path, mirroring run(x, y, residual).
-  void run(const PrepHandle& prep, MatrixView y,
-           ConstMatrixView residual) const {
-    validate_y(y);
-    if (!epilogue_.residual) residual_mismatch(/*provided=*/true);
-    if (epilogue_.ln_split_dst) ln_dst_mismatch(/*provided=*/false);
-    validate_residual(residual, y);
-    validate_prep(prep);
-    if (batch_ == 0 || rows_ == 0) return;
-    do_consume(prep.data(), y, make_op(residual, MatrixView()));
-  }
-
-  /// Split-destination LN consume path, mirroring the 4-arg run().
-  void run(const PrepHandle& prep, MatrixView y, ConstMatrixView residual,
-           MatrixView ln_out) const {
-    validate_y(y);
-    if (!epilogue_.ln_split_dst) ln_dst_mismatch(/*provided=*/true);
-    validate_residual(residual, y);
-    validate_ln_out(ln_out, y);
-    validate_prep(prep);
-    if (batch_ == 0 || rows_ == 0) return;
-    do_consume(prep.data(), y, make_op(residual, ln_out));
   }
 
  protected:

@@ -38,10 +38,8 @@ EngineRegistry::EngineRegistry() {
        "BiQGEMM with group-wise scales (LUT-GEMM-style refinement)",
        /*quantized=*/true,
        [](const Matrix& w, const EngineConfig& cfg) {
-         const std::size_t group =
-             cfg.group_size != 0
-                 ? cfg.group_size
-                 : static_cast<std::size_t>(4) * cfg.kernel.mu;
+         // Scale groups of four LUT tables: 4 * mu inputs each.
+         const std::size_t group = std::size_t{4} * cfg.kernel.mu;
          return std::make_unique<BiqGemm>(
              quantize_greedy_grouped(w, cfg.weight_bits, group), cfg.kernel);
        }});

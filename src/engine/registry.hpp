@@ -42,8 +42,6 @@ struct EngineConfig {
   BiqGemmOptions kernel;
   /// On-the-fly activation quantization depth of the xnor engine.
   unsigned activation_bits = 1;
-  /// Scale-group width of biqgemm-grouped; 0 derives 4 * kernel.mu.
-  std::size_t group_size = 0;
 };
 
 struct EngineSpec {

@@ -4,12 +4,9 @@
 #include <stdexcept>
 
 #include "engine/partition.hpp"
-#include "simd/simd.hpp"
 
 namespace biq {
 namespace {
-
-using simd::F32x8;
 
 void check_shapes(const PackedBits32& packed, ConstMatrixView x,
                   ConstMatrixView y) {
@@ -19,16 +16,28 @@ void check_shapes(const PackedBits32& packed, ConstMatrixView x,
   }
 }
 
+constexpr std::size_t kLanes = 8;
+
+/// sum of w(t) * x[t] over t < len (len <= 32) in the one loop shape
+/// every Fig. 9 arm shares: eight lane accumulators over the whole
+/// 8-blocks, summed in lane order, then the tail one element at a time.
+/// `w` maps an index to its weight.
+template <class Weight>
+float dot8(Weight w, const float* x, std::size_t len) {
+  float acc[kLanes] = {};
+  std::size_t t = 0;
+  for (; t + kLanes <= len; t += kLanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) acc[l] += w(t + l) * x[t + l];
+  }
+  float s = 0.0f;
+  for (const float a : acc) s += a;
+  for (; t < len; ++t) s += w(t) * x[t];
+  return s;
+}
+
 /// dot(weights, x[0..len)) with len <= 32.
 float dot_unpacked(const float* weights, const float* x, std::size_t len) {
-  std::size_t t = 0;
-  F32x8 acc = F32x8::zero();
-  for (; t + 8 <= len; t += 8) {
-    acc.fma(F32x8::loadu(weights + t), F32x8::loadu(x + t));
-  }
-  float s = acc.reduce_add();
-  for (; t < len; ++t) s += weights[t] * x[t];
-  return s;
+  return dot8([weights](std::size_t t) { return weights[t]; }, x, len);
 }
 
 /// Expands rows [row0, row1) of a packed plane into fp32 {-1,+1}, one
@@ -190,16 +199,7 @@ void gemm_packed_no_unpack(const PackedBits32& packed, ConstMatrixView x,
       const std::size_t base = wi * 32;
       const std::size_t len = std::min<std::size_t>(32, n - base);
       for (std::size_t c = 0; c < b; ++c) {
-        const float* xc = x.col(c) + base;
-        std::size_t t = 0;
-        F32x8 acc = F32x8::zero();
-        const F32x8 sv = F32x8::set1(s);
-        for (; t + 8 <= len; t += 8) {
-          acc.fma(sv, F32x8::loadu(xc + t));
-        }
-        float partial = acc.reduce_add();
-        for (; t < len; ++t) partial += s * xc[t];
-        y(i, c) += partial;
+        y(i, c) += dot8([s](std::size_t) { return s; }, x.col(c) + base, len);
       }
     }
   }

@@ -126,17 +126,6 @@ void XnorGemm::run_prequantized(const QuantizedActivations& qx, MatrixView y,
       });
 }
 
-void XnorGemm::run_prequantized(const QuantizedActivations& qx,
-                                MatrixView y) const {
-  run_prequantized(qx, y, ExecContext::thread_default());
-}
-
-void XnorGemm::run(ConstMatrixView x, MatrixView y,
-                   unsigned activation_bits) const {
-  const QuantizedActivations qx = quantize_activations(x, activation_bits);
-  run_prequantized(qx, y);
-}
-
 namespace {
 
 class XnorPlan final : public GemmPlan {

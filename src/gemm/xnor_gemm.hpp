@@ -48,7 +48,7 @@ class XnorGemm final : public GemmEngine {
  public:
   /// Packs the weight planes once (weights are fixed at inference time).
   /// `activation_bits` is the on-the-fly activation quantization depth
-  /// used by the GemmEngine run(x, y) overload.
+  /// of every plan.
   explicit XnorGemm(const BinaryCodes& weight_codes,
                     unsigned activation_bits = 1);
 
@@ -62,14 +62,9 @@ class XnorGemm final : public GemmEngine {
       const Epilogue& epilogue) const override;
   using GemmEngine::plan;
 
-  /// One-shot form with an explicit activation depth for this call.
-  void run(ConstMatrixView x, MatrixView y, unsigned activation_bits) const;
-  using GemmEngine::run;
-
   /// Popcount GEMM against pre-quantized activations (separates the
   /// quantization cost from the multiply cost in the benches). Work
   /// splits over batch columns (rows when b == 1) across ctx's pool.
-  void run_prequantized(const QuantizedActivations& qx, MatrixView y) const;
   void run_prequantized(const QuantizedActivations& qx, MatrixView y,
                         ExecContext& ctx, const EpilogueOp* ep = nullptr) const;
 

@@ -11,7 +11,7 @@ namespace {
 class ActivationStep final : public ModuleStep {
  public:
   ActivationStep(Act act, const engine::MathKernels& math)
-      : act_(to_epilogue_act(act)), math_(&math) {}
+      : act_(act), math_(&math) {}
 
   void run_step(float* /*base*/, ConstMatrixView x,
                 MatrixView y) const override {
@@ -21,7 +21,7 @@ class ActivationStep final : public ModuleStep {
   }
 
  private:
-  EpilogueAct act_;
+  Act act_;
   const engine::MathKernels* math_;
 };
 
@@ -32,8 +32,8 @@ Shape Activation::out_shape(Shape in) const {
   return in;
 }
 
-std::unique_ptr<ModuleStep> Activation::plan_into(
-    ModulePlanContext& mpc) const {
+std::unique_ptr<ModuleStep> Activation::do_plan_into(
+    ModulePlanContext& mpc, const Epilogue& /*fold*/) const {
   return std::make_unique<ActivationStep>(
       act_, engine::select_plane(mpc.exec().isa()).math);
 }

@@ -16,19 +16,10 @@
 
 namespace biq::nn {
 
-enum class Act { kRelu, kGelu, kSigmoid, kTanh };
-
-/// The nn-level activation tag as the engine-level epilogue tag (the two
-/// enums exist so engine/ never depends on nn/).
-[[nodiscard]] constexpr EpilogueAct to_epilogue_act(Act act) noexcept {
-  switch (act) {
-    case Act::kRelu: return EpilogueAct::kRelu;
-    case Act::kGelu: return EpilogueAct::kGelu;
-    case Act::kSigmoid: return EpilogueAct::kSigmoid;
-    case Act::kTanh: return EpilogueAct::kTanh;
-  }
-  return EpilogueAct::kNone;
-}
+/// The activation tag is the engine epilogue's own: a standalone
+/// Activation step and a fold into a producer's GEMM name the same
+/// non-linearity the same way. kNone is the identity.
+using Act = EpilogueAct;
 
 /// Element-wise activation as a module: y(i, c) = act(x(i, c)), with
 /// GELU in its tanh approximation (as used by BERT-family models). Shape
@@ -44,14 +35,15 @@ class Activation final : public PlannableModule {
 
   [[nodiscard]] std::size_t in_rows() const noexcept override { return dim_; }
   [[nodiscard]] Shape out_shape(Shape in) const override;
-  [[nodiscard]] std::unique_ptr<ModuleStep> plan_into(
-      ModulePlanContext& mpc) const override;
   /// Element-wise: trivially column-independent.
   [[nodiscard]] bool columns_independent() const noexcept override {
     return true;
   }
 
  private:
+  [[nodiscard]] std::unique_ptr<ModuleStep> do_plan_into(
+      ModulePlanContext& mpc, const Epilogue& fold) const override;
+
   std::size_t dim_;
   Act act_;
 };

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "engine/dispatch.hpp"
-#include "nn/layernorm.hpp"
 
 namespace biq::nn {
 namespace {
@@ -17,19 +16,19 @@ namespace {
 class AttentionStep final : public ModuleStep {
  public:
   AttentionStep(const MultiHeadAttention& attn, ModulePlanContext& mpc,
-                const StepFusion& fusion)
-      : attn_(&attn), input_residual_(fusion.runtime_residual) {
+                const Epilogue& fold)
+      : attn_(&attn) {
     const std::size_t tokens = mpc.batch();
     sqkv_ = mpc.acquire(3 * attn.hidden(), tokens);
     const LinearLayer* qkv[] = {&attn.wq(), &attn.wk(), &attn.wv()};
     qkv_ = LinearLayer::plan_stack(qkv, tokens, mpc.exec());
     sscores_ = mpc.acquire(tokens, tokens);
     scontext_ = mpc.acquire(attn.hidden(), tokens);
-    // The requested fusion rides the output projection's epilogue: the
+    // The requested fold rides the output projection's epilogue: the
     // block's input x is bound as the residual operand at run time, and
     // a folded LayerNorm normalizes each of y's columns in place as wo's
     // GEMM completes them.
-    o_ = attn.wo().plan(tokens, mpc.exec(), fusion);
+    o_ = attn.wo().plan(tokens, mpc.exec(), fold);
     for (const ModelSlot* s : {&sscores_, &sqkv_, &scontext_}) {
       mpc.release(*s);
     }
@@ -45,7 +44,7 @@ class AttentionStep final : public ModuleStep {
     attn_->attend(qkv.block(0, d, 0, t), qkv.block(d, d, 0, t),
                   qkv.block(2 * d, d, 0, t), sscores_.view(base), context,
                   o_->plane().math);
-    if (input_residual_) {
+    if (o_->epilogue().residual) {
       o_->run(context, y, x);  // y = wo(context) + bias + x, one pass
     } else {
       o_->run(context, y);
@@ -54,7 +53,6 @@ class AttentionStep final : public ModuleStep {
 
  private:
   const MultiHeadAttention* attn_;
-  bool input_residual_;
   std::unique_ptr<GemmPlan> qkv_, o_;
   ModelSlot sqkv_, sscores_, scontext_;
 };
@@ -66,20 +64,14 @@ Shape MultiHeadAttention::out_shape(Shape in) const {
   return in;
 }
 
-bool MultiHeadAttention::supports_fusion(
-    const StepFusion& fusion) const noexcept {
-  if (fusion.ln_split_dst) return false;
-  return fusion.ln == nullptr || fusion.ln->dim() == hidden_;
+bool MultiHeadAttention::supports_fusion(const Epilogue& fold) const noexcept {
+  if (fold.ln_split_dst) return false;
+  return fold.ln_dim == 0 || fold.ln_dim == hidden_;
 }
 
-std::unique_ptr<ModuleStep> MultiHeadAttention::plan_into(
-    ModulePlanContext& mpc) const {
-  return std::make_unique<AttentionStep>(*this, mpc, StepFusion{});
-}
-
-std::unique_ptr<ModuleStep> MultiHeadAttention::plan_into_fused(
-    ModulePlanContext& mpc, const StepFusion& fusion) const {
-  return std::make_unique<AttentionStep>(*this, mpc, fusion);
+std::unique_ptr<ModuleStep> MultiHeadAttention::do_plan_into(
+    ModulePlanContext& mpc, const Epilogue& fold) const {
+  return std::make_unique<AttentionStep>(*this, mpc, fold);
 }
 
 MultiHeadAttention::MultiHeadAttention(std::unique_ptr<LinearLayer> wq,

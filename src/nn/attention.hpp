@@ -28,20 +28,15 @@ class MultiHeadAttention final : public PlannableModule {
     return hidden_;
   }
   [[nodiscard]] Shape out_shape(Shape in) const override;
-  [[nodiscard]] std::unique_ptr<ModuleStep> plan_into(
-      ModulePlanContext& mpc) const override;
 
   /// The block's output is the wo projection's GEMM, so any trailing
   /// activation, the input-residual add (projections are square —
   /// shape-preserving by construction) and an in-place LayerNorm of
   /// matching dim fold into wo's plan epilogue. The split-destination
   /// LN form is rejected: the step writes the caller's y directly and
-  /// has no staging block to offer. Defined in attention.cpp (LayerNorm
-  /// is an incomplete type here).
+  /// has no staging block to offer.
   [[nodiscard]] bool supports_fusion(
-      const StepFusion& fusion) const noexcept override;
-  [[nodiscard]] std::unique_ptr<ModuleStep> plan_into_fused(
-      ModulePlanContext& mpc, const StepFusion& fusion) const override;
+      const Epilogue& fold) const noexcept override;
 
   /// The fp32 attention math over already-projected activations: per
   /// head h, scores = softmax(K_h^T Q_h / sqrt(d)) column-wise, then
@@ -66,6 +61,9 @@ class MultiHeadAttention final : public PlannableModule {
   [[nodiscard]] const LinearLayer& wo() const noexcept { return *wo_; }
 
  private:
+  [[nodiscard]] std::unique_ptr<ModuleStep> do_plan_into(
+      ModulePlanContext& mpc, const Epilogue& fold) const override;
+
   std::size_t hidden_;
   unsigned heads_;
   std::size_t head_dim_;

@@ -42,8 +42,8 @@ Shape LayerNorm::out_shape(Shape in) const {
   return in;
 }
 
-std::unique_ptr<ModuleStep> LayerNorm::plan_into(
-    ModulePlanContext& mpc) const {
+std::unique_ptr<ModuleStep> LayerNorm::do_plan_into(
+    ModulePlanContext& mpc, const Epilogue& /*fold*/) const {
   return std::make_unique<LayerNormStep>(
       *this, engine::select_plane(mpc.exec().isa()).math);
 }

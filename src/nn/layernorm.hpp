@@ -29,6 +29,23 @@ class LayerNorm final : public PlannableModule {
   }
   [[nodiscard]] float eps() const noexcept { return eps_; }
 
+  /// `ep` with this LayerNorm folded in as its column-granular stage:
+  /// each output column is normalized the moment the producer's GEMM
+  /// completes it. With split_dst the producer's y becomes a pre-norm
+  /// staging block and the normalized columns land in a separate
+  /// destination (this requires ep.residual — it exists so the residual
+  /// operand may alias the final output). The LayerNorm must outlive
+  /// any plan frozen with the result.
+  [[nodiscard]] Epilogue fold(Epilogue ep = {},
+                              bool split_dst = false) const noexcept {
+    ep.ln_gamma = gamma_.data();
+    ep.ln_beta = beta_.data();
+    ep.ln_eps = eps_;
+    ep.ln_dim = dim();
+    ep.ln_split_dst = split_dst;
+    return ep;
+  }
+
   /// PlannableModule: shape-preserving, no GEMMs, no internal slots.
   /// Each column is normalized over rows (per-column mean/variance),
   /// then scaled by gamma and shifted by beta — standalone, or folded
@@ -41,10 +58,11 @@ class LayerNorm final : public PlannableModule {
     return true;
   }
   [[nodiscard]] Shape out_shape(Shape in) const override;
-  [[nodiscard]] std::unique_ptr<ModuleStep> plan_into(
-      ModulePlanContext& mpc) const override;
 
  private:
+  [[nodiscard]] std::unique_ptr<ModuleStep> do_plan_into(
+      ModulePlanContext& mpc, const Epilogue& fold) const override;
+
   std::vector<float> gamma_;
   std::vector<float> beta_;
   float eps_;

@@ -3,25 +3,23 @@
 #include <stdexcept>
 #include <utility>
 
-#include "nn/layernorm.hpp"
 #include "quant/quantize.hpp"
 
 namespace biq::nn {
 namespace {
 
 /// LinearLayer's frozen module step: the held GemmPlan, no slots. When
-/// the step was planned with runtime_residual, the module-IR contract is
+/// the plan was frozen with a residual fold, the module-IR contract is
 /// "add the step's own input" — run_step binds x as the residual.
 class LinearStep final : public ModuleStep {
  public:
   LinearStep(const LinearLayer& layer, ModulePlanContext& mpc,
-             const StepFusion& fusion)
-      : plan_(layer.plan(mpc.batch(), mpc.exec(), fusion)),
-        input_residual_(fusion.runtime_residual) {}
+             const Epilogue& fold)
+      : plan_(layer.plan(mpc.batch(), mpc.exec(), fold)) {}
 
   void run_step(float* /*base*/, ConstMatrixView x,
                 MatrixView y) const override {
-    if (input_residual_) {
+    if (plan_->epilogue().residual) {
       plan_->run(x, y, x);
     } else {
       plan_->run(x, y);
@@ -30,8 +28,13 @@ class LinearStep final : public ModuleStep {
 
  private:
   std::unique_ptr<GemmPlan> plan_;
-  bool input_residual_;
 };
+
+/// `fold` with the layer's own bias unless the fold brings one.
+Epilogue with_bias(Epilogue fold, const std::vector<float>& bias) {
+  if (fold.bias == nullptr && !bias.empty()) fold.bias = bias.data();
+  return fold;
+}
 
 }  // namespace
 
@@ -48,48 +51,25 @@ Shape LinearLayer::out_shape(Shape in) const {
   return {out_features(), in.cols};
 }
 
-bool LinearLayer::supports_fusion(const StepFusion& fusion) const noexcept {
-  if (fusion.runtime_residual && out_features() != in_features()) return false;
+bool LinearLayer::supports_fusion(const Epilogue& fold) const noexcept {
+  if (fold.residual && out_features() != in_features()) return false;
   // A bare LinearStep writes the caller's y directly; it has no staging
   // block to offer a split-destination LN, so only the in-place form
   // folds here (the split form is a composite-step affair — see
   // FeedForwardStep).
-  if (fusion.ln_split_dst) return false;
-  if (fusion.ln != nullptr && fusion.ln->dim() != out_features()) return false;
-  return true;
+  if (fold.ln_split_dst) return false;
+  return fold.ln_dim == 0 || fold.ln_dim == out_features();
 }
 
-std::unique_ptr<ModuleStep> LinearLayer::plan_into(
-    ModulePlanContext& mpc) const {
-  return std::make_unique<LinearStep>(*this, mpc, StepFusion{});
+std::unique_ptr<ModuleStep> LinearLayer::do_plan_into(
+    ModulePlanContext& mpc, const Epilogue& fold) const {
+  return std::make_unique<LinearStep>(*this, mpc, fold);
 }
 
-std::unique_ptr<ModuleStep> LinearLayer::plan_into_fused(
-    ModulePlanContext& mpc, const StepFusion& fusion) const {
-  return std::make_unique<LinearStep>(*this, mpc, fusion);
-}
-
-Epilogue LinearLayer::epilogue(const StepFusion& fusion,
-                               const std::vector<float>* bias) const {
-  const std::vector<float>& b = bias != nullptr ? *bias : bias_;
-  Epilogue ep;
-  ep.bias = b.empty() ? nullptr : b.data();
-  ep.act = fusion.act;
-  ep.residual = fusion.runtime_residual;
-  if (fusion.ln != nullptr) {
-    ep.ln_gamma = fusion.ln->gamma().data();
-    ep.ln_beta = fusion.ln->beta().data();
-    ep.ln_eps = fusion.ln->eps();
-    ep.ln_dim = fusion.ln->dim();
-    ep.ln_split_dst = fusion.ln_split_dst;
-  }
-  return ep;
-}
-
-std::unique_ptr<GemmPlan> LinearLayer::plan(
-    std::size_t batch, ExecContext& ctx, const StepFusion& fusion,
-    const std::vector<float>* bias) const {
-  return engine_->plan(batch, ctx, epilogue(fusion, bias));
+std::unique_ptr<GemmPlan> LinearLayer::plan(std::size_t batch,
+                                            ExecContext& ctx,
+                                            const Epilogue& fold) const {
+  return engine_->plan(batch, ctx, with_bias(fold, bias_));
 }
 
 std::unique_ptr<GemmPlan> LinearLayer::plan_stack(
@@ -98,7 +78,7 @@ std::unique_ptr<GemmPlan> LinearLayer::plan_stack(
   std::vector<StackPart> parts;
   parts.reserve(layers.size());
   for (const LinearLayer* l : layers) {
-    parts.push_back({l->engine_.get(), l->epilogue({}, nullptr)});
+    parts.push_back({l->engine_.get(), with_bias({}, l->bias_)});
   }
   return biq::plan_stack(parts, batch, ctx);
 }

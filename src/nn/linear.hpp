@@ -9,8 +9,8 @@
 //
 // Execution: a layer holds no execution context and no plan. plan()
 // returns the engine's GemmPlan frozen for one batch on one ExecContext
-// with the bias — and any requested fusion (activation, residual,
-// LayerNorm) — folded into its epilogue, the GEMM's output loop. That
+// with the bias — and any requested fold (activation, residual,
+// LayerNorm) — in its epilogue, the GEMM's output loop. That
 // plan is what every nn step holds per projection. Activations/outputs
 // are strided views, so a layer can consume or fill a window of a
 // larger buffer with zero copies.
@@ -42,8 +42,6 @@ class LinearLayer final : public PlannableModule {
     return in_features();
   }
   [[nodiscard]] Shape out_shape(Shape in) const override;
-  [[nodiscard]] std::unique_ptr<ModuleStep> plan_into(
-      ModulePlanContext& mpc) const override;
 
   /// y(:, c) = W.x(:, c) + bias for every column c — a projection never
   /// mixes columns, so batching independent requests along the column
@@ -57,25 +55,21 @@ class LinearLayer final : public PlannableModule {
   /// A linear layer's output IS a GEMM plan's output, so any trailing
   /// activation folds; the input-residual add additionally needs a
   /// square projection (y and x must be the same shape); a trailing
-  /// LayerNorm needs dim == out_features (and its split-destination
-  /// form needs the residual seat filled). Defined in linear.cpp —
-  /// LayerNorm is only forward-declared here.
+  /// LayerNorm needs ln_dim == out_features, and only its in-place form
+  /// folds (a bare step has no staging block for the split form).
   [[nodiscard]] bool supports_fusion(
-      const StepFusion& fusion) const noexcept override;
-  [[nodiscard]] std::unique_ptr<ModuleStep> plan_into_fused(
-      ModulePlanContext& mpc, const StepFusion& fusion) const override;
+      const Epilogue& fold) const noexcept override;
 
-  /// The engine's GemmPlan for `batch` columns on `ctx`, with the bias
-  /// and `fusion` frozen into its epilogue: fusion.act runs after the
-  /// bias, fusion.runtime_residual makes every run take a residual operand
-  /// (run(x, y, residual)), and fusion.ln folds a LayerNorm over the
-  /// output columns (ln_split_dst: run(x, y, residual, ln_out)). A
-  /// non-null `bias` replaces the layer's own — how an LSTM cell's gate
-  /// bias rides its bias-less recurrent projection. The layer, ctx, a
-  /// folded LayerNorm and any bias override must outlive the plan.
+  /// The engine's GemmPlan for `batch` columns on `ctx`, with `fold` as
+  /// its epilogue: fold.act runs after the bias, fold.residual makes
+  /// every run take a residual operand (run(x, y, residual)), and a
+  /// folded LayerNorm normalizes the output columns (split form:
+  /// run(x, y, residual, ln_out)). The bias is fold.bias when set — how
+  /// an LSTM cell's gate bias rides its bias-less recurrent projection —
+  /// and the layer's own otherwise. The layer, ctx and everything the
+  /// fold points at must outlive the plan.
   [[nodiscard]] std::unique_ptr<GemmPlan> plan(
-      std::size_t batch, ExecContext& ctx, const StepFusion& fusion = {},
-      const std::vector<float>* bias = nullptr) const;
+      std::size_t batch, ExecContext& ctx, const Epilogue& fold = {}) const;
 
   /// The row stack of `layers` (equal in_features) as one GemmPlan for
   /// `batch` columns on `ctx` (engine/gemm_engine.hpp's plan_stack): its
@@ -105,10 +99,8 @@ class LinearLayer final : public PlannableModule {
   }
 
  private:
-  /// The epilogue plan() freezes: bias (`bias`, else the layer's own)
-  /// and `fusion`.
-  [[nodiscard]] Epilogue epilogue(const StepFusion& fusion,
-                                  const std::vector<float>* bias) const;
+  [[nodiscard]] std::unique_ptr<ModuleStep> do_plan_into(
+      ModulePlanContext& mpc, const Epilogue& fold) const override;
 
   std::unique_ptr<GemmEngine> engine_;
   std::vector<float> bias_;

@@ -52,11 +52,9 @@ LstmCell::ScanPlan LstmCell::plan_scan(ModulePlanContext& mpc) const {
   p.sc_ = mpc.acquire(hidden_, 1);
   p.wx_ = wx_->plan(mpc.batch(), mpc.exec());
   // The recurrent layer carries no bias of its own, so the cell's gate
-  // bias rides its plan as an override, and gx arrives as the run-time
-  // residual: gh = (Wh.h + bias) + gx in the GEMV's epilogue.
-  StepFusion fusion;
-  fusion.runtime_residual = true;
-  p.wh_ = wh_->plan(1, mpc.exec(), fusion, &bias_);
+  // bias rides its plan as the fold's bias, and gx arrives as the
+  // run-time residual: gh = (Wh.h + bias) + gx in the GEMV's epilogue.
+  p.wh_ = wh_->plan(1, mpc.exec(), {.bias = bias_.data(), .residual = true});
   for (const ModelSlot* s : {&p.sgx_, &p.sgh_, &p.sh_, &p.sc_}) {
     mpc.release(*s);
   }
@@ -123,7 +121,8 @@ Shape Lstm::out_shape(Shape in) const {
   return {cell_.hidden_size(), in.cols};
 }
 
-std::unique_ptr<ModuleStep> Lstm::plan_into(ModulePlanContext& mpc) const {
+std::unique_ptr<ModuleStep> Lstm::do_plan_into(
+    ModulePlanContext& mpc, const Epilogue& /*fold*/) const {
   return std::make_unique<LstmStep>(cell_.plan_scan(mpc));
 }
 
@@ -132,7 +131,8 @@ Shape BiLstm::out_shape(Shape in) const {
   return {2 * hidden_size(), in.cols};
 }
 
-std::unique_ptr<ModuleStep> BiLstm::plan_into(ModulePlanContext& mpc) const {
+std::unique_ptr<ModuleStep> BiLstm::do_plan_into(
+    ModulePlanContext& mpc, const Epilogue& /*fold*/) const {
   // The backward scan runs after the forward scan has finished, so its
   // slots may take the storage the forward scan released.
   LstmCell::ScanPlan fw = fw_.cell().plan_scan(mpc);

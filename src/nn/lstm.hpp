@@ -96,10 +96,11 @@ class Lstm final : public PlannableModule {
     return cell_.input_size();
   }
   [[nodiscard]] Shape out_shape(Shape in) const override;
-  [[nodiscard]] std::unique_ptr<ModuleStep> plan_into(
-      ModulePlanContext& mpc) const override;
 
  private:
+  [[nodiscard]] std::unique_ptr<ModuleStep> do_plan_into(
+      ModulePlanContext& mpc, const Epilogue& fold) const override;
+
   LstmCell cell_;
 };
 
@@ -116,8 +117,6 @@ class BiLstm final : public PlannableModule {
     return fw_.cell().input_size();
   }
   [[nodiscard]] Shape out_shape(Shape in) const override;
-  [[nodiscard]] std::unique_ptr<ModuleStep> plan_into(
-      ModulePlanContext& mpc) const override;
 
   [[nodiscard]] std::size_t hidden_size() const noexcept {
     return fw_.cell().hidden_size();
@@ -131,6 +130,9 @@ class BiLstm final : public PlannableModule {
   [[nodiscard]] const Lstm& backward_layer() const noexcept { return bw_; }
 
  private:
+  [[nodiscard]] std::unique_ptr<ModuleStep> do_plan_into(
+      ModulePlanContext& mpc, const Epilogue& fold) const override;
+
   Lstm fw_, bw_;
 };
 

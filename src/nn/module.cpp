@@ -117,12 +117,14 @@ void PlannableModule::forward(ConstMatrixView x, MatrixView y,
   ModelPlan(*this, x.cols(), ctx).run(x, y);
 }
 
-std::unique_ptr<ModuleStep> PlannableModule::plan_into_fused(
-    ModulePlanContext& mpc, const StepFusion& fusion) const {
-  if (fusion.empty()) return plan_into(mpc);
-  throw std::logic_error(
-      "plan_into_fused: module does not support the requested fusion "
-      "(probe supports_fusion first)");
+std::unique_ptr<ModuleStep> PlannableModule::plan_into(
+    ModulePlanContext& mpc, const Epilogue& fold) const {
+  if (!supports_fusion(fold)) {
+    throw std::logic_error(
+        "plan_into: module does not support the requested fold (probe "
+        "supports_fusion first)");
+  }
+  return do_plan_into(mpc, fold);
 }
 
 // -------------------------------------------------------------- plan_chain
@@ -190,14 +192,14 @@ std::unique_ptr<ModuleStep> plan_chain(const PlannableModule* const* modules,
     // same either way); the fused pair consumes two chain positions
     // and the intermediate between them never exists.
     std::size_t consumed = 1;
-    StepFusion fusion;
+    Epilogue fold;
     if (i + 1 < count) {
       const auto* act = dynamic_cast<const Activation*>(modules[i + 1]);
       if (act != nullptr) {
-        const StepFusion probe{to_epilogue_act(act->activation()), false};
+        const Epilogue probe{.act = act->activation()};
         if (module.supports_fusion(probe)) {
           shape = modules[i + 1]->out_shape(shape);  // validates the seam
-          fusion = probe;
+          fold = probe;
           consumed = 2;
         }
       }
@@ -211,11 +213,10 @@ std::unique_ptr<ModuleStep> plan_chain(const PlannableModule* const* modules,
     if (i + consumed < count) {
       const auto* ln = dynamic_cast<const LayerNorm*>(modules[i + consumed]);
       if (ln != nullptr) {
-        StepFusion probe = fusion;
-        probe.ln = ln;
+        const Epilogue probe = ln->fold(fold);
         if (module.supports_fusion(probe)) {
           shape = modules[i + consumed]->out_shape(shape);  // validates
-          fusion = probe;
+          fold = probe;
           ++consumed;
         }
       }
@@ -226,8 +227,7 @@ std::unique_ptr<ModuleStep> plan_chain(const PlannableModule* const* modules,
     // laid out and the input slot closes after — internals never alias
     // either side of the module they serve.
     if (stage.to_slot) stage.out = mpc.acquire(shape.rows, shape.cols);
-    stage.step = fusion.empty() ? module.plan_into(mpc)
-                                : module.plan_into_fused(mpc, fusion);
+    stage.step = module.plan_into(mpc, fold);
     if (have_feed) mpc.release(feed);
     feed = stage.out;
     have_feed = stage.to_slot;
@@ -269,7 +269,8 @@ Shape Sequential::out_shape(Shape in) const {
   return {tail_rows_, in.cols};
 }
 
-std::unique_ptr<ModuleStep> Sequential::plan_into(ModulePlanContext& mpc) const {
+std::unique_ptr<ModuleStep> Sequential::do_plan_into(
+    ModulePlanContext& mpc, const Epilogue& /*fold*/) const {
   std::vector<const PlannableModule*> chain;
   chain.reserve(modules_.size());
   for (const auto& module : modules_) chain.push_back(module.get());
@@ -321,32 +322,20 @@ Shape Residual::out_shape(Shape in) const {
   return inner_->out_shape(in);
 }
 
-std::unique_ptr<ModuleStep> Residual::plan_into(ModulePlanContext& mpc) const {
-  const StepFusion fusion{EpilogueAct::kNone, /*runtime_residual=*/true};
-  if (inner_->supports_fusion(fusion)) {
-    return inner_->plan_into_fused(mpc, fusion);
-  }
-  return std::make_unique<ResidualStep>(*inner_, mpc);
-}
-
-bool Residual::supports_fusion(const StepFusion& fusion) const noexcept {
-  if (fusion.runtime_residual) return false;  // the wrapper's add sits there
-  StepFusion inner = fusion;
-  inner.runtime_residual = true;
+bool Residual::supports_fusion(const Epilogue& fold) const noexcept {
+  if (fold.empty()) return true;
+  if (fold.residual) return false;  // the wrapper's add sits there
+  Epilogue inner = fold;
+  inner.residual = true;
   return inner_->supports_fusion(inner);
 }
 
-std::unique_ptr<ModuleStep> Residual::plan_into_fused(
-    ModulePlanContext& mpc, const StepFusion& fusion) const {
-  if (fusion.empty()) return plan_into(mpc);
-  StepFusion inner = fusion;
-  inner.runtime_residual = true;
-  if (fusion.runtime_residual || !inner_->supports_fusion(inner)) {
-    throw std::logic_error(
-        "Residual::plan_into_fused: unsupported fusion (probe "
-        "supports_fusion first)");
-  }
-  return inner_->plan_into_fused(mpc, inner);
+std::unique_ptr<ModuleStep> Residual::do_plan_into(
+    ModulePlanContext& mpc, const Epilogue& fold) const {
+  Epilogue inner = fold;
+  inner.residual = true;
+  if (inner_->supports_fusion(inner)) return inner_->plan_into(mpc, inner);
+  return std::make_unique<ResidualStep>(*inner_, mpc);  // fold is empty
 }
 
 }  // namespace biq::nn

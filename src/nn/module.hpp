@@ -7,10 +7,11 @@
 // A PlannableModule is a shape-checked map from an in_rows x batch
 // activation to an out_rows x batch activation. It exposes
 //   * out_shape(in)      — static shape propagation (throws on mismatch),
-//   * plan_into(mpc)     — the compile step: freeze every GemmPlan for
+//   * plan_into(mpc, fold) — the compile step: freeze every GemmPlan for
 //     the bound batch and acquire/release activation Slots for internal
 //     temporaries against the shared ModelPlanner; returns the frozen
-//     ModuleStep.
+//     ModuleStep. `fold` is an engine Epilogue (activation, residual,
+//     LayerNorm) the module absorbs into its final GEMM's output loop.
 // The compiled ModelPlan (nn/model_plan.hpp) is the only way a module
 // executes; forward(x, y) is a one-shot convenience over it.
 //
@@ -32,8 +33,6 @@
 #include "matrix/view.hpp"
 
 namespace biq::nn {
-
-class LayerNorm;  // layernorm.hpp includes this header
 
 /// Activation shape: feature rows x batch columns (tokens / frames).
 struct Shape {
@@ -109,34 +108,6 @@ class ModelPlanner {
 
 using ModelSlot = ModelPlanner::Slot;
 
-/// What a consumer asks a producer module to absorb into its own output
-/// loop (the GEMM epilogue): a trailing element-wise activation and/or
-/// a residual add. Fusion changes where the arithmetic runs, never what
-/// it computes: the engine-level epilogue is bitwise identical to the
-/// same stages as separate sweeps.
-struct StepFusion {
-  EpilogueAct act = EpilogueAct::kNone;
-  /// A residual operand arrives at run time and is added after the
-  /// activation (Epilogue::residual). Which operand is the caller's
-  /// choice: a module step binds its own input (y = module(x) + x, the
-  /// shape of every residual seam), an LSTM scan binds the frame's
-  /// precomputed input projection.
-  bool runtime_residual = false;
-  /// Column-granular stage: fold this LayerNorm (borrowed; must outlive
-  /// the plan) over the producer's output — each column is normalized
-  /// inside the GEMM's output pass the moment it completes. With
-  /// ln_split_dst the producer's y becomes a pre-norm staging block and
-  /// the normalized columns land in a separate destination the step
-  /// supplies (this requires runtime_residual — it exists so the residual
-  /// operand may alias the final output).
-  const LayerNorm* ln = nullptr;
-  bool ln_split_dst = false;
-
-  [[nodiscard]] bool empty() const noexcept {
-    return act == EpilogueAct::kNone && !runtime_residual && ln == nullptr;
-  }
-};
-
 /// The compile-time context handed to every plan_into: the shared
 /// planner, the ExecContext the frozen GemmPlans bind to, and the batch
 /// width (tokens / frames) the whole model is compiled for. The walk
@@ -196,9 +167,13 @@ class PlannableModule {
 
   /// Compile: freeze the module's GemmPlans at mpc.batch() and lay out
   /// its internal temporaries on mpc's planner (acquired and released
-  /// before returning — the caller holds the input/output slots).
-  [[nodiscard]] virtual std::unique_ptr<ModuleStep> plan_into(
-      ModulePlanContext& mpc) const = 0;
+  /// before returning — the caller holds the input/output slots), with
+  /// `fold` absorbed into the step's final GEMM epilogue: the step
+  /// computes LN(act(module(x) + bias) [+ x]), the residual operand
+  /// being the step's own input. Throws std::logic_error unless
+  /// supports_fusion(fold).
+  [[nodiscard]] std::unique_ptr<ModuleStep> plan_into(
+      ModulePlanContext& mpc, const Epilogue& fold = {}) const;
 
   /// True when every output column depends ONLY on the same-index input
   /// column — no cross-column mixing anywhere in the module. For such
@@ -214,24 +189,17 @@ class PlannableModule {
     return false;
   }
 
-  /// Whether plan_into_fused can absorb `fusion` into the module's own
-  /// output loop. Default: only the empty request. Modules whose output
-  /// is produced by a GemmPlan override this (LinearLayer, FeedForward,
-  /// MultiHeadAttention); runtime_residual additionally requires a
-  /// shape-preserving module. Callers probe BEFORE acquiring the output
-  /// slot, so a fold decision never disturbs the slot discipline.
+  /// Whether plan_into can absorb `fold` into the module's own output
+  /// loop. Default: only the empty fold. Modules whose output is
+  /// produced by a GemmPlan override this (LinearLayer, FeedForward,
+  /// MultiHeadAttention); fold.residual additionally requires a
+  /// shape-preserving module and a folded LayerNorm an ln_dim equal to
+  /// the output rows. Callers probe BEFORE acquiring the output slot, so
+  /// a fold decision never disturbs the slot discipline.
   [[nodiscard]] virtual bool supports_fusion(
-      const StepFusion& fusion) const noexcept {
-    return fusion.empty();
+      const Epilogue& fold) const noexcept {
+    return fold.empty();
   }
-
-  /// plan_into with `fusion` folded into the step's final GEMM epilogue:
-  /// the step computes act(module(x) + bias) [+ x]. Contract: non-null
-  /// whenever supports_fusion(fusion) is true; the default handles only
-  /// the empty request (delegating to plan_into) and throws
-  /// std::logic_error otherwise.
-  [[nodiscard]] virtual std::unique_ptr<ModuleStep> plan_into_fused(
-      ModulePlanContext& mpc, const StepFusion& fusion) const;
 
   /// One-shot forward: compiles ModelPlan(*this, x.cols(), ctx) and runs
   /// it. x is in_rows() x b, y is out_shape's rows x b (overwritten);
@@ -245,6 +213,10 @@ class PlannableModule {
   /// Shared out_shape() guard: throws std::invalid_argument naming `who`
   /// unless in.rows == in_rows().
   void check_in_rows(Shape in, const char* who) const;
+
+  /// plan_into's body, only ever handed a fold supports_fusion accepts.
+  [[nodiscard]] virtual std::unique_ptr<ModuleStep> do_plan_into(
+      ModulePlanContext& mpc, const Epilogue& fold) const = 0;
 };
 
 /// Plans a module chain m[0] .. m[count-1] (output of each feeds the
@@ -286,8 +258,6 @@ class Sequential final : public PlannableModule {
 
   [[nodiscard]] std::size_t in_rows() const noexcept override;
   [[nodiscard]] Shape out_shape(Shape in) const override;
-  [[nodiscard]] std::unique_ptr<ModuleStep> plan_into(
-      ModulePlanContext& mpc) const override;
   /// A pipeline preserves column independence iff every stage does.
   [[nodiscard]] bool columns_independent() const noexcept override {
     for (const auto& m : modules_) {
@@ -297,6 +267,9 @@ class Sequential final : public PlannableModule {
   }
 
  private:
+  [[nodiscard]] std::unique_ptr<ModuleStep> do_plan_into(
+      ModulePlanContext& mpc, const Epilogue& fold) const override;
+
   std::vector<std::unique_ptr<PlannableModule>> modules_;
   std::size_t tail_rows_ = 0;  // output rows of the last stage
 };
@@ -323,19 +296,19 @@ class Residual final : public PlannableModule {
     return inner_->columns_independent();
   }
   [[nodiscard]] Shape out_shape(Shape in) const override;
-  [[nodiscard]] std::unique_ptr<ModuleStep> plan_into(
-      ModulePlanContext& mpc) const override;
-  /// A Residual can absorb a trailing fusion (an LN, say) by delegating
-  /// to its inner module with runtime_residual added — so the plan_chain
-  /// peephole folds Residual(m)→LN into m's own epilogue. Requests that
-  /// already carry runtime_residual are rejected (the wrapper's own add
-  /// claims that seat).
+  /// A Residual can absorb a trailing fold (an LN, say) by delegating
+  /// to its inner module with fold.residual set — so the plan_chain
+  /// peephole folds Residual(m)→LN into m's own epilogue. Folds that
+  /// already carry residual are rejected (the wrapper's own add claims
+  /// that seat); the empty fold always plans, as one add pass after
+  /// the inner step when the inner module cannot take the add.
   [[nodiscard]] bool supports_fusion(
-      const StepFusion& fusion) const noexcept override;
-  [[nodiscard]] std::unique_ptr<ModuleStep> plan_into_fused(
-      ModulePlanContext& mpc, const StepFusion& fusion) const override;
+      const Epilogue& fold) const noexcept override;
 
  private:
+  [[nodiscard]] std::unique_ptr<ModuleStep> do_plan_into(
+      ModulePlanContext& mpc, const Epilogue& fold) const override;
+
   std::unique_ptr<PlannableModule> inner_;
 };
 

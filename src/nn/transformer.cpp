@@ -46,19 +46,17 @@ namespace {
 class FeedForwardStep final : public ModuleStep {
  public:
   FeedForwardStep(const FeedForward& ffn, ModulePlanContext& mpc,
-                  const StepFusion& fusion)
-      : input_residual_(fusion.runtime_residual),
-        ln_split_(fusion.ln != nullptr && fusion.ln_split_dst),
-        smid_(mpc.acquire(ffn.up().out_features(), mpc.batch())),
+                  const Epilogue& fold)
+      : smid_(mpc.acquire(ffn.up().out_features(), mpc.batch())),
         up_(ffn.up().plan(mpc.batch(), mpc.exec(),
-                          StepFusion{to_epilogue_act(ffn.activation())})),
-        down_(ffn.down().plan(mpc.batch(), mpc.exec(), fusion)) {
+                          {.act = ffn.activation()})),
+        down_(ffn.down().plan(mpc.batch(), mpc.exec(), fold)) {
     // Split-destination LN: the down projection accumulates
     // down(mid) + bias + residual into a staging slot and normalizes
     // each completed column into the step's y — which is what lets the
     // caller pass the SAME buffer as input and output (the residual may
     // alias the normalized destination; the staging block may not).
-    if (ln_split_) {
+    if (fold.ln_split_dst) {
       sstage_ = mpc.acquire(ffn.down().out_features(), mpc.batch());
       mpc.release(sstage_);
     }
@@ -68,9 +66,10 @@ class FeedForwardStep final : public ModuleStep {
   void run_step(float* base, ConstMatrixView x, MatrixView y) const override {
     const MatrixView mid = smid_.view(base);
     up_->run(x, mid);  // bias + activation ride the up plan's epilogue
-    if (ln_split_) {
+    const Epilogue& ep = down_->epilogue();
+    if (ep.ln_split_dst) {
       down_->run(mid, sstage_.view(base), x, y);  // y = LN(down(mid)+bias+x)
-    } else if (input_residual_) {
+    } else if (ep.residual) {
       down_->run(mid, y, x);  // y = down(mid) + bias + x, one pass
     } else {
       down_->run(mid, y);
@@ -78,8 +77,6 @@ class FeedForwardStep final : public ModuleStep {
   }
 
  private:
-  bool input_residual_;
-  bool ln_split_;
   ModelSlot smid_, sstage_;
   std::unique_ptr<GemmPlan> up_, down_;
 };
@@ -94,12 +91,10 @@ class FeedForwardStep final : public ModuleStep {
 class EncoderLayerStep final : public ModuleStep {
  public:
   EncoderLayerStep(const EncoderLayer& layer, ModulePlanContext& mpc)
-      : attn_(layer.attention().plan_into_fused(
-            mpc, StepFusion{EpilogueAct::kNone, /*runtime_residual=*/true,
-                            &layer.ln1(), /*ln_split_dst=*/false})),
-        ffn_(layer.ffn().plan_into_fused(
-            mpc, StepFusion{EpilogueAct::kNone, /*runtime_residual=*/true,
-                            &layer.ln2(), /*ln_split_dst=*/true})) {}
+      : attn_(layer.attention().plan_into(
+            mpc, layer.ln1().fold({.residual = true}))),
+        ffn_(layer.ffn().plan_into(
+            mpc, layer.ln2().fold({.residual = true}, /*split_dst=*/true))) {}
 
   void run_step(float* base, ConstMatrixView x, MatrixView y) const override {
     attn_->run_step(base, x, y);  // y = LN1(attn(x) + x), one pass
@@ -117,25 +112,14 @@ Shape FeedForward::out_shape(Shape in) const {
   return {down_->out_features(), in.cols};
 }
 
-bool FeedForward::supports_fusion(const StepFusion& fusion) const noexcept {
-  if (fusion.ln != nullptr && fusion.ln->dim() != down_->out_features()) {
-    return false;
-  }
-  if (fusion.ln_split_dst &&
-      (fusion.ln == nullptr || !fusion.runtime_residual)) {
-    return false;
-  }
-  return true;
+bool FeedForward::supports_fusion(const Epilogue& fold) const noexcept {
+  if (fold.ln_dim != 0 && fold.ln_dim != down_->out_features()) return false;
+  return !fold.ln_split_dst || (fold.ln_dim != 0 && fold.residual);
 }
 
-std::unique_ptr<ModuleStep> FeedForward::plan_into(
-    ModulePlanContext& mpc) const {
-  return std::make_unique<FeedForwardStep>(*this, mpc, StepFusion{});
-}
-
-std::unique_ptr<ModuleStep> FeedForward::plan_into_fused(
-    ModulePlanContext& mpc, const StepFusion& fusion) const {
-  return std::make_unique<FeedForwardStep>(*this, mpc, fusion);
+std::unique_ptr<ModuleStep> FeedForward::do_plan_into(
+    ModulePlanContext& mpc, const Epilogue& fold) const {
+  return std::make_unique<FeedForwardStep>(*this, mpc, fold);
 }
 
 Shape EncoderLayer::out_shape(Shape in) const {
@@ -143,8 +127,8 @@ Shape EncoderLayer::out_shape(Shape in) const {
   return in;
 }
 
-std::unique_ptr<ModuleStep> EncoderLayer::plan_into(
-    ModulePlanContext& mpc) const {
+std::unique_ptr<ModuleStep> EncoderLayer::do_plan_into(
+    ModulePlanContext& mpc, const Epilogue& /*fold*/) const {
   return std::make_unique<EncoderLayerStep>(*this, mpc);
 }
 
@@ -153,8 +137,8 @@ Shape TransformerEncoder::out_shape(Shape in) const {
   return in;
 }
 
-std::unique_ptr<ModuleStep> TransformerEncoder::plan_into(
-    ModulePlanContext& mpc) const {
+std::unique_ptr<ModuleStep> TransformerEncoder::do_plan_into(
+    ModulePlanContext& mpc, const Epilogue& /*fold*/) const {
   std::vector<const PlannableModule*> chain;
   chain.reserve(layers_.size());
   for (const EncoderLayer& layer : layers_) chain.push_back(&layer);

@@ -38,8 +38,6 @@ class FeedForward final : public PlannableModule {
     return up_->in_features();
   }
   [[nodiscard]] Shape out_shape(Shape in) const override;
-  [[nodiscard]] std::unique_ptr<ModuleStep> plan_into(
-      ModulePlanContext& mpc) const override;
 
   /// Two projections and an element-wise activation: per-token (per
   /// column), so an FFN/MLP block batches exactly along columns.
@@ -55,12 +53,9 @@ class FeedForward final : public PlannableModule {
   /// FeedForwardStep.) Unlike a bare LinearLayer, the split-destination LN
   /// form IS supported: the step stages the pre-norm sublayer output in
   /// its own planner slot, which is what lets the residual operand
-  /// alias the step's final output (the encoder's second seam). Defined
-  /// in transformer.cpp.
+  /// alias the step's final output (the encoder's second seam).
   [[nodiscard]] bool supports_fusion(
-      const StepFusion& fusion) const noexcept override;
-  [[nodiscard]] std::unique_ptr<ModuleStep> plan_into_fused(
-      ModulePlanContext& mpc, const StepFusion& fusion) const override;
+      const Epilogue& fold) const noexcept override;
 
   [[nodiscard]] std::size_t weight_bytes() const noexcept {
     return up_->weight_bytes() + down_->weight_bytes();
@@ -71,6 +66,9 @@ class FeedForward final : public PlannableModule {
   [[nodiscard]] Act activation() const noexcept { return act_; }
 
  private:
+  [[nodiscard]] std::unique_ptr<ModuleStep> do_plan_into(
+      ModulePlanContext& mpc, const Epilogue& fold) const override;
+
   std::unique_ptr<LinearLayer> up_, down_;
   Act act_;
 };
@@ -93,8 +91,6 @@ class EncoderLayer final : public PlannableModule {
     return ln1_.dim();
   }
   [[nodiscard]] Shape out_shape(Shape in) const override;
-  [[nodiscard]] std::unique_ptr<ModuleStep> plan_into(
-      ModulePlanContext& mpc) const override;
 
   [[nodiscard]] std::size_t weight_bytes() const noexcept {
     return attention_.weight_bytes() + ffn_.weight_bytes();
@@ -109,6 +105,9 @@ class EncoderLayer final : public PlannableModule {
   [[nodiscard]] const LayerNorm& ln2() const noexcept { return ln2_; }
 
  private:
+  [[nodiscard]] std::unique_ptr<ModuleStep> do_plan_into(
+      ModulePlanContext& mpc, const Epilogue& fold) const override;
+
   MultiHeadAttention attention_;
   FeedForward ffn_;
   LayerNorm ln1_, ln2_;
@@ -128,8 +127,6 @@ class TransformerEncoder final : public PlannableModule {
     return config_.hidden;
   }
   [[nodiscard]] Shape out_shape(Shape in) const override;
-  [[nodiscard]] std::unique_ptr<ModuleStep> plan_into(
-      ModulePlanContext& mpc) const override;
 
   [[nodiscard]] const TransformerConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t layer_count() const noexcept { return layers_.size(); }
@@ -144,6 +141,9 @@ class TransformerEncoder final : public PlannableModule {
   }
 
  private:
+  [[nodiscard]] std::unique_ptr<ModuleStep> do_plan_into(
+      ModulePlanContext& mpc, const Epilogue& fold) const override;
+
   TransformerConfig config_;
   std::vector<EncoderLayer> layers_;
 };

@@ -1,135 +1,11 @@
-// Thin SIMD abstraction for the *baseline* kernels (blocked / unpack /
-// xnor): an 8-lane fp32 vector with identical semantics on AVX2 and on
-// the scalar fallback, plus popcount helpers. Resolved at compile time —
-// which is fine for baselines compiled at the portable default. The
-// BiQGEMM hot loops do NOT use this header: they are compiled per-ISA in
-// src/engine/biq_kernels_*.cpp and selected at runtime via
-// engine/dispatch.hpp.
+// Popcount for the xnor baseline's bit-plane dot products. The vector
+// kernels live in the per-ISA translation units under src/engine/ and are
+// selected at runtime via engine/dispatch.hpp.
 #pragma once
 
 #include <cstdint>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#define BIQ_HAVE_AVX2 1
-#else
-#define BIQ_HAVE_AVX2 0
-#endif
-
 namespace biq::simd {
-
-inline constexpr int kFloatLanes = 8;
-
-#if BIQ_HAVE_AVX2
-
-struct F32x8 {
-  __m256 v;
-
-  static F32x8 zero() noexcept { return {_mm256_setzero_ps()}; }
-  static F32x8 set1(float x) noexcept { return {_mm256_set1_ps(x)}; }
-  static F32x8 load(const float* p) noexcept { return {_mm256_load_ps(p)}; }
-  static F32x8 loadu(const float* p) noexcept { return {_mm256_loadu_ps(p)}; }
-
-  void store(float* p) const noexcept { _mm256_store_ps(p, v); }
-  void storeu(float* p) const noexcept { _mm256_storeu_ps(p, v); }
-
-  friend F32x8 operator+(F32x8 a, F32x8 b) noexcept {
-    return {_mm256_add_ps(a.v, b.v)};
-  }
-  friend F32x8 operator-(F32x8 a, F32x8 b) noexcept {
-    return {_mm256_sub_ps(a.v, b.v)};
-  }
-  friend F32x8 operator*(F32x8 a, F32x8 b) noexcept {
-    return {_mm256_mul_ps(a.v, b.v)};
-  }
-
-  /// this = a*b + this
-  void fma(F32x8 a, F32x8 b) noexcept {
-#if defined(__FMA__)
-    v = _mm256_fmadd_ps(a.v, b.v, v);
-#else
-    v = _mm256_add_ps(_mm256_mul_ps(a.v, b.v), v);
-#endif
-  }
-
-  [[nodiscard]] float reduce_add() const noexcept {
-    const __m128 lo = _mm256_castps256_ps128(v);
-    const __m128 hi = _mm256_extractf128_ps(v, 1);
-    __m128 s = _mm_add_ps(lo, hi);
-    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
-    return _mm_cvtss_f32(s);
-  }
-
-  /// Negates all lanes (used by the LUT builder's symmetry step).
-  [[nodiscard]] F32x8 negate() const noexcept {
-    return {_mm256_xor_ps(v, _mm256_set1_ps(-0.0f))};
-  }
-};
-
-#else  // scalar fallback
-
-struct F32x8 {
-  float v[kFloatLanes];
-
-  static F32x8 zero() noexcept {
-    F32x8 r{};
-    return r;
-  }
-  static F32x8 set1(float x) noexcept {
-    F32x8 r;
-    for (float& lane : r.v) lane = x;
-    return r;
-  }
-  static F32x8 load(const float* p) noexcept { return loadu(p); }
-  static F32x8 loadu(const float* p) noexcept {
-    F32x8 r;
-    for (int i = 0; i < kFloatLanes; ++i) r.v[i] = p[i];
-    return r;
-  }
-
-  void store(float* p) const noexcept { storeu(p); }
-  void storeu(float* p) const noexcept {
-    for (int i = 0; i < kFloatLanes; ++i) p[i] = v[i];
-  }
-
-  friend F32x8 operator+(F32x8 a, F32x8 b) noexcept {
-    F32x8 r;
-    for (int i = 0; i < kFloatLanes; ++i) r.v[i] = a.v[i] + b.v[i];
-    return r;
-  }
-  friend F32x8 operator-(F32x8 a, F32x8 b) noexcept {
-    F32x8 r;
-    for (int i = 0; i < kFloatLanes; ++i) r.v[i] = a.v[i] - b.v[i];
-    return r;
-  }
-  friend F32x8 operator*(F32x8 a, F32x8 b) noexcept {
-    F32x8 r;
-    for (int i = 0; i < kFloatLanes; ++i) r.v[i] = a.v[i] * b.v[i];
-    return r;
-  }
-
-  void fma(F32x8 a, F32x8 b) noexcept {
-    for (int i = 0; i < kFloatLanes; ++i) v[i] += a.v[i] * b.v[i];
-  }
-
-  [[nodiscard]] float reduce_add() const noexcept {
-    float s = 0.0f;
-    for (float lane : v) s += lane;
-    return s;
-  }
-
-  [[nodiscard]] F32x8 negate() const noexcept {
-    F32x8 r;
-    for (int i = 0; i < kFloatLanes; ++i) r.v[i] = -v[i];
-    return r;
-  }
-};
-
-#endif  // BIQ_HAVE_AVX2
-
-/// True when the vectorized baseline paths are compiled in this TU.
-[[nodiscard]] constexpr bool have_avx2() noexcept { return BIQ_HAVE_AVX2 != 0; }
 
 [[nodiscard]] inline int popcount64(std::uint64_t x) noexcept {
 #if defined(__GNUC__) || defined(__clang__)

@@ -53,9 +53,9 @@ TEST_P(BiqGemmFuzz, RandomConfigsMatchReference) {
     opt.use_dp_builder = c.use_dp;
     actual.fill(-999.0f);
     if (c.threaded) {
-      biqgemm(codes, x, actual, opt, pool_ctx);
+      BiqGemm(codes, opt).run(x, actual, pool_ctx);
     } else {
-      biqgemm(codes, x, actual, opt);
+      BiqGemm(codes, opt).run(x, actual);
     }
 
     ASSERT_TRUE(allclose(actual, expected, 3e-3f, 3e-3f))
@@ -157,7 +157,7 @@ TEST(BiqGemmFuzz, DegenerateShapeGrid) {
           gemm_codes_ref(codes, x, expected);
           BiqGemmOptions opt;
           opt.mu = mu;
-          biqgemm(codes, x, actual, opt, ctx);
+          BiqGemm(codes, opt).run(x, actual, ctx);
           ASSERT_TRUE(allclose(actual, expected, 3e-3f, 3e-3f))
               << "m=" << m << " n=" << n << " b=" << b << " mu=" << mu;
         }

@@ -35,9 +35,9 @@ void expect_matches_reference(const Case& c, const BiqGemmOptions& opt_in,
   opt.mu = c.mu;
   actual.fill(777.0f);  // stale data must be overwritten
   if (ctx != nullptr) {
-    biqgemm(codes, x, actual, opt, *ctx);
+    BiqGemm(codes, opt).run(x, actual, *ctx);
   } else {
-    biqgemm(codes, x, actual, opt);
+    BiqGemm(codes, opt).run(x, actual);
   }
   EXPECT_TRUE(allclose(actual, expected, tol, tol))
       << "m=" << c.m << " n=" << c.n << " b=" << c.b << " mu=" << c.mu
@@ -291,7 +291,7 @@ TEST(BiqGemm, ColumnBitsDoNotDependOnBatchWidth) {
             AlignedBuffer<float> storage(plan->prep_floats());
             PrepHandle prep(storage.data(), storage.size());
             plan->prepare(xb, prep);
-            with_ep ? plan->run(prep, y.view(), rb) : plan->run(prep, y.view());
+            plan->run(prep, y.view());
           } else {
             with_ep ? plan->run(xb, y.view(), rb) : plan->run(xb, y.view());
           }
@@ -299,6 +299,8 @@ TEST(BiqGemm, ColumnBitsDoNotDependOnBatchWidth) {
         };
         const Matrix ref = run(wide, /*prepared=*/false);
         for (const bool prepared : {false, true}) {
+          // A residual plan has no prepared form: it runs fused only.
+          if (prepared && with_ep) continue;
           std::size_t differing = 0, checked = 0;
           for (std::size_t b = 2; b < wide; ++b) {
             const Matrix y = run(b, prepared);

@@ -32,7 +32,7 @@ TEST(Integration, AllQuantizedPathsAgree) {
   Matrix ref(96, 12), unpacked(96, 12), lut(96, 12), basic(96, 12);
   gemm_codes_ref(codes, x, ref);
   gemm_unpack_codes(pack_code_planes(codes), codes.alphas, x, unpacked);
-  biqgemm(codes, x, lut, {});
+  BiqGemm(codes).run(x, lut);
   biqgemm_basic(codes, x, basic, 8);
 
   EXPECT_TRUE(allclose(unpacked, ref, 1e-3f, 1e-3f));
@@ -51,8 +51,8 @@ TEST(Integration, BiqGemmBeatsQuantizedAccuracyOfXnor) {
 
   Matrix exact(64, 8), via_biq(64, 8), via_xnor(64, 8);
   gemm_ref(w, x, exact);
-  biqgemm(codes, x, via_biq, {});
-  XnorGemm(codes).run(x, via_xnor, 1);
+  BiqGemm(codes).run(x, via_biq);
+  XnorGemm(codes, 1).run(x, via_xnor);
 
   EXPECT_LT(rel_fro_error(via_biq, exact), rel_fro_error(via_xnor, exact));
 }
@@ -113,8 +113,8 @@ TEST(Integration, AlternatingBeatsGreedyThroughWholeKernel) {
   EXPECT_LE(quant_mse(w, alt.dequantize()), quant_mse(w, greedy.dequantize()) + 1e-9);
 
   Matrix y_greedy(80, 4), y_alt(80, 4);
-  biqgemm(greedy, x, y_greedy, {});
-  biqgemm(alt, x, y_alt, {});
+  BiqGemm(greedy).run(x, y_greedy);
+  BiqGemm(alt).run(x, y_alt);
   EXPECT_LE(rel_fro_error(y_alt, exact), rel_fro_error(y_greedy, exact) * 1.25);
 }
 
@@ -170,8 +170,8 @@ TEST(Integration, ThreadedPipelineMatchesSerial) {
 
   ExecContext pool_ctx(&pool);
   Matrix y_serial(200, 24), y_pool(200, 24);
-  biqgemm(codes, x, y_serial, {});
-  biqgemm(codes, x, y_pool, {}, pool_ctx);
+  BiqGemm(codes).run(x, y_serial);
+  BiqGemm(codes).run(x, y_pool, pool_ctx);
   EXPECT_LT(max_abs_diff(y_serial, y_pool), 1e-5f);
 }
 

@@ -74,13 +74,6 @@ TEST(Activations, GeluProperties) {
   EXPECT_NEAR(x(2, 0), 0.0f, 0.01f);   // ~zero for large negative
 }
 
-TEST(Activations, EveryActMapsToItsEpilogueTag) {
-  EXPECT_EQ(to_epilogue_act(Act::kRelu), EpilogueAct::kRelu);
-  EXPECT_EQ(to_epilogue_act(Act::kGelu), EpilogueAct::kGelu);
-  EXPECT_EQ(to_epilogue_act(Act::kSigmoid), EpilogueAct::kSigmoid);
-  EXPECT_EQ(to_epilogue_act(Act::kTanh), EpilogueAct::kTanh);
-}
-
 TEST(Activations, GeluNumericalEdges) {
   // Large magnitudes: tanh saturates to +-1 exactly, so gelu must come
   // back finite — identity for large positive, exactly 0 for large

@@ -417,6 +417,35 @@ TEST(ModelPlan, ChainFoldsLinearActivationAndDropsTheSlot) {
   }
 }
 
+TEST(PlannableModule, PlanIntoThrowsForAFoldTheModuleRefuses) {
+  // plan_into makes the one supports_fusion check: an Lstm folds
+  // nothing, a Residual's own add already holds the residual seat, and
+  // a LayerNorm fold must match the producer's output rows.
+  ExecContext ctx;
+  ModelPlanner planner;
+  ModulePlanContext mpc(planner, ctx, 4);
+  const Epilogue act{.act = Act::kTanh};
+  const Epilogue add{.residual = true};
+
+  const Lstm lstm(make_lstm_cell(12, 8, 35, QuantSpec{}));
+  EXPECT_FALSE(lstm.supports_fusion(act));
+  EXPECT_THROW((void)lstm.plan_into(mpc, act), std::logic_error);
+  EXPECT_NE(lstm.plan_into(mpc), nullptr);
+
+  const Residual residual(make_ffn(QuantSpec{}, 36));
+  EXPECT_FALSE(residual.supports_fusion(add));
+  EXPECT_THROW((void)residual.plan_into(mpc, add), std::logic_error);
+  EXPECT_NE(residual.plan_into(mpc, act), nullptr);
+
+  Rng wrng(37);
+  const auto linear = make_linear(xavier_uniform(16, 12, wrng), {}, 0);
+  const LayerNorm wrong(12), right(16);
+  EXPECT_THROW((void)linear->plan_into(mpc, wrong.fold()), std::logic_error);
+  EXPECT_NE(linear->plan_into(mpc, right.fold()), nullptr);
+  const Epilogue split = right.fold({}, /*split_dst=*/true);
+  EXPECT_THROW((void)linear->plan_into(mpc, split), std::logic_error);
+}
+
 TEST(PlannableModule, ForwardRunsAOneShotPlanAndCachesNothing) {
   // forward(x, y, ctx) is ModelPlan(*this, b, ctx).run(x, y) — the same
   // bits — and holds no plan afterwards: the context's model blocks are

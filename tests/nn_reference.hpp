@@ -39,6 +39,7 @@ inline float sigmoid(float v) { return 1.0f / (1.0f + std::exp(-v)); }
 
 inline float activate(float v, Act act) {
   switch (act) {
+    case Act::kNone: return v;
     case Act::kRelu: return v > 0.0f ? v : 0.0f;
     case Act::kGelu: {
       const float inner = 0.7978845608028654f * (v + 0.044715f * v * v * v);

@@ -5,8 +5,8 @@
 //   * a three-consumer fan-out (the QKV shape) fed by one prepare() is
 //     bitwise identical to three fused run(x, y) calls, at batch 1
 //     (scalar flat builders) and batch > 1 (interleaved builders),
-//   * epilogues (bias / activation / residual) apply identically on the
-//     consume path,
+//   * epilogues (bias / activation) apply identically on the consume
+//     path, and a residual plan refuses it,
 //   * a strided window input prepares to the same bits as its dense
 //     copy,
 //   * prepare+consume is 1-vs-N-thread invariant,
@@ -112,7 +112,7 @@ TEST_P(PrepShare, OnePrepareFeedsThreeConsumersBitwise) {
     const auto p1 = e1->plan(b, ctx);
     const auto p2 = e2->plan(b, ctx);
     const auto p3 = e3->plan(b, ctx);
-    ASSERT_TRUE(p1->has_prep()) << c.label;
+    ASSERT_TRUE(p1->prep_key().valid()) << c.label;
     ASSERT_GT(p1->prep_floats(), 0u) << c.label;
     // Distinct weights, same activation artifact: the keys must agree.
     ASSERT_EQ(p1->prep_key(), p2->prep_key()) << c.label << " b=" << b;
@@ -139,8 +139,7 @@ TEST_P(PrepShare, OnePrepareFeedsThreeConsumersBitwise) {
 }
 
 // Epilogues are applied on the consume path exactly as on the fused
-// path: bias + activation through run(prep, y), and the residual
-// overload through run(prep, y, residual).
+// path: bias + activation through run(prep, y).
 TEST_P(PrepShare, ConsumePathAppliesEpiloguesBitwise) {
   const EngineCase c = GetParam();
   const std::size_t m = 33, n = 28, b = 4;
@@ -148,7 +147,6 @@ TEST_P(PrepShare, ConsumePathAppliesEpiloguesBitwise) {
   const Matrix w = Matrix::random_normal(m, n, rng);
   const auto engine = case_engine(c, w);
   const Matrix x = Matrix::random_normal(n, b, rng);
-  const Matrix res = Matrix::random_normal(m, b, rng);
   const std::vector<float> bias(m, 0.125f);
   ExecContext ctx;
 
@@ -156,7 +154,7 @@ TEST_P(PrepShare, ConsumePathAppliesEpiloguesBitwise) {
   act_ep.bias = bias.data();
   act_ep.act = EpilogueAct::kRelu;
   const auto act_plan = engine->plan(b, ctx, act_ep);
-  ASSERT_TRUE(act_plan->has_prep());
+  ASSERT_TRUE(act_plan->prep_key().valid());
   Matrix fused(m, b), consumed(m, b);
   act_plan->run(x, fused);
   AlignedBuffer<float> storage(act_plan->prep_floats());
@@ -165,15 +163,14 @@ TEST_P(PrepShare, ConsumePathAppliesEpiloguesBitwise) {
   act_plan->run(prep, consumed);
   expect_bitwise(consumed, fused, "bias+relu epilogue");
 
+  // A residual plan takes its operand on the fused run only; the
+  // consume path has none to add, so it refuses the plan.
   Epilogue res_ep;
   res_ep.bias = bias.data();
   res_ep.residual = true;
   const auto res_plan = engine->plan(b, ctx, res_ep);
-  Matrix fused_r(m, b), consumed_r(m, b);
-  res_plan->run(x, fused_r, res);
   res_plan->prepare(x, prep);  // same storage, re-stamped
-  res_plan->run(prep, consumed_r, res);
-  expect_bitwise(consumed_r, fused_r, "residual epilogue");
+  EXPECT_THROW(res_plan->run(prep, consumed), std::invalid_argument);
 }
 
 // prepare() must honor the strided-view contract run() has: a window of
@@ -187,7 +184,7 @@ TEST_P(PrepShare, StridedWindowPreparesSameAsDense) {
   const auto engine = case_engine(c, w);
   ExecContext ctx;
   const auto plan = engine->plan(b, ctx);
-  ASSERT_TRUE(plan->has_prep());
+  ASSERT_TRUE(plan->prep_key().valid());
 
   // The input lives as an interior window of a bigger buffer.
   const Matrix big = Matrix::random_normal(n + 9, b + 4, rng);
@@ -225,7 +222,7 @@ TEST_P(PrepShare, PrepareConsumeIsThreadCountInvariant) {
     {
       ExecContext ctx;
       const auto plan = engine->plan(b, ctx);
-      ASSERT_TRUE(plan->has_prep());
+      ASSERT_TRUE(plan->prep_key().valid());
       AlignedBuffer<float> storage(plan->prep_floats());
       PrepHandle prep(storage.data(), storage.size());
       plan->prepare(x, prep);
@@ -260,7 +257,7 @@ TEST_P(PrepShare, WarmPrepareConsumePerformsZeroHeapAllocations) {
     ThreadPool pool(3);
     ExecContext ctx(&pool);
     const auto plan = engine->plan(b, ctx);
-    ASSERT_TRUE(plan->has_prep());
+    ASSERT_TRUE(plan->prep_key().valid());
     AlignedBuffer<float> storage(plan->prep_floats());
     PrepHandle prep(storage.data(), storage.size());
     // Two warm passes settle every grow-only arena (prepare's staging
@@ -306,7 +303,6 @@ TEST(PrepErrors, DensePlansCarryNoPrep) {
     const auto engine = make_engine(name, w);
     ExecContext ctx;
     const auto plan = engine->plan(2, ctx);
-    EXPECT_FALSE(plan->has_prep());
     EXPECT_FALSE(plan->prep_key().valid());
     EXPECT_EQ(plan->prep_floats(), 0u);
     EXPECT_THROW(plan->prepare(x, prep), std::invalid_argument);
@@ -336,14 +332,9 @@ TEST(PrepErrors, NotReadyAndUndersizedHandlesThrow) {
   PrepHandle unbound;
   EXPECT_THROW(plan->prepare(x, unbound), std::invalid_argument);
 
-  // bind() invalidates readiness: the old artifact must not be
-  // consumable through a rebound handle.
   plan->prepare(x, prep);
   EXPECT_TRUE(prep.ready());
   EXPECT_NO_THROW(plan->run(prep, y));
-  prep.bind(storage.data(), storage.size());
-  EXPECT_FALSE(prep.ready());
-  EXPECT_THROW(plan->run(prep, y), std::invalid_argument);
 }
 
 TEST(PrepErrors, MismatchedKeysAreRejected) {

@@ -89,10 +89,6 @@ class ThrowOnMarker final : public nn::PlannableModule {
     check_in_rows(in, "ThrowOnMarker");
     return in;
   }
-  [[nodiscard]] std::unique_ptr<nn::ModuleStep> plan_into(
-      nn::ModulePlanContext& /*mpc*/) const override {
-    return std::make_unique<Step>();
-  }
   [[nodiscard]] bool columns_independent() const noexcept override {
     return true;
   }
@@ -100,6 +96,12 @@ class ThrowOnMarker final : public nn::PlannableModule {
   static constexpr float kMarker = 1e31f;
 
  private:
+  [[nodiscard]] std::unique_ptr<nn::ModuleStep> do_plan_into(
+      nn::ModulePlanContext& /*mpc*/,
+      const Epilogue& /*fold*/) const override {
+    return std::make_unique<Step>();
+  }
+
   struct Step final : nn::ModuleStep {
     void run_step(float* /*base*/, ConstMatrixView x,
                   MatrixView y) const override {

@@ -70,7 +70,7 @@ void expect_stack_matches_parts(const std::vector<StackPart>& parts,
   Matrix y(rows, b);
   const auto stack = plan_stack(parts, b, ctx);
   ASSERT_EQ(stack->rows(), rows) << what;
-  EXPECT_EQ(stack->has_prep(), shared) << what;
+  EXPECT_EQ(stack->prep_key().valid(), shared) << what;
   stack->run(x, y);
   stack->run(x, y);  // a second run rebinds the parts and must agree
 

@@ -89,7 +89,7 @@ TEST_P(XnorSweep, MatchesExplicitReference) {
 
   const XnorGemm kernel(codes);
   Matrix actual(c.m, c.b);
-  kernel.run_prequantized(qx, actual);
+  kernel.run_prequantized(qx, actual, ExecContext::thread_default());
   const Matrix expected = xnor_expected(codes, qx);
   EXPECT_LT(max_abs_diff(actual, expected), 1e-3f)
       << "m=" << c.m << " n=" << c.n << " b=" << c.b;
@@ -110,10 +110,11 @@ TEST(XnorGemm, RunQuantizesOnTheFly) {
   Matrix w = Matrix::random_normal(6, 64, rng);
   Matrix x = Matrix::random_normal(64, 3, rng);
   const BinaryCodes codes = quantize_greedy(w, 1);
-  const XnorGemm kernel(codes);
+  const XnorGemm kernel(codes, 2);
   Matrix via_run(6, 3), via_pre(6, 3);
-  kernel.run(x, via_run, 2);
-  kernel.run_prequantized(quantize_activations(x, 2), via_pre);
+  kernel.run(x, via_run);
+  kernel.run_prequantized(quantize_activations(x, 2), via_pre,
+                          ExecContext::thread_default());
   EXPECT_EQ(max_abs_diff(via_run, via_pre), 0.0f);
 }
 
@@ -122,9 +123,9 @@ TEST(XnorGemm, ApproximatesFloatGemmWithEnoughBits) {
   Matrix w = Matrix::random_normal(16, 256, rng);
   Matrix x = Matrix::random_normal(256, 2, rng);
   const BinaryCodes codes = quantize_greedy(w, 4);
-  const XnorGemm kernel(codes);
+  const XnorGemm kernel(codes, 4);
   Matrix approx(16, 2), exact(16, 2);
-  kernel.run(x, approx, 4);
+  kernel.run(x, approx);
   gemm_ref(w, x, exact);
   // Both sides quantized to 4 greedy bits: qualitative agreement, and
   // strictly better than the fully-binarized (1w/1a) configuration.
@@ -132,7 +133,7 @@ TEST(XnorGemm, ApproximatesFloatGemmWithEnoughBits) {
   EXPECT_LT(err4, 0.4);
   const XnorGemm kernel1(quantize_greedy(w, 1));
   Matrix approx1(16, 2);
-  kernel1.run(x, approx1, 1);
+  kernel1.run(x, approx1);
   EXPECT_LT(err4, rel_fro_error(approx1, exact));
 }
 
