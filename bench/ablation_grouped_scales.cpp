@@ -44,9 +44,12 @@ void study(const char* profile, const biq::Matrix& w, const biq::Matrix& x) {
 
   biq::TablePrinter table({"scales", "bits", "rel output err", "weight KB",
                            "kernel us"});
+  // Every engine at the paper's mu, so the kernel column compares scales.
+  biq::BiqGemmOptions opt;
+  opt.mu = 8;
   for (unsigned bits : {1u, 2u}) {
     {
-      const biq::BiqGemm kernel(biq::quantize_greedy(w, bits), {});
+      const biq::BiqGemm kernel(biq::quantize_greedy(w, bits), opt);
       kernel.run(x, y);
       const double t = biq::bench::median_seconds([&] { kernel.run(x, y); });
       table.add_row({"per-row (paper)", std::to_string(bits),
@@ -56,7 +59,7 @@ void study(const char* profile, const biq::Matrix& w, const biq::Matrix& x) {
     }
     for (std::size_t group : {256u, 64u, 16u}) {
       const biq::BiqGemm kernel(
-          biq::quantize_greedy_grouped(w, bits, group), {});
+          biq::quantize_greedy_grouped(w, bits, group), opt);
       kernel.run(x, y);
       const double t = biq::bench::median_seconds([&] { kernel.run(x, y); });
       char label[32];

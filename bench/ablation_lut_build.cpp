@@ -227,7 +227,7 @@ void shared_vs_rebuilt(biq::bench::BenchJson& json, std::size_t repeats) {
 // delta is two of every three builds, at no cost in stored tables.
 void stacked_vs_fused(biq::bench::BenchJson& json, std::size_t repeats) {
   std::printf("-- one stacked Q/K/V plan vs three fused plans (d=512, "
-              "mu=8, 1 thread) --\n");
+              "the engines' own mu, 1 thread) --\n");
   biq::TablePrinter table(
       {"bits", "tokens", "stacked us", "3 fused us", "speedup"});
   const std::size_t d = 512;

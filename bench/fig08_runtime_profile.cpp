@@ -31,7 +31,9 @@ void profile_for_input_size(std::size_t n) {
     biq::Matrix x = biq::Matrix::random_normal(n, kBatch, rng);
     biq::Matrix y(m, kBatch);
 
-    const biq::BiqGemm engine(plane, {});
+    biq::BiqGemmOptions opt;
+    opt.mu = 8;  // the paper's LUT unit, pinned over the engine's own pick
+    const biq::BiqGemm engine(plane, opt);
     // Fixed batch: hold the plan so per-call planning stays out of the
     // timings.
     biq::ExecContext ctx;

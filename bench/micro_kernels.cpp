@@ -102,7 +102,7 @@ void BM_QueryTile(benchmark::State& state) {
   a.ytile = ytile.data();
   a.i1 = rows;
   for (auto _ : state) {
-    plane.biq.query_tile_u8(a);
+    plane.biq.query_tile(a);
     benchmark::DoNotOptimize(ytile.data());
     benchmark::ClobberMemory();
   }

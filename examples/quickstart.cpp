@@ -40,18 +40,15 @@ int main(int argc, char** argv) {
 
   // 2. Configure and build the BiQGEMM engine from the registry. The
   //    factory quantizes (offline step — weights are fixed during
-  //    inference) and packs each binary plane into mu-bit keys.
-  // Cap the model's argmin at 8: above 8 the keys widen to 16 bits,
-  // doubling weight traffic, which the pure operation-count model does
-  // not see (and matching the paper's empirical mu = 8).
+  //    inference) and packs each binary plane into mu-bit keys. With
+  //    cfg.kernel.mu unset the engine picks mu from its rows and bit
+  //    planes (select_lut_unit); set it to pin one.
   biq::EngineConfig cfg;
   cfg.weight_bits = bits;
-  cfg.kernel.mu = biq::select_mu(m, 8);
   const std::unique_ptr<biq::GemmEngine> engine =
       biq::make_engine("biqgemm", w, cfg);
-  std::printf("selected LUT-unit mu = %u (Eq. 9 cost factor %.4f), "
-              "kernel plane: %s\n",
-              cfg.kernel.mu, biq::biqgemm_cost_factor(m, cfg.kernel.mu),
+  std::printf("LUT-unit mu = %u (Eq. 9 would pick %u), kernel plane: %s\n",
+              biq::select_lut_unit(m, bits), biq::eq9_mu(m, 8),
               biq::engine::select_plane(biq::KernelIsa::kAuto).isa);
 
   // 3. Run and compare against the fp32 product (also registry-built).

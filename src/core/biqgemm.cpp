@@ -6,6 +6,7 @@
 #include <string>
 
 #include "core/lut_builder.hpp"
+#include "core/mu_select.hpp"
 #include "engine/dispatch.hpp"
 #include "engine/partition.hpp"
 
@@ -108,41 +109,31 @@ void build_tile(const engine::BiqKernels& kernels, std::size_t lanes,
   }
 }
 
-template <typename KeyT>
-const KeyT* key_row(const KeyMatrix& k, std::size_t i) noexcept {
-  if constexpr (sizeof(KeyT) == 1) {
-    return k.row8(i);
-  } else {
-    return k.row16(i);
-  }
-}
-
 /// The one-lane query (batch 1): per row, each plane's sum of flat-table
-/// hits from the plane's gemv_row, scaled and added into `total` in
-/// plane order, then `ytile[i] += total` once per chunk. It lives in
-/// this portable translation unit on purpose: in the vector planes'
-/// units (built with -mfma) the compiler may contract `alpha * acc`
-/// into an FMA and move the bits.
-template <typename KeyT>
+/// hits from the plane's gemv_rows, scaled and added into `total` in
+/// plane order, then `ytile[i] += total` once per chunk. Rows go in
+/// blocks so each gemv_rows call serves many rows. It lives in this
+/// portable translation unit on purpose: in the vector planes' units
+/// (built with -mfma) the compiler may contract `alpha * acc` into an
+/// FMA and move the bits.
 void query_one_lane(const engine::BiqKernels& kernels,
                     const engine::QueryTileArgs& a) {
-  const auto row_fn = [&kernels] {
-    if constexpr (sizeof(KeyT) == 1) {
-      return kernels.gemv_row_u8;
-    } else {
-      return kernels.gemv_row_u16;
-    }
-  }();
-  for (std::size_t i = a.i0; i < a.i1; ++i) {
-    float total = 0.0f;
+  constexpr std::size_t kBlock = 64;
+  float total[kBlock], acc[kBlock];
+  for (std::size_t r0 = a.i0; r0 < a.i1; r0 += kBlock) {
+    const std::size_t rows = std::min(kBlock, a.i1 - r0);
+    std::fill(total, total + rows, 0.0f);
     for (std::size_t q = 0; q < a.num_planes; ++q) {
-      const float acc =
-          row_fn(key_row<KeyT>(a.keys[q], i) + a.t0, a.tcount, a.mu, a.lut);
-      total += a.alphas != nullptr
-                   ? a.alphas[q][i * a.alpha_stride + a.alpha_offset] * acc
-                   : acc;
+      kernels.gemv_rows(a.keys[q], r0, r0 + rows, a.t0, a.tcount, a.lut, acc);
+      for (std::size_t r = 0; r < rows; ++r) {
+        total[r] += a.alphas != nullptr
+                        ? a.alphas[q][(r0 + r) * a.alpha_stride +
+                                      a.alpha_offset] *
+                              acc[r]
+                        : acc[r];
+      }
     }
-    a.ytile[i] += total;
+    for (std::size_t r = 0; r < rows; ++r) a.ytile[r0 + r] += total[r];
   }
 }
 
@@ -166,7 +157,6 @@ PartRows part_rows(const Part& p, std::size_t i0, std::size_t i1) noexcept {
 /// The tables and each row's accumulation order depend neither on the
 /// row range nor on the other parts, so any split of a tile, and any
 /// stack, gives the same bits.
-template <typename KeyT>
 void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t ncols,
                         std::size_t i0, std::size_t i1, Scratch& scratch) {
   const std::size_t lanes = a.plan.lanes;
@@ -176,8 +166,6 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t ncols,
   engine::QueryTileArgs q;
   q.mu = a.mu;
   q.lut = scratch.lut;
-  const auto query_fn = sizeof(KeyT) == 1 ? a.kernels->query_tile_u8
-                                          : a.kernels->query_tile_u16;
 
   const std::size_t entries = std::size_t{1} << a.mu;
   const float* prep_block =
@@ -214,9 +202,9 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t ncols,
       q.i0 = r.lo;
       q.i1 = r.hi;
       if (lanes == 1) {
-        query_one_lane<KeyT>(*a.kernels, q);
+        query_one_lane(*a.kernels, q);
       } else {
-        query_fn(q);
+        a.kernels->query_tile(q);
       }
     }
   }
@@ -241,7 +229,6 @@ void run_one_batch_tile(const KernelArgs& a, std::size_t c0, std::size_t ncols,
 /// so a serial context runs whole tiles in order exactly as one worker
 /// would. Every item carries its own stage/build scratch (none on the
 /// consume path, whose tables arrive prebuilt).
-template <typename KeyT>
 void run_kernel(const KernelArgs& args, ExecContext& ctx) {
   const std::size_t b = args.b;
   const std::size_t lanes = args.plan.lanes;
@@ -253,8 +240,7 @@ void run_kernel(const KernelArgs& args, ExecContext& ctx) {
       },
       [&](Scratch& scratch, std::size_t tile, std::size_t i0, std::size_t i1) {
         const std::size_t c0 = tile * lanes;
-        run_one_batch_tile<KeyT>(args, c0, std::min(lanes, b - c0), i0, i1,
-                                 scratch);
+        run_one_batch_tile(args, c0, std::min(lanes, b - c0), i0, i1, scratch);
       });
 }
 
@@ -306,7 +292,8 @@ std::size_t tile_lanes(std::size_t batch, const engine::KernelPlane& plane) {
 std::size_t chunk_tables(const BiqGemm& e, std::size_t lanes) {
   const std::size_t t = e.num_groups() > 1
                             ? e.group_size() / e.mu()
-                            : plan_tiles(e.options(), lanes).tables_per_tile;
+                            : plan_tiles(e.options(), e.mu(), lanes)
+                                  .tables_per_tile;
   return std::clamp<std::size_t>(
       t, 1, std::max<std::size_t>(table_count(e.cols(), e.mu()), 1));
 }
@@ -417,11 +404,7 @@ class BiqGemmPlan final : public GemmPlan {
     args.plan = tile_plan_;
     args.kernels = &plane().biq;
     args.prep = prep;
-    if (mu_ > 8) {
-      run_kernel<std::uint16_t>(args, context());
-    } else {
-      run_kernel<std::uint8_t>(args, context());
-    }
+    run_kernel(args, context());
   }
 
   unsigned mu_;
@@ -471,14 +454,18 @@ BiqGemm::BiqGemm(std::string_view name, std::size_t rows, std::size_t cols,
           " floats, expected " + std::to_string(m_ * num_groups_));
     }
   }
-  if (opt_.mu == 0 || opt_.mu > kMaxLutUnit) {
+  if (!opt_.mu) {
+    opt_.mu = select_lut_unit(m_, bits_, num_groups_ > 1 ? group_size_ : 0);
+  }
+  const unsigned mu = *opt_.mu;
+  if (mu == 0 || mu > kMaxLutUnit) {
     throw std::invalid_argument(who + ": mu must be in [1, 16]");
   }
-  if (num_groups_ > 1 && group_size_ % opt_.mu != 0) {
+  if (num_groups_ > 1 && group_size_ % mu != 0) {
     throw std::invalid_argument(who + ": group_size must be a multiple of mu");
   }
   keys_.reserve(bits_);
-  for (const BinaryMatrix& plane : planes) keys_.emplace_back(plane, opt_.mu);
+  for (const BinaryMatrix& plane : planes) keys_.emplace_back(plane, mu);
 }
 
 BiqGemm::BiqGemm(const BinaryCodes& codes, const BiqGemmOptions& opt)

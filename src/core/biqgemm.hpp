@@ -15,6 +15,11 @@
 // its hits are scaled by alpha_q[i][group].
 // Work: O(2^mu * n/mu * b) build + O(m * n/mu * b * bits) query — the
 // mu-fold reduction of Eq. 10 when 2^mu << m.
+// The LUT unit mu is fixed per engine at set-up: BiqGemmOptions::mu when
+// set, else select_lut_unit(rows, bits) (core/mu_select.hpp), which
+// weighs the build against the m * bits lookups it serves: mu 6 for
+// 512-row layers, 7-8 for the paper's 1K-4K rows. Whatever mu is, each
+// plane's keys are one dense bitstream of m*n bits (core/key_matrix.hpp).
 #pragma once
 
 #include <span>
@@ -40,7 +45,9 @@ class BiqGemm final : public GemmEngine {
 
   /// Group-wise scales, registered as "biqgemm-grouped". Same checks,
   /// with rows * num_groups floats per alpha vector; with more than one
-  /// group, opt.mu must divide group_size so no table straddles a group.
+  /// group, mu must divide group_size so no table straddles a group (an
+  /// unset mu is picked among the divisors in [4, 8]; it throws when
+  /// there is none).
   /// One group is exactly the per-row case above.
   explicit BiqGemm(const GroupedBinaryCodes& codes,
                    const BiqGemmOptions& opt = {});
@@ -85,10 +92,13 @@ class BiqGemm final : public GemmEngine {
     return name_;
   }
   [[nodiscard]] unsigned bits() const noexcept { return bits_; }
-  [[nodiscard]] unsigned mu() const noexcept { return opt_.mu; }
+  /// The LUT unit: options().mu when it was set, else the one
+  /// select_lut_unit picked from rows() and bits() at set-up.
+  [[nodiscard]] unsigned mu() const noexcept { return *opt_.mu; }
   /// Inputs per scale group (cols() for per-row scales).
   [[nodiscard]] std::size_t group_size() const noexcept { return group_size_; }
   [[nodiscard]] std::size_t num_groups() const noexcept { return num_groups_; }
+  /// The options the engine was built with, mu resolved.
   [[nodiscard]] const BiqGemmOptions& options() const noexcept { return opt_; }
   [[nodiscard]] const KeyMatrix& keys(unsigned plane) const {
     return keys_.at(plane);

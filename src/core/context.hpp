@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 
 namespace biq {
 
@@ -22,9 +23,12 @@ enum class KernelIsa { kAuto, kScalar, kAvx2, kAvx512 };
 inline constexpr std::size_t kLutTileBytes = 256 * 1024;
 
 struct BiqGemmOptions {
-  /// LUT-unit (Definition 1). 8 matches the paper's empirically optimal
-  /// choice; any value in [1, 16] is supported.
-  unsigned mu = 8;
+  /// LUT-unit (Definition 1), any value in [1, 16]. Unset, the engine
+  /// picks it at set-up from its rows and bit planes
+  /// (select_lut_unit in core/mu_select.hpp: mu 6 for 512 rows, 7-8 for
+  /// the paper's 1K-4K rows, where the paper fixes 8); set it to pin one,
+  /// as the ablations do.
+  std::optional<unsigned> mu;
   /// Tables per LUT tile (tile height in Fig. 7); 0 = derive from
   /// kLutTileBytes (an L2-sized tile). A plan clamps the height to the
   /// layer's table count. (Threading and the kernel plane are call-time
@@ -46,9 +50,9 @@ struct TilePlan {
 /// Derives the plan: `lanes` batch columns per tile — the plan's kernel
 /// plane's query_lanes, whatever the batch (a narrower batch runs one
 /// tile zero-padded to that width), or 1 for BiqGemm's one-lane batch-1
-/// tile — and the tile height from the byte budget at that width (at
-/// least 1).
-[[nodiscard]] TilePlan plan_tiles(const BiqGemmOptions& opt,
+/// tile — and the tile height from the byte budget at that width and the
+/// engine's LUT unit `mu` (at least 1).
+[[nodiscard]] TilePlan plan_tiles(const BiqGemmOptions& opt, unsigned mu,
                                   std::size_t lanes);
 
 }  // namespace biq

@@ -1,7 +1,5 @@
 #include "core/key_matrix.hpp"
 
-#include <algorithm>
-
 namespace biq {
 
 namespace {
@@ -13,39 +11,34 @@ std::size_t checked_table_count(std::size_t n, unsigned mu) {
   return table_count(n, mu);
 }
 
-/// Packs every row of b into `tables` keys per row at dst. Each key is
-/// assembled by shift-or, first element into the most significant bit;
-/// a tail group shifts its missing elements in as 0 bits.
-template <typename Key>
-void pack_keys(const BinaryMatrix& b, unsigned mu, std::size_t tables,
-               Key* dst) {
-  const std::size_t n = b.cols();
-  for (std::size_t i = 0; i < b.rows(); ++i) {
-    const std::int8_t* row = b.row(i);
-    Key* keys = dst + i * tables;
-    for (std::size_t t = 0; t < tables; ++t) {
-      const std::int8_t* group = row + t * mu;
-      const std::size_t len = std::min<std::size_t>(mu, n - t * mu);
-      unsigned key = 0;
-      for (std::size_t j = 0; j < len; ++j) {
-        key = (key << 1) | static_cast<unsigned>(group[j] > 0);
-      }
-      keys[t] = static_cast<Key>(key << (mu - len));
-    }
-  }
-}
-
 }  // namespace
 
 KeyMatrix::KeyMatrix(const BinaryMatrix& b, unsigned mu)
-    : rows_(b.rows()), tables_(checked_table_count(b.cols(), mu)), mu_(mu) {
-  const std::size_t count = rows_ * tables_;  // <= rows * cols of b
-  if (wide()) {
-    data16_ = AlignedBuffer<std::uint16_t>(count);
-    pack_keys(b, mu, tables_, data16_.data());
-  } else {
-    data8_ = AlignedBuffer<std::uint8_t>(count);
-    pack_keys(b, mu, tables_, data8_.data());
+    : rows_(b.rows()), cols_(b.cols()),
+      tables_(checked_table_count(b.cols(), mu)), mu_(mu) {
+  // Rows are contiguous in b and in the stream, so the whole plane packs
+  // as one run of m*n sign bits, shift-or into bytes, first element into
+  // the most significant bit; the last byte's missing bits and the slack
+  // are zero.
+  const std::size_t count = rows_ * cols_;
+  data_ = AlignedBuffer<std::uint8_t>((count + 7) / 8 + kKeySlackBytes,
+                                      /*zero_fill=*/true);
+  const std::int8_t* signs = count == 0 ? nullptr : b.row(0);
+  std::uint8_t* out = data_.data();
+  std::size_t e = 0;
+  for (; e + 8 <= count; e += 8) {
+    unsigned byte = 0;
+    for (std::size_t j = 0; j < 8; ++j) {
+      byte = (byte << 1) | static_cast<unsigned>(signs[e + j] > 0);
+    }
+    *out++ = static_cast<std::uint8_t>(byte);
+  }
+  if (e < count) {
+    unsigned byte = 0;
+    for (std::size_t j = e; j < count; ++j) {
+      byte = (byte << 1) | static_cast<unsigned>(signs[j] > 0);
+    }
+    *out = static_cast<std::uint8_t>(byte << (8 - (count - e)));
   }
 }
 

@@ -4,6 +4,28 @@
 
 namespace biq {
 
+double lut_unit_cost(std::size_t rows, unsigned bits, unsigned mu) noexcept {
+  if (mu == 0) return 0.0;
+  return (std::ldexp(double{kLutEntryCost}, static_cast<int>(mu)) +
+          static_cast<double>(rows) * bits) /
+         mu;
+}
+
+unsigned select_lut_unit(std::size_t rows, unsigned bits,
+                         std::size_t group_size) noexcept {
+  const auto fits = [group_size](unsigned mu) {
+    return group_size == 0 || group_size % mu == 0;
+  };
+  unsigned best = 0;
+  for (unsigned mu = kMaxAutoMu; mu >= kMinAutoMu; --mu) {
+    if (fits(mu) && (best == 0 || lut_unit_cost(rows, bits, mu) <
+                                      lut_unit_cost(rows, bits, best))) {
+      best = mu;
+    }
+  }
+  return best != 0 ? best : select_lut_unit(rows, bits);
+}
+
 double biqgemm_cost_factor(std::size_t m, unsigned mu) noexcept {
   if (m == 0 || mu == 0) return 1.0;
   const double pow2 = std::ldexp(1.0, static_cast<int>(mu));
@@ -11,7 +33,7 @@ double biqgemm_cost_factor(std::size_t m, unsigned mu) noexcept {
          (static_cast<double>(m) * static_cast<double>(mu));
 }
 
-unsigned select_mu(std::size_t m, unsigned max_mu) noexcept {
+unsigned eq9_mu(std::size_t m, unsigned max_mu) noexcept {
   if (max_mu == 0) return 1;
   unsigned best = 1;
   double best_cost = biqgemm_cost_factor(m, 1);

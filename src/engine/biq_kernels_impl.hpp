@@ -1,5 +1,5 @@
 // Generic source of the BiQGEMM hot loops (x-tile staging, interleaved
-// LUT builders, batched query tile, GEMV query row). This header is
+// LUT builders, batched query tile, GEMV query rows). This header is
 // included exactly once per ISA translation unit with BIQ_KERNELS_NS
 // set to that unit's namespace (kern_scalar / kern_avx2 / kern_avx512);
 // the TU's compile flags decide whether the vector types below lower to
@@ -356,164 +356,263 @@ void build_mm(const float* xt, unsigned mu, float* lut) {
 }
 
 // --------------------------------------------------- batched query (Alg. 2)
-template <typename KeyT>
-const KeyT* key_row(const KeyMatrix& k, std::size_t i) noexcept {
-  if constexpr (sizeof(KeyT) == 1) {
-    return k.row8(i);
-  } else {
-    return k.row16(i);
+/// Keys one key_window serves at LUT unit mu (its 57 valid bits), rounded
+/// down to even: the query takes them two at a time, one per chain.
+constexpr std::size_t keys_per_window(unsigned mu) noexcept {
+  return (57 / mu) & ~std::size_t{1};
+}
+
+/// The window's next mu-bit key; shifts it out of the window.
+inline std::size_t pop_key(std::uint64_t& w, unsigned mu) noexcept {
+  const auto key = static_cast<std::size_t>(w >> (64 - mu));
+  w <<= mu;
+  return key;
+}
+
+/// Per-row LUT-hit sums of R (1 or 2) consecutive rows of one key plane,
+/// the first row's keys of the tile at stream bit `bit`, the second's
+/// `cols` bits on: sum[r] = chain 0 + chain 1, chain 0 taking the even
+/// tables and an odd-count tail table, chain 1 the odd tables, each in
+/// table order. One key_window per row feeds keys_per_window(mu)
+/// lookups. MU is the LUT unit when it is fixed at compile time, else 0
+/// and `mu` holds it. The chains are named
+/// variables, not arrays: on the portable plane, whose V8 lane loops GCC
+/// vectorizes, arrays of accumulators spilled and ran over twice as slow.
+template <unsigned MU, std::size_t R>
+void row_sums(const std::uint8_t* stream, std::uint64_t bit, std::size_t cols,
+              unsigned mu, std::size_t tcount, const float* lut,
+              VBatch (&sum)[R]) {
+  static_assert(R == 1 || R == 2);
+  constexpr std::size_t W = kQueryLanes;
+  if constexpr (MU != 0) mu = MU;
+  const std::size_t per = keys_per_window(mu);
+  const std::size_t whole = tcount - tcount % per;  // tables in full windows
+  const std::size_t stride = W << mu;               // floats per table
+  std::uint64_t at0 = bit, at1 = bit + cols;
+  std::uint64_t w0 = 0, w1 = 0;
+  VBatch even0 = VBatch::zero(), odd0 = VBatch::zero();
+  VBatch even1 = VBatch::zero(), odd1 = VBatch::zero();
+  const float* t = lut;
+  auto refill = [&] {
+    w0 = key_window(stream, at0);
+    at0 += per * mu;
+    if constexpr (R == 2) {
+      w1 = key_window(stream, at1);
+      at1 += per * mu;
+    }
+  };
+  auto pair = [&] {
+    even0 = even0 + VBatch::load(t + pop_key(w0, mu) * W);
+    if constexpr (R == 2) even1 = even1 + VBatch::load(t + pop_key(w1, mu) * W);
+    t += stride;
+    odd0 = odd0 + VBatch::load(t + pop_key(w0, mu) * W);
+    if constexpr (R == 2) odd1 = odd1 + VBatch::load(t + pop_key(w1, mu) * W);
+    t += stride;
+  };
+
+  std::size_t g = 0;
+  for (; g < whole; g += per) {
+    refill();
+    for (std::size_t j = 0; j < per; j += 2) pair();
   }
+  if (g < tcount) {
+    refill();
+    for (; g + 2 <= tcount; g += 2) pair();
+    if (g < tcount) {
+      even0 = even0 + VBatch::load(t + pop_key(w0, mu) * W);
+      if constexpr (R == 2) even1 = even1 + VBatch::load(t + pop_key(w1, mu) * W);
+    }
+  }
+  sum[0] = even0 + odd0;
+  if constexpr (R == 2) sum[1] = even1 + odd1;
 }
 
 /// Full-width vector query (8 lanes, 16 on AVX-512) over rows [i0, i1):
-/// each row adds, per key plane, the sum of its LUT hits over the tile's
-/// tables into its ytile row. The per-row order is fixed — even tables
-/// into chain 0, odd tables into chain 1, an odd-count tail table into
-/// chain 0, then chain 0 + chain 1, then the (scaled) add into y in
-/// plane order — so no output depends on how rows are grouped
-/// (Dispatch.QueryTileMatchesPerRowChainOrderOnEveryPlane pins it).
-///
-/// Two rows go per pass, with a one-row tail, so four independent
-/// chains are in flight. The table pointer advances 2^mu * W floats per
-/// table, so a lookup is a key load, a constant shift and a vector add,
-/// with no shift by the runtime mu. Both loops step the key pointers by
-/// two, and the exact form matters on the portable plane, whose V8 lane
-/// loops GCC vectorizes: equivalent forms (an index shared by both key
-/// rows, or the tail loop written like the pair loop) spilled
-/// accumulators and ran the pair loop up to twice as slow.
-template <typename KeyT>
-void query_tile(const QueryTileArgs& a) {
+/// each row adds, per key plane in plane order, its row_sums over the
+/// tile's tables (scaled) into its ytile row. The per-row order is fixed,
+/// so no output depends on how rows are grouped
+/// (Dispatch.QueryTileMatchesPerRowChainOrderOnEveryPlane pins it). Two
+/// rows go per pass, with a one-row tail, so four independent chains are
+/// in flight.
+template <unsigned MU>
+void query_tile_mu(const QueryTileArgs& a) {
   constexpr std::size_t W = kQueryLanes;
-  const std::size_t stride = W << a.mu;  // floats per table
-  const std::size_t pairs = a.tcount / 2;
-  const bool tail = (a.tcount & 1u) != 0;
-  const bool scaled = a.alphas != nullptr;
-  auto alpha = [&](std::size_t q, std::size_t i) {
-    return VBatch::set1(a.alphas[q][i * a.alpha_stride + a.alpha_offset]);
-  };
-
-  std::size_t i = a.i0;
-  for (; i + 2 <= a.i1; i += 2) {
-    float* yrow0 = a.ytile + i * W;
-    float* yrow1 = yrow0 + W;
-    VBatch y0 = VBatch::load(yrow0);
-    VBatch y1 = VBatch::load(yrow1);
-    for (std::size_t q = 0; q < a.num_planes; ++q) {
-      const KeyT* k0 = key_row<KeyT>(a.keys[q], i) + a.t0;
-      const KeyT* k1 = key_row<KeyT>(a.keys[q], i + 1) + a.t0;
-      const float* t = a.lut;
-      VBatch acc00 = VBatch::zero(), acc01 = VBatch::zero();
-      VBatch acc10 = VBatch::zero(), acc11 = VBatch::zero();
-      for (std::size_t p = 0; p < pairs; ++p, k0 += 2, k1 += 2) {
-        acc00 = acc00 + VBatch::load(t + k0[0] * W);
-        acc10 = acc10 + VBatch::load(t + k1[0] * W);
-        t += stride;
-        acc01 = acc01 + VBatch::load(t + k0[1] * W);
-        acc11 = acc11 + VBatch::load(t + k1[1] * W);
-        t += stride;
+  for (std::size_t q = 0; q < a.num_planes; ++q) {
+    const KeyMatrix& keys = a.keys[q];
+    const std::uint8_t* stream = keys.stream();
+    const std::size_t cols = keys.cols();
+    const float* alpha = a.alphas == nullptr
+                             ? nullptr
+                             : a.alphas[q].data() + a.alpha_offset;
+    auto rows = [&]<std::size_t R>(std::size_t i) {
+      VBatch sum[R];
+      row_sums<MU, R>(stream, keys.bit_offset(i, a.t0), cols, a.mu, a.tcount,
+                      a.lut, sum);
+      for (std::size_t r = 0; r < R; ++r) {
+        float* yrow = a.ytile + (i + r) * W;
+        VBatch y = VBatch::load(yrow);
+        if (alpha != nullptr) {
+          y.fma(VBatch::set1(alpha[(i + r) * a.alpha_stride]), sum[r]);
+        } else {
+          y = y + sum[r];
+        }
+        y.store(yrow);
       }
-      if (tail) {
-        acc00 = acc00 + VBatch::load(t + k0[0] * W);
-        acc10 = acc10 + VBatch::load(t + k1[0] * W);
-      }
-      acc00 = acc00 + acc01;
-      acc10 = acc10 + acc11;
-      if (scaled) {
-        y0.fma(alpha(q, i), acc00);
-        y1.fma(alpha(q, i + 1), acc10);
-      } else {
-        y0 = y0 + acc00;
-        y1 = y1 + acc10;
-      }
-    }
-    y0.store(yrow0);
-    y1.store(yrow1);
-  }
-
-  if (i < a.i1) {
-    float* yrow = a.ytile + i * W;
-    VBatch yv = VBatch::load(yrow);
-    for (std::size_t q = 0; q < a.num_planes; ++q) {
-      const KeyT* k0 = key_row<KeyT>(a.keys[q], i) + a.t0;
-      const float* t = a.lut;
-      VBatch acc0 = VBatch::zero(), acc1 = VBatch::zero();
-      for (std::size_t p = 0; p < pairs; ++p, k0 += 2) {
-        acc0 = acc0 + VBatch::load(t + k0[0] * W);
-        acc1 = acc1 + VBatch::load(t + stride + k0[1] * W);
-        t += 2 * stride;
-      }
-      if (tail) acc0 = acc0 + VBatch::load(t + k0[0] * W);
-      acc0 = acc0 + acc1;
-      if (scaled) {
-        yv.fma(alpha(q, i), acc0);
-      } else {
-        yv = yv + acc0;
-      }
-    }
-    yv.store(yrow);
+    };
+    std::size_t i = a.i0;
+    for (; i + 2 <= a.i1; i += 2) rows.template operator()<2>(i);
+    if (i < a.i1) rows.template operator()<1>(i);
   }
 }
 
-// --------------------------------------------------------- GEMV query row
-/// Sum of LUT entries selected by one key row over tables [0, tcount);
-/// lut is the tile base (flat tables stacked every 2^mu entries). The
-/// AVX2 plane vectorizes across *tables* with 8-entry gathers; both
-/// planes share the scalar 4-way-unrolled tail.
-template <typename KeyT>
-float gemv_row(const KeyT* krow, std::size_t tcount, unsigned mu,
-               const float* lut) {
-  std::size_t g = 0;
-  float acc = 0.0f;
+/// Fixes the LUT unit at compile time for the mu the automatic rule
+/// picks (core/mu_select.hpp), so key extraction shifts by constants.
+void query_tile(const QueryTileArgs& a) {
+  switch (a.mu) {
+    case 4: return query_tile_mu<4>(a);
+    case 5: return query_tile_mu<5>(a);
+    case 6: return query_tile_mu<6>(a);
+    case 7: return query_tile_mu<7>(a);
+    case 8: return query_tile_mu<8>(a);
+    default: return query_tile_mu<0>(a);
+  }
+}
+
+// --------------------------------------------------------- GEMV query rows
+/// Per row i in [i0, i1), the sum of LUT entries selected by its keys of
+/// tables [t0, t0 + tcount), into out[i - i0]; lut is the tile base
+/// (flat tables stacked every 2^mu entries). The AVX2 plane vectorizes
+/// across *tables* with 8-entry gathers (for mu <= 14); both planes share
+/// the scalar 4-way-unrolled tail over decoded entry indices. Compiled
+/// per mu like query_tile.
+template <unsigned MU>
+void gemv_rows_mu(const KeyMatrix& keys, std::size_t i0, std::size_t i1,
+                  std::size_t t0, std::size_t tcount, const float* lut,
+                  float* out) {
+  const unsigned mu = MU != 0 ? MU : keys.mu();
+  const std::uint8_t* stream = keys.stream();
 
 #if defined(__AVX2__)
-  if (tcount >= 8) {
-    const __m256i lane_off = _mm256_setr_epi32(
-        0, 1 << mu, 2 << mu, 3 << mu, 4 << mu, 5 << mu, 6 << mu, 7 << mu);
-    auto load_idx = [&](std::size_t at) {
-      __m256i keys32;
-      if constexpr (sizeof(KeyT) == 1) {
-        const __m128i raw =
-            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(krow + at));
-        keys32 = _mm256_cvtepu8_epi32(raw);
-      } else {
-        const __m128i raw =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(krow + at));
-        keys32 = _mm256_cvtepu16_epi32(raw);
-      }
-      return _mm256_add_epi32(
-          keys32, _mm256_add_epi32(
-                      lane_off, _mm256_set1_epi32(static_cast<int>(at << mu))));
-    };
-    // Two independent gather chains hide most of the gather latency.
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    for (; g + 16 <= tcount; g += 16) {
-      acc0 = _mm256_add_ps(acc0, _mm256_i32gather_ps(lut, load_idx(g), 4));
-      acc1 = _mm256_add_ps(acc1, _mm256_i32gather_ps(lut, load_idx(g + 8), 4));
-    }
-    if (g + 8 <= tcount) {
-      acc0 = _mm256_add_ps(acc0, _mm256_i32gather_ps(lut, load_idx(g), 4));
-      g += 8;
-    }
-    const __m256 s8 = _mm256_add_ps(acc0, acc1);
-    const __m128 lo = _mm256_castps256_ps128(s8);
-    const __m128 hi = _mm256_extractf128_ps(s8, 1);
-    __m128 s = _mm_add_ps(lo, hi);
-    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
-    acc = _mm_cvtss_f32(s);
-  }
+  // Eight keys are mu whole bytes, so every group of eight tables starts
+  // mu bytes after the last at the same bit phase: one byte shuffle and
+  // one shift per lane, fixed for the phase, pull a group's fields out
+  // of one 16-byte load. Lane j's field starts o = phase + j*mu bits
+  // into the load; the shuffle puts its bytes o/8 .. o/8 + 2 big-endian
+  // in the lane's low 24 bits (mu <= 14 keeps them within the 16 bytes,
+  // and the field within 24 bits). Rows of one phase share the set-up.
+  const bool gather = tcount >= 8 && mu <= 14;
+  const __m256i j = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i lane_mu =
+      _mm256_mullo_epi32(j, _mm256_set1_epi32(static_cast<int>(mu)));
+  const __m256i lane_off = _mm256_slli_epi32(j, static_cast<int>(mu));
+  const __m256i mask = _mm256_set1_epi32((1 << mu) - 1);
+  const std::size_t group_floats = std::size_t{8} << mu;
+  __m256i ctrl = _mm256_setzero_si256(), shift = _mm256_setzero_si256();
+  unsigned phase = 8;  // none set up yet
 #endif
 
-  float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
-  for (; g + 4 <= tcount; g += 4) {
-    a0 += lut[((g + 0) << mu) + krow[g + 0]];
-    a1 += lut[((g + 1) << mu) + krow[g + 1]];
-    a2 += lut[((g + 2) << mu) + krow[g + 2]];
-    a3 += lut[((g + 3) << mu) + krow[g + 3]];
+  for (std::size_t i = i0; i < i1; ++i) {
+    const std::uint64_t bit0 = keys.bit_offset(i, t0);
+    std::size_t g = 0;
+    float acc = 0.0f;
+
+#if defined(__AVX2__)
+    if (gather && (bit0 & 7u) != phase) {
+      phase = static_cast<unsigned>(bit0 & 7u);
+      const __m256i o = _mm256_add_epi32(
+          _mm256_set1_epi32(static_cast<int>(phase)), lane_mu);
+      const __m256i b = _mm256_srli_epi32(o, 3);
+      ctrl = _mm256_add_epi32(
+          _mm256_add_epi32(b, _mm256_add_epi32(_mm256_slli_epi32(b, 8),
+                                               _mm256_slli_epi32(b, 16))),
+          _mm256_set1_epi32(static_cast<int>(0x80000102u)));
+      shift = _mm256_sub_epi32(_mm256_set1_epi32(static_cast<int>(24 - mu)),
+                               _mm256_and_si256(o, _mm256_set1_epi32(7)));
+    }
+    // At mu 8 and a whole-byte start the fields are the stream's bytes.
+    const bool whole_bytes = mu == 8 && phase == 0;
+    const std::uint8_t* next = stream + (bit0 >> 3);
+    // Entry index of lane j in the next group, from the group's table
+    // base: lane j's table offset j << mu plus its key.
+    auto next_idx = [&] {
+      __m256i k;
+      if (whole_bytes) {
+        k = _mm256_cvtepu8_epi32(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(next)));
+      } else {
+        const __m128i bytes =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(next));
+        k = _mm256_and_si256(
+            _mm256_srlv_epi32(
+                _mm256_shuffle_epi8(_mm256_broadcastsi128_si256(bytes), ctrl),
+                shift),
+            mask);
+      }
+      next += mu;
+      return _mm256_add_epi32(k, lane_off);
+    };
+    if (gather) {
+      // Two independent gather chains hide most of the gather latency.
+      __m256 acc0 = _mm256_setzero_ps();
+      __m256 acc1 = _mm256_setzero_ps();
+      const float* base = lut;
+      for (; g + 16 <= tcount; g += 16) {
+        acc0 = _mm256_add_ps(acc0, _mm256_i32gather_ps(base, next_idx(), 4));
+        base += group_floats;
+        acc1 = _mm256_add_ps(acc1, _mm256_i32gather_ps(base, next_idx(), 4));
+        base += group_floats;
+      }
+      if (g + 8 <= tcount) {
+        acc0 = _mm256_add_ps(acc0, _mm256_i32gather_ps(base, next_idx(), 4));
+        g += 8;
+      }
+      const __m256 s8 = _mm256_add_ps(acc0, acc1);
+      const __m128 lo = _mm256_castps256_ps128(s8);
+      const __m128 hi = _mm256_extractf128_ps(s8, 1);
+      __m128 s = _mm_add_ps(lo, hi);
+      s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+      s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
+      acc = _mm_cvtss_f32(s);
+    }
+#endif
+
+    // The rest, four chains by position, one key_window per four tables
+    // (mu <= 14), then a leftover chain.
+    auto hit = [&](std::size_t at) {
+      return lut[(at << mu) + (key_window(stream, bit0 + at * mu) >> (64 - mu))];
+    };
+    float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
+    for (; g + 4 <= tcount; g += 4) {
+      if (mu <= 14) {
+        const float* t = lut + (g << mu);
+        std::uint64_t w = key_window(stream, bit0 + g * mu);
+        a0 += t[pop_key(w, mu)];
+        a1 += t[(std::size_t{1} << mu) + pop_key(w, mu)];
+        a2 += t[(std::size_t{2} << mu) + pop_key(w, mu)];
+        a3 += t[(std::size_t{3} << mu) + pop_key(w, mu)];
+      } else {
+        a0 += hit(g);
+        a1 += hit(g + 1);
+        a2 += hit(g + 2);
+        a3 += hit(g + 3);
+      }
+    }
+    for (; g < tcount; ++g) acc += hit(g);
+    out[i - i0] = acc + (a0 + a1) + (a2 + a3);
   }
-  for (; g < tcount; ++g) acc += lut[(g << mu) + krow[g]];
-  return acc + (a0 + a1) + (a2 + a3);
+}
+
+void gemv_rows(const KeyMatrix& keys, std::size_t i0, std::size_t i1,
+               std::size_t t0, std::size_t tcount, const float* lut,
+               float* out) {
+  switch (keys.mu()) {
+    case 4: return gemv_rows_mu<4>(keys, i0, i1, t0, tcount, lut, out);
+    case 5: return gemv_rows_mu<5>(keys, i0, i1, t0, tcount, lut, out);
+    case 6: return gemv_rows_mu<6>(keys, i0, i1, t0, tcount, lut, out);
+    case 7: return gemv_rows_mu<7>(keys, i0, i1, t0, tcount, lut, out);
+    case 8: return gemv_rows_mu<8>(keys, i0, i1, t0, tcount, lut, out);
+    default: return gemv_rows_mu<0>(keys, i0, i1, t0, tcount, lut, out);
+  }
 }
 
 /// This TU's BiqKernels table, exported through its KernelPlane.
@@ -523,10 +622,8 @@ BiqKernels biq_table() noexcept {
   t.stage_x_tile = &stage_x_tile;
   t.build_dp = &build_dp;
   t.build_mm = &build_mm;
-  t.query_tile_u8 = &query_tile<std::uint8_t>;
-  t.query_tile_u16 = &query_tile<std::uint16_t>;
-  t.gemv_row_u8 = &gemv_row<std::uint8_t>;
-  t.gemv_row_u16 = &gemv_row<std::uint16_t>;
+  t.query_tile = &query_tile;
+  t.gemv_rows = &gemv_rows;
   return t;
 }
 

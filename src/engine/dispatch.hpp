@@ -84,17 +84,16 @@ struct BiqKernels {
   /// [mu x query_lanes] row-major, lut receives 2^mu * query_lanes floats.
   void (*build_dp)(const float* xt, unsigned mu, float* lut) = nullptr;
   void (*build_mm)(const float* xt, unsigned mu, float* lut) = nullptr;
-  /// Batched query over one LUT tile, 8-bit / 16-bit key storage.
-  void (*query_tile_u8)(const QueryTileArgs&) = nullptr;
-  void (*query_tile_u16)(const QueryTileArgs&) = nullptr;
-  /// One-lane (batch-1) query body: sum of LUT hits of one key row over
-  /// tables [0, tcount), lut holding tcount stacked flat tables of 2^mu
-  /// entries (the interleaved layout at one lane). BiqGemm's row loop
-  /// around it scales and accumulates each row.
-  float (*gemv_row_u8)(const std::uint8_t* krow, std::size_t tcount,
-                       unsigned mu, const float* lut) = nullptr;
-  float (*gemv_row_u16)(const std::uint16_t* krow, std::size_t tcount,
-                        unsigned mu, const float* lut) = nullptr;
+  /// Batched query over one LUT tile (Algorithm 2).
+  void (*query_tile)(const QueryTileArgs&) = nullptr;
+  /// One-lane (batch-1) query body: out[i - i0] = sum of LUT hits of row
+  /// i's keys of tables [t0, t0 + tcount) for i in [i0, i1), lut holding
+  /// tcount stacked flat tables of 2^mu entries (the interleaved layout
+  /// at one lane). BiqGemm's row loop around it scales and accumulates
+  /// each row.
+  void (*gemv_rows)(const KeyMatrix& keys, std::size_t i0, std::size_t i1,
+                    std::size_t t0, std::size_t tcount, const float* lut,
+                    float* out) = nullptr;
 };
 
 /// Rows per packed panel of the blocked dense kernel (MR). Shared

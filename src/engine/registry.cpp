@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/biqgemm.hpp"
+#include "core/mu_select.hpp"
 #include "gemm/gemm_blocked.hpp"
 #include "gemm/gemm_int8.hpp"
 #include "gemm/gemm_ref.hpp"
@@ -38,10 +39,14 @@ EngineRegistry::EngineRegistry() {
        "BiQGEMM with group-wise scales (LUT-GEMM-style refinement)",
        /*quantized=*/true,
        [](const Matrix& w, const EngineConfig& cfg) {
-         // Scale groups of four LUT tables: 4 * mu inputs each.
-         const std::size_t group = std::size_t{4} * cfg.kernel.mu;
+         // Scale groups of four LUT tables: 4 * mu inputs each, mu
+         // resolved first (the per-row rule when unset) and pinned so the
+         // engine keeps the mu its groups were cut for.
+         BiqGemmOptions opt = cfg.kernel;
+         opt.mu = opt.mu.value_or(select_lut_unit(w.rows(), cfg.weight_bits));
+         const std::size_t group = std::size_t{4} * *opt.mu;
          return std::make_unique<BiqGemm>(
-             quantize_greedy_grouped(w, cfg.weight_bits, group), cfg.kernel);
+             quantize_greedy_grouped(w, cfg.weight_bits, group), opt);
        }});
   add({"blocked",
        "cache-blocked fp32 GEMM (the vendor-library stand-in)",

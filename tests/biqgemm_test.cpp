@@ -7,9 +7,12 @@
 #include <vector>
 
 #include "core/biqgemm.hpp"
+#include "core/mu_select.hpp"
+#include "engine/dispatch.hpp"
 #include "gemm/gemm_ref.hpp"
 #include "quant/greedy.hpp"
 #include "quant/grouped.hpp"
+#include "threading/thread_pool.hpp"
 #include "util/aligned_buffer.hpp"
 
 namespace biq {
@@ -166,8 +169,10 @@ TEST(BiqGemm, PackedWeightBytesMatchesKeyStorage) {
   Matrix w = Matrix::random_normal(64, 256, rng);
   const BinaryCodes codes = quantize_greedy(w, 3);
   const BiqGemm kernel(codes, {});
-  // 3 planes of 64 x 32 byte keys + 3 * 64 fp32 scales.
-  EXPECT_EQ(kernel.packed_weight_bytes(), 3u * (64u * 32u) + 3u * 64u * 4u);
+  // 3 planes of 64 x 256 key bits and their load slack + 3 * 64 fp32
+  // scales.
+  EXPECT_EQ(kernel.packed_weight_bytes(),
+            3u * (64u * 256u / 8u + kKeySlackBytes) + 3u * 64u * 4u);
 }
 
 TEST(BiqGemm, RejectsShapeMismatch) {
@@ -224,6 +229,41 @@ TEST(BiqGemm, RejectsInvalidMu) {
   EXPECT_THROW(BiqGemm(codes, opt), std::invalid_argument);
   opt.mu = 17;
   EXPECT_THROW(BiqGemm(codes, opt), std::invalid_argument);
+}
+
+// An unset mu is picked once, at set-up, from the engine's rows and bit
+// planes: every context plans the same mu (so the same bits per plane),
+// and each plane's outputs are bitwise equal at 1, 2 and 4 threads.
+TEST(BiqGemm, AutomaticMuIsAnEnginePropertyNotAContextOne) {
+  Rng rng(137);
+  const Matrix w = Matrix::random_normal(512, 96, rng);
+  const BinaryCodes codes = quantize_greedy(w, 2);
+  const BiqGemm engine(codes);
+  EXPECT_EQ(engine.mu(), select_lut_unit(512, 2));
+  EXPECT_EQ(engine.mu(), 6u);
+  EXPECT_EQ(engine.options().mu, std::optional<unsigned>(6u));
+  ThreadPool pool2(2), pool4(4);
+  for (const KernelIsa isa :
+       {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    if (!engine::isa_available(isa)) continue;
+    for (const std::size_t b : {1u, 17u, 33u}) {
+      const Matrix x = Matrix::random_normal(96, b, rng);
+      Matrix y1(512, b);
+      ExecContext serial(nullptr, isa);
+      const auto plan = engine.plan(b, serial);
+      EXPECT_EQ(plan->prep_key().p0, engine.mu());
+      plan->run(x, y1);
+      for (ThreadPool* pool : {&pool2, &pool4}) {
+        ExecContext ctx(pool, isa);
+        Matrix y(512, b);
+        engine.plan(b, ctx)->run(x, y);
+        EXPECT_EQ(std::memcmp(y.data(), y1.data(), y.size() * sizeof(float)),
+                  0)
+            << engine::select_plane(isa).isa << " b=" << b << " workers "
+            << ctx.worker_count();
+      }
+    }
+  }
 }
 
 TEST(BiqGemm, EmptyBatchIsNoop) {

@@ -19,10 +19,12 @@
 
 #include "core/biqgemm.hpp"
 #include "core/key_matrix.hpp"
+#include "core/mu_select.hpp"
 #include "engine/dispatch.hpp"
 #include "engine/registry.hpp"
 #include "gemm/gemm_blocked.hpp"
 #include "gemm/gemm_ref.hpp"
+#include "quant/grouped.hpp"
 #include "quant/quantize.hpp"
 #include "util/aligned_buffer.hpp"
 
@@ -98,6 +100,36 @@ TEST(EngineRegistry, EveryEngineMatchesReferenceAcrossShapes) {
         EXPECT_LT(rel_fro_error(actual, expected), tolerance_for(name))
             << name << " m=" << m << " n=" << n << " b=" << b;
       }
+    }
+  }
+}
+
+// biqgemm-grouped cuts scale groups of four tables, 4 * mu inputs, with
+// mu resolved by the engine's own rule from rows and bits first, so its
+// groups always split into whole tables whichever mu the rule picks
+// (6 at 512 rows, 8 at 2048 rows and 2 bits).
+TEST(EngineRegistry, GroupedFactoryCutsGroupsForTheAutomaticMu) {
+  EngineConfig cfg;
+  cfg.weight_bits = 2;
+  for (const std::size_t m : {512u, 2048u}) {
+    constexpr std::size_t n = 100;
+    Rng rng(m + 3);
+    const Matrix w = Matrix::random_normal(m, n, rng);
+    const auto engine = make_engine("biqgemm-grouped", w, cfg);
+    const auto& biq = dynamic_cast<const BiqGemm&>(*engine);
+    const unsigned mu = select_lut_unit(m, cfg.weight_bits);
+    EXPECT_EQ(biq.mu(), mu) << "m=" << m;
+    EXPECT_EQ(biq.group_size(), 4 * mu) << "m=" << m;
+    const GroupedBinaryCodes codes =
+        quantize_greedy_grouped(w, cfg.weight_bits, 4 * mu);
+    for (const std::size_t b : {std::size_t{1}, std::size_t{17}}) {
+      const Matrix x = Matrix::random_normal(n, b, rng);
+      Matrix expected(m, b), actual(m, b);
+      gemm_ref(codes.dequantize(), x, expected);
+      engine->run(x, actual);
+      EXPECT_TRUE(allclose(actual, expected, 2e-3f, 2e-3f))
+          << "m=" << m << " b=" << b
+          << " maxdiff=" << max_abs_diff(actual, expected);
     }
   }
 }
@@ -442,7 +474,6 @@ TEST(Dispatch, PlanTilesLanesComeFromDispatchedPlane) {
   const Matrix w = Matrix::random_normal(16, 40, rng);
   const BinaryCodes codes = quantize(w, 2, QuantMethod::kGreedy);
   const GroupedBinaryCodes grouped = quantize_greedy_grouped(w, 2, 16);
-  const std::size_t tables = 5;  // 40 inputs / mu 8
   const BiqGemm per_row(codes), by_group(grouped);
   for (const KernelIsa isa : {KernelIsa::kAuto, KernelIsa::kScalar,
                               KernelIsa::kAvx2, KernelIsa::kAvx512}) {
@@ -451,6 +482,7 @@ TEST(Dispatch, PlanTilesLanesComeFromDispatchedPlane) {
     ExecContext ctx(nullptr, isa);
     for (const BiqGemm* engine : {&per_row, &by_group}) {
       const std::size_t table = std::size_t{1} << engine->mu();
+      const std::size_t tables = table_count(40, engine->mu());
       EXPECT_EQ(engine->plan(1, ctx)->prep_floats(), tables * table)
           << engine->name();
       EXPECT_EQ(engine->plan(3, ctx)->prep_floats(), tables * table * lanes);
@@ -597,10 +629,12 @@ TEST(Dispatch, ScalarAndAvx512PlanesAreBitwiseConsistent) {
 // then folds each plane's sum into y in plane order. However the kernel
 // groups rows, every output must equal this per-row reference bit for
 // bit — at odd and even row bounds, over a one-row range, with and
-// without a tail table, for u8 and u16 keys and for unit, per-row and
-// grouped scales.
+// without a tail table, for tiles within one key window and across
+// several, for rows that start mid-byte in the key stream, for a mu the
+// query fixes at compile time (6, 8) and one it reads at run time (11),
+// and for unit, per-row and grouped scales.
 TEST(Dispatch, QueryTileMatchesPerRowChainOrderOnEveryPlane) {
-  constexpr std::size_t m = 23, num_planes = 2, t0 = 1, max_tcount = 5;
+  constexpr std::size_t m = 23, num_planes = 2, t0 = 1, max_tcount = 14;
   constexpr std::size_t groups = 3;  // grouped scales: 3 columns per row
   struct Scales {
     bool on;
@@ -619,12 +653,12 @@ TEST(Dispatch, QueryTileMatchesPerRowChainOrderOnEveryPlane) {
     // The vector planes scale with a fused multiply-add; the scalar plane
     // multiplies and adds, as this TU's plain expression does.
     const bool fused = std::string(plane.isa) != "scalar";
-    for (const unsigned mu : {8u, 11u}) {
+    for (const unsigned mu : {6u, 8u, 11u}) {
       Rng rng(41 + mu);
       std::vector<KeyMatrix> keys;
       for (std::size_t q = 0; q < num_planes; ++q) {
         keys.emplace_back(
-            BinaryMatrix::random(m, (t0 + max_tcount + 1) * mu, rng), mu);
+            BinaryMatrix::random(m, (t0 + max_tcount) * mu + 3, rng), mu);
       }
       const std::size_t entries = std::size_t{1} << mu;
       AlignedBuffer<float> lut(max_tcount * entries * lanes);
@@ -635,7 +669,8 @@ TEST(Dispatch, QueryTileMatchesPerRowChainOrderOnEveryPlane) {
       std::vector<float> y_init(m * lanes);
       fill_normal(rng, y_init.data(), y_init.size());
 
-      for (const std::size_t tcount : {max_tcount - 1, max_tcount}) {
+      for (const std::size_t tcount :
+           {std::size_t{4}, std::size_t{5}, max_tcount - 1, max_tcount}) {
         for (const Scales& s : kScales) {
           for (const auto& [i0, i1] : kRows) {
             std::vector<float> expected = y_init;
@@ -680,13 +715,85 @@ TEST(Dispatch, QueryTileMatchesPerRowChainOrderOnEveryPlane) {
             a.ytile = ytile.data();
             a.i0 = i0;
             a.i1 = i1;
-            (mu > 8 ? k.query_tile_u16 : k.query_tile_u8)(a);
+            k.query_tile(a);
             EXPECT_EQ(std::memcmp(ytile.data(), expected.data(),
                                   expected.size() * sizeof(float)),
                       0)
                 << plane.isa << " mu=" << mu << " tcount=" << tcount
                 << " scales=" << (s.on ? s.stride : 0) << " rows=[" << i0
                 << ", " << i1 << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+// The one-lane query sums each row's flat-table hits in a fixed order:
+// on the vector planes (mu <= 14, 8 or more tables) 8-lane gathers into
+// two chains by alternate 8-table groups, reduced lo + hi, then pairs,
+// then the two halves; then, on every plane, four chains over the
+// remaining tables by position mod 4, a leftover sum, and
+// leftover + (c0 + c1) + (c2 + c3). Rows start at every bit phase (n
+// not a multiple of 8) or at whole bytes (mu 8 over 8-bit multiples).
+TEST(Dispatch, GemvRowsMatchEachRowsChainOrderOnEveryPlane) {
+  constexpr std::size_t m = 21, t0 = 2, max_tcount = 37;
+  constexpr std::pair<std::size_t, std::size_t> kRows[] = {
+      {0, m}, {3, 4}, {5, 18}};
+  for (const KernelIsa isa :
+       {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    if (!engine::isa_available(isa)) continue;
+    const engine::KernelPlane& plane = engine::select_plane(isa);
+    const bool gathers = std::string(plane.isa) != "scalar";
+    for (const unsigned mu : {4u, 7u, 8u, 11u, 15u}) {
+      for (const std::size_t extra : {std::size_t{0}, std::size_t{3}}) {
+        Rng rng(53 + mu + extra);
+        const KeyMatrix keys(
+            BinaryMatrix::random(m, (t0 + max_tcount) * mu + extra, rng), mu);
+        AlignedBuffer<float> lut(max_tcount << mu);
+        fill_normal(rng, lut.data(), lut.size());
+        for (const std::size_t tcount :
+             {std::size_t{3}, std::size_t{8}, std::size_t{13}, std::size_t{16},
+              std::size_t{17}, max_tcount}) {
+          for (const auto& [i0, i1] : kRows) {
+            std::vector<float> out(i1 - i0, -1.0f);
+            plane.biq.gemv_rows(keys, i0, i1, t0, tcount, lut.data(),
+                                out.data());
+            for (std::size_t i = i0; i < i1; ++i) {
+              const auto hit = [&](std::size_t g) {
+                return lut[(g << mu) + keys.key(i, t0 + g)];
+              };
+              std::size_t g = 0;
+              float acc = 0.0f;
+              if (gathers && tcount >= 8 && mu <= 14) {
+                float c[2][8] = {};
+                for (; g + 16 <= tcount; g += 16) {
+                  for (std::size_t l = 0; l < 8; ++l) {
+                    c[0][l] += hit(g + l);
+                    c[1][l] += hit(g + 8 + l);
+                  }
+                }
+                if (g + 8 <= tcount) {
+                  for (std::size_t l = 0; l < 8; ++l) c[0][l] += hit(g + l);
+                  g += 8;
+                }
+                float s[8], h[4];
+                for (std::size_t l = 0; l < 8; ++l) s[l] = c[0][l] + c[1][l];
+                for (std::size_t l = 0; l < 4; ++l) h[l] = s[l] + s[l + 4];
+                acc = (h[0] + h[2]) + (h[1] + h[3]);
+              }
+              float a[4] = {};
+              for (; g + 4 <= tcount; g += 4) {
+                for (std::size_t l = 0; l < 4; ++l) a[l] += hit(g + l);
+              }
+              for (; g < tcount; ++g) acc += hit(g);
+              const float expected = acc + (a[0] + a[1]) + (a[2] + a[3]);
+              EXPECT_EQ(std::memcmp(&out[i - i0], &expected, sizeof(float)),
+                        0)
+                  << plane.isa << " mu=" << mu << " n%8=" << keys.cols() % 8
+                  << " tcount=" << tcount << " row " << i << " of [" << i0
+                  << ", " << i1 << ")";
+            }
           }
         }
       }

@@ -133,12 +133,16 @@ TEST(GroupedKernel, RejectsMalformedGroupScales) {
   GroupedBinaryCodes bad_plane = good;
   bad_plane.planes[0] = BinaryMatrix(8, 48);
   EXPECT_THROW(BiqGemm(bad_plane, {}), std::invalid_argument);
+  // No mu in the rule's [4, 8] divides a group of 9 columns.
+  const GroupedBinaryCodes nines =
+      quantize_greedy_grouped(Matrix::random_normal(8, 63, rng), 2, 9);
+  EXPECT_THROW(BiqGemm(nines, {}), std::invalid_argument);
 }
 
 // One scale group is the per-row case: same planes, same alphas, so the
 // grouped engine must take the plain path bit for bit, including
-// batch 1. n = 512 gives 64 tables at mu 8, more than the default
-// LUT tile holds on any plane, so the plain path chunks the tables.
+// batch 1. At a pinned mu 8, n = 512 gives 64 tables, more than the
+// default LUT tile holds on any plane, so the plain path chunks the tables.
 TEST(GroupedKernel, OneGroupMatchesPlainBitwise) {
   const std::size_t m = 96, n = 512;
   Rng rng(23);
@@ -152,8 +156,10 @@ TEST(GroupedKernel, OneGroupMatchesPlainBitwise) {
   plain.planes = grouped.planes;
   plain.alphas = grouped.alphas;
 
-  const BiqGemm one_group(grouped, {});
-  const BiqGemm per_row(plain, {});
+  BiqGemmOptions opt;
+  opt.mu = 8;
+  const BiqGemm one_group(grouped, opt);
+  const BiqGemm per_row(plain, opt);
   EXPECT_EQ(one_group.name(), "biqgemm-grouped");
   EXPECT_EQ(per_row.name(), "biqgemm");
   for (const std::size_t b : {std::size_t{1}, std::size_t{8}, std::size_t{17}}) {

@@ -71,10 +71,11 @@ TEST(Integration, TransformerBaseAttentionShapes) {
   gemm_codes_ref(codes, x, ref);
   EXPECT_TRUE(allclose(y, ref, 2e-3f, 2e-3f));
 
-  // Packed weight bytes match the Table II accounting (3-bit row).
+  // Packed weight bytes match the Table II accounting (3-bit row), plus
+  // each plane's key-load slack.
   const Footprint fp = model_footprint({512, 512, 18, 3, 32, 32},
                                        /*include_scales=*/true);
-  EXPECT_EQ(kernel.packed_weight_bytes(), fp.weight_bytes);
+  EXPECT_EQ(kernel.packed_weight_bytes(), fp.weight_bytes + 3 * kKeySlackBytes);
 }
 
 TEST(Integration, EncoderLayerQuantizedVsFloatEndToEnd) {

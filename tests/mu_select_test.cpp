@@ -13,9 +13,9 @@ TEST(MuSelect, CostFactorFormula) {
   EXPECT_DOUBLE_EQ(biqgemm_cost_factor(1, 1), 3.0);
 }
 
-TEST(MuSelect, SelectIsArgmin) {
+TEST(MuSelect, Eq9PickIsArgmin) {
   for (std::size_t m : {16u, 128u, 512u, 1024u, 4096u, 8192u}) {
-    const unsigned best = select_mu(m, 16);
+    const unsigned best = eq9_mu(m, 16);
     const double best_cost = biqgemm_cost_factor(m, best);
     for (unsigned mu = 1; mu <= 16; ++mu) {
       EXPECT_LE(best_cost, biqgemm_cost_factor(m, mu) + 1e-15)
@@ -24,24 +24,70 @@ TEST(MuSelect, SelectIsArgmin) {
   }
 }
 
-TEST(MuSelect, OptimalMuGrowsWithOutputSize) {
-  EXPECT_LE(select_mu(64), select_mu(1024));
-  EXPECT_LE(select_mu(1024), select_mu(65536));
+TEST(MuSelect, Eq9MuGrowsWithOutputSize) {
+  EXPECT_LE(eq9_mu(64), eq9_mu(1024));
+  EXPECT_LE(eq9_mu(1024), eq9_mu(65536));
 }
 
-TEST(MuSelect, PaperScaleMatricesPreferMuNearEight) {
+TEST(MuSelect, Eq9PrefersMuNearEightAtPaperScale) {
   // The paper empirically picks mu=8 for m in the 1K..8K range; the
   // Eq. 9 model should agree to within one step.
   for (std::size_t m : {1024u, 2048u, 4096u, 8192u}) {
-    const unsigned mu = select_mu(m);
+    const unsigned mu = eq9_mu(m);
     EXPECT_GE(mu, 7u) << "m=" << m;
     EXPECT_LE(mu, 10u) << "m=" << m;
   }
 }
 
-TEST(MuSelect, RespectsMaxMuBound) {
-  EXPECT_LE(select_mu(1 << 20, 6), 6u);
-  EXPECT_EQ(select_mu(1024, 1), 1u);
+TEST(MuSelect, Eq9RespectsMaxMuBound) {
+  EXPECT_LE(eq9_mu(1 << 20, 6), 6u);
+  EXPECT_EQ(eq9_mu(1024, 1), 1u);
+}
+
+TEST(MuSelect, RuleCostFormula) {
+  // (w 2^mu + m q) / mu with w = 4.
+  EXPECT_EQ(kLutEntryCost, 4u);
+  EXPECT_DOUBLE_EQ(lut_unit_cost(512, 2, 6), (4.0 * 64.0 + 1024.0) / 6.0);
+  EXPECT_DOUBLE_EQ(lut_unit_cost(2048, 1, 7), (4.0 * 128.0 + 2048.0) / 7.0);
+}
+
+TEST(MuSelect, RulePinsTheEncoderAndPaperShapes) {
+  EXPECT_EQ(select_lut_unit(512, 1), 6u);   // tie with mu 5: the larger
+  EXPECT_EQ(select_lut_unit(512, 2), 6u);
+  EXPECT_EQ(select_lut_unit(2048, 1), 7u);
+  EXPECT_EQ(select_lut_unit(2048, 2), 8u);
+  EXPECT_EQ(select_lut_unit(4096, 1), 8u);
+  EXPECT_EQ(select_lut_unit(4096, 2), 8u);
+}
+
+TEST(MuSelect, RuleIsTheArgminOverItsRangeTiesToTheLargerMu) {
+  for (std::size_t m : {0u, 1u, 16u, 100u, 512u, 1000u, 2048u, 4096u,
+                        1u << 20}) {
+    for (unsigned bits = 1; bits <= 8; ++bits) {
+      const unsigned mu = select_lut_unit(m, bits);
+      ASSERT_GE(mu, kMinAutoMu) << "m=" << m << " bits=" << bits;
+      ASSERT_LE(mu, kMaxAutoMu) << "m=" << m << " bits=" << bits;
+      for (unsigned other = kMinAutoMu; other <= kMaxAutoMu; ++other) {
+        const double picked = lut_unit_cost(m, bits, mu);
+        const double cost = lut_unit_cost(m, bits, other);
+        EXPECT_LE(picked, cost) << "m=" << m << " bits=" << bits;
+        if (other > mu) {
+          EXPECT_LT(picked, cost) << "tie not broken to the larger mu, m="
+                                  << m << " bits=" << bits;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(select_lut_unit(1, 1), kMinAutoMu);
+  EXPECT_EQ(select_lut_unit(1u << 20, 1), kMaxAutoMu);
+}
+
+TEST(MuSelect, GroupedRuleAdmitsOnlyDivisorsOfTheGroup) {
+  EXPECT_EQ(select_lut_unit(512, 2, 64), 8u);   // 4 and 8 divide 64
+  EXPECT_EQ(select_lut_unit(512, 2, 24), 6u);   // 4, 6 and 8 divide 24
+  EXPECT_EQ(select_lut_unit(512, 2, 20), 5u);   // 4 and 5 divide 20
+  EXPECT_EQ(select_lut_unit(512, 2, 7), 7u);
+  EXPECT_EQ(select_lut_unit(512, 2, 0), select_lut_unit(512, 2));
 }
 
 TEST(CostModel, BuildOpsMatchEqSix) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 
+#include "core/key_matrix.hpp"
 #include "nn/activations.hpp"
 #include "nn/attention.hpp"
 #include "nn/tensor.hpp"
@@ -130,8 +131,10 @@ TEST(Attention, QuantizedProjectionsStayClose) {
   fp.forward(x, y_fp);
   quant.forward(x, y_q);
   EXPECT_LT(rel_fro_error(y_q, y_fp), 0.25);
-  // 4-bit keys: d*d/2 bytes per projection, plus 4 fp32 scales per row.
-  const std::size_t expected_per_proj = 4 * (d * d / 8) + 4 * d * 4;
+  // 4-bit keys: d*d/2 bytes per projection and each plane's load slack,
+  // plus 4 fp32 scales per row.
+  const std::size_t expected_per_proj =
+      4 * (d * d / 8 + kKeySlackBytes) + 4 * d * 4;
   EXPECT_EQ(quant.weight_bytes(), 4 * expected_per_proj);
   EXPECT_LT(quant.weight_bytes() * 3, fp.weight_bytes());
 }

@@ -161,6 +161,40 @@ TEST(PlanStack, BiqStacksMatchSeparatePlansBitwise) {
   }
 }
 
+// The encoder's Q/K/V shape at default options: three 512 x 512 engines
+// pick one mu by themselves (6), so they stay one shared stack, and the
+// stack's bits are the separate plans'.
+TEST(PlanStack, DefaultOptionQkvStackMatchesSeparatePlansBitwise) {
+  Rng rng(23);
+  std::vector<std::unique_ptr<GemmEngine>> engines;
+  for (int p = 0; p < 3; ++p) {
+    const Matrix w = Matrix::random_normal(512, 512, rng);
+    engines.push_back(std::make_unique<BiqGemm>(quantize_greedy(w, 2)));
+    EXPECT_EQ(static_cast<const BiqGemm&>(*engines.back()).mu(), 6u);
+  }
+  const auto bias = [&] {
+    std::vector<std::vector<float>> b;
+    for (int p = 0; p < 3; ++p) {
+      const Matrix v = Matrix::random_normal(512, 1, rng);
+      b.emplace_back(v.col(0), v.col(0) + 512);
+    }
+    return b;
+  }();
+  ThreadPool pool2(2), pool4(4);
+  for (const KernelIsa isa : available_isas()) {
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2, &pool4}) {
+      ExecContext ctx(pool, isa);
+      for (const std::size_t b : {1u, 17u, 32u}) {
+        expect_stack_matches_parts(
+            parts_of(engines, &bias, EpilogueAct::kNone), b, ctx,
+            std::string(engine::select_plane(isa).isa) + " workers " +
+                std::to_string(ctx.worker_count()) + " b " + std::to_string(b),
+            true);
+      }
+    }
+  }
+}
+
 TEST(PlanStack, BlockedStackRunsItsPartsBitwise) {
   const std::vector<Matrix> w = part_weights(70, 9);
   const auto bias = part_biases(11);
@@ -185,6 +219,7 @@ TEST(PlanStack, StacksThatCannotShareStillMatchBitwise) {
   const std::size_t n = 96;
   const std::vector<Matrix> w = part_weights(n, 21);
   BiqGemmOptions mu8, mu4, tall;
+  mu8.mu = 8;
   mu4.mu = 4;
   tall.tables_per_tile = 2;
   std::vector<std::unique_ptr<GemmEngine>> engines;
